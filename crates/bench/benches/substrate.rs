@@ -54,11 +54,11 @@ fn substrate(c: &mut Criterion) {
     });
 }
 
-/// The observability acceptance gate: instrumented hot paths with NO global
-/// recorder installed must cost the same as before obskit existed. Compare
+/// The observability acceptance gate: instrumented hot paths with NO enabled
+/// sink entered must cost the same as before obskit existed. Compare
 /// `execute_gold_query` / `parse_query` above (which now carry the disabled
 /// check inline) with these recorder-free micro-ops; the `obskit_*` rows
-/// bound the per-call overhead itself (one relaxed atomic load).
+/// bound the per-call overhead itself (one thread-local load).
 fn obskit_overhead(c: &mut Criterion) {
     let bench = small_benchmark();
     let item = &bench.dev[0];

@@ -41,6 +41,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 
 fn main() {
+    warn_unparsable_threads();
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
         usage();
@@ -223,43 +224,62 @@ fn rate_flag(flags: &HashMap<String, String>, key: &str, default: f64) -> f64 {
     }
 }
 
-/// Install a global trace recorder when `--trace FILE` was given.
-/// Returns the recorder (enabled or disabled) plus the output path.
-///
-/// Tracing also installs the global [`obskit::tsdb`] store (windowed
-/// labelled series; drained into the trace by [`finish_trace`]) unless
-/// `DAIL_TSDB=0`. `DAIL_TSDB_STEP_MS` and `DAIL_TSDB_MAX_SERIES`
-/// override the window step and the hard cardinality bound.
-fn setup_trace(flags: &HashMap<String, String>) -> (obskit::Recorder, Option<PathBuf>) {
-    match flags.get("trace") {
-        Some(path) => {
-            let rec = obskit::Recorder::enabled();
-            obskit::set_global(rec.clone());
-            if std::env::var("DAIL_TSDB").as_deref() != Ok("0") {
-                let env_num = |key: &str, default: u64| {
-                    std::env::var(key)
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(default)
-                };
-                let defaults = obskit::tsdb::TsdbConfig::default();
-                obskit::tsdb::install(obskit::tsdb::Tsdb::new(obskit::tsdb::TsdbConfig {
-                    step_ms: env_num("DAIL_TSDB_STEP_MS", defaults.step_ms).max(1),
-                    max_series: env_num("DAIL_TSDB_MAX_SERIES", defaults.max_series as u64).max(1)
-                        as usize,
-                    ..defaults
-                }));
-            }
-            (rec, Some(PathBuf::from(path)))
+/// `DAIL_THREADS` is read where work fans out, silently falling back to
+/// available parallelism on a value it cannot parse; so the CLI names a
+/// rejected value once, up front. A typo'd override silently running on
+/// every core is the kind of surprise that invalidates a benchmark run.
+fn warn_unparsable_threads() {
+    if let Ok(raw) = std::env::var("DAIL_THREADS") {
+        if raw.trim().parse::<usize>().is_err() {
+            eprintln!(
+                "warning: ignoring unparsable DAIL_THREADS={raw:?}; \
+                 falling back to available parallelism"
+            );
         }
-        None => (obskit::Recorder::disabled(), None),
     }
 }
 
+/// A command's telemetry sink, current on the main thread while this
+/// lives, and the file [`finish_trace`] writes it to (`None` untraced).
+struct Trace {
+    rec: obskit::Recorder,
+    path: Option<PathBuf>,
+    _sink: obskit::SinkGuard,
+}
+
+/// Enter the command's sink: an enabled recorder when `--trace FILE` was
+/// given, else a disabled one.
+///
+/// A traced sink also owns a windowed [`obskit::tsdb`] store (labelled
+/// series, drained into the trace with everything else) unless
+/// `DAIL_TSDB=0`. `DAIL_TSDB_MAX_SERIES` overrides its hard cardinality
+/// bound.
+fn setup_trace(flags: &HashMap<String, String>) -> Trace {
+    let path = flags.get("trace").map(PathBuf::from);
+    let rec = if path.is_none() {
+        obskit::Recorder::disabled()
+    } else if std::env::var("DAIL_TSDB").as_deref() == Ok("0") {
+        obskit::Recorder::enabled()
+    } else {
+        let defaults = obskit::tsdb::TsdbConfig::default();
+        let max_series = std::env::var("DAIL_TSDB_MAX_SERIES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(defaults.max_series)
+            .max(1);
+        obskit::Recorder::with_tsdb(obskit::tsdb::TsdbConfig {
+            max_series,
+            ..defaults
+        })
+    };
+    let _sink = rec.enter();
+    Trace { rec, path, _sink }
+}
+
 /// Write the trace out (if tracing was requested) and tell the user.
-fn finish_trace(rec: &obskit::Recorder, path: Option<PathBuf>) {
+fn finish_trace(trace: Trace) {
+    let Trace { rec, path, .. } = trace;
     let Some(path) = path else { return };
-    obskit::tsdb::with(|t| t.drain_into(rec));
     match rec.write_jsonl(&path) {
         Ok(()) => eprintln!(
             "trace written to {} ({} events); replay with `dail_sql_cli profile {}`",
@@ -619,7 +639,7 @@ fn exec_bench(flags: &HashMap<String, String>) {
     use storage::schema::{ColType, ColumnDef, DbSchema, TableSchema};
     use storage::{Engine, Value};
     let rows: usize = num_flag(flags, "rows", 50_000usize);
-    let (rec, trace_path) = setup_trace(flags);
+    let trace = setup_trace(flags);
     let schema = DbSchema {
         db_id: "exec_bench".into(),
         tables: vec![
@@ -699,7 +719,7 @@ fn exec_bench(flags: &HashMap<String, String>) {
         }
     }
     eprintln!("exec-bench wall time: {:?}", t0.elapsed());
-    finish_trace(&rec, trace_path);
+    finish_trace(trace);
 }
 
 fn bench_from_flags(flags: &HashMap<String, String>) -> Benchmark {
@@ -1105,7 +1125,7 @@ fn build_predictor(flags: &HashMap<String, String>) -> Box<dyn Predictor + Sync>
 fn run_eval(flags: &HashMap<String, String>) {
     let predictor = build_predictor(flags);
     let realistic = flags.contains_key("realistic");
-    let (rec, trace_path) = setup_trace(flags);
+    let trace = setup_trace(flags);
     let bench = bench_from_flags(flags);
     let selector = ExampleSelector::new(&bench);
     let threads = flags
@@ -1114,7 +1134,6 @@ fn run_eval(flags: &HashMap<String, String>) {
     let digests_n = digests_top_n(flags);
     let opts = EvalOptions {
         threads,
-        recorder: rec.clone(),
         digests: digests_n.is_some(),
     };
     let r = evaluate_opts(
@@ -1148,7 +1167,7 @@ fn run_eval(flags: &HashMap<String, String>) {
         println!();
         print!("{}", acc.render_top(n, flags.contains_key("canonical")));
     }
-    finish_trace(&rec, trace_path);
+    finish_trace(trace);
 }
 
 /// Head-sampling rate for request traces, from `DAIL_TRACE_SAMPLE`
@@ -1184,8 +1203,7 @@ struct ServeRun {
     /// Query-digest rollup over scored responses; `Some` only when the
     /// analyzed scoring path was active (`--digests` or `DAIL_ANALYZE`).
     digests: Option<eval::DigestAccumulator>,
-    rec: obskit::Recorder,
-    trace_path: Option<PathBuf>,
+    trace: Trace,
 }
 
 /// Drive the servekit serving layer with a seeded load against injected
@@ -1198,7 +1216,7 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
     let predictor = build_predictor(flags);
     let pipeline = flag(flags, "pipeline", "dail").to_string();
     let seed: u64 = num_flag(flags, "seed", 7u64);
-    let (rec, trace_path) = setup_trace(flags);
+    let trace = setup_trace(flags);
     let bench = bench_from_flags(flags);
     let selector = ExampleSelector::new(&bench);
     let tokenizer = textkit::Tokenizer::new();
@@ -1263,19 +1281,18 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
                 }
                 None => eval::score_item_traced(bench.db(item), item, sql, out.traces[i]),
             };
-            if obskit::tsdb::installed() {
-                let tenant = format!("t{}", req.tenant);
-                obskit::tsdb::counter(
+            trace.rec.tsdb(|t| {
+                t.counter(
                     "eval.ex_verdicts",
                     &[
                         ("db", item.db_id.as_str()),
-                        ("tenant", &tenant),
+                        ("tenant", &format!("t{}", req.tenant)),
                         ("verdict", if score.ex { "correct" } else { "wrong" }),
                     ],
                     req.arrival_ms + latency_ms,
                     1,
-                );
-            }
+                )
+            });
             ex.push(Some(score.ex));
         } else {
             ex.push(None);
@@ -1290,8 +1307,7 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
         stats: out.stats,
         ex,
         digests,
-        rec,
-        trace_path,
+        trace,
     }
 }
 
@@ -1350,7 +1366,7 @@ fn serve_bench(flags: &HashMap<String, String>) {
         print!("{}", acc.render_top(n, flags.contains_key("canonical")));
     }
     write_json_report(flags, &report);
-    finish_trace(&run.rec, run.trace_path);
+    finish_trace(run.trace);
 }
 
 /// `slo-report`: run the same seeded load as `serve-bench` and print the
@@ -1395,7 +1411,7 @@ fn slo_report(flags: &HashMap<String, String>) {
         .collect();
     print!("{}", servekit::render_slo_report(&cfg, &outcomes));
     write_json_report(flags, &serve_report_input(&run));
-    finish_trace(&run.rec, run.trace_path);
+    finish_trace(run.trace);
 }
 
 /// `metrics`: render a recorded trace's counters, gauges and histograms
@@ -2108,18 +2124,18 @@ fn run_experiments(flags: &HashMap<String, String>) {
         );
         std::process::exit(2);
     }
-    let (rec, trace_path) = setup_trace(flags);
+    let trace = setup_trace(flags);
     let scale = Scale {
         dev_cap: num_flag(flags, "dev-cap", 24usize),
         full_grid: flags.contains_key("full-grid"),
     };
     let seed = num_flag(flags, "seed", 2023u64);
     let bench = bench_from_flags(flags);
-    let runner = ExperimentRunner::new(&bench, scale, seed).with_recorder(rec.clone());
+    let runner = ExperimentRunner::new(&bench, scale, seed);
     for table in runner.run_experiment(id) {
         println!("{}", table.to_markdown());
     }
-    finish_trace(&rec, trace_path);
+    finish_trace(trace);
 }
 
 /// Load a trace leniently: unreadable files and traces with no intact

@@ -141,7 +141,7 @@ impl Predictor for DailSql {
                 candidates.push(sql);
             }
             if obskit::enabled() {
-                obskit::global()
+                obskit::current()
                     .add_counter("dail.self_consistency_samples", candidates.len() as u64);
             }
             vote_by_execution(ctx.bench.db(item), &candidates)

@@ -13,7 +13,7 @@
 //! | e9  | open-source LLMs, zero- and few-shot                   |
 //! | e10 | open-source SFT (representations, ICL degradation)     |
 
-use crate::harness::{evaluate_opts, EvalOptions, RunResult};
+use crate::harness::{evaluate, RunResult};
 use crate::report::{f1, pct, usd, Table};
 use dail_core::{C3Style, DailSql, DinSqlStyle, FewShot, Predictor, ZeroShot};
 use promptkit::{
@@ -57,7 +57,6 @@ pub struct ExperimentRunner<'a> {
     selector: ExampleSelector<'a>,
     scale: Scale,
     seed: u64,
-    recorder: obskit::Recorder,
 }
 
 /// Best-effort `git describe` of the working tree, for run manifests.
@@ -86,22 +85,16 @@ fn style_of(repr: QuestionRepr) -> PromptStyle {
 }
 
 impl<'a> ExperimentRunner<'a> {
-    /// Create a runner (tracing disabled; see [`Self::with_recorder`]).
+    /// Create a runner. Experiments run under an enabled obskit sink
+    /// ([`obskit::Recorder::enter`]) emit a span, a run manifest
+    /// ([`obskit::Event::Meta`]) and the harness's per-item trace into it.
     pub fn new(bench: &'a Benchmark, scale: Scale, seed: u64) -> Self {
         ExperimentRunner {
             bench,
             selector: ExampleSelector::new(bench),
             scale,
             seed,
-            recorder: obskit::Recorder::disabled(),
         }
-    }
-
-    /// Attach a trace recorder; every experiment then emits a span, a run
-    /// manifest ([`obskit::Event::Meta`]) and the harness's per-item trace.
-    pub fn with_recorder(mut self, recorder: obskit::Recorder) -> Self {
-        self.recorder = recorder;
-        self
     }
 
     fn items(&self) -> &[spider_gen::ExampleItem] {
@@ -110,19 +103,13 @@ impl<'a> ExperimentRunner<'a> {
     }
 
     fn run(&self, p: &(dyn Predictor + Sync), realistic: bool) -> RunResult {
-        let opts = EvalOptions {
-            threads: None,
-            recorder: self.recorder.clone(),
-            digests: false,
-        };
-        evaluate_opts(
+        evaluate(
             self.bench,
             &self.selector,
             p,
             self.items(),
             self.seed,
             realistic,
-            &opts,
         )
     }
 
@@ -136,12 +123,13 @@ impl<'a> ExperimentRunner<'a> {
 
     /// Dispatch by experiment id ("e1".."e10").
     pub fn run_experiment(&self, id: &str) -> Vec<Table> {
-        let span = self.recorder.span(&format!("experiment.{id}"));
+        let rec = obskit::current();
+        let span = rec.span(&format!("experiment.{id}"));
         let started = std::time::Instant::now();
         let tables = self.dispatch(id);
-        if self.recorder.is_enabled() {
+        if rec.is_enabled() {
             // Run manifest: enough to re-run and to attribute cost later.
-            self.recorder.meta(
+            rec.meta(
                 &format!("experiment.{id}"),
                 &[
                     ("seed", self.seed.to_string()),
@@ -152,7 +140,7 @@ impl<'a> ExperimentRunner<'a> {
                     ("duration_ms", started.elapsed().as_millis().to_string()),
                 ],
             );
-            self.recorder.add_counter("experiments.runs", 1);
+            rec.add_counter("experiments.runs", 1);
         }
         drop(span);
         tables
@@ -774,19 +762,13 @@ impl ExperimentRunner<'_> {
             let selector = ExampleSelector::new(&truncated);
             let p = FewShot::new(SimLlm::new("gpt-4").unwrap(), PromptConfig::dail_sql(5));
             let items = &truncated.dev[..self.scale.dev_cap.min(truncated.dev.len())];
-            let opts = EvalOptions {
-                threads: None,
-                recorder: self.recorder.clone(),
-                digests: false,
-            };
-            let r = evaluate_opts(&truncated, &selector, &p, items, self.seed, false, &opts);
+            let r = evaluate(&truncated, &selector, &p, items, self.seed, false);
             // Selection-quality diagnostic on the truncated pool.
             let sub_runner = ExperimentRunner {
                 bench: &truncated,
                 selector: ExampleSelector::new(&truncated),
                 scale: self.scale,
                 seed: self.seed,
-                recorder: self.recorder.clone(),
             };
             let sk = sub_runner.selection_skeleton_similarity(SelectionStrategy::Dail, 5);
             t.push_row(vec![size.to_string(), f1(r.ex_pct()), format!("{sk:.3}")]);
@@ -953,8 +935,8 @@ mod tests {
     fn traced_experiment_emits_span_and_manifest() {
         let bench = Benchmark::generate(BenchmarkConfig::tiny());
         let rec = obskit::Recorder::enabled();
-        let r = runner(&bench).with_recorder(rec.clone());
-        r.run_experiment("a2");
+        let _sink = rec.enter();
+        runner(&bench).run_experiment("a2");
         let events = rec.events();
         assert!(events
             .iter()

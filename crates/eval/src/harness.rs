@@ -71,65 +71,28 @@ impl RunResult {
 }
 
 /// Knobs for [`evaluate_opts`] beyond the core inputs.
+///
+/// Telemetry is not a knob: the run records into the caller's current
+/// obskit sink (see [`obskit::Recorder::enter`]), if any.
+#[derive(Default)]
 pub struct EvalOptions {
     /// Worker-thread override. `None` falls back to the `DAIL_THREADS`
-    /// environment variable, then to available parallelism.
+    /// environment variable ([`promptkit::resolve_threads`]), then to
+    /// available parallelism.
     pub threads: Option<usize>,
-    /// Trace sink. Per-item `predict`/`score` spans and per-worker cost
-    /// counters are recorded here; pass [`obskit::Recorder::disabled`]
-    /// (the default) for a zero-cost run.
-    pub recorder: obskit::Recorder,
     /// Score through the analyzed executor and build a query-digest rollup
     /// in [`RunResult::digests`]. Off by default: scores are identical
     /// either way, but the analyzed path pays per-operator bookkeeping.
     pub digests: bool,
 }
 
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            threads: None,
-            recorder: obskit::Recorder::disabled(),
-            digests: false,
-        }
-    }
-}
-
-/// Resolve the worker-thread count: explicit override, then `DAIL_THREADS`,
-/// then available parallelism, clamped to the number of items.
-///
-/// An unparsable `DAIL_THREADS` (e.g. `DAIL_THREADS=all`) emits a one-line
-/// stderr warning naming the rejected value before falling back — a typo'd
-/// override silently running on every core is the kind of surprise that
-/// invalidates a benchmark run.
+/// Resolve the worker-thread count: a positive explicit override, else
+/// the shared `DAIL_THREADS` resolver, clamped to the number of items.
 fn resolve_threads(threads: Option<usize>, n_items: usize) -> usize {
-    let base = threads
-        .or_else(|| {
-            let raw = std::env::var("DAIL_THREADS").ok()?;
-            match raw.trim().parse::<usize>() {
-                Ok(n) => Some(n),
-                Err(_) => {
-                    // Deliberate user-facing diagnostic, not debug output
-                    // (the repo's print lint reserves the print macros for
-                    // CLI binaries; a direct stderr write is the sanctioned
-                    // escape hatch for warnings).
-                    use std::io::Write as _;
-                    let _ = writeln!(
-                        std::io::stderr(),
-                        "warning: ignoring unparsable DAIL_THREADS={raw:?}; \
-                         falling back to available parallelism"
-                    );
-                    None
-                }
-            }
-        })
+    threads
         .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
-    base.min(n_items.max(1))
+        .unwrap_or_else(promptkit::resolve_threads)
+        .min(n_items.max(1))
 }
 
 /// Evaluate a predictor over `items`, running chunks on worker threads.
@@ -156,7 +119,10 @@ pub fn evaluate(
     )
 }
 
-/// [`evaluate`] with explicit [`EvalOptions`] (thread override + tracing).
+/// [`evaluate`] with explicit [`EvalOptions`]. Traced when an enabled
+/// obskit sink is current: per-item spans and cost counters are buffered
+/// per worker and absorbed in chunk order, and each worker enters the
+/// caller's sink so the layers underneath record into it too.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_opts(
     bench: &Benchmark,
@@ -169,7 +135,7 @@ pub fn evaluate_opts(
 ) -> RunResult {
     let threads = resolve_threads(opts.threads, items.len());
     let chunk = items.len().div_ceil(threads.max(1)).max(1);
-    let rec = &opts.recorder;
+    let rec = &obskit::current();
     let eval_span = rec.span("evaluate");
     rec.set_gauge("eval.threads", threads as f64);
 
@@ -191,6 +157,7 @@ pub fn evaluate_opts(
             let handle = {
                 let wrec = wrec.clone();
                 scope.spawn(move || {
+                    let _sink = rec.enter();
                     let tokenizer = Tokenizer::new();
                     let ctx = PredictCtx {
                         bench,
@@ -414,19 +381,24 @@ mod tests {
         let items = &bench.dev[..6.min(bench.dev.len())];
         let opts = EvalOptions {
             threads: Some(2),
-            recorder: obskit::Recorder::enabled(),
             digests: false,
         };
-        let r = evaluate_opts(&bench, &selector, &Oracle, items, 1, false, &opts);
-        let m = opts.recorder.metrics();
+        let rec = obskit::Recorder::enabled();
+        let r = {
+            let _sink = rec.enter();
+            evaluate_opts(&bench, &selector, &Oracle, items, 1, false, &opts)
+        };
+        let m = rec.metrics();
         assert_eq!(m.counters["eval.items"], items.len() as u64);
         assert_eq!(
             m.counters["eval.prompt_tokens"],
             r.cost.prompt_tokens as u64
         );
+        // The workers entered the sink: the executor scoring each item
+        // recorded into it too.
+        assert_eq!(m.counters["storage.statements"], 2 * items.len() as u64);
         // One predict + one score span per item, plus the evaluate span.
-        let ends: Vec<String> = opts
-            .recorder
+        let ends: Vec<String> = rec
             .events()
             .iter()
             .filter_map(|e| match e {
@@ -447,12 +419,12 @@ mod tests {
         let run = |threads: usize| {
             let opts = EvalOptions {
                 threads: Some(threads),
-                recorder: obskit::Recorder::enabled(),
                 digests: false,
             };
+            let rec = obskit::Recorder::enabled();
+            let _sink = rec.enter();
             evaluate_opts(&bench, &selector, &Oracle, items, 1, false, &opts);
-            opts.recorder
-                .drain_trace()
+            rec.drain_trace()
                 .into_iter()
                 // The thread-count gauge is the one legitimately varying bit.
                 .filter(|e| e.name() != "eval.threads")

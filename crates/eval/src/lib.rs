@@ -5,12 +5,15 @@
 //! `sqlkit`'s canonicalizer) — tracks token/dollar costs, and drives the
 //! paper's ten experiments (E1–E10), each regenerating one table or figure.
 //!
-//! When the windowed metrics layer is live (`obskit::tsdb::installed()`),
-//! the CLI's serve-path scoring loop records each verdict as the
-//! `eval.ex_verdicts{db=,tenant=,verdict=correct|wrong}` counter series,
-//! stamped at the request's virtual completion time. Scoring itself never
-//! reads the tsdb — EX/EM numbers are byte-identical with telemetry on,
-//! sampled, or off.
+//! Telemetry goes to the caller's obskit sink. With an enabled
+//! [`obskit::Recorder`] entered (`let _sink = rec.enter();`), a run records
+//! the harness's per-item spans and every layer's counters into it, and
+//! [`evaluate_opts`]'s workers enter that same sink. When the sink owns a
+//! windowed store, the CLI's serve-path scoring loop records each verdict
+//! as the `eval.ex_verdicts{db=,tenant=,verdict=correct|wrong}` counter
+//! series, stamped at the request's virtual completion time. Scoring
+//! itself never reads telemetry — EX/EM numbers are byte-identical with
+//! telemetry on, sampled, or off.
 //!
 //! ```no_run
 //! use eval::{ExperimentRunner, Scale};

@@ -5,9 +5,11 @@
 //! local recorders in chunk order, so nothing observable may depend on
 //! thread scheduling. Traces are compared through
 //! [`obskit::canonical_jsonl`], which zeroes wall-clock timestamps and
-//! durations (the only fields that legitimately vary run to run); the
-//! `eval.threads` gauge is filtered out because reporting the thread count
-//! is the gauge's whole job.
+//! durations; the `eval.threads` gauge is filtered out because reporting
+//! the thread count is the gauge's whole job. The layers underneath also
+//! record into the run's sink, and their latency histograms hold
+//! wall-clock samples, so histograms are compared by name and
+//! observation count.
 
 use dail_core::DailSql;
 use eval::{evaluate_opts, EvalOptions, RunResult};
@@ -17,31 +19,41 @@ use simllm::SimLlm;
 use spider_gen::{Benchmark, BenchmarkConfig};
 
 /// Run the full DAIL pipeline over the tiny benchmark with `threads`
-/// workers, returning the result and the canonicalised, filtered trace.
-fn run(threads: usize) -> (RunResult, String) {
+/// workers, returning the result, the canonicalised, filtered trace, and
+/// each histogram's name and observation count.
+fn run(threads: usize) -> (RunResult, String, Vec<(String, u64)>) {
     let bench = Benchmark::generate(BenchmarkConfig::tiny());
     let selector = ExampleSelector::new(&bench);
     let predictor = DailSql::new(SimLlm::new("gpt-4").expect("gpt-4 is in the zoo"));
     let items = &bench.dev[..8.min(bench.dev.len())];
     let opts = EvalOptions {
         threads: Some(threads),
-        recorder: obskit::Recorder::enabled(),
         digests: false,
     };
-    let result = evaluate_opts(&bench, &selector, &predictor, items, 2023, false, &opts);
-    let events: Vec<obskit::Event> = opts
-        .recorder
+    let rec = obskit::Recorder::enabled();
+    let result = {
+        let _sink = rec.enter();
+        evaluate_opts(&bench, &selector, &predictor, items, 2023, false, &opts)
+    };
+    let mut hists = Vec::new();
+    let events: Vec<obskit::Event> = rec
         .drain_trace()
         .into_iter()
-        .filter(|e| e.name() != "eval.threads")
+        .filter(|e| match e {
+            obskit::Event::Histogram { name, count, .. } => {
+                hists.push((name.clone(), *count));
+                false
+            }
+            other => other.name() != "eval.threads",
+        })
         .collect();
-    (result, canonical_jsonl(&events))
+    (result, canonical_jsonl(&events), hists)
 }
 
 #[test]
 fn reports_and_traces_are_identical_across_thread_counts() {
-    let (r1, trace1) = run(1);
-    let (r4, trace4) = run(4);
+    let (r1, trace1, hists1) = run(1);
+    let (r4, trace4, hists4) = run(4);
 
     // Every observable field of the report matches...
     assert_eq!(r1.name, r4.name);
@@ -59,12 +71,18 @@ fn reports_and_traces_are_identical_across_thread_counts() {
     // ...and so does every byte of the canonicalised trace.
     assert_eq!(trace1, trace4);
     assert!(!trace1.is_empty(), "tracing must actually record events");
+    assert_eq!(hists1, hists4);
+    assert!(
+        !hists1.is_empty(),
+        "the layers underneath record into the sink"
+    );
 }
 
 #[test]
 fn repeat_runs_on_the_same_thread_count_are_stable() {
-    let (r_a, trace_a) = run(4);
-    let (r_b, trace_b) = run(4);
+    let (r_a, trace_a, hists_a) = run(4);
+    let (r_b, trace_b, hists_b) = run(4);
     assert_eq!(r_a.ex_outcomes, r_b.ex_outcomes);
     assert_eq!(trace_a, trace_b);
+    assert_eq!(hists_a, hists_b);
 }

@@ -783,14 +783,13 @@ mod tests {
 
     #[test]
     fn render_events_includes_tsdb_series_with_exemplars() {
-        use crate::tsdb::{Tsdb, TsdbConfig};
-        let mut db = Tsdb::new(TsdbConfig::default());
-        db.counter("req.count", &[("tenant", "t0")], 10, 3);
-        db.counter("req.count", &[("tenant", "t1")], 300, 1);
-        db.observe("lat.ms", &[("tenant", "t0")], 10, 64, Some(7));
-        let rec = crate::Recorder::enabled();
+        let rec = crate::Recorder::with_tsdb(crate::tsdb::TsdbConfig::default());
+        rec.tsdb(|db| {
+            db.counter("req.count", &[("tenant", "t0")], 10, 3);
+            db.counter("req.count", &[("tenant", "t1")], 300, 1);
+            db.observe("lat.ms", &[("tenant", "t0")], 10, 64, Some(7));
+        });
         rec.add_counter("plain.counter", 5);
-        db.drain_into(&rec);
         let text = render_events(&rec.drain_trace());
         assert!(text.contains("# TYPE req_count counter"), "{text}");
         assert!(text.contains("req_count{tenant=\"t0\"} 3"), "{text}");
@@ -809,12 +808,9 @@ mod tests {
 
     #[test]
     fn tsdb_family_name_collisions_get_suffixed() {
-        use crate::tsdb::{Tsdb, TsdbConfig};
-        let mut db = Tsdb::new(TsdbConfig::default());
-        db.counter("plain.counter", &[("t", "a")], 0, 1);
-        let rec = crate::Recorder::enabled();
+        let rec = crate::Recorder::with_tsdb(crate::tsdb::TsdbConfig::default());
+        rec.tsdb(|db| db.counter("plain.counter", &[("t", "a")], 0, 1));
         rec.add_counter("plain.counter", 5);
-        db.drain_into(&rec);
         let text = render_events(&rec.drain_trace());
         assert!(text.contains("# TYPE plain_counter counter\nplain_counter 5"));
         assert!(text.contains("# TYPE plain_counter_ counter"), "{text}");

@@ -27,10 +27,13 @@
 //!   cardinality bound, fixed-step ring-buffer windows (rates, windowed
 //!   quantiles), and per-window exemplars linking back to sampled
 //!   request traces. All on the virtual clock.
-//! * A process-global recorder ([`set_global`]/[`global`]) so deep layers
-//!   (`simllm`, `storage`, `promptkit`, …) can emit metrics without
-//!   threading a handle through every signature. The disabled path is a
-//!   single relaxed atomic load ([`enabled`]).
+//! * One scoped sink per run: [`Recorder::enter`] makes a recorder current
+//!   on the calling thread (an RAII [`SinkGuard`] restores the previous
+//!   one), so deep layers (`simllm`, `storage`, `promptkit`, …) emit to
+//!   [`current`] without threading a handle through every signature.
+//!   Code that fans work out to threads enters the caller's sink on each
+//!   worker; a thread that enters none records nothing. The disabled path
+//!   is a single thread-local load ([`enabled`]).
 //!
 //! Determinism: event *ordering* is stable for a fixed workload (workers
 //! buffer into local recorders that are absorbed in item order), and
@@ -57,56 +60,5 @@ pub use jsonl::{
     SKIPPED_LINES_COUNTER,
 };
 pub use profile::{fmt_ns, fmt_ns_delta, Profile, ProfileDiff, StageDelta, StageStats};
-pub use recorder::{MetricsSnapshot, Recorder, Span};
+pub use recorder::{current, enabled, MetricsSnapshot, Recorder, SinkGuard, Span};
 pub use trace::TraceContext;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Install `recorder` as the process-global recorder.
-///
-/// Returns `false` (and leaves the existing recorder in place) if a global
-/// recorder was already installed. Deep pipeline layers reach this recorder
-/// through [`global`]; they should gate any work on [`enabled`] first.
-pub fn set_global(recorder: Recorder) -> bool {
-    let enabled = recorder.is_enabled();
-    let installed = GLOBAL.set(recorder).is_ok();
-    if installed && enabled {
-        GLOBAL_ENABLED.store(true, Ordering::Relaxed);
-    }
-    installed
-}
-
-/// The process-global recorder (a disabled no-op recorder if none was set).
-pub fn global() -> &'static Recorder {
-    static DISABLED: OnceLock<Recorder> = OnceLock::new();
-    GLOBAL
-        .get()
-        .unwrap_or_else(|| DISABLED.get_or_init(Recorder::disabled))
-}
-
-/// Fast check: is an enabled global recorder installed?
-///
-/// One relaxed atomic load — cheap enough for the hottest loops.
-#[inline]
-pub fn enabled() -> bool {
-    GLOBAL_ENABLED.load(Ordering::Relaxed)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn global_defaults_to_disabled() {
-        // Note: other tests in this binary may install a global recorder;
-        // this test only asserts the *fallback* is a no-op sink.
-        let r = Recorder::disabled();
-        assert!(!r.is_enabled());
-        r.add_counter("x", 1);
-        assert!(r.events().is_empty());
-    }
-}

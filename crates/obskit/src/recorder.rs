@@ -1,10 +1,14 @@
-//! The event sink: spans, counters, gauges, histograms.
+//! The event sink: spans, counters, gauges, histograms, an optional
+//! windowed [`Tsdb`], and the per-thread *current sink* that deep layers
+//! emit to.
 
 use crate::event::Event;
 use crate::hist::Histogram;
-use std::cell::RefCell;
+use crate::tsdb::{Tsdb, TsdbConfig};
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::io::Write as _;
+use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -16,6 +20,48 @@ thread_local! {
     /// recorder's spans from parenting another's (worker recorders often
     /// run on a thread that also has the main recorder's spans open).
     static SPAN_STACK: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
+    /// Is the current sink enabled? Const-initialised and free of drop
+    /// glue, so [`enabled`] is a single thread-local load.
+    static SINK_ENABLED: Cell<bool> = const { Cell::new(false) };
+    /// The current sink: the innermost [`Recorder::enter`]ed recorder.
+    static SINK: RefCell<Recorder> = const { RefCell::new(Recorder::disabled()) };
+}
+
+/// Fast check: is an enabled sink current on this thread?
+///
+/// One thread-local load — cheap enough for the hottest loops. Deep layers
+/// gate every emission on it.
+#[inline]
+pub fn enabled() -> bool {
+    SINK_ENABLED.with(Cell::get)
+}
+
+/// The sink current on this thread: the recorder of the innermost live
+/// [`Recorder::enter`] guard, or a disabled recorder when none is.
+pub fn current() -> Recorder {
+    if !enabled() {
+        return Recorder::disabled();
+    }
+    SINK.with(|s| s.borrow().clone())
+}
+
+/// Keeps a recorder current on the thread that entered it; dropping the
+/// guard restores the sink that was current before. Guards must drop in
+/// reverse order of entry (bind them to a scope with `let _sink = ...`).
+#[must_use = "the recorder is current only while the guard lives"]
+pub struct SinkGuard {
+    prev: Recorder,
+    /// Bound to the entering thread: the guard restores *its* sink.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for SinkGuard {
+    fn drop(&mut self) {
+        let prev = std::mem::replace(&mut self.prev, Recorder::disabled());
+        SINK_ENABLED.with(|e| e.set(prev.is_enabled()));
+        // `try_with`: a guard dropped during thread teardown must not panic.
+        let _left = SINK.try_with(|s| s.replace(prev));
+    }
 }
 
 struct Inner {
@@ -25,6 +71,7 @@ struct Inner {
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
     hists: Mutex<BTreeMap<String, Histogram>>,
+    tsdb: Option<Mutex<Tsdb>>,
 }
 
 /// A thread-safe trace/metrics sink.
@@ -33,6 +80,13 @@ struct Inner {
 /// no-op: every method returns immediately after one `Option` check, which
 /// is what makes always-on instrumentation affordable (verified by the
 /// `substrate` criterion bench).
+///
+/// A run hands its telemetry to the layers underneath by entering its
+/// recorder ([`Recorder::enter`]): deep layers emit to [`current`], and
+/// code that fans work out to threads enters the caller's sink on each
+/// worker. An enabled recorder may also own the run's windowed [`Tsdb`]
+/// ([`Recorder::with_tsdb`]), which [`Recorder::drain_trace`] serializes
+/// into the trace.
 #[derive(Clone)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -51,12 +105,23 @@ pub struct MetricsSnapshot {
 
 impl Recorder {
     /// A no-op recorder: records nothing, costs one branch per call.
-    pub fn disabled() -> Recorder {
+    pub const fn disabled() -> Recorder {
         Recorder { inner: None }
     }
 
     /// An enabled in-memory recorder.
     pub fn enabled() -> Recorder {
+        Recorder::build(None)
+    }
+
+    /// An enabled recorder that also owns a windowed time-series store
+    /// (reached through [`Recorder::tsdb`], drained by
+    /// [`Recorder::drain_trace`]).
+    pub fn with_tsdb(cfg: TsdbConfig) -> Recorder {
+        Recorder::build(Some(Tsdb::new(cfg)))
+    }
+
+    fn build(tsdb: Option<Tsdb>) -> Recorder {
         Recorder {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
@@ -65,8 +130,30 @@ impl Recorder {
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 hists: Mutex::new(BTreeMap::new()),
+                tsdb: tsdb.map(Mutex::new),
             })),
         }
+    }
+
+    /// Make this recorder the current sink of the calling thread until
+    /// the returned guard drops. [`enabled`] then reports whether this
+    /// recorder records, and [`current`] returns it.
+    pub fn enter(&self) -> SinkGuard {
+        let prev = SINK.with(|s| s.replace(self.clone()));
+        SINK_ENABLED.with(|e| e.set(self.is_enabled()));
+        SinkGuard {
+            prev,
+            _not_send: PhantomData,
+        }
+    }
+
+    /// Run `f` against this recorder's windowed store; `None` (and `f`
+    /// never runs) when the recorder has no store or is disabled.
+    pub fn tsdb<R>(&self, f: impl FnOnce(&mut Tsdb) -> R) -> Option<R> {
+        let store = self.inner.as_ref()?.tsdb.as_ref()?;
+        Some(f(&mut store
+            .lock()
+            .expect("tsdb lock poisoned by a panicking writer")))
     }
 
     /// Is this recorder actually recording?
@@ -240,7 +327,8 @@ impl Recorder {
         }
     }
 
-    /// Merge a finished child recorder into this one.
+    /// Merge a finished child recorder's events and metrics into this
+    /// one (a child's windowed store is not merged).
     ///
     /// Span ids are remapped onto this recorder's id space; root spans of
     /// the child are re-parented under `attach_to`. Workers use this to
@@ -305,11 +393,20 @@ impl Recorder {
         }
     }
 
-    /// The full trace: recorded events followed by final counter, gauge
-    /// and histogram summary events (sorted by name for determinism).
+    /// The full trace: recorded events, then the windowed store's series
+    /// (when there is one), then final counter, gauge and histogram
+    /// summary events (sorted by name for determinism). Reads only, so
+    /// repeated calls return the same events.
     pub fn drain_trace(&self) -> Vec<Event> {
         let mut out = self.events();
-        let m = self.metrics();
+        let mut m = self.metrics();
+        for ev in self.tsdb(|t| t.to_events()).unwrap_or_default() {
+            match ev {
+                // The store's accounting counters join the sorted summary.
+                Event::Counter { name, value } => *m.counters.entry(name).or_insert(0) += value,
+                other => out.push(other),
+            }
+        }
         for (name, value) in m.counters {
             out.push(Event::Counter { name, value });
         }

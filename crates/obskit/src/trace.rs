@@ -15,7 +15,12 @@
 //! reproducible under load. A sampled-out context is indistinguishable
 //! from a disabled one: its [`TraceContext::span`] returns a no-op
 //! [`Span`] and emits nothing, while counters/gauges/histograms (which
-//! are not request-scoped) keep flowing through the global recorder.
+//! are not request-scoped) keep flowing to the current sink.
+//!
+//! The context carries no recorder: spans land in the sink current on the
+//! thread that opens them ([`crate::current`]). That keeps the context
+//! `Copy`; a thread that carries a context across a hop enters the
+//! caller's sink first ([`crate::Recorder::enter`]).
 
 use crate::recorder::Span;
 
@@ -62,13 +67,13 @@ impl TraceContext {
     }
 
     /// Will [`TraceContext::span`] actually record? True only when this
-    /// request was sampled *and* an enabled global recorder is installed.
+    /// request was sampled *and* an enabled sink is current on this thread.
     #[inline]
     pub fn is_recording(&self) -> bool {
         self.sampled && crate::enabled()
     }
 
-    /// Open a span named `name` on the global recorder, explicitly
+    /// Open a span named `name` in the current sink, explicitly
     /// parented to this context's parent span, and return it together
     /// with a child context whose parent is the new span. On the no-op
     /// path (unsampled, or tracing disabled) returns a dead span and
@@ -77,7 +82,7 @@ impl TraceContext {
         if !self.is_recording() {
             return (Span::dead(), *self);
         }
-        let span = crate::global().span_under(name, self.parent);
+        let span = crate::current().span_under(name, self.parent);
         let child = TraceContext {
             request_id: self.request_id,
             parent: span.id(),
@@ -90,7 +95,7 @@ impl TraceContext {
     /// decision like [`TraceContext::span`].
     pub fn meta(&self, name: &str, fields: &[(&str, String)]) {
         if self.is_recording() {
-            crate::global().meta(name, fields);
+            crate::current().meta(name, fields);
         }
     }
 }
@@ -145,7 +150,7 @@ mod tests {
     #[test]
     fn span_chain_links_parent_ids() {
         // Use a local recorder through span_under to test the linking
-        // logic without depending on the process-global recorder.
+        // logic without entering a sink.
         let r = Recorder::enabled();
         let root = r.span_under("root", None);
         let child = r.span_under("child", root.id());

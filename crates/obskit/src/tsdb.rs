@@ -24,11 +24,14 @@
 //!
 //! Everything is driven by caller-supplied **virtual milliseconds** — no
 //! wall clock anywhere — so a drained tsdb is byte-identical across
-//! runs, thread counts and worker counts. Draining serializes each
+//! runs, thread counts and worker counts. A run's store is owned by its
+//! sink ([`crate::Recorder::with_tsdb`]) and written through
+//! [`crate::Recorder::tsdb`]. Draining the sink's trace serializes each
 //! occupied window as a `tsdb.series` [`Event::Meta`] (plus a
-//! `tsdb.config` header), which round-trips through the existing JSONL
-//! format; [`Tsdb::from_events`] rebuilds the series from a recorded
-//! trace for the `dashboard` subcommand and the exposition renderer.
+//! `tsdb.config` header, see [`Tsdb::to_events`]), which round-trips
+//! through the existing JSONL format; [`Tsdb::from_events`] rebuilds the
+//! series from a recorded trace for the `dashboard` subcommand and the
+//! exposition renderer.
 //!
 //! [`SlidingCounts`] is the second windowing primitive: an exact
 //! event-time sliding window (deque-based, O(1) amortized per event)
@@ -37,10 +40,7 @@
 
 use crate::event::Event;
 use crate::hist::Histogram;
-use crate::recorder::Recorder;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// Configuration of a [`Tsdb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,8 +255,8 @@ impl Series {
 /// A deterministic, virtual-clock-driven windowed time-series store.
 ///
 /// See the [module docs](self) for the model. Not internally
-/// synchronized — wrap in a `Mutex` for shared use (the process-global
-/// instance installed via [`install`] is).
+/// synchronized — wrap in a `Mutex` for shared use (the store a
+/// [`crate::Recorder::with_tsdb`] owns is).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tsdb {
     cfg: TsdbConfig,
@@ -428,19 +428,30 @@ impl Tsdb {
         }
     }
 
-    /// Serialize the store into `rec` as `tsdb.config`/`tsdb.series`
-    /// meta events (one per occupied window, in sorted series order)
-    /// plus `obskit.tsdb.*` accounting counters. The result round-trips
-    /// through JSONL and [`Tsdb::from_events`].
-    pub fn drain_into(&self, rec: &Recorder) {
-        rec.meta(
+    /// The store as trace events: a `tsdb.config` meta event, one
+    /// `tsdb.series` meta event per occupied window (in sorted series
+    /// order), then the `obskit.tsdb.*` accounting counters. The result
+    /// round-trips through JSONL and [`Tsdb::from_events`].
+    pub fn to_events(&self) -> Vec<Event> {
+        let meta = |name: &str, fields: Vec<(&str, String)>| Event::Meta {
+            name: name.to_string(),
+            fields: fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        };
+        let counter = |name: &str, value: u64| Event::Counter {
+            name: name.to_string(),
+            value,
+        };
+        let mut out = vec![meta(
             "tsdb.config",
-            &[
+            vec![
                 ("step_ms", self.cfg.step_ms.to_string()),
                 ("max_series", self.cfg.max_series.to_string()),
                 ("window_slots", self.cfg.window_slots.to_string()),
             ],
-        );
+        )];
         for series in self.series.values() {
             for w in series.windows() {
                 let mut fields: Vec<(&str, String)> = vec![
@@ -469,20 +480,21 @@ impl Tsdb {
                     fields.push(("exemplar_req", e.request_id.to_string()));
                     fields.push(("exemplar_val", e.value.to_string()));
                 }
-                rec.meta("tsdb.series", &fields);
+                out.push(meta("tsdb.series", fields));
             }
         }
-        rec.add_counter("obskit.tsdb.series", self.series.len() as u64);
+        out.push(counter("obskit.tsdb.series", self.series.len() as u64));
         if self.overflow > 0 {
-            rec.add_counter("obskit.tsdb.overflow", self.overflow);
+            out.push(counter("obskit.tsdb.overflow", self.overflow));
         }
         if self.dropped_late > 0 {
-            rec.add_counter("obskit.tsdb.dropped_late", self.dropped_late);
+            out.push(counter("obskit.tsdb.dropped_late", self.dropped_late));
         }
+        out
     }
 
     /// Rebuild a store from the `tsdb.config`/`tsdb.series` meta events
-    /// of a recorded trace (the inverse of [`Tsdb::drain_into`]).
+    /// of a recorded trace (the inverse of [`Tsdb::to_events`]).
     /// Malformed events are skipped; an absent config yields defaults.
     pub fn from_events(events: &[Event]) -> Tsdb {
         let mut cfg = TsdbConfig::default();
@@ -665,53 +677,6 @@ impl SlidingCounts {
     }
 }
 
-static GLOBAL_TSDB: OnceLock<Mutex<Tsdb>> = OnceLock::new();
-static TSDB_INSTALLED: AtomicBool = AtomicBool::new(false);
-
-/// Install `tsdb` as the process-global store. Returns `false` (leaving
-/// the existing store in place) if one was already installed. Like the
-/// global [`Recorder`](crate::set_global), this is how deep layers
-/// (servekit, eval scoring) record series without threading a handle.
-pub fn install(tsdb: Tsdb) -> bool {
-    let ok = GLOBAL_TSDB.set(Mutex::new(tsdb)).is_ok();
-    if ok {
-        TSDB_INSTALLED.store(true, Ordering::Relaxed);
-    }
-    ok
-}
-
-/// Fast check: is a global store installed? One relaxed atomic load, so
-/// recording paths can skip label formatting entirely when off.
-#[inline]
-pub fn installed() -> bool {
-    TSDB_INSTALLED.load(Ordering::Relaxed)
-}
-
-/// Run `f` against the global store; `None` when none is installed.
-pub fn with<R>(f: impl FnOnce(&mut Tsdb) -> R) -> Option<R> {
-    if !installed() {
-        return None;
-    }
-    let m = GLOBAL_TSDB.get()?;
-    Some(f(&mut m.lock().unwrap()))
-}
-
-/// [`Tsdb::counter`] against the global store (no-op when none).
-pub fn counter(metric: &str, labels: &[(&str, &str)], t_ms: u64, delta: u64) {
-    with(|t| t.counter(metric, labels, t_ms, delta));
-}
-
-/// [`Tsdb::observe`] against the global store (no-op when none).
-pub fn observe(
-    metric: &str,
-    labels: &[(&str, &str)],
-    t_ms: u64,
-    value: u64,
-    exemplar_request: Option<u64>,
-) {
-    with(|t| t.observe(metric, labels, t_ms, value, exemplar_request));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,9 +799,7 @@ mod tests {
             let t = format!("x{i}");
             db.counter("ovf", &[("t", &t)], 0, 1); // trips max_series = 4
         }
-        let rec = Recorder::enabled();
-        db.drain_into(&rec);
-        let events = rec.drain_trace();
+        let events = db.to_events();
         // Through JSONL and back, then rebuild.
         let jsonl: String = events
             .iter()
@@ -916,16 +879,5 @@ mod tests {
         assert_eq!(sc.bad(), 0);
         sc.push(1_500, true);
         assert_eq!(sc.total(), 2);
-    }
-
-    #[test]
-    fn global_free_functions_are_noops_without_install() {
-        // Never install in tests (OnceLock is process-wide); the free
-        // functions must be silent no-ops.
-        if !installed() {
-            counter("x", &[], 0, 1);
-            observe("y", &[], 0, 1, None);
-            assert!(with(|_| ()).is_none());
-        }
     }
 }

@@ -142,7 +142,7 @@ pub fn build_prompt_traced(
         let tokens = tokenizer.count(&text);
         if tokens <= cfg.max_tokens || examples.is_empty() {
             if obskit::enabled() {
-                let g = obskit::global();
+                let g = obskit::current();
                 g.add_counter("promptkit.prompts_built", 1);
                 g.add_counter("promptkit.examples_emitted", examples.len() as u64);
                 g.add_counter(

@@ -30,5 +30,5 @@ pub mod select;
 pub use builder::{build_prompt, build_prompt_traced, PromptBundle, PromptConfig};
 pub use organize::{render_examples, OrganizationStrategy};
 pub use repr::{render_prompt, render_schema, QuestionRepr, ReprOptions};
-pub use retrievekit::RetrievalMode;
+pub use retrievekit::{resolve_threads, RetrievalMode};
 pub use select::{ExampleSelector, SelectionStrategy};

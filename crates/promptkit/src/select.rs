@@ -281,7 +281,7 @@ impl<'a> ExampleSelector<'a> {
         let timed = obskit::enabled();
         let started = timed.then(std::time::Instant::now);
         if timed {
-            let g = obskit::global();
+            let g = obskit::current();
             g.add_counter("promptkit.selections", 1);
             g.add_counter("promptkit.candidates_scored", self.pool.len() as u64);
         }
@@ -295,7 +295,7 @@ impl<'a> ExampleSelector<'a> {
             tctx,
         );
         if let Some(t0) = started {
-            obskit::global().observe("retrievekit.select_ns", t0.elapsed().as_nanos() as u64);
+            obskit::current().observe("retrievekit.select_ns", t0.elapsed().as_nanos() as u64);
         }
         picked
     }
@@ -368,7 +368,7 @@ impl<'a> ExampleSelector<'a> {
                         if obskit::enabled() {
                             // The skeleton re-ranking stage scores each
                             // shortlisted candidate once more.
-                            obskit::global()
+                            obskit::current()
                                 .add_counter("promptkit.candidates_scored", by_q.len() as u64);
                         }
                         let mut shortlist: Vec<(f64, f32, u32)> = by_q

@@ -60,7 +60,7 @@ impl<V> FeatureCache<V> {
         }
         if let Some(hit) = self.map.read().unwrap().get(key) {
             if obskit::enabled() {
-                obskit::global().add_counter("retrievekit.feature_cache_hits", 1);
+                obskit::current().add_counter("retrievekit.feature_cache_hits", 1);
             }
             return Arc::clone(hit);
         }
@@ -70,7 +70,7 @@ impl<V> FeatureCache<V> {
             return Arc::clone(racer);
         }
         if obskit::enabled() {
-            obskit::global().add_counter("retrievekit.feature_cache_misses", 1);
+            obskit::current().add_counter("retrievekit.feature_cache_misses", 1);
         }
         if map.len() >= self.capacity {
             map.clear();

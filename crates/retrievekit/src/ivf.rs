@@ -391,8 +391,8 @@ impl IvfIndex {
             }
         }
         if obskit::enabled() {
-            obskit::global().add_counter("retrievekit.scored", scanned);
-            obskit::global().add_counter("retrievekit.ivf_probes", n_probe as u64);
+            obskit::current().add_counter("retrievekit.scored", scanned);
+            obskit::current().add_counter("retrievekit.ivf_probes", n_probe as u64);
         }
         heap.into_sorted()
     }
@@ -440,8 +440,8 @@ impl IvfIndex {
             }
         }
         if obskit::enabled() {
-            obskit::global().add_counter("retrievekit.scored", scanned);
-            obskit::global().add_counter("retrievekit.ivf_probes", n_probe as u64);
+            obskit::current().add_counter("retrievekit.scored", scanned);
+            obskit::current().add_counter("retrievekit.ivf_probes", n_probe as u64);
         }
         let mut heap = TopK::new(k);
         for (_, id) in shortlist.into_sorted() {

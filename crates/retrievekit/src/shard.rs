@@ -14,12 +14,12 @@ use crate::topk::{merge_top_k, TopK};
 /// Pool size below which scoring stays single-threaded.
 pub const PARALLEL_THRESHOLD: usize = 4096;
 
-/// Worker count for sharded scoring: the `DAIL_THREADS` environment
-/// variable when set to a positive integer, else available parallelism.
+/// Worker count for sharded scoring and for the eval harness: the
+/// `DAIL_THREADS` environment variable when set to a positive integer,
+/// else available parallelism.
 ///
-/// Unlike `eval`'s resolver this one is silent on unparsable input — the
-/// eval harness owns the user-facing warning, and selection may run
-/// thousands of times per evaluation.
+/// Silent on unparsable input: the CLI warns about it once at start-up,
+/// and this runs thousands of times per evaluation.
 pub fn resolve_threads() -> usize {
     std::env::var("DAIL_THREADS")
         .ok()
@@ -45,7 +45,7 @@ pub fn top_k_cosine(
 ) -> Vec<(f32, u32)> {
     let rows = rows.min(matrix.len());
     if obskit::enabled() {
-        obskit::global().add_counter("retrievekit.scored", rows as u64);
+        obskit::current().add_counter("retrievekit.scored", rows as u64);
     }
     let threads = resolve_threads().min(rows.max(1));
     if rows < PARALLEL_THRESHOLD || threads <= 1 {

@@ -117,7 +117,7 @@ impl<V: Clone> PredictionCache<V> {
             let slot = Arc::clone(&entry.slot);
             g.stats.served += 1;
             if obskit::enabled() {
-                obskit::global().add_counter("servekit.cache.served", 1);
+                obskit::current().add_counter("servekit.cache.served", 1);
             }
             return Lookup::Shared(slot);
         }
@@ -144,12 +144,12 @@ impl<V: Clone> PredictionCache<V> {
                 g.map.remove(&victim);
                 g.stats.evictions += 1;
                 if obskit::enabled() {
-                    obskit::global().add_counter("servekit.cache.evictions", 1);
+                    obskit::current().add_counter("servekit.cache.evictions", 1);
                 }
             }
         }
         if obskit::enabled() {
-            obskit::global().add_counter("servekit.cache.miss", 1);
+            obskit::current().add_counter("servekit.cache.miss", 1);
         }
         Lookup::Owner(slot)
     }

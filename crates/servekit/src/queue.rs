@@ -37,7 +37,7 @@ impl<T> BoundedQueue<T> {
 
     fn note_depth(&self, depth: usize) {
         if obskit::enabled() {
-            obskit::global().set_gauge("servekit.queue.depth", depth as f64);
+            obskit::current().set_gauge("servekit.queue.depth", depth as f64);
         }
     }
 

@@ -70,8 +70,8 @@ pub struct ServeConfig {
     /// Head-sampling rate for request traces in `[0, 1]`. The decision
     /// is deterministic per request (`obskit::trace::sample` keyed on
     /// `faults.seed` and the request index), so the same seed always
-    /// traces the same requests. Only consulted when an enabled global
-    /// recorder is installed; never affects any served outcome.
+    /// traces the same requests. Only consulted when an enabled obskit
+    /// sink is current; never affects any served outcome.
     pub trace_sample: f64,
 }
 
@@ -330,6 +330,9 @@ enum Route {
 /// one [`Outcome`] per request plus aggregate [`ServeStats`]. Every
 /// reported number is deterministic given the request stream and config —
 /// independent of worker count and thread scheduling.
+///
+/// Telemetry goes to the caller's current obskit sink: every worker enters
+/// it, and its windowed store (if any) gets the per-tenant series.
 pub fn serve(
     predictor: &(dyn Predictor + Sync),
     ctx: &PredictCtx<'_>,
@@ -337,12 +340,9 @@ pub fn serve(
     reqs: &[ServeReq],
     cfg: &ServeConfig,
 ) -> ServeOutput {
-    let span = if obskit::enabled() {
-        Some(obskit::global().span("servekit.serve"))
-    } else {
-        None
-    };
-    let serve_span_id = span.as_ref().and_then(|s| s.id());
+    let sink = obskit::current();
+    let span = sink.span("servekit.serve");
+    let serve_span_id = span.id();
 
     let inj = FaultInjector::new(cfg.faults);
     let cache: PredictionCache<Served> = PredictionCache::new(cfg.cache_capacity);
@@ -383,7 +383,9 @@ pub fn serve(
             let inj = &inj;
             let retries = &retries;
             let panics = &panics;
+            let sink = &sink;
             scope.spawn(move || {
+                let _sink = sink.enter();
                 while let Some(work) = queue.pop() {
                     let served =
                         run_attempts(predictor, ctx, &items[work.item_idx], inj, &work, cfg);
@@ -438,19 +440,18 @@ pub fn serve(
                 );
                 offered
             };
-            if obskit::tsdb::installed() {
-                let tenant = format!("t{}", req.tenant);
-                obskit::tsdb::counter(
+            sink.tsdb(|t| {
+                t.counter(
                     "servekit.requests",
                     &[
                         ("db", items[req.item_idx].db_id.as_str()),
                         ("outcome", if offered.is_some() { "admit" } else { "shed" }),
-                        ("tenant", &tenant),
+                        ("tenant", &format!("t{}", req.tenant)),
                     ],
                     req.arrival_ms,
                     1,
-                );
-            }
+                )
+            });
             let Some(wait_ms) = offered else {
                 stats.shed += 1;
                 routes.push(Route::Shed);
@@ -545,13 +546,13 @@ pub fn serve(
                         }
                     }
                 };
-                if obskit::tsdb::installed() {
+                sink.tsdb(|t| {
                     let req = &reqs[i];
                     let tenant = format!("t{}", req.tenant);
                     // Completion time on the virtual clock: arrival plus
                     // the simulated end-to-end latency.
                     let done_ms = req.arrival_ms + latency_ms;
-                    obskit::tsdb::observe(
+                    t.observe(
                         "servekit.latency_ms",
                         &[
                             ("db", items[req.item_idx].db_id.as_str()),
@@ -568,14 +569,14 @@ pub fn serve(
                         Outcome::Overloaded => 1,
                     };
                     if attempts > 1 {
-                        obskit::tsdb::counter(
+                        t.counter(
                             "servekit.retry",
                             &[("tenant", &tenant)],
                             done_ms,
                             u64::from(attempts - 1),
                         );
                     }
-                }
+                });
                 outcomes.push(outcome);
             }
         }
@@ -585,26 +586,25 @@ pub fn serve(
     // assembled, so the per-request trees are complete.
     drop(req_spans);
 
-    if obskit::enabled() {
-        let g = obskit::global();
-        g.add_counter("servekit.submitted", stats.submitted);
-        g.add_counter("servekit.admitted", stats.admitted);
-        g.add_counter("servekit.shed", stats.shed);
-        g.add_counter("servekit.shed.queue_full", stats.shed);
-        g.add_counter("servekit.failed.retries_exhausted", stats.failed);
-        g.add_counter("servekit.failed.deadline_exceeded", stats.deadline_exceeded);
-        g.add_counter("servekit.trace.sampled", sampled_count);
-        g.add_counter("servekit.trace.unsampled", stats.submitted - sampled_count);
-        g.add_counter("servekit.retries", stats.retries);
-        g.add_counter("servekit.panics", stats.panics);
+    if sink.is_enabled() {
+        sink.add_counter("servekit.submitted", stats.submitted);
+        sink.add_counter("servekit.admitted", stats.admitted);
+        sink.add_counter("servekit.shed", stats.shed);
+        sink.add_counter("servekit.shed.queue_full", stats.shed);
+        sink.add_counter("servekit.failed.retries_exhausted", stats.failed);
+        sink.add_counter("servekit.failed.deadline_exceeded", stats.deadline_exceeded);
+        sink.add_counter("servekit.trace.sampled", sampled_count);
+        sink.add_counter("servekit.trace.unsampled", stats.submitted - sampled_count);
+        sink.add_counter("servekit.retries", stats.retries);
+        sink.add_counter("servekit.panics", stats.panics);
         for &w in &stats.wait_ms {
-            g.observe("servekit.latency.wait_ms", w);
+            sink.observe("servekit.latency.wait_ms", w);
         }
         for &s in &stats.service_ms {
-            g.observe("servekit.latency.service_ms", s);
+            sink.observe("servekit.latency.service_ms", s);
         }
         for &t in &stats.total_ms {
-            g.observe("servekit.latency.total_ms", t);
+            sink.observe("servekit.latency.total_ms", t);
         }
     }
     drop(span);

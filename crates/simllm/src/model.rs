@@ -118,7 +118,7 @@ impl SimLlm {
     /// trace. The `response` field is byte-identical to what `complete`
     /// returns for the same inputs.
     pub fn complete_traced(&self, prompt: &str, opts: &GenOptions) -> CompletionTrace {
-        // Telemetry goes through the process-global recorder as counters and
+        // Telemetry goes to the current obskit sink as counters and
         // latency histograms only — aggregates are order-independent, so
         // multi-threaded harness runs still produce deterministic traces.
         let obs = obskit::enabled().then(std::time::Instant::now);
@@ -127,7 +127,7 @@ impl SimLlm {
         let comprehend_t = obs.map(|_| std::time::Instant::now());
         let mut parsed = parse_prompt(prompt);
         if let Some(t) = comprehend_t {
-            let g = obskit::global();
+            let g = obskit::current();
             g.observe("simllm.comprehend_ns", t.elapsed().as_nanos() as u64);
             g.add_counter("simllm.tables_seen", parsed.tables.len() as u64);
             g.add_counter("simllm.examples_seen", parsed.examples.len() as u64);
@@ -292,7 +292,7 @@ impl SimLlm {
             decode(fallback, &linker, &vals, &mut sys_rng, tier)
         });
         if let Some(t) = decode_t {
-            let g = obskit::global();
+            let g = obskit::current();
             g.observe("simllm.decode_ns", t.elapsed().as_nanos() as u64);
             if query.is_none() {
                 g.add_counter("simllm.decode_fallbacks", 1);
@@ -336,7 +336,7 @@ impl SimLlm {
         trace.sql = sql.clone();
         trace.response = self.format_output(&sql, &parsed, alignment, &mut rng);
         if let Some(t) = obs {
-            let g = obskit::global();
+            let g = obskit::current();
             g.add_counter("simllm.completions", 1);
             g.observe("simllm.complete_ns", t.elapsed().as_nanos() as u64);
         }

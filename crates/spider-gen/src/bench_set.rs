@@ -128,7 +128,7 @@ impl Benchmark {
             &mut next_id,
         );
         if obskit::enabled() {
-            let g = obskit::global();
+            let g = obskit::current();
             g.add_counter("spidergen.benchmarks_generated", 1);
             g.set_gauge("spidergen.train_size", train.len() as f64);
             g.set_gauge("spidergen.dev_size", dev.len() as f64);

@@ -15,7 +15,7 @@ use crate::token::{lex, Keyword as Kw, Sym, Token, TokenKind as Tk};
 pub fn parse_query(sql: &str) -> ParseResult<Query> {
     let out = parse_query_inner(sql);
     if obskit::enabled() {
-        let g = obskit::global();
+        let g = obskit::current();
         g.add_counter("sqlkit.parses", 1);
         if out.is_err() {
             g.add_counter("sqlkit.parse_errors", 1);

@@ -85,7 +85,7 @@ pub fn execute_query_with(db: &Database, q: &Query, opts: ExecOptions) -> ExecRe
     };
     let out = ex.run(q);
     if obskit::enabled() {
-        let g = obskit::global();
+        let g = obskit::current();
         g.add_counter("storage.statements", 1);
         g.add_counter("storage.rows_scanned", ex.rows_scanned.get());
         if out.is_err() {
@@ -109,7 +109,7 @@ pub struct Analyzed {
 /// Rows are identical to [`execute_query_with`] by construction — same code
 /// path, plus probe bookkeeping. On success, the plan's operator self-times
 /// partition the statement's wall-clock exactly (`plan.total_self_ns()` *is*
-/// the measured total), and when global telemetry is enabled a
+/// the measured total), and when an enabled sink is current a
 /// `storage.exec` span is emitted with exactly that duration, plus
 /// per-operator observation metrics ([`Plan::record_observations`]).
 /// Pass [`crate::stats::DbStats`] to sharpen the plan's cardinality
@@ -147,14 +147,14 @@ pub fn execute_query_analyzed(
     }
     let plan = Plan { nodes, root };
     if obskit::enabled() {
-        let g = obskit::global();
+        let g = obskit::current();
         g.add_counter("storage.statements", 1);
         g.add_counter("storage.rows_scanned", rows_scanned);
         if out.is_err() {
             g.add_counter("storage.errors", 1);
         } else {
             g.record_span("storage.exec", plan.total_self_ns());
-            plan.record_observations(g);
+            plan.record_observations(&g);
         }
     }
     Ok(Analyzed { result: out?, plan })

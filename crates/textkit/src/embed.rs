@@ -99,7 +99,7 @@ fn is_word_char(c: char) -> bool {
 pub fn embed_into(text: &str, out: &mut [f32]) {
     assert_eq!(out.len(), DIM, "embed_into needs a DIM-length buffer");
     if obskit::enabled() {
-        obskit::global().add_counter("textkit.embeds", 1);
+        obskit::current().add_counter("textkit.embeds", 1);
     }
     out.fill(0.0);
     LOWER_BUF.with(|buf| {

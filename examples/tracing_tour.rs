@@ -10,24 +10,20 @@
 use dail_sql::prelude::*;
 
 fn main() {
-    // 1. An enabled recorder. Installing it globally lets the deep layers
-    //    (simllm, storage, promptkit, sqlkit, textkit) report counters and
-    //    latency histograms without any handle-threading; the harness also
-    //    takes it explicitly to emit per-item spans.
+    // 1. One enabled recorder, entered as this thread's sink. Everything
+    //    run while the guard lives records into it: the harness's per-item
+    //    spans and the deep layers' counters and latency histograms
+    //    (simllm, storage, promptkit, sqlkit, textkit). The harness's
+    //    worker threads enter the same sink.
     let recorder = Recorder::enabled();
-    obskit::set_global(recorder.clone());
+    let _sink = recorder.enter();
 
     // 2. A traced evaluation run.
     let bench = Benchmark::generate(BenchmarkConfig::tiny());
     let selector = ExampleSelector::new(&bench);
     let dail = DailSql::new(SimLlm::new("gpt-4").unwrap());
-    let opts = EvalOptions {
-        threads: None,
-        recorder: recorder.clone(),
-        digests: false,
-    };
     let items = &bench.dev[..12.min(bench.dev.len())];
-    let result = evaluate_opts(&bench, &selector, &dail, items, 42, false, &opts);
+    let result = evaluate(&bench, &selector, &dail, items, 42, false);
     println!(
         "evaluated {} items: EX {:.1}% ({} prompt tokens total)\n",
         result.n,

@@ -30,6 +30,38 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> process-global telemetry lint (one scoped sink per run)"
+# A run hands its telemetry to the layers underneath only by entering its
+# recorder (obskit::Recorder::enter), which owns the run's tsdb store too.
+# The process-global recorder and store must not come back.
+violations=$(grep -rnE 'set_global|obskit::global\(|tsdb::install|tsdb::with\(' \
+    crates src examples || true)
+if [ -n "$violations" ]; then
+    echo "found process-global telemetry in code:" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
+echo "==> environment lint (library crates read no new DAIL_ variables)"
+# Library crates take their configuration from callers; the CLI binaries
+# parse the environment. These are the remaining library readers, as
+# file:VARIABLE. The list may only shrink.
+allowed='crates/retrievekit/src/ivf.rs:DAIL_RETRIEVAL
+crates/retrievekit/src/shard.rs:DAIL_THREADS
+crates/storage/src/exec.rs:DAIL_EXEC
+crates/storage/src/pagestore/mod.rs:DAIL_CRASH_POINT'
+violations=$(grep -rnoE --include='*.rs' 'env::var(_os)?\([[:space:]]*"DAIL_[A-Z0-9_]*' \
+    src crates/*/src \
+    | grep -v '^crates/bench/src/bin/' \
+    | sed -E 's/^([^:]+):[0-9]+:.*"(DAIL_[A-Z0-9_]*)$/\1:\2/' \
+    | grep -vxF "$allowed" \
+    || true)
+if [ -n "$violations" ]; then
+    echo "library crates read DAIL_ variables outside the allow-list:" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
 echo "==> perf regression gate (baseline profile diff + flamegraph)"
 # The committed baseline/slowdown traces verify the gate machinery itself:
 # an identical pair must pass, the injected-slowdown fixture must be
