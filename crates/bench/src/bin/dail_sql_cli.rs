@@ -29,6 +29,10 @@
 //! full pipeline trace, replayable with the `profile` and `flame`
 //! subcommands.
 //!
+//! A run is configured by its command line alone. The one environment
+//! variable read is `DAIL_THREADS`, the worker count the library falls
+//! back on; the CLI only warns when it does not parse.
+//!
 //! Exit codes: 0 success, 1 perf regression beyond the `--fail-on-regress`
 //! threshold, 2 usage / unreadable input.
 
@@ -96,6 +100,9 @@ fn usage() {
          \u{20}\u{20}     [--threads N] [--trace FILE.jsonl] [--digests N] [--canonical] [--store DIR]\n\
          \u{20}\u{20}                                         evaluate a pipeline and print the summary;\n\
          \u{20}\u{20}                                         --digests appends a query-digest rollup\n\
+         \u{20}\u{20}                                         (every --trace command also takes\n\
+         \u{20}\u{20}                                         --tsdb-max-series N, the windowed\n\
+         \u{20}\u{20}                                         store's series bound, default 512)\n\
          \u{20}\u{20}explain DB_ID \"SQL\" [--analyze] [--canonical] [--seed N]\n\
          \u{20}\u{20}                                         print the operator plan tree for a query\n\
          \u{20}\u{20}                                         (--analyze executes it and adds actual\n\
@@ -105,13 +112,14 @@ fn usage() {
          \u{20}\u{20}                                         per-table / per-column statistics as\n\
          \u{20}\u{20}                                         JSONL; --roundtrip re-parses the output\n\
          \u{20}\u{20}                                         and exits 1 unless byte-identical\n\
-         \u{20}\u{20}persist --out DIR [--resume] [--seed N] [--train N] [--dev N]\n\
+         \u{20}\u{20}persist --out DIR [--resume] [--crash-at SITE@N] [--seed N] [--train N] [--dev N]\n\
          \u{20}\u{20}                                         materialize every benchmark database to\n\
          \u{20}\u{20}                                         WAL-backed page stores plus the example\n\
          \u{20}\u{20}                                         pool snapshot; --resume skips stores\n\
-         \u{20}\u{20}                                         already marked complete (crash recovery:\n\
-         \u{20}\u{20}                                         DAIL_CRASH_POINT=\"site@n\" aborts\n\
-         \u{20}\u{20}                                         mid-commit for the kill-and-recover gate)\n\
+         \u{20}\u{20}                                         already marked complete; --crash-at\n\
+         \u{20}\u{20}                                         aborts at the N-th hit of SITE (mid-frame,\n\
+         \u{20}\u{20}                                         before-commit, mid-commit, after-commit,\n\
+         \u{20}\u{20}                                         mid-checkpoint) for the kill-and-recover gate\n\
          \u{20}\u{20}recover DIR [--verify]                   replay WALs and report per-store state;\n\
          \u{20}\u{20}                                         --verify fully loads complete stores and\n\
          \u{20}\u{20}                                         checksums the pool snapshot's data blocks\n\
@@ -122,12 +130,12 @@ fn usage() {
          \u{20}\u{20}serve-bench [--pipeline P] [--model M] [--seed N] [--requests N] [--workers N]\n\
          \u{20}\u{20}     [--error-rate R] [--spike-rate R] [--spike-ms N] [--corrupt-rate R]\n\
          \u{20}\u{20}     [--queue N] [--cache N] [--retries N] [--deadline-ms N] [--trace FILE.jsonl]\n\
-         \u{20}\u{20}     [--json FILE] [--digests N] [--canonical] [--store DIR]\n\
+         \u{20}\u{20}     [--json FILE] [--digests N] [--canonical] [--store DIR] [--trace-sample R]\n\
          \u{20}\u{20}                                         drive the fault-injected serving layer\n\
          \u{20}\u{20}                                         with a seeded load, print a markdown\n\
          \u{20}\u{20}                                         report (deterministic given --seed);\n\
-         \u{20}\u{20}                                         DAIL_TRACE_SAMPLE=R head-samples\n\
-         \u{20}\u{20}                                         request traces at rate R\n\
+         \u{20}\u{20}                                         --trace-sample R head-samples request\n\
+         \u{20}\u{20}                                         traces at rate R (default 1.0)\n\
          \u{20}\u{20}slo-report [serve-bench flags] [--slo-latency-ms N] [--slo-latency-objective R]\n\
          \u{20}\u{20}     [--slo-ex-objective R] [--slo-short-ms N] [--slo-long-ms N] [--burn-alert B]\n\
          \u{20}\u{20}     [--json FILE]\n\
@@ -159,11 +167,10 @@ fn usage() {
          \u{20}\u{20}                                         exit 1 unless results are bit-identical;\n\
          \u{20}\u{20}                                         --corpus replays one SQL-per-line file\n\
          \u{20}\u{20}                                         on the fixed regression database instead\n\
-         \u{20}\u{20}exec-bench [--rows N] [--trace FILE.jsonl]\n\
+         \u{20}\u{20}exec-bench [--rows N] [--engine columnar|oracle] [--trace FILE.jsonl]\n\
          \u{20}\u{20}                                         run a fixed scan/filter/join/aggregate\n\
          \u{20}\u{20}                                         workload on a synthetic table through\n\
-         \u{20}\u{20}                                         the engine DAIL_EXEC selects\n\
-         \u{20}\u{20}                                         (columnar|oracle), recording\n\
+         \u{20}\u{20}                                         one engine (default columnar), recording\n\
          \u{20}\u{20}                                         storage.exec spans for `profile`\n\
          \u{20}\u{20}run-experiments --experiment e1..e10|a1..a6 [--dev-cap N] [--seed N]\n\
          \u{20}\u{20}     [--full-grid] [--trace FILE.jsonl]   run one paper experiment, print its tables\n\
@@ -251,26 +258,18 @@ struct Trace {
 /// given, else a disabled one.
 ///
 /// A traced sink also owns a windowed [`obskit::tsdb`] store (labelled
-/// series, drained into the trace with everything else) unless
-/// `DAIL_TSDB=0`. `DAIL_TSDB_MAX_SERIES` overrides its hard cardinality
-/// bound.
+/// series, drained into the trace with everything else) whose hard
+/// cardinality bound is `--tsdb-max-series` (default 512).
 fn setup_trace(flags: &HashMap<String, String>) -> Trace {
     let path = flags.get("trace").map(PathBuf::from);
-    let rec = if path.is_none() {
-        obskit::Recorder::disabled()
-    } else if std::env::var("DAIL_TSDB").as_deref() == Ok("0") {
-        obskit::Recorder::enabled()
-    } else {
-        let defaults = obskit::tsdb::TsdbConfig::default();
-        let max_series = std::env::var("DAIL_TSDB_MAX_SERIES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.max_series)
-            .max(1);
-        obskit::Recorder::with_tsdb(obskit::tsdb::TsdbConfig {
+    let defaults = obskit::tsdb::TsdbConfig::default();
+    let max_series = num_flag(flags, "tsdb-max-series", defaults.max_series).max(1);
+    let rec = match path {
+        None => obskit::Recorder::disabled(),
+        Some(_) => obskit::Recorder::with_tsdb(obskit::tsdb::TsdbConfig {
             max_series,
             ..defaults
-        })
+        }),
     };
     let _sink = rec.enter();
     Trace { rec, path, _sink }
@@ -329,17 +328,8 @@ fn digests_top_n(flags: &HashMap<String, String>) -> Option<usize> {
     }
 }
 
-/// `DAIL_ANALYZE` env toggle: route serve-bench EX scoring through the
-/// analyzed executor (per-operator accounting on) without changing any
-/// printed number — the overhead-ceiling gate runs under this.
-fn analyze_from_env() -> bool {
-    std::env::var("DAIL_ANALYZE")
-        .map(|v| !matches!(v.trim(), "" | "0" | "false"))
-        .unwrap_or(false)
-}
-
 /// Look up a database by id, exiting with status 2 (and the available ids)
-/// when unknown. Shared by `explain` and `stats`.
+/// when unknown. Shared by `ask`, `explain` and `stats`.
 fn db_by_id<'a>(bench: &'a Benchmark, db_id: &str) -> &'a storage::Database {
     match bench.databases.get(db_id) {
         Some(db) => db,
@@ -630,15 +620,24 @@ fn exec_diff(flags: &HashMap<String, String>) {
 }
 
 /// `exec-bench`: a fixed scan/filter/join/aggregate workload on a synthetic
-/// star schema (`--rows` fact rows), run through whichever engine
-/// `DAIL_EXEC` selects. The analyzed executor emits `storage.exec` spans,
+/// star schema (`--rows` fact rows), run through the `--engine` given
+/// (columnar by default). The analyzed executor emits `storage.exec` spans,
 /// so two traced runs (columnar vs oracle) can be diffed with `profile` —
 /// that is the CI step-change gate. Result row counts go to stdout (the
 /// engines must agree on them); timing goes to stderr and the trace only.
 fn exec_bench(flags: &HashMap<String, String>) {
     use storage::schema::{ColType, ColumnDef, DbSchema, TableSchema};
-    use storage::{Engine, Value};
+    use storage::{Engine, ExecOptions, Value};
     let rows: usize = num_flag(flags, "rows", 50_000usize);
+    let engine_name = flag(flags, "engine", "columnar");
+    let engine = match engine_name {
+        "columnar" => Engine::Columnar,
+        "oracle" => Engine::Oracle,
+        other => {
+            eprintln!("--engine must be columnar or oracle, got {other:?}");
+            std::process::exit(2);
+        }
+    };
     let trace = setup_trace(flags);
     let schema = DbSchema {
         db_id: "exec_bench".into(),
@@ -702,15 +701,15 @@ fn exec_bench(flags: &HashMap<String, String>) {
              GROUP BY D.label ORDER BY D.label ASC LIMIT 5",
         ),
     ];
-    let engine = match Engine::default() {
-        Engine::Columnar => "columnar",
-        Engine::Oracle => "oracle",
+    println!("# exec-bench: {rows} fact rows, engine {engine_name}");
+    let opts = ExecOptions {
+        engine,
+        ..ExecOptions::default()
     };
-    println!("# exec-bench: {rows} fact rows, engine {engine}");
     let t0 = std::time::Instant::now();
     for (name, sql) in queries {
         let q = sqlkit::parse_query(sql).expect("workload SQL parses");
-        match storage::execute_query_analyzed(&db, &q, storage::ExecOptions::default(), None) {
+        match storage::execute_query_analyzed(&db, &q, opts, None) {
             Ok(an) => println!("{name}: {} rows", an.result.rows.len()),
             Err(e) => {
                 eprintln!("exec-bench query {name} failed: {e}");
@@ -770,12 +769,18 @@ fn pool_snapshot_path(dir: &std::path::Path) -> PathBuf {
 /// store under `--out DIR` (one `<db_id>.pg` file each), then write the
 /// example-pool embedding snapshot. `--resume` skips stores already marked
 /// complete, which is how a run interrupted mid-commit (by a crash, or by
-/// the `DAIL_CRASH_POINT` injector) finishes the job after `recover`.
+/// the `--crash-at SITE@N` injector) finishes the job after `recover`.
 fn persist_cmd(flags: &HashMap<String, String>) {
     let Some(out) = flags.get("out") else {
         eprintln!("persist requires --out DIR");
         std::process::exit(2);
     };
+    let crash = flags.get("crash-at").map(|spec| {
+        spec.parse::<storage::CrashPoint>().unwrap_or_else(|e| {
+            eprintln!("--crash-at: {e}");
+            std::process::exit(2);
+        })
+    });
     let dir = PathBuf::from(out);
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("cannot create {}: {e}", dir.display());
@@ -790,7 +795,7 @@ fn persist_cmd(flags: &HashMap<String, String>) {
             skipped += 1;
             continue;
         }
-        if let Err(e) = storage::persist_database(db, &path) {
+        if let Err(e) = storage::persist_database(db, &path, crash.as_ref()) {
             eprintln!("persist {}: {e}", path.display());
             std::process::exit(1);
         }
@@ -1054,21 +1059,7 @@ fn ask(flags: &HashMap<String, String>) {
             .next()
             .expect("benchmark has databases")
     } else {
-        match bench.databases.get(db_id) {
-            Some(db) => db,
-            None => {
-                eprintln!(
-                    "unknown db {db_id}; available: {}",
-                    bench
-                        .databases
-                        .keys()
-                        .cloned()
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(2);
-            }
-        }
+        db_by_id(&bench, db_id)
     };
     let seed: u64 = num_flag(flags, "seed", 1u64);
     let prompt = render_prompt(
@@ -1170,25 +1161,6 @@ fn run_eval(flags: &HashMap<String, String>) {
     finish_trace(trace);
 }
 
-/// Head-sampling rate for request traces, from `DAIL_TRACE_SAMPLE`
-/// (default 1.0 — trace every request when tracing is on). Unparsable
-/// values warn and fall back rather than abort: sampling is an
-/// observability knob, never a reason to refuse to serve.
-fn trace_sample_from_env() -> f64 {
-    match std::env::var("DAIL_TRACE_SAMPLE") {
-        Err(_) => 1.0,
-        Ok(raw) => match raw.parse::<f64>() {
-            Ok(v) if (0.0..=1.0).contains(&v) => v,
-            _ => {
-                eprintln!(
-                    "warning: DAIL_TRACE_SAMPLE must be a number in [0, 1], got {raw:?}; using 1.0"
-                );
-                1.0
-            }
-        },
-    }
-}
-
 /// One finished serve-bench run, owned (no borrows into the benchmark),
 /// shared by `serve-bench` and `slo-report`.
 struct ServeRun {
@@ -1201,7 +1173,7 @@ struct ServeRun {
     /// Per-request EX verdict: `Some` for scored OK responses.
     ex: Vec<Option<bool>>,
     /// Query-digest rollup over scored responses; `Some` only when the
-    /// analyzed scoring path was active (`--digests` or `DAIL_ANALYZE`).
+    /// analyzed scoring path was active (`--digests`).
     digests: Option<eval::DigestAccumulator>,
     trace: Trace,
 }
@@ -1248,7 +1220,7 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
         repr: pipeline,
         shots: 0,
         faults,
-        trace_sample: trace_sample_from_env(),
+        trace_sample: rate_flag(flags, "trace-sample", 1.0),
     };
     let load = servekit::LoadConfig {
         seed,
@@ -1260,10 +1232,11 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
     let out = servekit::serve(predictor.as_ref(), &ctx, &bench.dev, &reqs, &cfg);
 
     // Scoring path: the analyzed executor (per-operator accounting and
-    // digest rollup) is opt-in via `--digests` or `DAIL_ANALYZE=1`; scores
-    // are identical either way, so every printed number is unchanged.
-    let analyze = digests_top_n(flags).is_some() || analyze_from_env();
-    let mut digests = analyze.then(eval::DigestAccumulator::new);
+    // digest rollup) is opt-in via `--digests`; scores are identical either
+    // way, so every number in the report is unchanged.
+    let mut digests = digests_top_n(flags)
+        .is_some()
+        .then(eval::DigestAccumulator::new);
     let mut ex: Vec<Option<bool>> = Vec::with_capacity(reqs.len());
     for (i, (req, outcome)) in reqs.iter().zip(&out.outcomes).enumerate() {
         if let servekit::Outcome::Ok {
@@ -1436,7 +1409,7 @@ fn dashboard_cmd(positional: &[&String], flags: &HashMap<String, String>) {
     let events = load_trace(path);
     let tsdb = obskit::tsdb::Tsdb::from_events(&events);
     if tsdb.series_count() == 0 {
-        eprintln!("no tsdb series in {path} (recorded with DAIL_TSDB=0 or by an older build?)");
+        eprintln!("no tsdb series in {path} (not a traced serve-bench or slo-report run?)");
         std::process::exit(2);
     }
     let window: u64 = num_flag(flags, "window", 8u64).max(1);

@@ -700,8 +700,7 @@ fn serve_bench_trace_forms_one_connected_tree_per_request() {
 fn sampled_out_requests_emit_no_spans_but_still_count() {
     let trace = std::env::temp_dir().join("dail_cli_sampled_out.jsonl");
     let _ = std::fs::remove_file(&trace);
-    let out = serve_bench_cmd(&["--trace", trace.to_str().unwrap()])
-        .env("DAIL_TRACE_SAMPLE", "0")
+    let out = serve_bench_cmd(&["--trace", trace.to_str().unwrap(), "--trace-sample", "0"])
         .output()
         .expect("binary runs");
     assert!(
@@ -751,20 +750,16 @@ fn sampled_out_requests_emit_no_spans_but_still_count() {
 }
 
 #[test]
-fn unparsable_trace_sample_warns_and_falls_back() {
-    let out = serve_bench_cmd(&[])
-        .env("DAIL_TRACE_SAMPLE", "lots")
+fn unparsable_trace_sample_exits_2_and_names_the_flag() {
+    let out = serve_bench_cmd(&["--trace-sample", "lots"])
         .output()
         .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "unparsable DAIL_TRACE_SAMPLE must not abort: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("DAIL_TRACE_SAMPLE") && err.contains("lots"),
-        "stderr must name the rejected value: {err}"
+        err.contains("--trace-sample") && err.contains("lots"),
+        "stderr must name the flag and the rejected value: {err}"
     );
 }
 
@@ -890,13 +885,12 @@ fn metrics_requires_a_trace_file() {
 
 // ---- dashboard: windowed time-series over a recorded trace ----
 
-/// Run the golden traced serve-bench (full sampling so every request can
-/// carry exemplars) and leave the trace at `trace`.
+/// Run the golden traced serve-bench (at the default full sampling, so
+/// every request can carry exemplars) and leave the trace at `trace`.
 fn traced_serve_for_dashboard(trace: &std::path::Path, threads: &str, workers: &str) {
     let _ = std::fs::remove_file(trace);
     let out = serve_bench_cmd(&["--workers", workers, "--trace", trace.to_str().unwrap()])
         .env("DAIL_THREADS", threads)
-        .env("DAIL_TRACE_SAMPLE", "1.0")
         .output()
         .expect("binary runs");
     assert!(
@@ -1256,12 +1250,8 @@ fn stats_round_trip_is_byte_identical() {
 
 #[test]
 fn serve_bench_report_is_unchanged_under_analyzed_scoring() {
-    let run = |analyze: bool| {
-        let mut c = serve_bench_cmd(&[]);
-        if analyze {
-            c.env("DAIL_ANALYZE", "1");
-        }
-        let out = c.output().expect("binary runs");
+    let run = |extra: &[&str]| {
+        let out = serve_bench_cmd(extra).output().expect("binary runs");
         assert!(
             out.status.success(),
             "{}",
@@ -1269,10 +1259,12 @@ fn serve_bench_report_is_unchanged_under_analyzed_scoring() {
         );
         out.stdout
     };
-    assert_eq!(
-        run(false),
-        run(true),
-        "DAIL_ANALYZE=1 must not change a single report byte (passive observability)"
+    let plain = run(&[]);
+    let analyzed = run(&["--digests"]);
+    assert!(
+        analyzed.len() > plain.len() && analyzed.starts_with(&plain),
+        "--digests must only append its rollup, never change a report byte \
+         (passive observability)"
     );
 }
 
@@ -1521,6 +1513,39 @@ fn persist_without_out_exits_2() {
 }
 
 #[test]
+fn malformed_crash_point_or_engine_exits_2() {
+    let dir = std::env::temp_dir().join("dail_cli_bad_crash_at");
+    let _ = std::fs::remove_dir_all(&dir);
+    for spec in ["mid-air@1", "mid-commit", "mid-commit@0"] {
+        let out = cli()
+            .args([
+                "persist",
+                "--out",
+                dir.to_str().unwrap(),
+                "--crash-at",
+                spec,
+            ])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "--crash-at {spec}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--crash-at"), "{spec}: {err}");
+        assert!(!dir.exists(), "a rejected spec must not start persisting");
+    }
+    let out = cli()
+        .args(["exec-bench", "--rows", "10", "--engine", "vectorized"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--engine") && err.contains("vectorized"),
+        "{err}"
+    );
+}
+
+#[test]
 fn warm_start_bench_without_store_exits_2() {
     let out = cli().arg("warm-start-bench").output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
@@ -1591,10 +1616,16 @@ fn crash_injected_persist_recovers_to_identical_store() {
     let out = cli()
         .args(["persist", "--out", dir.to_str().unwrap()])
         .args(common)
-        .env("DAIL_CRASH_POINT", "mid-commit@2")
+        .args(["--crash-at", "mid-commit@2"])
         .output()
         .expect("binary runs");
-    assert!(!out.status.success(), "crash point did not fire");
+    // Killed by the abort signal, so no exit code at all.
+    assert_eq!(
+        out.status.code(),
+        None,
+        "crash point did not fire: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Recovery reports the torn store without failing.
     let out = cli()

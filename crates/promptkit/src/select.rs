@@ -126,17 +126,15 @@ pub struct ExampleSelector<'a> {
 impl<'a> ExampleSelector<'a> {
     /// Build the selector: embeds every training question (raw and masked
     /// with its own domain vocabulary) into contiguous matrix rows and
-    /// extracts gold skeletons. The retrieval mode comes from
-    /// `DAIL_RETRIEVAL` ([`RetrievalMode::from_env`]); the default `exact`
-    /// is the committed oracle and leaves selections byte-identical to
-    /// pre-IVF builds.
+    /// extracts gold skeletons. Retrieval is exact: the committed oracle,
+    /// whose selections are byte-identical to pre-IVF builds.
     pub fn new(bench: &'a Benchmark) -> Self {
-        Self::with_retrieval(bench, RetrievalMode::from_env())
+        Self::with_retrieval(bench, RetrievalMode::Exact)
     }
 
-    /// [`ExampleSelector::new`] with an explicit retrieval mode — the
-    /// programmatic form tests and benches use to avoid racing on the
-    /// environment.
+    /// [`ExampleSelector::new`] with an explicit retrieval mode; the ANN
+    /// modes are reachable only through this and
+    /// [`ExampleSelector::load_snapshot_with_retrieval`].
     pub fn with_retrieval(bench: &'a Benchmark, mode: RetrievalMode) -> Self {
         let n = bench.train.len();
         let mut raw = EmbeddingMatrix::with_capacity(DIM, n);
@@ -470,7 +468,7 @@ impl<'a> ExampleSelector<'a> {
         path: &std::path::Path,
         verify_data: bool,
     ) -> Result<Self, SnapshotError> {
-        Self::load_snapshot_with_retrieval(bench, path, verify_data, RetrievalMode::from_env())
+        Self::load_snapshot_with_retrieval(bench, path, verify_data, RetrievalMode::Exact)
     }
 
     /// [`ExampleSelector::load_snapshot`] with an explicit retrieval mode.

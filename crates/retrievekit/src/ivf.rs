@@ -32,8 +32,9 @@ use crate::quant::{quantize_query, QuantizedMatrix};
 use crate::shard::resolve_threads;
 use crate::topk::TopK;
 
-/// Which scan representation `promptkit` selection uses, normally chosen
-/// via the `DAIL_RETRIEVAL` environment variable.
+/// Which scan representation `promptkit` selection uses. Callers pick it
+/// explicitly (`ExampleSelector::with_retrieval`); `ExampleSelector::new`
+/// is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetrievalMode {
     /// Exact sharded scan of the full pool — the committed oracle and the
@@ -51,18 +52,7 @@ pub enum RetrievalMode {
 }
 
 impl RetrievalMode {
-    /// Parse `DAIL_RETRIEVAL` (`exact` | `ivf` | `ivf-int8`). Unset or
-    /// unrecognized values fall back to [`RetrievalMode::Exact`], matching
-    /// the forgiving style of `DAIL_THREADS` parsing.
-    pub fn from_env() -> RetrievalMode {
-        match std::env::var("DAIL_RETRIEVAL").as_deref() {
-            Ok("ivf") => RetrievalMode::Ivf,
-            Ok("ivf-int8") => RetrievalMode::IvfInt8,
-            _ => RetrievalMode::Exact,
-        }
-    }
-
-    /// Stable lowercase name (the `DAIL_RETRIEVAL` spelling).
+    /// Stable lowercase name, as reports print it.
     pub fn as_str(&self) -> &'static str {
         match self {
             RetrievalMode::Exact => "exact",

@@ -19,7 +19,8 @@
 //! * full-pool scans at million-row scale → an optional [`IvfIndex`]
 //!   (deterministic k-means, probed inverted lists, exact f32 rerank) with
 //!   an int8 [`QuantizedMatrix`] scan for candidate generation, selected
-//!   via `DAIL_RETRIEVAL={exact|ivf|ivf-int8}` — exact stays the oracle.
+//!   per selector by a [`RetrievalMode`] — exact stays the default and the
+//!   oracle.
 //!
 //! Instrumentation: `retrievekit.scored` counts candidates scored,
 //! `retrievekit.feature_cache_{hits,misses}` track target reuse, and

@@ -33,31 +33,18 @@ pub enum JoinStrategy {
 }
 
 /// Execution engine choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Vectorized columnar front-end with cost-based planning (default).
     /// Falls back per-select to the reference interpreter whenever the
     /// planner does not recognize the FROM/WHERE shape as statically safe.
+    #[default]
     Columnar,
     /// The row-at-a-time reference interpreter, unconditionally. This is
-    /// the differential-testing oracle and the `DAIL_EXEC=oracle` escape
-    /// hatch; results are `value_eq`-identical to [`Engine::Columnar`] by
+    /// the differential-testing oracle (and `exec-bench --engine oracle`);
+    /// results are `value_eq`-identical to [`Engine::Columnar`] by
     /// construction.
     Oracle,
-}
-
-static DEFAULT_ENGINE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
-
-impl Default for Engine {
-    /// `DAIL_EXEC=oracle` selects the reference interpreter process-wide;
-    /// anything else (including unset) selects the columnar engine. The
-    /// variable is read once and cached.
-    fn default() -> Engine {
-        *DEFAULT_ENGINE.get_or_init(|| match std::env::var("DAIL_EXEC").as_deref() {
-            Ok("oracle") => Engine::Oracle,
-            _ => Engine::Columnar,
-        })
-    }
 }
 
 /// Executor configuration.

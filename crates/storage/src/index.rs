@@ -361,7 +361,7 @@ mod tests {
         }
         let path = std::env::temp_dir().join(format!("dail_idx_disk_{}.pages", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        crate::pagestore::persist_database(&db, &path).unwrap();
+        crate::pagestore::persist_database(&db, &path, None).unwrap();
         let (loaded, _) = crate::pagestore::load_database(&path).unwrap();
         let orig = db.columnar("t").unwrap().columns[1].clone();
         let back = loaded.columnar("t").unwrap().columns[1].clone();

@@ -62,7 +62,7 @@ pub use exec::{
 pub use explain::{explain_query, OpKind, OpStats, Plan, PlanNode};
 pub use oracle::{execute_query_oracle, execute_query_oracle_with};
 pub use pagestore::{
-    load_database, persist_database, recover_store, StoreError, StoreInfo, StoreResult,
+    load_database, persist_database, recover_store, CrashPoint, StoreError, StoreInfo, StoreResult,
 };
 pub use schema::{ColType, ColumnDef, DbSchema, ForeignKey, TableSchema};
 pub use stats::{collect, ColumnStats, DbStats, TableStats};

@@ -12,8 +12,8 @@
 //!   errors);
 //! * the `exec-diff` CLI subcommand does the same over the benchmark's gold
 //!   queries;
-//! * `DAIL_EXEC=oracle` routes *all* execution through the interpreter
-//!   process-wide, as an operational escape hatch.
+//! * `exec-bench --engine oracle` runs the fixed workload through the
+//!   interpreter, the baseline of the step-change perf gate.
 //!
 //! Keep this module boring: it must not grow behavior of its own, only
 //! forward to the interpreter with the columnar engine disabled.

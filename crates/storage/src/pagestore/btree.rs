@@ -278,7 +278,7 @@ mod tests {
             let value = vec![(i % 251) as u8; 40 + (i as usize % 100)];
             insert(&mut store, key, &value).unwrap();
         }
-        store.commit().unwrap();
+        store.commit(None).unwrap();
         drop(store);
         let (mut store, info) = PageStore::open(&path).unwrap();
         assert!(!info.discarded_tail);

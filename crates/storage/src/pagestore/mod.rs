@@ -31,11 +31,12 @@
 //!
 //! ## Crash-point injector
 //!
-//! Setting `DAIL_CRASH_POINT="<site>@<n>"` aborts the process at the n-th
-//! (1-based) hit of the named site, after deliberately writing a *partial*
-//! record where the site is mid-write. Sites: `mid-frame`, `before-commit`,
-//! `mid-commit`, `after-commit`, `mid-checkpoint`. The check.sh
-//! kill-and-recover gate drives this to prove recovery determinism
+//! A [`CrashPoint`] parsed from `"<site>@<n>"` and handed to
+//! [`persist_database`] aborts the process at the n-th (1-based) hit of the
+//! named site, after deliberately writing a *partial* record where the site
+//! is mid-write. Sites: `mid-frame`, `before-commit`, `mid-commit`,
+//! `after-commit`, `mid-checkpoint`. The check.sh kill-and-recover gate
+//! drives this through `persist --crash-at` to prove recovery determinism
 //! end-to-end.
 
 mod btree;
@@ -46,8 +47,7 @@ mod wal;
 pub use pager::{PageStore, RecoveryInfo, PAGE_SIZE};
 pub use store::{load_database, persist_database, recover_store, StoreInfo};
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::cell::Cell;
 
 /// Errors from the persistence layer.
 #[derive(Debug)]
@@ -95,30 +95,54 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Per-site hit counters for the crash injector. Process-global so the
-/// n-th commit of a whole CLI run can be targeted deterministically.
-static CRASH_HITS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+/// Crash sites, in commit-protocol order.
+const CRASH_SITES: [&str; 5] = [
+    "mid-frame",
+    "before-commit",
+    "mid-commit",
+    "after-commit",
+    "mid-checkpoint",
+];
 
-/// Returns `true` when `DAIL_CRASH_POINT="<site>@<n>"` is armed and this is
-/// the n-th (1-based) hit of `site`. The caller performs its deliberate
-/// partial write, syncs, and aborts. Unparseable specs are ignored.
-pub(crate) fn crash_armed(site: &str) -> bool {
-    let Ok(spec) = std::env::var("DAIL_CRASH_POINT") else {
-        return false;
-    };
-    let Some((want_site, n)) = spec.rsplit_once('@') else {
-        return false;
-    };
-    if want_site != site {
-        return false;
+/// A deterministic crash injector armed for the n-th (1-based) hit of one
+/// site. It counts its own hits, so one value handed to several
+/// [`persist_database`] calls targets the n-th hit across all of them.
+#[derive(Debug)]
+pub struct CrashPoint {
+    site: &'static str,
+    n: u64,
+    hits: Cell<u64>,
+}
+
+impl CrashPoint {
+    /// Count one hit of `site`; `true` exactly on the armed hit, where the
+    /// caller performs its deliberate partial write, syncs, and aborts.
+    pub(crate) fn hit(&self, site: &str) -> bool {
+        if site != self.site {
+            return false;
+        }
+        self.hits.set(self.hits.get() + 1);
+        self.hits.get() == self.n
     }
-    let Ok(n) = n.parse::<u64>() else {
-        return false;
-    };
-    let mut hits = CRASH_HITS.lock().expect("crash counter lock");
-    let c = hits.entry(site.to_string()).or_insert(0);
-    *c += 1;
-    *c == n
+}
+
+impl std::str::FromStr for CrashPoint {
+    type Err = String;
+
+    /// Parse `"<site>@<n>"`: one of the crash sites and a hit count >= 1.
+    fn from_str(spec: &str) -> Result<CrashPoint, String> {
+        let parsed = spec.rsplit_once('@').and_then(|(site, n)| {
+            Some(CrashPoint {
+                site: CRASH_SITES.into_iter().find(|s| *s == site)?,
+                n: n.parse().ok().filter(|&n| n >= 1)?,
+                hits: Cell::new(0),
+            })
+        });
+        parsed.ok_or_else(|| {
+            let sites = CRASH_SITES.join(", ");
+            format!("expected <site>@<n> with n >= 1 and site one of {sites}; got {spec:?}")
+        })
+    }
 }
 
 /// Abort the process without unwinding — simulates a SIGKILL at exactly the
@@ -140,7 +164,21 @@ mod tests {
     }
 
     #[test]
-    fn crash_unarmed_by_default() {
-        assert!(!crash_armed("mid-frame"));
+    fn crash_point_parses_known_sites_only() {
+        for site in CRASH_SITES {
+            assert!(format!("{site}@1").parse::<CrashPoint>().is_ok(), "{site}");
+        }
+        for bad in ["mid-air@1", "mid-commit", "mid-commit@0", "mid-commit@x"] {
+            assert!(bad.parse::<CrashPoint>().is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn crash_point_fires_once_on_the_nth_hit_of_its_site() {
+        let c: CrashPoint = "mid-commit@2".parse().unwrap();
+        assert!(!c.hit("mid-commit"));
+        assert!(!c.hit("mid-frame"), "another site neither fires nor counts");
+        assert!(c.hit("mid-commit"));
+        assert!(!c.hit("mid-commit"), "fires once");
     }
 }

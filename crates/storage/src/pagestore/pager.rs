@@ -8,7 +8,7 @@
 //! [module docs](super).
 
 use super::wal::Wal;
-use super::{crash_armed, crash_now, fnv1a64, StoreError, StoreResult};
+use super::{crash_now, fnv1a64, CrashPoint, StoreError, StoreResult};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -282,26 +282,30 @@ impl PageStore {
     /// Make every staged page durable: WAL-append, fsync, commit frame,
     /// fsync, checkpoint into the page file, fsync, truncate the WAL. The
     /// meta page (with a bumped commit sequence) rides in every batch.
-    pub fn commit(&mut self) -> StoreResult<()> {
+    /// An armed `crash` aborts the process at its site instead.
+    pub fn commit(&mut self, crash: Option<&CrashPoint>) -> StoreResult<()> {
         self.meta.commit_seq += 1;
         self.dirty.insert(0, self.meta.pack());
         let n_frames = u32::try_from(self.dirty.len())
             .map_err(|_| StoreError::Unsupported("commit batch exceeds u32 frames".into()))?;
         for (no, image) in &self.dirty {
-            self.wal.append_page(*no, image)?;
+            let torn = crash.is_some_and(|c| c.hit("mid-frame"));
+            self.wal.append_page(*no, image, torn)?;
         }
-        if crash_armed("before-commit") {
+        if crash.is_some_and(|c| c.hit("before-commit")) {
             self.wal.sync().ok();
             crash_now();
         }
         self.wal.sync()?;
-        self.wal.append_commit(self.meta.commit_seq, n_frames)?;
+        let torn = crash.is_some_and(|c| c.hit("mid-commit"));
+        self.wal
+            .append_commit(self.meta.commit_seq, n_frames, torn)?;
         self.wal.sync()?; // the commit is durable from here on
-        if crash_armed("after-commit") {
+        if crash.is_some_and(|c| c.hit("after-commit")) {
             crash_now();
         }
         let halfway = self.dirty.len() / 2;
-        let crash_mid_checkpoint = crash_armed("mid-checkpoint");
+        let crash_mid_checkpoint = crash.is_some_and(|c| c.hit("mid-checkpoint"));
         for (i, (no, image)) in self.dirty.iter().enumerate() {
             if crash_mid_checkpoint && i == halfway {
                 self.file.sync_all().ok();

@@ -14,7 +14,7 @@
 
 use super::btree::{self, Key};
 use super::pager::{PageStore, RecoveryInfo, PAGE_SIZE};
-use super::{StoreError, StoreResult};
+use super::{CrashPoint, StoreError, StoreResult};
 use crate::schema::{ColType, ColumnDef, DbSchema, ForeignKey, TableSchema};
 use crate::value::{Row, Value};
 use std::path::Path;
@@ -251,10 +251,15 @@ fn read_schema(store: &mut PageStore) -> StoreResult<DbSchema> {
 /// overwriting anything already there. One commit for the schema, one per
 /// table, and a final commit that marks the store complete — so an
 /// interrupted persist is always detectable via [`StoreError::Incomplete`].
-pub fn persist_database(db: &crate::Database, path: &Path) -> StoreResult<()> {
+/// An armed `crash` aborts the process at its site instead of returning.
+pub fn persist_database(
+    db: &crate::Database,
+    path: &Path,
+    crash: Option<&CrashPoint>,
+) -> StoreResult<()> {
     let mut store = PageStore::create(path)?;
     write_schema_pages(&mut store, &encode_schema(&db.schema))?;
-    store.commit()?;
+    store.commit(crash)?;
     let table_names: Vec<String> = db.schema.tables.iter().map(|t| t.name.clone()).collect();
     for (ti, name) in table_names.iter().enumerate() {
         let rows = db.rows(name).unwrap_or(&[]);
@@ -265,10 +270,10 @@ pub fn persist_database(db: &crate::Database, path: &Path) -> StoreResult<()> {
             };
             btree::insert(&mut store, key, &encode_row(row))?;
         }
-        store.commit()?;
+        store.commit(crash)?;
     }
     store.set_complete(true);
-    store.commit()?;
+    store.commit(crash)?;
     Ok(())
 }
 
@@ -414,7 +419,7 @@ mod tests {
     fn persist_load_is_bit_exact() {
         let path = tmp("roundtrip");
         let db = adversarial_db();
-        persist_database(&db, &path).unwrap();
+        persist_database(&db, &path, None).unwrap();
         let (loaded, info) = load_database(&path).unwrap();
         assert!(!info.discarded_tail);
         assert_eq!(loaded.schema, db.schema);
@@ -426,7 +431,7 @@ mod tests {
     #[test]
     fn recover_reports_tables() {
         let path = tmp("recover");
-        persist_database(&adversarial_db(), &path).unwrap();
+        persist_database(&adversarial_db(), &path, None).unwrap();
         let info = recover_store(&path).unwrap();
         assert!(info.complete);
         assert_eq!(info.db_id, "bits");

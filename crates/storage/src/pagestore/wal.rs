@@ -14,7 +14,7 @@
 //! the first invalid byte ends the scan and the rest of the file is
 //! discarded as an un-committed tail.
 
-use super::{crash_armed, crash_now, fnv1a64, StoreError, StoreResult, PAGE_SIZE};
+use super::{crash_now, fnv1a64, StoreError, StoreResult, PAGE_SIZE};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -66,9 +66,9 @@ impl Wal {
         })
     }
 
-    /// Append a full-page image frame. Honors the `mid-frame` crash site by
-    /// writing only the first half of the frame before aborting.
-    pub fn append_page(&mut self, page_no: u64, payload: &[u8]) -> StoreResult<()> {
+    /// Append a full-page image frame. `torn` (the `mid-frame` crash site)
+    /// writes only the first half of the frame before aborting.
+    pub fn append_page(&mut self, page_no: u64, payload: &[u8], torn: bool) -> StoreResult<()> {
         debug_assert_eq!(payload.len(), PAGE_SIZE);
         let mut frame = Vec::with_capacity(1 + 8 + PAGE_SIZE + 8);
         frame.push(TAG_PAGE);
@@ -76,7 +76,7 @@ impl Wal {
         frame.extend_from_slice(payload);
         let crc = fnv1a64(&frame);
         frame.extend_from_slice(&crc.to_le_bytes());
-        if crash_armed("mid-frame") {
+        if torn {
             self.file.write_all(&frame[..frame.len() / 2]).ok();
             self.file.sync_all().ok();
             crash_now();
@@ -86,16 +86,16 @@ impl Wal {
     }
 
     /// Append a commit frame sealing the `n_frames` page frames appended
-    /// since the last commit. Honors the `mid-commit` crash site by writing
-    /// a truncated commit record before aborting.
-    pub fn append_commit(&mut self, seq: u64, n_frames: u32) -> StoreResult<()> {
+    /// since the last commit. `torn` (the `mid-commit` crash site) writes a
+    /// truncated commit record before aborting.
+    pub fn append_commit(&mut self, seq: u64, n_frames: u32, torn: bool) -> StoreResult<()> {
         let mut frame = Vec::with_capacity(1 + 8 + 4 + 8);
         frame.push(TAG_COMMIT);
         frame.extend_from_slice(&seq.to_le_bytes());
         frame.extend_from_slice(&n_frames.to_le_bytes());
         let crc = fnv1a64(&frame);
         frame.extend_from_slice(&crc.to_le_bytes());
-        if crash_armed("mid-commit") {
+        if torn {
             self.file.write_all(&frame[..frame.len() / 2]).ok();
             self.file.sync_all().ok();
             crash_now();

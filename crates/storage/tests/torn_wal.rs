@@ -88,7 +88,7 @@ fn torn_or_flipped_tail_never_yields_partial_commit() {
         assert_eq!((p1, p2), (1, 2));
         store.write_page(1, image_a1.clone()).unwrap();
         store.write_page(2, image_a2.clone()).unwrap();
-        store.commit().unwrap();
+        store.commit(None).unwrap();
     }
 
     // State B: a handcrafted WAL batch updating both pages, as left behind
@@ -174,7 +174,7 @@ fn committed_prefix_survives_uncommitted_tail() {
         store.allocate();
         store.write_page(1, image_a1).unwrap();
         store.write_page(2, image_a2).unwrap();
-        store.commit().unwrap();
+        store.commit(None).unwrap();
     }
     let committed1 = vec![0x33u8; PAGE_SIZE];
     let uncommitted2 = vec![0x44u8; PAGE_SIZE];

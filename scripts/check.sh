@@ -11,8 +11,13 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q --offline --workspace
+echo "==> cargo test -q (with the retired DAIL_ variables exported)"
+# These variables once configured a run from the shell; flags replaced
+# them and nothing may read them any more. Exporting them with values
+# that changed behaviour turns a reader that comes back into a failure.
+DAIL_EXEC=oracle DAIL_RETRIEVAL=ivf DAIL_ANALYZE=1 DAIL_TSDB=0 DAIL_TRACE_SAMPLE=0 \
+    DAIL_TSDB_MAX_SERIES=2 DAIL_CRASH_POINT=mid-commit@1 \
+    cargo test -q --offline --workspace
 
 echo "==> print lint (library crates must use obskit, not stdout)"
 # Library crates report through obskit; println!/eprintln! belong only in
@@ -42,22 +47,20 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
-echo "==> environment lint (library crates read no new DAIL_ variables)"
-# Library crates take their configuration from callers; the CLI binaries
-# parse the environment. These are the remaining library readers, as
-# file:VARIABLE. The list may only shrink.
-allowed='crates/retrievekit/src/ivf.rs:DAIL_RETRIEVAL
-crates/retrievekit/src/shard.rs:DAIL_THREADS
-crates/storage/src/exec.rs:DAIL_EXEC
-crates/storage/src/pagestore/mod.rs:DAIL_CRASH_POINT'
+echo "==> environment lint (a run is configured by its command line)"
+# Library crates take their configuration from callers and the CLI from
+# its flags. The one library reader left, as file:VARIABLE, is the worker
+# count e2e-bench sets; the list may only shrink. The CLI binaries may
+# read DAIL_THREADS only, to warn once when it does not parse.
+allowed='crates/retrievekit/src/shard.rs:DAIL_THREADS'
 violations=$(grep -rnoE --include='*.rs' 'env::var(_os)?\([[:space:]]*"DAIL_[A-Z0-9_]*' \
     src crates/*/src \
-    | grep -v '^crates/bench/src/bin/' \
     | sed -E 's/^([^:]+):[0-9]+:.*"(DAIL_[A-Z0-9_]*)$/\1:\2/' \
     | grep -vxF "$allowed" \
+    | grep -vxE 'crates/bench/src/bin/[^:]+:DAIL_THREADS' \
     || true)
 if [ -n "$violations" ]; then
-    echo "library crates read DAIL_ variables outside the allow-list:" >&2
+    echo "code reads DAIL_ variables outside the allow-list:" >&2
     echo "$violations" >&2
     exit 1
 fi
@@ -147,14 +150,17 @@ $CLI stats concert_singer --roundtrip --train 40 --dev 10 > target/db-stats.json
 }
 
 echo "==> ANALYZE passivity (report bytes unchanged with stats collection on)"
-# With per-operator stats collection enabled (DAIL_ANALYZE=1), the
-# serve-bench report must stay byte-identical to the committed golden:
-# the observability layer is strictly passive.
-DAIL_ANALYZE=1 $CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
-    --mean-gap-ms 15 --queue 16 > target/serve-bench-analyzed.md
-if ! cmp -s target/serve-bench-analyzed.md tests/golden/serve_bench_report.md; then
-    echo "DAIL_ANALYZE=1 changed the serve-bench report bytes:" >&2
-    diff tests/golden/serve_bench_report.md target/serve-bench-analyzed.md >&2 || true
+# --digests scores through the analyzed executor (per-operator stats
+# collection on) and appends a digest rollup; the report before it must
+# stay byte-identical to the committed golden: the observability layer is
+# strictly passive.
+$CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
+    --mean-gap-ms 15 --queue 16 --digests > target/serve-bench-analyzed.md
+golden_bytes=$(wc -c < tests/golden/serve_bench_report.md)
+if ! cmp -s -n "$golden_bytes" target/serve-bench-analyzed.md tests/golden/serve_bench_report.md; then
+    echo "--digests changed the serve-bench report bytes:" >&2
+    diff tests/golden/serve_bench_report.md \
+        <(head -c "$golden_bytes" target/serve-bench-analyzed.md) >&2 || true
     exit 1
 fi
 
@@ -169,9 +175,9 @@ $CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
     --mean-gap-ms 15 --queue 16 >/dev/null
 t_off=$(( ($(date +%s%N) - t0) / 1000000 ))
 t0=$(date +%s%N)
-DAIL_ANALYZE=1 DAIL_TSDB=1 DAIL_TRACE_SAMPLE=0.01 \
-    $CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
-    --mean-gap-ms 15 --queue 16 --trace target/serve-sampled.jsonl >/dev/null 2>&1
+$CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
+    --mean-gap-ms 15 --queue 16 --digests --trace-sample 0.01 \
+    --trace target/serve-sampled.jsonl >/dev/null 2>&1
 t_on=$(( ($(date +%s%N) - t0) / 1000000 ))
 ceiling=$(( t_off * 2 + 1000 ))
 if [ "$t_on" -gt "$ceiling" ]; then
@@ -180,25 +186,25 @@ if [ "$t_on" -gt "$ceiling" ]; then
 fi
 echo "    untraced ${t_off}ms, 1%-sampled ${t_on}ms (ceiling ${ceiling}ms)"
 
-echo "==> tsdb passivity gate (report bytes unchanged with tsdb off/sampled/on)"
-# The windowed time-series store installs whenever tracing is on; it must
-# never change a reported number. serve-bench and slo-report must match
-# their goldens byte-for-byte with tsdb disabled, head-sampled, and fully
-# sampled.
-for env_combo in "DAIL_TSDB=0" "DAIL_TRACE_SAMPLE=0.01" "DAIL_TRACE_SAMPLE=1.0"; do
-    env "$env_combo" $CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
-        --mean-gap-ms 15 --queue 16 --trace target/tsdb-passivity.jsonl \
-        > target/serve-bench-tsdb.md 2>/dev/null
+echo "==> tsdb passivity gate (report bytes unchanged with tsdb sampled/on)"
+# A traced run always owns a windowed time-series store; it must never
+# change a reported number. serve-bench and slo-report must match their
+# goldens (recorded untraced, with no store) byte-for-byte with requests
+# head-sampled and fully sampled.
+for rate in 0.01 1.0; do
+    $CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
+        --mean-gap-ms 15 --queue 16 --trace-sample "$rate" \
+        --trace target/tsdb-passivity.jsonl > target/serve-bench-tsdb.md 2>/dev/null
     if ! cmp -s target/serve-bench-tsdb.md tests/golden/serve_bench_report.md; then
-        echo "serve-bench report changed under ${env_combo}:" >&2
+        echo "serve-bench report changed under --trace-sample ${rate}:" >&2
         diff tests/golden/serve_bench_report.md target/serve-bench-tsdb.md >&2 || true
         exit 1
     fi
-    env "$env_combo" $CLI slo-report --seed 7 --train 60 --dev 24 --requests 120 \
-        --mean-gap-ms 15 --queue 16 --burn-alert 4 --trace target/tsdb-passivity.jsonl \
-        > target/slo-report-tsdb.md 2>/dev/null
+    $CLI slo-report --seed 7 --train 60 --dev 24 --requests 120 \
+        --mean-gap-ms 15 --queue 16 --burn-alert 4 --trace-sample "$rate" \
+        --trace target/tsdb-passivity.jsonl > target/slo-report-tsdb.md 2>/dev/null
     if ! cmp -s target/slo-report-tsdb.md tests/golden/slo_report.md; then
-        echo "slo-report changed under ${env_combo}:" >&2
+        echo "slo-report changed under --trace-sample ${rate}:" >&2
         diff tests/golden/slo_report.md target/slo-report-tsdb.md >&2 || true
         exit 1
     fi
@@ -208,11 +214,11 @@ echo "==> dashboard golden (byte-stable across DAIL_THREADS 1 vs 4)"
 # The dashboard reads only drain-time tsdb events on the virtual clock,
 # so its bytes must not depend on thread count or worker scheduling.
 # Regenerate with: DAIL_UPDATE_GOLDEN=1 cargo test -q -p bench --test cli
-DAIL_THREADS=1 DAIL_TRACE_SAMPLE=1.0 $CLI serve-bench --seed 7 --train 60 --dev 24 \
-    --requests 120 --mean-gap-ms 15 --queue 16 --workers 1 \
+DAIL_THREADS=1 $CLI serve-bench --seed 7 --train 60 --dev 24 \
+    --requests 120 --mean-gap-ms 15 --queue 16 --workers 1 --trace-sample 1.0 \
     --trace target/dash-t1.jsonl >/dev/null 2>&1
-DAIL_THREADS=4 DAIL_TRACE_SAMPLE=1.0 $CLI serve-bench --seed 7 --train 60 --dev 24 \
-    --requests 120 --mean-gap-ms 15 --queue 16 --workers 6 \
+DAIL_THREADS=4 $CLI serve-bench --seed 7 --train 60 --dev 24 \
+    --requests 120 --mean-gap-ms 15 --queue 16 --workers 6 --trace-sample 1.0 \
     --trace target/dash-t4.jsonl >/dev/null 2>&1
 $CLI dashboard target/dash-t1.jsonl > target/dashboard-t1.md
 $CLI dashboard target/dash-t4.jsonl > target/dashboard-t4.md
@@ -232,8 +238,8 @@ echo "==> tsdb cardinality-bound trip gate (overflow series + counter fire)"
 # With the series bound squeezed to 2, excess label sets must reroute to
 # the __overflow__ series and the overflow counter must fire — loudly
 # visible in both the dashboard and the Prometheus exposition.
-DAIL_TSDB_MAX_SERIES=2 DAIL_TRACE_SAMPLE=1.0 $CLI serve-bench --seed 7 --train 60 \
-    --dev 24 --requests 120 --mean-gap-ms 15 --queue 16 \
+$CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 --mean-gap-ms 15 \
+    --queue 16 --tsdb-max-series 2 --trace-sample 1.0 \
     --trace target/dash-overflow.jsonl >/dev/null 2>&1
 $CLI dashboard target/dash-overflow.jsonl > target/dashboard-overflow.md
 if ! grep -q '__overflow__' target/dashboard-overflow.md; then
@@ -267,22 +273,13 @@ if ! cmp -s target/select-bench-t1.md target/select-bench-t4.md; then
     exit 1
 fi
 
-echo "==> exact-retrieval passivity gate (DAIL_RETRIEVAL=exact is the pre-ANN oracle)"
-# With DAIL_RETRIEVAL=exact (and with the variable unset, its default), the
-# selector must take the pre-ANN scan path: report bytes identical between
-# the two runs, and the selection checksum pinned to the pre-IVF golden.
-$CLI select-bench --pool 6000 --queries 12 --seed 11 --no-timing \
-    > target/select-bench-default.md
-DAIL_RETRIEVAL=exact $CLI select-bench --pool 6000 --queries 12 --seed 11 --no-timing \
-    > target/select-bench-exact.md
-if ! cmp -s target/select-bench-default.md target/select-bench-exact.md; then
-    echo "DAIL_RETRIEVAL=exact changed the select-bench report bytes:" >&2
-    diff target/select-bench-default.md target/select-bench-exact.md >&2 || true
-    exit 1
-fi
-if ! grep -q '0x125a29265b97d94a' target/select-bench-exact.md; then
-    echo "exact-mode selection checksum drifted from the pre-IVF golden 0x125a29265b97d94a:" >&2
-    grep -i checksum target/select-bench-exact.md >&2 || true
+echo "==> exact-selection checksum pin (pre-IVF golden)"
+# The select-bench report above scores the pool with the exact scan; its
+# selection checksum must equal the golden recorded before ANN retrieval
+# existed. (The report is the same for every DAIL_THREADS, as just shown.)
+if ! grep -q '0x125a29265b97d94a' target/select-bench-t1.md; then
+    echo "exact selection checksum drifted from the pre-IVF golden 0x125a29265b97d94a:" >&2
+    grep -i checksum target/select-bench-t1.md >&2 || true
     exit 1
 fi
 
@@ -356,8 +353,7 @@ echo "    1M-row speedup vs exact: ivf ${speedup_ivf}x, ivf-int8 ${speedup_int8}
 echo "==> columnar executor: differential oracle gate"
 # Every gold query must produce bit-identical results through the columnar
 # engine and the reference interpreter, under both join strategies
-# (exec-diff exits 1 on any divergence). DAIL_EXEC=oracle remains the
-# process-wide escape hatch to route all execution through the interpreter.
+# (exec-diff exits 1 on any divergence).
 $CLI exec-diff --train 60 --dev 24 >/dev/null
 
 echo "==> columnar executor: step-change perf gate"
@@ -368,7 +364,7 @@ echo "==> columnar executor: step-change perf gate"
 # it replaced. Engines must also agree on every workload row count.
 $CLI_REL exec-bench --rows 50000 --trace target/exec-columnar.jsonl \
     > target/exec-bench-columnar.txt 2>/dev/null
-DAIL_EXEC=oracle $CLI_REL exec-bench --rows 50000 --trace target/exec-oracle.jsonl \
+$CLI_REL exec-bench --rows 50000 --engine oracle --trace target/exec-oracle.jsonl \
     > target/exec-bench-oracle.txt 2>/dev/null
 if ! cmp -s <(tail -n +2 target/exec-bench-columnar.txt) \
     <(tail -n +2 target/exec-bench-oracle.txt); then
@@ -379,7 +375,7 @@ fi
 if $CLI_REL profile target/exec-columnar.jsonl target/exec-oracle.jsonl \
     --fail-on-regress 25 >/dev/null 2>&1; then
     echo "columnar executor is not a step-change over the oracle interpreter" >&2
-    echo "(storage.exec self-time vs DAIL_EXEC=oracle is within 25%)" >&2
+    echo "(storage.exec self-time vs --engine oracle is within 25%)" >&2
     exit 1
 fi
 
@@ -392,9 +388,11 @@ echo "==> kill-and-recover determinism gate (crash-injected persist)"
 rm -rf target/crash-store
 # (the nested bash keeps its own "Aborted" job notice off our stderr; the
 # trailing exit stops it exec-ing persist directly and dying by the signal)
-if bash -c "DAIL_CRASH_POINT=mid-commit@2 $CLI_REL persist --seed 7 --train 60 --dev 24 \
-    --out target/crash-store; exit \$?" >/dev/null 2>&1; then
-    echo "crash injector did not fire: persist survived DAIL_CRASH_POINT" >&2
+rc=0
+bash -c "$CLI_REL persist --seed 7 --train 60 --dev 24 --out target/crash-store \
+    --crash-at mid-commit@2; exit \$?" >/dev/null 2>&1 || rc=$?
+if [ "$rc" -le 128 ]; then
+    echo "crash injector did not fire: persist exited ${rc}, not by a signal" >&2
     exit 1
 fi
 $CLI_REL recover target/crash-store >/dev/null
