@@ -27,7 +27,8 @@
 //!
 //! `eval` and `run-experiments` accept `--trace FILE.jsonl` to record a
 //! full pipeline trace, replayable with the `profile` and `flame`
-//! subcommands.
+//! subcommands. Each of `profile`, `flame`, `metrics` and `dashboard`
+//! folds a trace once into an `obskit::Profile` and renders part of it.
 //!
 //! A run is configured by its command line alone. The one environment
 //! variable read is `DAIL_THREADS`, the worker count the library falls
@@ -96,8 +97,8 @@ fn usage() {
          \u{20}\u{20}                                         export a benchmark (SQL dumps + JSONL)\n\
          \u{20}\u{20}ask --question \"...\" [--model M] [--db DB_ID] [--seed N]\n\
          \u{20}\u{20}                                         one-off Text-to-SQL against a generated db\n\
-         \u{20}\u{20}eval [--pipeline dail|dail-sc|din|c3|zero] [--model M] [--dev N] [--realistic]\n\
-         \u{20}\u{20}     [--threads N] [--trace FILE.jsonl] [--digests N] [--canonical] [--store DIR]\n\
+         \u{20}\u{20}eval [--pipeline dail|dail-sc|din|c3|zero] [--model M] [--dev N] [--threads N]\n\
+         \u{20}\u{20}     [--trace FILE.jsonl] [--digests N] [--canonical] [--store DIR]\n\
          \u{20}\u{20}                                         evaluate a pipeline and print the summary;\n\
          \u{20}\u{20}                                         --digests appends a query-digest rollup\n\
          \u{20}\u{20}                                         (every --trace command also takes\n\
@@ -129,16 +130,14 @@ fn usage() {
          \u{20}\u{20}                                         writes {{cold_ms,warm_ms,speedup}}\n\
          \u{20}\u{20}serve-bench [--pipeline P] [--model M] [--seed N] [--requests N] [--workers N]\n\
          \u{20}\u{20}     [--error-rate R] [--spike-rate R] [--spike-ms N] [--corrupt-rate R]\n\
-         \u{20}\u{20}     [--queue N] [--cache N] [--retries N] [--deadline-ms N] [--trace FILE.jsonl]\n\
-         \u{20}\u{20}     [--json FILE] [--digests N] [--canonical] [--store DIR] [--trace-sample R]\n\
+         \u{20}\u{20}     [--queue N] [--trace FILE.jsonl] [--json FILE] [--digests N] [--canonical]\n\
+         \u{20}\u{20}     [--store DIR] [--trace-sample R]\n\
          \u{20}\u{20}                                         drive the fault-injected serving layer\n\
          \u{20}\u{20}                                         with a seeded load, print a markdown\n\
          \u{20}\u{20}                                         report (deterministic given --seed);\n\
          \u{20}\u{20}                                         --trace-sample R head-samples request\n\
          \u{20}\u{20}                                         traces at rate R (default 1.0)\n\
-         \u{20}\u{20}slo-report [serve-bench flags] [--slo-latency-ms N] [--slo-latency-objective R]\n\
-         \u{20}\u{20}     [--slo-ex-objective R] [--slo-short-ms N] [--slo-long-ms N] [--burn-alert B]\n\
-         \u{20}\u{20}     [--json FILE]\n\
+         \u{20}\u{20}slo-report [serve-bench flags] [--slo-latency-ms N] [--burn-alert B] [--json FILE]\n\
          \u{20}\u{20}                                         serve the same seeded load and print a\n\
          \u{20}\u{20}                                         deterministic SLO / burn-rate report\n\
          \u{20}\u{20}metrics TRACE.jsonl                      render a recorded trace's metrics as\n\
@@ -149,14 +148,14 @@ fn usage() {
          \u{20}\u{20}                                         as a deterministic markdown dashboard;\n\
          \u{20}\u{20}                                         --window sets the trailing stats window\n\
          \u{20}\u{20}                                         (default 8), --tenant filters series\n\
-         \u{20}\u{20}select-bench [--pool N] [--queries M] [--seed S] [--k K] [--json FILE]\n\
-         \u{20}\u{20}     [--no-timing]                       score a synthetic pool with the\n\
+         \u{20}\u{20}select-bench [--pool N] [--queries M] [--seed S] [--json FILE] [--no-timing]\n\
+         \u{20}\u{20}                                         score a synthetic pool with the\n\
          \u{20}\u{20}                                         retrievekit fast path vs the naive\n\
          \u{20}\u{20}                                         reference; print a markdown report\n\
          \u{20}\u{20}                                         (byte-identical across DAIL_THREADS\n\
          \u{20}\u{20}                                         with --no-timing)\n\
-         \u{20}\u{20}select-bench --pool-rows N[,N...] [--queries M] [--seed S] [--k K]\n\
-         \u{20}\u{20}     [--json FILE] [--no-timing]         ANN sweep instead: per pool size,\n\
+         \u{20}\u{20}select-bench --pool-rows N[,N...] [--queries M] [--seed S] [--json FILE]\n\
+         \u{20}\u{20}     [--no-timing]                       ANN sweep instead: per pool size,\n\
          \u{20}\u{20}                                         exact scan vs ivf and ivf-int8\n\
          \u{20}\u{20}                                         retrieval with recall@k, training\n\
          \u{20}\u{20}                                         cost, and throughput per point\n\
@@ -173,7 +172,7 @@ fn usage() {
          \u{20}\u{20}                                         one engine (default columnar), recording\n\
          \u{20}\u{20}                                         storage.exec spans for `profile`\n\
          \u{20}\u{20}run-experiments --experiment e1..e10|a1..a6 [--dev-cap N] [--seed N]\n\
-         \u{20}\u{20}     [--full-grid] [--trace FILE.jsonl]   run one paper experiment, print its tables\n\
+         \u{20}\u{20}     [--trace FILE.jsonl]                run one paper experiment, print its tables\n\
          \u{20}\u{20}profile TRACE.jsonl                      render a recorded trace as a\n\
          \u{20}\u{20}                                         per-stage time/metric breakdown\n\
          \u{20}\u{20}profile BASE.jsonl NEW.jsonl [--fail-on-regress PCT]\n\
@@ -1115,7 +1114,6 @@ fn build_predictor(flags: &HashMap<String, String>) -> Box<dyn Predictor + Sync>
 
 fn run_eval(flags: &HashMap<String, String>) {
     let predictor = build_predictor(flags);
-    let realistic = flags.contains_key("realistic");
     let trace = setup_trace(flags);
     let bench = bench_from_flags(flags);
     let selector = ExampleSelector::new(&bench);
@@ -1133,7 +1131,7 @@ fn run_eval(flags: &HashMap<String, String>) {
         predictor.as_ref(),
         &bench.dev,
         2023,
-        realistic,
+        false,
         &opts,
     );
     println!("pipeline: {}", r.name);
@@ -1197,7 +1195,7 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
         selector: &selector,
         tokenizer: &tokenizer,
         seed,
-        realistic: flags.contains_key("realistic"),
+        realistic: false,
         trace: obskit::TraceContext::disabled(),
     };
     let faults = simllm::FaultConfig {
@@ -1210,10 +1208,10 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
     let cfg = servekit::ServeConfig {
         workers: num_flag(flags, "workers", 4usize),
         queue_capacity: num_flag(flags, "queue", 32usize),
-        cache_capacity: num_flag(flags, "cache", 4096usize),
-        max_attempts: num_flag(flags, "retries", 3u32) + 1,
-        backoff_base_ms: num_flag(flags, "backoff-ms", 25u64),
-        deadline_ms: num_flag(flags, "deadline-ms", 2000u64),
+        cache_capacity: 4096,
+        max_attempts: 4,
+        backoff_base_ms: 25,
+        deadline_ms: 2000,
         time_scale: 0.0,
         // The pipeline fixes its own representation and shot count, so its
         // name stands in for both in the cache key.
@@ -1226,7 +1224,7 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
         seed,
         requests: num_flag(flags, "requests", 120usize),
         mean_gap_ms: num_flag(flags, "mean-gap-ms", 30u64),
-        dup_rate: rate_flag(flags, "dup-rate", 0.35),
+        dup_rate: 0.35,
     };
     let reqs = servekit::generate(&load, bench.dev.len());
     let out = servekit::serve(predictor.as_ref(), &ctx, &bench.dev, &reqs, &cfg);
@@ -1348,10 +1346,10 @@ fn serve_bench(flags: &HashMap<String, String>) {
 fn slo_report(flags: &HashMap<String, String>) {
     let cfg = servekit::SloConfig {
         latency_threshold_ms: num_flag(flags, "slo-latency-ms", 300u64),
-        latency_objective: rate_flag(flags, "slo-latency-objective", 0.95),
-        ex_objective: rate_flag(flags, "slo-ex-objective", 0.50),
-        short_window_ms: num_flag(flags, "slo-short-ms", 2_000u64),
-        long_window_ms: num_flag(flags, "slo-long-ms", 10_000u64),
+        latency_objective: 0.95,
+        ex_objective: 0.50,
+        short_window_ms: 2_000,
+        long_window_ms: 10_000,
         burn_alert: num_flag(flags, "burn-alert", 2.0f64),
     };
     let run = run_serve(flags);
@@ -1394,29 +1392,30 @@ fn metrics_trace(positional: &[&String]) {
         eprintln!("metrics requires a trace file: dail_sql_cli metrics TRACE.jsonl");
         std::process::exit(2);
     };
-    print!("{}", obskit::expo::render_events(&load_trace(path)));
+    let profile = obskit::Profile::from_events(&load_trace(path));
+    print!("{}", obskit::expo::render_profile(&profile));
 }
 
-/// `dashboard`: rebuild the windowed time-series store a traced run
-/// drained into its JSONL and render it as markdown. Every number
-/// derives from drain-time `tsdb.*` events on the virtual clock, so the
-/// output is byte-identical across runs and thread counts.
+/// `dashboard`: render as markdown the windowed time-series store a
+/// traced run drained into its JSONL, as the trace's profile decodes it.
+/// Every number derives from drain-time `tsdb.*` events on the virtual
+/// clock, so the output is byte-identical across runs and thread counts.
 fn dashboard_cmd(positional: &[&String], flags: &HashMap<String, String>) {
     let [path] = positional else {
         eprintln!("dashboard requires a trace file: dail_sql_cli dashboard TRACE.jsonl");
         std::process::exit(2);
     };
-    let events = load_trace(path);
-    let tsdb = obskit::tsdb::Tsdb::from_events(&events);
+    let profile = obskit::Profile::from_events(&load_trace(path));
+    let tsdb = &profile.tsdb;
     if tsdb.series_count() == 0 {
         eprintln!("no tsdb series in {path} (not a traced serve-bench or slo-report run?)");
         std::process::exit(2);
     }
     let window: u64 = num_flag(flags, "window", 8u64).max(1);
     let tenant = flags.get("tenant").map(String::as_str);
-    print!("{}", render_dashboard(&tsdb, window, tenant));
+    print!("{}", render_dashboard(tsdb, window, tenant));
     if let Some(json_path) = flags.get("json") {
-        if let Err(e) = std::fs::write(json_path, dashboard_json(&tsdb, window, tenant)) {
+        if let Err(e) = std::fs::write(json_path, dashboard_json(tsdb, window, tenant)) {
             eprintln!("cannot write {json_path}: {e}");
             std::process::exit(2);
         }
@@ -1534,7 +1533,6 @@ fn render_dashboard(tsdb: &obskit::tsdb::Tsdb, window: u64, tenant: Option<&str>
 }
 
 fn dashboard_json(tsdb: &obskit::tsdb::Tsdb, window: u64, tenant: Option<&str>) -> String {
-    use spider_gen::export::json_escape;
     use std::fmt::Write as _;
     let cfg = tsdb.config();
     let latest = tsdb.latest_window().unwrap_or(0);
@@ -1557,7 +1555,7 @@ fn dashboard_json(tsdb: &obskit::tsdb::Tsdb, window: u64, tenant: Option<&str>) 
         let _ = write!(
             out,
             "{{\"series\":\"{}\",\"total\":{},\"rate_per_s\":{rate:.4}",
-            json_escape(s.name()),
+            obskit::json_escape(s.name()),
             s.total()
         );
         if s.is_hist() {
@@ -1697,7 +1695,7 @@ fn select_bench(flags: &HashMap<String, String>) {
 
     let pool_n: usize = num_flag(flags, "pool", 10_000usize).max(1);
     let queries_n: usize = num_flag(flags, "queries", 50usize).max(1);
-    let k: usize = num_flag(flags, "k", 8usize).max(1);
+    let k: usize = 8;
     let seed: u64 = num_flag(flags, "seed", 2023u64);
     let timing = !flags.contains_key("no-timing");
     let json_path = flags.get("json");
@@ -1888,7 +1886,7 @@ fn select_bench_sweep(flags: &HashMap<String, String>) {
         }
     }
     let queries_n: usize = num_flag(flags, "queries", 20usize).max(1);
-    let k: usize = num_flag(flags, "k", 8usize).max(1);
+    let k: usize = 8;
     let seed: u64 = num_flag(flags, "seed", 2023u64);
     let timing = !flags.contains_key("no-timing");
     let json_path = flags.get("json");
@@ -2100,7 +2098,7 @@ fn run_experiments(flags: &HashMap<String, String>) {
     let trace = setup_trace(flags);
     let scale = Scale {
         dev_cap: num_flag(flags, "dev-cap", 24usize),
-        full_grid: flags.contains_key("full-grid"),
+        full_grid: false,
     };
     let seed = num_flag(flags, "seed", 2023u64);
     let bench = bench_from_flags(flags);
@@ -2123,12 +2121,9 @@ fn load_trace(path: &str) -> Vec<obskit::Event> {
         }
     };
     let (events, warnings) = obskit::parse_jsonl_lossy(&text);
-    // A damaged trace still parses to the synthetic skipped-lines counter;
-    // only a trace with no *real* events at all is unusable.
-    let has_real_events = events.iter().any(|e| {
-        !matches!(e, obskit::Event::Counter { name, .. } if name == obskit::SKIPPED_LINES_COUNTER)
-    });
-    if !has_real_events && !warnings.is_empty() {
+    // A damaged trace still parses to the one synthetic skipped-lines
+    // counter; only a trace with no *real* events at all is unusable.
+    if events.len() == 1 && !warnings.is_empty() {
         eprintln!("invalid trace {path}: {}", warnings[0]);
         std::process::exit(2);
     }
@@ -2154,10 +2149,10 @@ fn profile_trace(positional: &[&String], flags: &HashMap<String, String>) {
             );
             std::process::exit(2);
         }
-        [path] => {
-            let events = load_trace(path);
-            print!("{}", obskit::Profile::from_events(&events).to_markdown());
-        }
+        [path] => print!(
+            "{}",
+            obskit::Profile::from_events(&load_trace(path)).to_markdown()
+        ),
         [base_path, new_path] => {
             let base = obskit::Profile::from_events(&load_trace(base_path));
             let new = obskit::Profile::from_events(&load_trace(new_path));
@@ -2195,7 +2190,7 @@ fn flame_trace(positional: &[&String], flags: &HashMap<String, String>) {
         eprintln!("flame requires a trace file: dail_sql_cli flame TRACE.jsonl [-o OUT.svg]");
         std::process::exit(2);
     };
-    let flame = obskit::Flame::from_events(&load_trace(path));
+    let flame = obskit::Profile::from_events(&load_trace(path)).flame;
     if flags.contains_key("folded") {
         print!("{}", flame.folded());
         return;

@@ -956,6 +956,14 @@ fn dashboard_is_deterministic_and_matches_golden() {
     let _ = std::fs::remove_file(&json_path);
     assert!(json.starts_with("{\"step_ms\":250,"), "{json}");
     assert!(json.contains("\"exemplar\":{\"request_id\":"), "{json}");
+
+    // The windowed series belong to the dashboard and the exposition: the
+    // profile of the same trace lists no `tsdb.*` annotation.
+    let profile = cli().arg("profile").arg(&t1).output().expect("binary runs");
+    assert!(profile.status.success());
+    let profile = String::from_utf8_lossy(&profile.stdout);
+    assert!(profile.contains("- **servekit."), "{profile}");
+    assert!(!profile.contains("- **tsdb."), "{profile}");
     let _ = std::fs::remove_file(&t1);
 
     let golden = fixture("dashboard.md");

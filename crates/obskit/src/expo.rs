@@ -1,7 +1,7 @@
 //! Prometheus text exposition for obskit metrics.
 //!
-//! Renders a [`MetricsSnapshot`] (or the metric-summary events of a
-//! recorded trace) in the Prometheus text exposition format: one
+//! Renders a [`MetricsSnapshot`] (or the metrics of a folded trace, see
+//! [`render_profile`]) in the Prometheus text exposition format: one
 //! `# TYPE` line per family, counter/gauge samples, and
 //! `_bucket`/`_sum`/`_count` series derived from the log₂
 //! [`Histogram`]s. Bucket upper bounds are the histogram's power-of-two
@@ -28,8 +28,8 @@
 //! non-decreasing buckets ending in `+Inf`, `_count` == `+Inf` bucket,
 //! well-formed exemplar lines).
 
-use crate::event::Event;
 use crate::hist::{bucket_high, Histogram};
+use crate::profile::Profile;
 use crate::recorder::MetricsSnapshot;
 use crate::tsdb::Tsdb;
 use std::collections::BTreeMap;
@@ -199,38 +199,13 @@ fn render_tsdb(out: &mut String, db: &Tsdb, used: &mut BTreeMap<String, ()>) {
     }
 }
 
-/// Fold the metric-summary events of a trace into a snapshot and render
-/// it. Counter events with the same name are summed, gauges keep the
-/// last value, histograms are merged. Span and meta events are ignored —
-/// except `tsdb.*` meta events, whose windowed series render as labelled
-/// families (with `# exemplar` lines) after the plain ones.
-pub fn render_events(events: &[Event]) -> String {
-    let mut snap = MetricsSnapshot::default();
-    for ev in events {
-        match ev {
-            Event::Counter { name, value } => {
-                *snap.counters.entry(name.clone()).or_insert(0) += value;
-            }
-            Event::Gauge { name, value } => {
-                snap.gauges.insert(name.clone(), *value);
-            }
-            Event::Histogram {
-                name,
-                count,
-                sum,
-                min,
-                max,
-                buckets,
-            } => {
-                let h = Histogram::from_parts(*count, *sum, *min, *max, buckets);
-                snap.histograms.entry(name.clone()).or_default().merge(&h);
-            }
-            _ => {}
-        }
-    }
-    let mut out = render(&snap);
-    let db = Tsdb::from_events(events);
-    if db.series_count() > 0 {
+/// Render a folded trace's metrics: its counters, gauges and histograms,
+/// then its windowed series as labelled families (with `# exemplar`
+/// lines) after the plain ones.
+pub fn render_profile(p: &Profile) -> String {
+    let snap = &p.metrics;
+    let mut out = render(snap);
+    if p.tsdb.series_count() > 0 {
         let mut used: BTreeMap<String, ()> = BTreeMap::new();
         for name in snap
             .counters
@@ -240,7 +215,7 @@ pub fn render_events(events: &[Event]) -> String {
         {
             used.insert(sanitize_name(name), ());
         }
-        render_tsdb(&mut out, &db, &mut used);
+        render_tsdb(&mut out, &p.tsdb, &mut used);
     }
     out
 }
@@ -586,6 +561,11 @@ pub fn parse(text: &str) -> Result<Vec<Family>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
+
+    fn render_trace(events: &[Event]) -> String {
+        render_profile(&Profile::from_events(events))
+    }
 
     fn snap_with_all() -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
@@ -628,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn render_events_folds_metric_summaries() {
+    fn render_profile_folds_metric_summaries() {
         let events = vec![
             Event::Counter {
                 name: "a.b".into(),
@@ -655,7 +635,7 @@ mod tests {
                 buckets: vec![(2, 2)],
             },
         ];
-        let text = render_events(&events);
+        let text = render_trace(&events);
         assert!(text.contains("a_b 5"));
         assert!(text.contains("g 2.5"));
         assert!(text.contains("h_count 2"));
@@ -782,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn render_events_includes_tsdb_series_with_exemplars() {
+    fn render_profile_includes_tsdb_series_with_exemplars() {
         let rec = crate::Recorder::with_tsdb(crate::tsdb::TsdbConfig::default());
         rec.tsdb(|db| {
             db.counter("req.count", &[("tenant", "t0")], 10, 3);
@@ -790,7 +770,7 @@ mod tests {
             db.observe("lat.ms", &[("tenant", "t0")], 10, 64, Some(7));
         });
         rec.add_counter("plain.counter", 5);
-        let text = render_events(&rec.drain_trace());
+        let text = render_trace(&rec.drain_trace());
         assert!(text.contains("# TYPE req_count counter"), "{text}");
         assert!(text.contains("req_count{tenant=\"t0\"} 3"), "{text}");
         assert!(text.contains("req_count{tenant=\"t1\"} 1"), "{text}");
@@ -811,7 +791,7 @@ mod tests {
         let rec = crate::Recorder::with_tsdb(crate::tsdb::TsdbConfig::default());
         rec.tsdb(|db| db.counter("plain.counter", &[("t", "a")], 0, 1));
         rec.add_counter("plain.counter", 5);
-        let text = render_events(&rec.drain_trace());
+        let text = render_trace(&rec.drain_trace());
         assert!(text.contains("# TYPE plain_counter counter\nplain_counter 5"));
         assert!(text.contains("# TYPE plain_counter_ counter"), "{text}");
         assert!(text.contains("plain_counter_{t=\"a\"} 1"), "{text}");

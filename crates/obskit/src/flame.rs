@@ -1,15 +1,13 @@
-//! Flamegraph rendering: fold a span trace into merged stacks and draw a
-//! self-contained SVG.
+//! Flamegraph rendering: draw the merged stacks of a folded trace as
+//! folded-stack text or a self-contained SVG.
 //!
-//! A trace's spans form a forest (parent ids + durations). [`Flame`] merges
-//! spans with the same stack of names into *frames* and hangs the whole
-//! forest under a synthetic `all` root, so the root frame's width is the
-//! trace wall-clock. Widths obey the same accounting invariant as
-//! [`crate::Profile`]: a frame's width is its self-time plus the widths of
-//! its children, so the self-times of all frames sum exactly to the root
-//! width. When a child's measured duration overflows its parent's (clock
-//! jitter on very short spans), the parent's width is stretched to cover
-//! its children rather than letting widths go negative.
+//! [`crate::Profile::from_events`] builds the [`Flame`]: spans with the
+//! same stack of names merge into one *frame*, and the whole forest hangs
+//! under a synthetic `all` root whose width is the trace wall-clock. A
+//! frame's width is the sum of its spans' widths, where a span's width is
+//! the larger of its duration and its children's widths (clock jitter on
+//! very short spans can make a child outlast its parent), so the
+//! self-times of all frames sum exactly to the root width.
 //!
 //! Two renderers:
 //!
@@ -20,7 +18,6 @@
 //!   Every `<rect>` carries `data-name` and `data-ns` attributes so tests
 //!   (and scripts) can check widths without a pixel renderer.
 
-use crate::event::Event;
 use crate::profile::fmt_ns;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -37,7 +34,8 @@ const MIN_PX: f64 = 0.1;
 pub struct FlameNode {
     /// Sum of the durations of the spans merged into this frame, ns.
     pub total_ns: u64,
-    /// Frame width: `max(total_ns, sum of child widths)`, ns.
+    /// Frame width: the sum of the merged spans' widths, each the larger
+    /// of the span's duration and its children's widths, ns.
     pub width_ns: u64,
     /// Number of spans merged into this frame.
     pub count: u64,
@@ -52,15 +50,6 @@ impl FlameNode {
         self.width_ns.saturating_sub(kids)
     }
 
-    fn finalize(&mut self) {
-        let mut kids = 0u64;
-        for child in self.children.values_mut() {
-            child.finalize();
-            kids += child.width_ns;
-        }
-        self.width_ns = self.total_ns.max(kids);
-    }
-
     fn depth(&self) -> usize {
         1 + self
             .children
@@ -71,68 +60,15 @@ impl FlameNode {
     }
 }
 
-/// A merged flame tree built from a span trace.
+/// The spans of a trace merged by stack of names, as folded by
+/// [`crate::Profile::from_events`].
 #[derive(Debug, Clone, Default)]
 pub struct Flame {
     /// Synthetic root (`all`) covering every root span in the trace.
     pub root: FlameNode,
 }
 
-struct SpanRec {
-    name: String,
-    parent: Option<u64>,
-    dur_ns: u64,
-    children: Vec<u64>,
-}
-
 impl Flame {
-    /// Build a flame tree from a trace. Non-span events are ignored;
-    /// unclosed spans are dropped (matching [`crate::Profile`]); spans whose
-    /// parent never closed become roots.
-    pub fn from_events(events: &[Event]) -> Flame {
-        // id → (name, parent) for open spans.
-        let mut open: BTreeMap<u64, (String, Option<u64>)> = BTreeMap::new();
-        // Closed spans, insertion keyed by id; `order` keeps close order so
-        // root discovery below is deterministic for duplicate ids.
-        let mut closed: BTreeMap<u64, SpanRec> = BTreeMap::new();
-        for ev in events {
-            match ev {
-                Event::SpanStart {
-                    id, parent, name, ..
-                } => {
-                    open.insert(*id, (name.clone(), *parent));
-                }
-                Event::SpanEnd { id, name, dur_ns } => {
-                    let (name, parent) = open.remove(id).unwrap_or_else(|| (name.clone(), None));
-                    closed.insert(
-                        *id,
-                        SpanRec {
-                            name,
-                            parent,
-                            dur_ns: *dur_ns,
-                            children: Vec::new(),
-                        },
-                    );
-                }
-                _ => {}
-            }
-        }
-        // Link children to parents; a span with no closed parent is a root.
-        let ids: Vec<u64> = closed.keys().copied().collect();
-        let mut roots: Vec<u64> = Vec::new();
-        for id in ids {
-            let parent = closed[&id].parent.filter(|p| *p != id);
-            match parent.filter(|p| closed.contains_key(p)) {
-                Some(p) => closed.get_mut(&p).expect("checked above").children.push(id),
-                None => roots.push(id),
-            }
-        }
-        let mut root = FlameNode::default();
-        absorb(&roots, &closed, &mut root.children);
-        root.finalize();
-        Flame { root }
-    }
-
     /// Root frame width = trace wall-clock, ns.
     pub fn wall_ns(&self) -> u64 {
         self.root.width_ns
@@ -252,16 +188,6 @@ impl Flame {
     }
 }
 
-fn absorb(ids: &[u64], closed: &BTreeMap<u64, SpanRec>, out: &mut BTreeMap<String, FlameNode>) {
-    for id in ids {
-        let rec = &closed[id];
-        let node = out.entry(rec.name.clone()).or_default();
-        node.total_ns += rec.dur_ns;
-        node.count += 1;
-        absorb(&rec.children, closed, &mut node.children);
-    }
-}
-
 /// Escape a frame name for use in XML attribute/text positions.
 fn xml_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -293,6 +219,11 @@ fn color_for(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
+
+    fn flame(events: &[Event]) -> Flame {
+        crate::Profile::from_events(events).flame
+    }
 
     fn span(id: u64, parent: Option<u64>, name: &str, dur: u64) -> [Event; 2] {
         [
@@ -362,7 +293,7 @@ mod tests {
 
     #[test]
     fn folded_self_times_sum_to_wall() {
-        let f = Flame::from_events(&nested_trace());
+        let f = flame(&nested_trace());
         assert_eq!(f.wall_ns(), 100);
         let folded = f.folded();
         let total: u64 = folded
@@ -382,7 +313,7 @@ mod tests {
         ev.extend(span(1, None, "run", 100));
         // Two items under nothing (roots) merge into one frame.
         ev.extend(span(2, None, "run", 50));
-        let f = Flame::from_events(&ev);
+        let f = flame(&ev);
         assert_eq!(f.root.children.len(), 1);
         assert_eq!(f.root.children["run"].total_ns, 150);
         assert_eq!(f.root.children["run"].count, 2);
@@ -417,10 +348,13 @@ mod tests {
                 dur_ns: 10,
             },
         ];
-        let f = Flame::from_events(&ev);
-        assert_eq!(f.wall_ns(), 25);
-        assert_eq!(f.root.children["p"].width_ns, 25);
-        assert_eq!(f.root.children["p"].self_ns(), 0);
+        let p = crate::Profile::from_events(&ev);
+        assert_eq!(p.wall_ns(), 25);
+        assert_eq!(p.flame.root.children["p"].width_ns, 25);
+        assert_eq!(p.flame.root.children["p"].self_ns(), 0);
+        // The profile attributes the same self-times per stage.
+        assert_eq!(p.stages["p"].self_ns, 0);
+        assert_eq!(p.stages["c"].self_ns, 25);
     }
 
     #[test]
@@ -436,7 +370,7 @@ mod tests {
             name: "c".into(),
             value: 1,
         });
-        let f = Flame::from_events(&ev);
+        let f = flame(&ev);
         assert!(!f.folded().contains("zombie"));
         assert_eq!(f.wall_ns(), 100);
     }
@@ -457,14 +391,14 @@ mod tests {
                 dur_ns: 5,
             },
         ];
-        let f = Flame::from_events(&ev);
+        let f = flame(&ev);
         assert_eq!(f.folded(), "lost 5\n");
         assert_eq!(f.wall_ns(), 5);
     }
 
     #[test]
     fn svg_root_frame_width_equals_wall() {
-        let f = Flame::from_events(&nested_trace());
+        let f = flame(&nested_trace());
         let svg = f.to_svg();
         assert!(svg.starts_with("<svg"), "{svg}");
         assert!(svg.trim_end().ends_with("</svg>"));
@@ -477,14 +411,14 @@ mod tests {
     fn svg_escapes_names() {
         let mut ev: Vec<Event> = Vec::new();
         ev.extend(span(1, None, "a<b>&\"c\"", 10));
-        let svg = Flame::from_events(&ev).to_svg();
+        let svg = flame(&ev).to_svg();
         assert!(svg.contains("a&lt;b&gt;&amp;&quot;c&quot;"), "{svg}");
         assert!(!svg.contains("a<b>"), "{svg}");
     }
 
     #[test]
     fn empty_trace_renders_empty() {
-        let f = Flame::from_events(&[]);
+        let f = flame(&[]);
         assert_eq!(f.folded(), "");
         assert_eq!(f.wall_ns(), 0);
         assert!(f.to_svg().contains("</svg>"));

@@ -18,8 +18,9 @@
 use crate::event::Event;
 use std::fmt::Write as _;
 
-/// Escape a string into a JSON string literal (without quotes).
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` to `out` escaped as the body of a JSON string literal
+/// (without the quotes). The workspace's one JSON string escaper.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -33,6 +34,14 @@ fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+}
+
+/// `s` escaped as the body of a JSON string literal (without the quotes);
+/// see [`json_escape_into`].
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    json_escape_into(&mut out, s);
+    out
 }
 
 /// Serialize a float the way JSON expects (always with a decimal point or
@@ -76,7 +85,7 @@ pub fn to_json_line(ev: &Event) -> String {
             }
             field(&mut s, "name");
             s.push('"');
-            escape_into(&mut s, name);
+            json_escape_into(&mut s, name);
             s.push_str("\",");
             field(&mut s, "t_ns");
             let _ = write!(s, "{t_ns}");
@@ -87,7 +96,7 @@ pub fn to_json_line(ev: &Event) -> String {
             let _ = write!(s, "{id},");
             field(&mut s, "name");
             s.push('"');
-            escape_into(&mut s, name);
+            json_escape_into(&mut s, name);
             s.push_str("\",");
             field(&mut s, "dur_ns");
             let _ = write!(s, "{dur_ns}");
@@ -96,7 +105,7 @@ pub fn to_json_line(ev: &Event) -> String {
             s.push_str("\"ev\":\"counter\",");
             field(&mut s, "name");
             s.push('"');
-            escape_into(&mut s, name);
+            json_escape_into(&mut s, name);
             s.push_str("\",");
             field(&mut s, "value");
             let _ = write!(s, "{value}");
@@ -105,7 +114,7 @@ pub fn to_json_line(ev: &Event) -> String {
             s.push_str("\"ev\":\"gauge\",");
             field(&mut s, "name");
             s.push('"');
-            escape_into(&mut s, name);
+            json_escape_into(&mut s, name);
             s.push_str("\",");
             field(&mut s, "value");
             s.push_str(&fmt_f64(*value));
@@ -121,7 +130,7 @@ pub fn to_json_line(ev: &Event) -> String {
             s.push_str("\"ev\":\"histogram\",");
             field(&mut s, "name");
             s.push('"');
-            escape_into(&mut s, name);
+            json_escape_into(&mut s, name);
             s.push_str("\",");
             let _ = write!(
                 s,
@@ -141,7 +150,7 @@ pub fn to_json_line(ev: &Event) -> String {
             s.push_str("\"ev\":\"meta\",");
             field(&mut s, "name");
             s.push('"');
-            escape_into(&mut s, name);
+            json_escape_into(&mut s, name);
             s.push_str("\",");
             field(&mut s, "fields");
             s.push('{');
@@ -150,9 +159,9 @@ pub fn to_json_line(ev: &Event) -> String {
                     s.push(',');
                 }
                 s.push('"');
-                escape_into(&mut s, k);
+                json_escape_into(&mut s, k);
                 s.push_str("\":\"");
-                escape_into(&mut s, v);
+                json_escape_into(&mut s, v);
                 s.push('"');
             }
             s.push('}');
@@ -628,6 +637,13 @@ mod tests {
         let doc: String = samples().iter().map(|e| to_json_line(e) + "\n").collect();
         let back = parse_jsonl(&doc).unwrap();
         assert_eq!(back, samples());
+    }
+
+    #[test]
+    fn json_escaping() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("\r\t\u{1}"), "\\r\\t\\u0001");
     }
 
     #[test]

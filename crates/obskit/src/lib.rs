@@ -9,20 +9,26 @@
 //! Pieces:
 //!
 //! * [`Span`] — RAII timers with parent/child nesting (thread-local stack).
-//! * [`Recorder`] — thread-safe event sink; serializes traces to JSONL.
+//! * [`Recorder`] — thread-safe event sink; serializes traces to JSONL
+//!   (whose string escaper, [`json_escape`], every crate's JSON output
+//!   shares).
 //! * Named counters, gauges and log-scale latency [`Histogram`]s.
-//! * [`Profile`] — replays an event stream into a per-stage markdown
+//! * [`Profile`] — the one replay of a recorded trace. One pass builds
+//!   the span forest under one rule (self-times sum to the wall-clock on
+//!   every trace, truncated or concatenated) and derives the per-stage
+//!   stats, the [`Flame`] tree, the metric summaries, the annotations and
+//!   the windowed [`tsdb::Tsdb`]; it renders a per-stage markdown
 //!   breakdown table (same visual style as `eval::report::Table`).
 //! * [`ProfileDiff`] — cross-run comparison of two profiles (per-stage
 //!   self-times, counters, histograms) with a CI regression gate.
-//! * [`Flame`] — folds a span trace into merged stacks and renders
+//! * [`Flame`] — a profile's spans merged by stack, rendered as
 //!   folded-stack text or a self-contained `flamegraph.svg`.
 //! * [`TraceContext`] — request-scoped context (request id, parent span
 //!   and a deterministic head-sampling decision) for explicit
 //!   cross-thread span parenting; one connected tree per served request.
 //! * [`expo`] — Prometheus text exposition of the counters/gauges/log₂
-//!   histograms (and labelled [`tsdb`] series with `# exemplar` lines),
-//!   plus a validating mini-parser for tests.
+//!   histograms (and a profile's labelled [`tsdb`] series with
+//!   `# exemplar` lines), plus a validating mini-parser for tests.
 //! * [`tsdb`] — windowed time series: labelled series with a hard
 //!   cardinality bound, fixed-step ring-buffer windows (rates, windowed
 //!   quantiles), and per-window exemplars linking back to sampled
@@ -56,8 +62,8 @@ pub use event::Event;
 pub use flame::{Flame, FlameNode};
 pub use hist::{bucket_high, bucket_index, bucket_low, Histogram, BUCKETS};
 pub use jsonl::{
-    canonical_jsonl, parse_jsonl, parse_jsonl_line, parse_jsonl_lossy, to_json_line,
-    SKIPPED_LINES_COUNTER,
+    canonical_jsonl, json_escape, json_escape_into, parse_jsonl, parse_jsonl_line,
+    parse_jsonl_lossy, to_json_line, SKIPPED_LINES_COUNTER,
 };
 pub use profile::{fmt_ns, fmt_ns_delta, Profile, ProfileDiff, StageDelta, StageStats};
 pub use recorder::{current, enabled, MetricsSnapshot, Recorder, SinkGuard, Span};

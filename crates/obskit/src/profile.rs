@@ -1,7 +1,13 @@
-//! Replay an event stream into a per-stage breakdown report.
+//! The one replay of a recorded trace: spans into a forest with
+//! self-times and a flame tree, metric summaries into a snapshot,
+//! `tsdb.*` annotations into a windowed store, and a per-stage breakdown
+//! report over the result.
 
 use crate::event::Event;
+use crate::flame::{Flame, FlameNode};
 use crate::hist::Histogram;
+use crate::recorder::MetricsSnapshot;
+use crate::tsdb::Tsdb;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -12,7 +18,8 @@ pub struct StageStats {
     pub count: u64,
     /// Total wall-clock across those spans, ns.
     pub total_ns: u64,
-    /// Total minus time attributed to child spans, ns.
+    /// Width minus the widths of child spans, ns (see
+    /// [`Profile::from_events`]).
     pub self_ns: u64,
     /// Smallest single span, ns.
     pub min_ns: u64,
@@ -20,66 +27,94 @@ pub struct StageStats {
     pub max_ns: u64,
 }
 
-/// A per-stage time/metric breakdown assembled from a trace.
+/// A trace folded once into everything its renderers show.
 ///
 /// Build one with [`Profile::from_events`] (e.g. after
-/// [`crate::parse_jsonl`] on a `--trace` file) and render it with
-/// [`Profile::to_markdown`] — the table style matches the experiment
-/// report tables (`eval::report::Table`).
+/// [`crate::parse_jsonl`] on a `--trace` file). [`Profile::to_markdown`]
+/// renders the per-stage breakdown in the style of the experiment report
+/// tables (`eval::report::Table`); [`Flame`] renders
+/// [`Profile::flame`], [`crate::expo::render_profile`] the metrics and
+/// windowed series.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     /// Stage name → aggregated span stats, ordered by name.
     pub stages: BTreeMap<String, StageStats>,
-    /// Wall-clock of the root spans (spans without parents), ns.
-    pub wall_ns: u64,
-    /// Counter totals found in the trace.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauges found in the trace.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histograms found in the trace.
-    pub histograms: BTreeMap<String, Histogram>,
-    /// Meta annotations found in the trace, in order.
+    /// The spans merged by stack of names; its root spans the wall-clock.
+    pub flame: Flame,
+    /// Counter totals, last gauge values and merged histograms.
+    pub metrics: MetricsSnapshot,
+    /// Meta annotations other than `tsdb.*`, in order.
     pub metas: Vec<(String, Vec<(String, String)>)>,
+    /// Windowed series decoded from the `tsdb.*` annotations.
+    pub tsdb: Tsdb,
+}
+
+/// One span of a trace: the index of the span it nests in, and its
+/// duration once it has closed.
+struct TraceSpan<'a> {
+    name: &'a str,
+    parent: Option<usize>,
+    dur_ns: Option<u64>,
 }
 
 impl Profile {
-    /// Aggregate a trace. Unclosed spans are ignored; durations of child
-    /// spans are subtracted from their parent's self-time.
+    /// Fold a trace in one pass.
+    ///
+    /// Spans form one forest under one rule:
+    /// * a span's parent is the latest span started before it with the
+    ///   parent id, so ids may repeat and concatenated runs keep every
+    ///   span;
+    /// * unclosed spans are dropped, and a span whose parent never closed
+    ///   is a root;
+    /// * a span's width is the larger of its duration and the sum of its
+    ///   children's widths, and its self-time is the width its children
+    ///   leave, so self-times sum to the wall-clock (the roots' widths) on
+    ///   every trace, truncated or overlong children included.
+    ///
+    /// Counters with the same name are summed, gauges keep the last value
+    /// and histograms merge. The events a drained store wrote (its
+    /// `tsdb.*` annotations and accounting counters) decode through
+    /// [`Tsdb::from_events`]; the other annotations are kept in order.
     pub fn from_events(events: &[Event]) -> Profile {
         let mut p = Profile::default();
-        // id → (name, parent)
-        let mut open: BTreeMap<u64, (String, Option<u64>)> = BTreeMap::new();
-        // id → child total ns (accumulated as children close)
-        let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut spans: Vec<TraceSpan> = Vec::new();
+        // Span id → index of the latest span started with it, and of the
+        // one still open with it.
+        let mut latest: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut open: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut tsdb_events: Vec<Event> = Vec::new();
         for ev in events {
+            let for_tsdb = Tsdb::decodes(ev);
+            if for_tsdb {
+                tsdb_events.push(ev.clone());
+            }
             match ev {
                 Event::SpanStart {
                     id, parent, name, ..
                 } => {
-                    open.insert(*id, (name.clone(), *parent));
+                    let at = spans.len();
+                    spans.push(TraceSpan {
+                        name,
+                        parent: parent.and_then(|up| latest.get(&up).copied()),
+                        dur_ns: None,
+                    });
+                    latest.insert(*id, at);
+                    open.insert(*id, at);
                 }
-                Event::SpanEnd { id, name, dur_ns } => {
-                    let (name, parent) = open.remove(id).unwrap_or_else(|| (name.clone(), None));
-                    let children = child_ns.remove(id).unwrap_or(0);
-                    let stats = p.stages.entry(name).or_default();
-                    if stats.count == 0 {
-                        stats.min_ns = *dur_ns;
-                    }
-                    stats.count += 1;
-                    stats.total_ns += dur_ns;
-                    stats.self_ns += dur_ns.saturating_sub(children);
-                    stats.min_ns = stats.min_ns.min(*dur_ns);
-                    stats.max_ns = stats.max_ns.max(*dur_ns);
-                    match parent {
-                        Some(parent_id) => *child_ns.entry(parent_id).or_insert(0) += dur_ns,
-                        None => p.wall_ns += dur_ns,
-                    }
-                }
+                Event::SpanEnd { id, name, dur_ns } => match open.remove(id) {
+                    Some(at) => spans[at].dur_ns = Some(*dur_ns),
+                    // Its start was lost: the span still counts, as a root.
+                    None => spans.push(TraceSpan {
+                        name,
+                        parent: None,
+                        dur_ns: Some(*dur_ns),
+                    }),
+                },
                 Event::Counter { name, value } => {
-                    *p.counters.entry(name.clone()).or_insert(0) += value;
+                    *p.metrics.counters.entry(name.clone()).or_insert(0) += value;
                 }
                 Event::Gauge { name, value } => {
-                    p.gauges.insert(name.clone(), *value);
+                    p.metrics.gauges.insert(name.clone(), *value);
                 }
                 Event::Histogram {
                     name,
@@ -90,24 +125,91 @@ impl Profile {
                     buckets,
                 } => {
                     let h = Histogram::from_parts(*count, *sum, *min, *max, buckets);
-                    p.histograms.entry(name.clone()).or_default().merge(&h);
+                    p.metrics
+                        .histograms
+                        .entry(name.clone())
+                        .or_default()
+                        .merge(&h);
                 }
+                Event::Meta { .. } if for_tsdb => {}
                 Event::Meta { name, fields } => {
                     p.metas.push((name.clone(), fields.clone()));
                 }
             }
         }
+        p.tsdb = Tsdb::from_events(&tsdb_events);
+        p.fold_spans(&spans);
         p
+    }
+
+    /// Widths, self-times and stage stats, then the flame tree. A parent
+    /// always precedes its children in `spans`, so a backward pass meets
+    /// every child before its parent and a forward pass every parent
+    /// before its children.
+    fn fold_spans(&mut self, spans: &[TraceSpan]) {
+        let closed_parent = |s: &TraceSpan| s.parent.filter(|&up| spans[up].dur_ns.is_some());
+        let mut width = vec![0u64; spans.len()];
+        let mut kids_ns = vec![0u64; spans.len()];
+        let mut wall_ns = 0u64;
+        for (at, s) in spans.iter().enumerate().rev() {
+            let Some(dur_ns) = s.dur_ns else { continue };
+            width[at] = dur_ns.max(kids_ns[at]);
+            let stats = self.stages.entry(s.name.to_string()).or_default();
+            if stats.count == 0 {
+                stats.min_ns = dur_ns;
+            }
+            stats.count += 1;
+            stats.total_ns += dur_ns;
+            stats.self_ns += width[at] - kids_ns[at];
+            stats.min_ns = stats.min_ns.min(dur_ns);
+            stats.max_ns = stats.max_ns.max(dur_ns);
+            match closed_parent(s) {
+                Some(up) => kids_ns[up] += width[at],
+                None => wall_ns += width[at],
+            }
+        }
+        // Merge spans sharing a stack of names into one frame. Frames grow
+        // in an arena, each after its parent frame, then hang under their
+        // parents deepest first.
+        let mut frames: Vec<(usize, &str, FlameNode)> = vec![(0, "", FlameNode::default())];
+        let mut frame_index: BTreeMap<(usize, &str), usize> = BTreeMap::new();
+        let mut frame_of = vec![0usize; spans.len()];
+        for (at, s) in spans.iter().enumerate() {
+            let Some(dur_ns) = s.dur_ns else { continue };
+            let up = closed_parent(s).map_or(0, |p| frame_of[p]);
+            let f = *frame_index.entry((up, s.name)).or_insert_with(|| {
+                frames.push((up, s.name, FlameNode::default()));
+                frames.len() - 1
+            });
+            frame_of[at] = f;
+            let node = &mut frames[f].2;
+            node.total_ns += dur_ns;
+            node.width_ns += width[at];
+            node.count += 1;
+        }
+        while frames.len() > 1 {
+            let (up, name, node) = frames.pop().expect("more than the root");
+            frames[up].2.children.insert(name.to_string(), node);
+        }
+        let (_, _, mut root) = frames.pop().expect("the root frame");
+        root.width_ns = wall_ns;
+        self.flame = Flame { root };
+    }
+
+    /// Wall-clock of the trace: the sum of its root spans' widths, ns.
+    pub fn wall_ns(&self) -> u64 {
+        self.flame.wall_ns()
     }
 
     /// Render the breakdown as Markdown, in the same visual style as the
     /// experiment report tables.
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
+        let wall_ns = self.wall_ns();
         let _ = writeln!(
             s,
             "### PROFILE — per-stage breakdown (wall {} over root spans)\n",
-            fmt_ns(self.wall_ns)
+            fmt_ns(wall_ns)
         );
         if !self.metas.is_empty() {
             for (name, fields) in &self.metas {
@@ -127,10 +229,10 @@ impl Profile {
             rows.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then_with(|| a.0.cmp(b.0)));
             for (name, st) in rows {
                 let mean = st.total_ns.checked_div(st.count).unwrap_or(0);
-                let pct = if self.wall_ns == 0 {
+                let pct = if wall_ns == 0 {
                     "-".to_string()
                 } else {
-                    format!("{:.1}", 100.0 * st.total_ns as f64 / self.wall_ns as f64)
+                    format!("{:.1}", 100.0 * st.total_ns as f64 / wall_ns as f64)
                 };
                 let _ = writeln!(
                     s,
@@ -145,21 +247,22 @@ impl Profile {
             }
             let _ = writeln!(s);
         }
-        if !self.counters.is_empty() || !self.gauges.is_empty() {
+        let m = &self.metrics;
+        if !m.counters.is_empty() || !m.gauges.is_empty() {
             let _ = writeln!(s, "| metric | value |");
             let _ = writeln!(s, "|---|---|");
-            for (name, v) in &self.counters {
+            for (name, v) in &m.counters {
                 let _ = writeln!(s, "| {name} | {v} |");
             }
-            for (name, v) in &self.gauges {
+            for (name, v) in &m.gauges {
                 let _ = writeln!(s, "| {name} | {v:.3} |");
             }
             let _ = writeln!(s);
         }
-        if !self.histograms.is_empty() {
+        if !m.histograms.is_empty() {
             let _ = writeln!(s, "| histogram | count | mean | p50 | p99 | min | max |");
             let _ = writeln!(s, "|---|---|---|---|---|---|---|");
-            for (name, h) in &self.histograms {
+            for (name, h) in &m.histograms {
                 let _ = writeln!(
                     s,
                     "| {name} | {} | {:.1} | {} | {} | {} | {} |",
@@ -235,6 +338,7 @@ pub struct ProfileDiff {
 impl ProfileDiff {
     /// Compare two aggregated profiles.
     pub fn between(base: &Profile, new: &Profile) -> ProfileDiff {
+        let (base_m, new_m) = (&base.metrics, &new.metrics);
         let stage_names: std::collections::BTreeSet<&String> =
             base.stages.keys().chain(new.stages.keys()).collect();
         let mut stages: Vec<StageDelta> = stage_names
@@ -250,36 +354,39 @@ impl ProfileDiff {
                 .cmp(&a.delta_ns())
                 .then_with(|| a.name.cmp(&b.name))
         });
-        let counter_names: std::collections::BTreeSet<&String> =
-            base.counters.keys().chain(new.counters.keys()).collect();
+        let counter_names: std::collections::BTreeSet<&String> = base_m
+            .counters
+            .keys()
+            .chain(new_m.counters.keys())
+            .collect();
         let counters = counter_names
             .into_iter()
             .map(|name| {
                 (
                     name.clone(),
-                    base.counters.get(name).copied().unwrap_or(0),
-                    new.counters.get(name).copied().unwrap_or(0),
+                    base_m.counters.get(name).copied().unwrap_or(0),
+                    new_m.counters.get(name).copied().unwrap_or(0),
                 )
             })
             .collect();
-        let hist_names: std::collections::BTreeSet<&String> = base
+        let hist_names: std::collections::BTreeSet<&String> = base_m
             .histograms
             .keys()
-            .chain(new.histograms.keys())
+            .chain(new_m.histograms.keys())
             .collect();
         let histograms = hist_names
             .into_iter()
             .map(|name| {
                 (
                     name.clone(),
-                    base.histograms.get(name).cloned().unwrap_or_default(),
-                    new.histograms.get(name).cloned().unwrap_or_default(),
+                    base_m.histograms.get(name).cloned().unwrap_or_default(),
+                    new_m.histograms.get(name).cloned().unwrap_or_default(),
                 )
             })
             .collect();
         ProfileDiff {
-            base_wall_ns: base.wall_ns,
-            new_wall_ns: new.wall_ns,
+            base_wall_ns: base.wall_ns(),
+            new_wall_ns: new.wall_ns(),
             stages,
             counters,
             histograms,
@@ -463,13 +570,13 @@ mod tests {
             },
         ];
         let p = Profile::from_events(&ev);
-        assert_eq!(p.wall_ns, 100);
+        assert_eq!(p.wall_ns(), 100);
         assert_eq!(p.stages["run"].self_ns, 40);
         assert_eq!(p.stages["predict"].self_ns, 15);
         assert_eq!(p.stages["decode"].self_ns, 45);
         // Parent/child accounting: self times sum to the wall clock.
         let self_sum: u64 = p.stages.values().map(|s| s.self_ns).sum();
-        assert_eq!(self_sum, p.wall_ns);
+        assert_eq!(self_sum, p.wall_ns());
     }
 
     #[test]
@@ -484,7 +591,7 @@ mod tests {
         assert_eq!(st.total_ns, 60);
         assert_eq!(st.min_ns, 10);
         assert_eq!(st.max_ns, 30);
-        assert_eq!(p.wall_ns, 60);
+        assert_eq!(p.wall_ns(), 60);
     }
 
     #[test]
@@ -530,7 +637,7 @@ mod tests {
         }];
         let p = Profile::from_events(&ev);
         assert!(p.stages.is_empty());
-        assert_eq!(p.wall_ns, 0);
+        assert_eq!(p.wall_ns(), 0);
     }
 
     fn base_and_slow() -> (Profile, Profile) {
@@ -605,7 +712,8 @@ mod tests {
     #[test]
     fn diff_markdown_contains_stage_counter_histogram_deltas() {
         let (b, mut n) = base_and_slow();
-        n.histograms
+        n.metrics
+            .histograms
             .entry("lat".into())
             .or_default()
             .merge(&Histogram::from_parts(1, 7, 7, 7, &[(3, 1)]));

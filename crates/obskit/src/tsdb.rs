@@ -30,8 +30,8 @@
 //! occupied window as a `tsdb.series` [`Event::Meta`] (plus a
 //! `tsdb.config` header, see [`Tsdb::to_events`]), which round-trips
 //! through the existing JSONL format; [`Tsdb::from_events`] rebuilds the
-//! series from a recorded trace for the `dashboard` subcommand and the
-//! exposition renderer.
+//! series when [`crate::Profile::from_events`] folds a recorded trace,
+//! for the `dashboard` subcommand and the exposition renderer.
 //!
 //! [`SlidingCounts`] is the second windowing primitive: an exact
 //! event-time sliding window (deque-based, O(1) amortized per event)
@@ -491,6 +491,16 @@ impl Tsdb {
             out.push(counter("obskit.tsdb.dropped_late", self.dropped_late));
         }
         out
+    }
+
+    /// Is `ev` one that [`Tsdb::from_events`] decodes: a `tsdb.*` meta
+    /// event or one of the store's `obskit.tsdb.*` accounting counters?
+    pub(crate) fn decodes(ev: &Event) -> bool {
+        match ev {
+            Event::Meta { name, .. } => name.starts_with("tsdb."),
+            Event::Counter { name, .. } => name.starts_with("obskit.tsdb."),
+            _ => false,
+        }
     }
 
     /// Rebuild a store from the `tsdb.config`/`tsdb.series` meta events

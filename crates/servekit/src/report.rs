@@ -140,22 +140,6 @@ fn json_ratio(num: u64, den: u64) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the report as a machine-readable JSON object (the `--json` output
 /// of `serve-bench`). Quantiles come from the same [`obskit::Histogram`] as
 /// the markdown report, so the two can never disagree; ratios with a zero
@@ -192,7 +176,7 @@ pub fn render_json(r: &ReportInput) -> String {
             "}}\n"
         ),
         seed = r.seed,
-        predictor = json_escape(&r.predictor),
+        predictor = obskit::json_escape(&r.predictor),
         submitted = r.submitted,
         admitted = r.admitted,
         shed = r.shed,

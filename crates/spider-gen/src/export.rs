@@ -10,29 +10,11 @@
 //! avoids extra dependencies beyond the approved list).
 
 use crate::bench_set::{Benchmark, ExampleItem};
+use obskit::json_escape;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 use storage::{Database, Value};
-
-/// Escape a string for JSON.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One benchmark example as a JSON line.
 pub fn example_to_json(e: &ExampleItem) -> String {
@@ -169,12 +151,6 @@ pub fn export_benchmark(bench: &Benchmark, dir: &Path) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::bench_set::BenchmarkConfig;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("plain"), "plain");
-    }
 
     #[test]
     fn example_json_is_wellformed_ish() {

@@ -16,7 +16,7 @@
 
 use crate::db::Database;
 use crate::value::Value;
-use obskit::Histogram;
+use obskit::{json_escape_into, Histogram};
 use std::fmt::Write as _;
 
 /// Exact statistics for one column.
@@ -179,24 +179,6 @@ fn decode_value(s: &str) -> Result<Option<Value>, String> {
     }
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn hist_json(h: &Histogram, out: &mut String) {
     let _ = write!(
         out,
@@ -220,24 +202,24 @@ impl DbStats {
     /// one line per table.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\"db\":");
-        escape_json(&self.db_id, &mut out);
-        out.push_str(",\"version\":1}\n");
+        out.push_str("{\"db\":\"");
+        json_escape_into(&mut out, &self.db_id);
+        out.push_str("\",\"version\":1}\n");
         for t in &self.tables {
-            out.push_str("{\"table\":");
-            escape_json(&t.name, &mut out);
-            let _ = write!(out, ",\"rows\":{},\"columns\":[", t.rows);
+            out.push_str("{\"table\":\"");
+            json_escape_into(&mut out, &t.name);
+            let _ = write!(out, "\",\"rows\":{},\"columns\":[", t.rows);
             for (i, c) in t.columns.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str("{\"name\":");
-                escape_json(&c.name, &mut out);
-                let _ = write!(out, ",\"ndv\":{},\"nulls\":{},\"min\":", c.ndv, c.nulls);
-                escape_json(&encode_value(&c.min), &mut out);
-                out.push_str(",\"max\":");
-                escape_json(&encode_value(&c.max), &mut out);
-                out.push_str(",\"width\":");
+                out.push_str("{\"name\":\"");
+                json_escape_into(&mut out, &c.name);
+                let _ = write!(out, "\",\"ndv\":{},\"nulls\":{},\"min\":\"", c.ndv, c.nulls);
+                json_escape_into(&mut out, &encode_value(&c.min));
+                out.push_str("\",\"max\":\"");
+                json_escape_into(&mut out, &encode_value(&c.max));
+                out.push_str("\",\"width\":");
                 hist_json(&c.width, &mut out);
                 out.push('}');
             }

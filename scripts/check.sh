@@ -65,11 +65,19 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
-echo "==> perf regression gate (baseline profile diff + flamegraph)"
+echo "==> perf regression gate (baseline profile, profile diff + flamegraph)"
 # The committed baseline/slowdown traces verify the gate machinery itself:
-# an identical pair must pass, the injected-slowdown fixture must be
-# flagged, and the flamegraph renderer must produce a non-empty SVG.
+# the baseline's profile must match its golden byte for byte, an identical
+# pair must pass, the injected-slowdown fixture must be flagged, and the
+# flamegraph renderer must produce a non-empty SVG.
 CLI="cargo run -q --offline -p bench --bin dail_sql_cli --"
+$CLI profile tests/golden/baseline_trace.jsonl > target/baseline-profile.md
+if ! cmp -s target/baseline-profile.md tests/golden/baseline_profile.md; then
+    echo "profile drifted from tests/golden/baseline_profile.md:" >&2
+    diff tests/golden/baseline_profile.md target/baseline-profile.md >&2 || true
+    echo "regenerate with: DAIL_UPDATE_GOLDEN=1 cargo test --test golden" >&2
+    exit 1
+fi
 $CLI profile tests/golden/baseline_trace.jsonl tests/golden/baseline_trace.jsonl \
     --fail-on-regress 10 >/dev/null
 if $CLI profile tests/golden/baseline_trace.jsonl tests/golden/slowdown_trace.jsonl \
