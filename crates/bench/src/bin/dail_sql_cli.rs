@@ -1,29 +1,12 @@
 //! `dail_sql_cli` — command-line front door to the library.
 //!
-//! ```text
-//! dail_sql_cli models                             list the simulated model zoo
-//! dail_sql_cli generate --out DIR [--seed N]      export a benchmark to files
-//! dail_sql_cli ask --question "..." [--model M]   one-off Text-to-SQL on a demo db
-//! dail_sql_cli eval [--pipeline P] [--model M]    evaluate a pipeline, print summary
-//! dail_sql_cli serve-bench [--seed N] [--requests N] [--workers N]
-//!                                                 load-test the serving layer, print report
-//! dail_sql_cli slo-report [serve-bench flags] [--slo-latency-ms N] [--burn-alert B]
-//!                                                 serve the same load, print an SLO /
-//!                                                 burn-rate report
-//! dail_sql_cli metrics TRACE.jsonl                render a trace's counters, gauges and
-//!                                                 histograms as Prometheus text exposition
-//! dail_sql_cli dashboard TRACE.jsonl [--window N] [--tenant T] [--json FILE]
-//!                                                 render the trace's windowed time-series
-//!                                                 as a markdown dashboard
-//! dail_sql_cli select-bench --pool N --queries M --seed S
-//!                                                 benchmark example-selection retrieval,
-//!                                                 print a deterministic markdown report
-//! dail_sql_cli run-experiments --experiment ID    run a paper experiment
-//! dail_sql_cli profile TRACE.jsonl                render a trace as a breakdown
-//! dail_sql_cli profile A.jsonl B.jsonl [--fail-on-regress PCT]
-//!                                                 cross-run profile diff / CI gate
-//! dail_sql_cli flame TRACE.jsonl [-o OUT.svg]     render a trace as a flamegraph
-//! ```
+//! `dail_sql_cli help` prints every command with its flags (see
+//! [`usage`]): the model zoo, benchmark export, one-off questions and
+//! pipeline evaluation; the paper's experiments; serving, SLO and
+//! retrieval/execution benchmarks; persistence and recovery; EXPLAIN and
+//! statistics; and the trace renderers `profile`, `flame`, `metrics` and
+//! `dashboard`. Each command reads a fixed set of `--flag`s, named in its
+//! arm of `main`; any other flag exits 2.
 //!
 //! `eval` and `run-experiments` accept `--trace FILE.jsonl` to record a
 //! full pipeline trace, replayable with the `profile` and `flame`
@@ -34,8 +17,9 @@
 //! variable read is `DAIL_THREADS`, the worker count the library falls
 //! back on; the CLI only warns when it does not parse.
 //!
-//! Exit codes: 0 success, 1 perf regression beyond the `--fail-on-regress`
-//! threshold, 2 usage / unreadable input.
+//! Exit codes: 0 success, 1 a failed check (perf regression beyond the
+//! `--fail-on-regress` threshold, engine divergence, corrupt store), 2
+//! usage / unreadable input.
 
 use dail_core::{C3Style, DailSql, DinSqlStyle, Predictor, ZeroShot};
 use eval::{evaluate_opts, EvalOptions, ExperimentRunner, Scale};
@@ -59,32 +43,109 @@ fn main() {
         .collect();
     let positional: Vec<&String> = rest.iter().take_while(|a| !a.starts_with("--")).collect();
     let flags = parse_flags(rest.iter().cloned());
-    match cmd.as_str() {
-        "models" => models(),
-        "generate" => generate(&flags),
-        "ask" => ask(&flags),
-        "eval" => run_eval(&flags),
-        "explain" => explain_cmd(&positional, &flags),
-        "stats" => stats_cmd(&positional, &flags),
-        "persist" => persist_cmd(&flags),
-        "recover" => recover_cmd(&positional, &flags),
-        "warm-start-bench" => warm_start_bench(&flags),
-        "serve-bench" => serve_bench(&flags),
-        "slo-report" => slo_report(&flags),
-        "select-bench" => select_bench(&flags),
-        "run-experiments" => run_experiments(&flags),
-        "exec-diff" => exec_diff(&flags),
-        "exec-bench" => exec_bench(&flags),
-        "profile" => profile_trace(&positional, &flags),
-        "flame" => flame_trace(&positional, &flags),
-        "metrics" => metrics_trace(&positional),
-        "dashboard" => dashboard_cmd(&positional, &flags),
-        "--help" | "-h" | "help" => usage(),
+    // Each arm names every flag its command reads, directly or through the
+    // shared helpers, and the command; any other `--flag` exits 2.
+    type Run = fn(&[&String], &HashMap<String, String>);
+    let (reads, run): (&[&[&str]], Run) = match cmd.as_str() {
+        "models" => (&[], |_, _| models()),
+        "generate" => (&[&["out"], BENCH_FLAGS], |_, f| generate(f)),
+        "ask" => (&[&["question", "model", "db"], BENCH_FLAGS], |_, f| ask(f)),
+        "eval" => (
+            &[
+                &["threads", "digests", "canonical"],
+                PREDICTOR_FLAGS,
+                TRACE_FLAGS,
+                BENCH_FLAGS,
+            ],
+            |_, f| run_eval(f),
+        ),
+        "explain" => (&[&["analyze", "canonical"], BENCH_FLAGS], explain_cmd),
+        "stats" => (&[&["roundtrip", "out"], BENCH_FLAGS], stats_cmd),
+        "persist" => (&[&["out", "crash-at", "resume"], BENCH_FLAGS], |_, f| {
+            persist_cmd(f)
+        }),
+        "recover" => (&[&["verify"]], recover_cmd),
+        "warm-start-bench" => (&[&["store", "seed", "train", "dev", "json"]], |_, f| {
+            warm_start_bench(f)
+        }),
+        "serve-bench" => (
+            &[
+                &["canonical", "json"],
+                SERVE_FLAGS,
+                PREDICTOR_FLAGS,
+                TRACE_FLAGS,
+                BENCH_FLAGS,
+            ],
+            |_, f| serve_bench(f),
+        ),
+        "slo-report" => (
+            &[
+                &["slo-latency-ms", "burn-alert", "json"],
+                SERVE_FLAGS,
+                PREDICTOR_FLAGS,
+                TRACE_FLAGS,
+                BENCH_FLAGS,
+            ],
+            |_, f| slo_report(f),
+        ),
+        "select-bench" => (
+            &[&["pool", "pool-rows", "queries", "seed", "no-timing", "json"]],
+            |_, f| select_bench(f),
+        ),
+        "run-experiments" => (
+            &[&["experiment", "dev-cap"], TRACE_FLAGS, BENCH_FLAGS],
+            |_, f| run_experiments(f),
+        ),
+        "exec-diff" => (&[BENCH_FLAGS], |_, f| exec_diff(f)),
+        "exec-bench" => (&[&["rows", "engine"], TRACE_FLAGS], |_, f| exec_bench(f)),
+        "profile" => (&[&["fail-on-regress"]], profile_trace),
+        "flame" => (&[&["out", "folded"]], flame_trace),
+        "metrics" => (&[], |p, _| metrics_trace(p)),
+        "dashboard" => (&[&["window", "tenant", "json"]], dashboard_cmd),
+        "--help" | "-h" | "help" => (&[], |_, _| usage()),
         other => {
             eprintln!("unknown command: {other}\n");
             usage();
             std::process::exit(2);
         }
+    };
+    reject_unknown_flags(&cmd, &flags, reads);
+    run(&positional, &flags);
+}
+
+/// Flags [`bench_from_flags`] reads.
+const BENCH_FLAGS: &[&str] = &["seed", "train", "dev", "store"];
+/// Flags [`setup_trace`] reads.
+const TRACE_FLAGS: &[&str] = &["trace", "tsdb-max-series"];
+/// Flags [`build_predictor`] reads.
+const PREDICTOR_FLAGS: &[&str] = &["model", "pipeline"];
+/// Flags [`run_serve`] reads itself; it also calls the three helpers above.
+const SERVE_FLAGS: &[&str] = &[
+    "pipeline",
+    "seed",
+    "error-rate",
+    "spike-rate",
+    "spike-ms",
+    "corrupt-rate",
+    "workers",
+    "queue",
+    "trace-sample",
+    "requests",
+    "mean-gap-ms",
+    "digests",
+];
+
+/// Exit 2 naming the first flag (alphabetically) in none of `sets`, the
+/// flags `cmd` reads: a misspelt flag must not silently run its default.
+fn reject_unknown_flags(cmd: &str, flags: &HashMap<String, String>, sets: &[&[&str]]) {
+    let mut unknown: Vec<&String> = flags
+        .keys()
+        .filter(|k| !sets.iter().any(|set| set.contains(&k.as_str())))
+        .collect();
+    unknown.sort();
+    if let Some(key) = unknown.first() {
+        eprintln!("{cmd}: unknown flag --{key} (see `dail_sql_cli help`)");
+        std::process::exit(2);
     }
 }
 
@@ -140,6 +201,7 @@ fn usage() {
          \u{20}\u{20}slo-report [serve-bench flags] [--slo-latency-ms N] [--burn-alert B] [--json FILE]\n\
          \u{20}\u{20}                                         serve the same seeded load and print a\n\
          \u{20}\u{20}                                         deterministic SLO / burn-rate report\n\
+         \u{20}\u{20}                                         (every serve-bench flag but --canonical)\n\
          \u{20}\u{20}metrics TRACE.jsonl                      render a recorded trace's metrics as\n\
          \u{20}\u{20}                                         Prometheus text exposition\n\
          \u{20}\u{20}dashboard TRACE.jsonl [--window N] [--tenant T] [--json FILE]\n\
@@ -159,13 +221,11 @@ fn usage() {
          \u{20}\u{20}                                         exact scan vs ivf and ivf-int8\n\
          \u{20}\u{20}                                         retrieval with recall@k, training\n\
          \u{20}\u{20}                                         cost, and throughput per point\n\
-         \u{20}\u{20}exec-diff [--train N] [--dev N] [--seed N] [--corpus FILE.sql]\n\
+         \u{20}\u{20}exec-diff [--train N] [--dev N] [--seed N]\n\
          \u{20}\u{20}                                         run every gold query through the\n\
          \u{20}\u{20}                                         columnar engine AND the reference\n\
          \u{20}\u{20}                                         interpreter (both join strategies);\n\
-         \u{20}\u{20}                                         exit 1 unless results are bit-identical;\n\
-         \u{20}\u{20}                                         --corpus replays one SQL-per-line file\n\
-         \u{20}\u{20}                                         on the fixed regression database instead\n\
+         \u{20}\u{20}                                         exit 1 unless results are bit-identical\n\
          \u{20}\u{20}exec-bench [--rows N] [--engine columnar|oracle] [--trace FILE.jsonl]\n\
          \u{20}\u{20}                                         run a fixed scan/filter/join/aggregate\n\
          \u{20}\u{20}                                         workload on a synthetic table through\n\
@@ -425,189 +485,23 @@ fn stats_cmd(positional: &[&String], flags: &HashMap<String, String>) {
     }
 }
 
-/// Bit-exact result equality: stricter than `PartialEq` (NaN payloads and
-/// `-0.0` vs `0.0` both count) — the standard the differential gate holds
-/// the two engines to.
-fn results_bit_eq(a: &storage::ResultSet, b: &storage::ResultSet) -> bool {
-    use storage::Value;
-    fn cell(a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-            _ => a == b,
-        }
-    }
-    a.columns == b.columns
-        && a.rows.len() == b.rows.len()
-        && a.rows
-            .iter()
-            .zip(&b.rows)
-            .all(|(r, s)| r.len() == s.len() && r.iter().zip(s).all(|(x, y)| cell(x, y)))
-}
-
-/// Run one SQL string through both engines under both join strategies;
-/// `Err` carries the divergence report.
-fn diff_one(db: &storage::Database, sql: &str) -> Result<(), String> {
-    use storage::{
-        execute_query_oracle_with, execute_query_with, Engine, ExecOptions, JoinStrategy,
-    };
-    let q = sqlkit::parse_query(sql).map_err(|e| format!("failed to parse ({e}): {sql}"))?;
-    for join in [JoinStrategy::Hash, JoinStrategy::NestedLoop] {
-        let opts = ExecOptions {
-            join,
-            engine: Engine::Columnar,
-        };
-        let oracle = execute_query_oracle_with(db, &q, opts);
-        let columnar = execute_query_with(db, &q, opts);
-        let agree = match (&oracle, &columnar) {
-            (Ok(a), Ok(b)) => results_bit_eq(a, b),
-            (Err(a), Err(b)) => a == b,
-            _ => false,
-        };
-        if !agree {
-            return Err(format!(
-                "ENGINE DIVERGENCE ({join:?}) on {sql}\n  oracle:   {oracle:?}\n  columnar: {columnar:?}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The fixed regression database for `--corpus` replays — a CLI mirror of
-/// `regression_db()` in `crates/storage/tests/exec_differential.rs` (keep
-/// the two in lockstep): every adversarial corner the differential suite
-/// shrinks onto, with `tag` deliberately left empty.
-fn diff_regression_db() -> storage::Database {
-    use storage::schema::{ColType, ColumnDef, DbSchema, ForeignKey, TableSchema};
-    use storage::Value;
-    const BIG: i64 = 9_007_199_254_740_992; // 2^53
-    let schema = DbSchema {
-        db_id: "diff".into(),
-        tables: vec![
-            TableSchema {
-                name: "person".into(),
-                columns: vec![
-                    ColumnDef::new("id", ColType::Int),
-                    ColumnDef::new("grp", ColType::Int),
-                    ColumnDef::new("score", ColType::Float),
-                    ColumnDef::new("name", ColType::Text),
-                ],
-                primary_key: vec![0],
-            },
-            TableSchema {
-                name: "visit".into(),
-                columns: vec![
-                    ColumnDef::new("vid", ColType::Int),
-                    ColumnDef::new("person_id", ColType::Int),
-                    ColumnDef::new("amount", ColType::Float),
-                ],
-                primary_key: vec![0],
-            },
-            TableSchema {
-                name: "tag".into(),
-                columns: vec![
-                    ColumnDef::new("tid", ColType::Int),
-                    ColumnDef::new("label", ColType::Text),
-                ],
-                primary_key: vec![0],
-            },
-        ],
-        foreign_keys: vec![ForeignKey {
-            from_table: "visit".into(),
-            from_column: "person_id".into(),
-            to_table: "person".into(),
-            to_column: "id".into(),
-        }],
-    };
-    let mut db = storage::Database::new(schema);
-    let people: Vec<(i64, Value, Value, Value)> = vec![
-        (0, Value::Int(1), Value::Float(0.0), Value::Str("a".into())),
-        (
-            1,
-            Value::Int(1),
-            Value::Float(-0.0),
-            Value::Str("ab".into()),
-        ),
-        (
-            2,
-            Value::Int(2),
-            Value::Float(f64::NAN),
-            Value::Str("b".into()),
-        ),
-        (3, Value::Null, Value::Null, Value::Null),
-        (
-            4,
-            Value::Int(BIG),
-            Value::Float(1.0),
-            Value::Str(String::new()),
-        ),
-        (
-            5,
-            Value::Int(BIG + 1),
-            Value::Float(1.0 + f64::EPSILON),
-            Value::Str("ac".into()),
-        ),
-        (6, Value::Int(3), Value::Float(0.5), Value::Str("a".into())),
-        (7, Value::Int(3), Value::Float(2.0), Value::Null),
-    ];
-    for (id, grp, score, name) in people {
-        db.insert("person", vec![Value::Int(id), grp, score, name])
-            .expect("regression row inserts");
-    }
-    let visits: Vec<(i64, Value, Value)> = vec![
-        (0, Value::Int(1), Value::Float(0.0)),
-        (1, Value::Int(1), Value::Float(-0.0)),
-        (2, Value::Int(2), Value::Float(f64::NAN)),
-        (3, Value::Null, Value::Float(1.0)),
-        (4, Value::Int(6), Value::Null),
-        (5, Value::Int(99), Value::Float(0.5)),
-    ];
-    for (vid, pid, amount) in visits {
-        db.insert("visit", vec![Value::Int(vid), pid, amount])
-            .expect("regression row inserts");
-    }
-    db
-}
-
 /// `exec-diff`: the differential oracle gate over the benchmark's gold
-/// queries. Every gold query runs through the columnar engine and the
-/// reference interpreter under both join strategies; any non-bit-identical
-/// result (or mismatched error) exits 1. `--corpus FILE` instead replays a
-/// one-SQL-per-line file (`#` comments and blank lines skipped) against
-/// the fixed regression database; a missing or unreadable file exits 2.
+/// queries. Every gold query must satisfy [`storage::check_agreement`]
+/// (columnar engine vs reference interpreter, both join strategies); any
+/// divergence exits 1.
 fn exec_diff(flags: &HashMap<String, String>) {
-    if let Some(path) = flags.get("corpus") {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read corpus {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let db = diff_regression_db();
-        let mut n = 0usize;
-        for line in text.lines() {
-            let sql = line.trim();
-            if sql.is_empty() || sql.starts_with('#') {
-                continue;
-            }
-            if let Err(msg) = diff_one(&db, sql) {
-                eprintln!("{path}: {msg}");
-                std::process::exit(1);
-            }
-            n += 1;
-        }
-        println!(
-            "exec-diff: {n} corpus queries x 2 join strategies — columnar engine and \
-             reference interpreter agree bit-for-bit"
-        );
-        return;
-    }
     let bench = bench_from_flags(flags);
     let mut n = 0usize;
     for item in bench.train.iter().chain(bench.dev.iter()) {
-        let db = bench.db(item);
-        if let Err(msg) = diff_one(db, &item.gold_sql) {
-            eprintln!("{msg}");
+        let q = match sqlkit::parse_query(&item.gold_sql) {
+            Ok(q) => q,
+            Err(e) => {
+                eprintln!("gold query failed to parse ({e}): {}", item.gold_sql);
+                std::process::exit(1);
+            }
+        };
+        if let Err(msg) = storage::check_agreement(bench.db(item), &q) {
+            eprintln!("ENGINE DIVERGENCE on {}\n{msg}", item.gold_sql);
             std::process::exit(1);
         }
         n += 1;
@@ -1208,17 +1102,12 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
     let cfg = servekit::ServeConfig {
         workers: num_flag(flags, "workers", 4usize),
         queue_capacity: num_flag(flags, "queue", 32usize),
-        cache_capacity: 4096,
-        max_attempts: 4,
-        backoff_base_ms: 25,
-        deadline_ms: 2000,
-        time_scale: 0.0,
         // The pipeline fixes its own representation and shot count, so its
-        // name stands in for both in the cache key.
+        // name stands in for both in the cache key (`shots` stays 0).
         repr: pipeline,
-        shots: 0,
         faults,
         trace_sample: rate_flag(flags, "trace-sample", 1.0),
+        ..servekit::ServeConfig::default()
     };
     let load = servekit::LoadConfig {
         seed,
@@ -2121,10 +2010,14 @@ fn load_trace(path: &str) -> Vec<obskit::Event> {
         }
     };
     let (events, warnings) = obskit::parse_jsonl_lossy(&text);
-    // A damaged trace still parses to the one synthetic skipped-lines
-    // counter; only a trace with no *real* events at all is unusable.
-    if events.len() == 1 && !warnings.is_empty() {
-        eprintln!("invalid trace {path}: {}", warnings[0]);
+    // A damaged trace also carries one synthetic skipped-lines counter; a
+    // trace with no *real* event left (empty, blank, or every line
+    // skipped) is unusable, and diffing against it would pass any gate.
+    if events.len() == usize::from(!warnings.is_empty()) {
+        match warnings.first() {
+            Some(w) => eprintln!("invalid trace {path}: {w}"),
+            None => eprintln!("empty trace {path}: no events"),
+        }
         std::process::exit(2);
     }
     for w in &warnings {

@@ -221,6 +221,29 @@ fn profile_rejects_garbage_input() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("line 1"));
     let _ = std::fs::remove_file(&bad);
+
+    // A trace with no event at all, empty or blank, is unusable too: every
+    // renderer rejects it, and diffing against it must not pass the gate
+    // with every stage at -100%.
+    let base = fixture("baseline_trace.jsonl");
+    for (name, text) in [("empty", ""), ("blank", "\n  \n\t\n")] {
+        let path = std::env::temp_dir().join(format!("dail_cli_{name}_trace.jsonl"));
+        std::fs::write(&path, text).unwrap();
+        let path = path.to_str().unwrap();
+        for args in [
+            vec!["profile", path],
+            vec!["flame", path, "--folded"],
+            vec!["metrics", path],
+            vec!["profile", &base, path, "--fail-on-regress", "10"],
+        ] {
+            let out = cli().args(&args).output().expect("binary runs");
+            assert_eq!(out.status.code(), Some(2), "{name}: {args:?}");
+            assert!(out.stdout.is_empty(), "{name}: {args:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("no events"), "{name}: {args:?}: {err}");
+        }
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 // ---- perf-regression gate: flame + profile diff ----
@@ -230,9 +253,41 @@ fn fixture(name: &str) -> String {
     format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
+/// Assert that `actual` equals the committed `tests/golden/{name}` byte
+/// for byte (`what` names the run in a failure), or rewrite the golden
+/// when `DAIL_UPDATE_GOLDEN` is set.
+fn assert_golden(name: &str, what: &str, actual: &[u8]) {
+    let path = fixture(name);
+    if std::env::var("DAIL_UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read(&path).unwrap_or_else(|e| {
+        panic!("golden {name} committed ({e}); regenerate with DAIL_UPDATE_GOLDEN=1")
+    });
+    assert!(
+        actual == expected,
+        "{what} drifted from tests/golden/{name}; if intended, regenerate with \
+         DAIL_UPDATE_GOLDEN=1 cargo test -p bench. Got:\n{}",
+        String::from_utf8_lossy(actual)
+    );
+}
+
 #[test]
 fn profile_diff_identical_pair_passes_the_gate() {
     let base = fixture("baseline_trace.jsonl");
+    // The baseline's own profile, rendered by the CLI, is the golden.
+    let out = cli()
+        .args(["profile", &base])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    assert_golden(
+        "baseline_profile.md",
+        "profile of the baseline",
+        &out.stdout,
+    );
+
     let out = cli()
         .args(["profile", &base, &base, "--fail-on-regress", "10"])
         .output()
@@ -481,9 +536,8 @@ fn eval_is_deterministic_across_dail_threads() {
 
 // ---- serving layer: serve-bench ----
 
-/// The committed golden serve-bench invocation (also exercised by
-/// `scripts/check.sh`). Small benchmark, moderate overload so shedding,
-/// retries and cache hits all appear in the report.
+/// The committed golden serve-bench invocation. Small benchmark, moderate
+/// overload so shedding, retries and cache hits all appear in the report.
 fn serve_bench_cmd(extra: &[&str]) -> Command {
     let mut c = cli();
     c.args([
@@ -548,25 +602,25 @@ fn serve_bench_report_is_deterministic_across_workers() {
 
 #[test]
 fn serve_bench_matches_committed_golden() {
-    let out = serve_bench_cmd(&[]).output().expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let actual = String::from_utf8_lossy(&out.stdout);
-    let golden = fixture("serve_bench_report.md");
-    if std::env::var("DAIL_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&golden, actual.as_bytes()).expect("write golden");
-        return;
+    // The golden is recorded untraced, with no windowed store. A traced
+    // run always owns one, and at 1% or 100% head sampling it may not
+    // change a reported byte.
+    for rate in ["off", "0.01", "1.0"] {
+        let trace = std::env::temp_dir().join(format!("dail_cli_serve_golden_{rate}.jsonl"));
+        let trace = trace.to_str().unwrap();
+        let traced = ["--trace-sample", rate, "--trace", trace];
+        let out = serve_bench_cmd(if rate == "off" { &[] } else { &traced })
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let what = format!("serve-bench report (--trace-sample {rate})");
+        assert_golden("serve_bench_report.md", &what, &out.stdout);
+        let _ = std::fs::remove_file(trace);
     }
-    let expected = std::fs::read_to_string(&golden)
-        .expect("golden report committed; regenerate with DAIL_UPDATE_GOLDEN=1");
-    assert_eq!(
-        actual, expected,
-        "serve-bench report drifted from tests/golden/serve_bench_report.md; \
-         if intended, regenerate with DAIL_UPDATE_GOLDEN=1 cargo test -p bench"
-    );
 }
 
 // ---- request telemetry: trace trees, sampling, exposition, SLOs ----
@@ -786,24 +840,11 @@ fn metrics_exposition_matches_golden_and_parses() {
     let text = String::from_utf8_lossy(&a).to_string();
     let families = obskit::expo::parse(&text).expect("exposition passes the mini-parser");
     assert!(!families.is_empty());
-
-    let golden = fixture("metrics_expo.txt");
-    if std::env::var("DAIL_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&golden, &text).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&golden)
-        .expect("golden exposition committed; regenerate with DAIL_UPDATE_GOLDEN=1");
-    assert_eq!(
-        text, expected,
-        "metrics exposition drifted from tests/golden/metrics_expo.txt; \
-         if intended, regenerate with DAIL_UPDATE_GOLDEN=1 cargo test -p bench"
-    );
+    assert_golden("metrics_expo.txt", "metrics exposition", &a);
 }
 
-/// The committed golden slo-report invocation (also gated by
-/// `scripts/check.sh`): the serve-bench golden load with a burn-rate
-/// threshold tuned so exactly one alert fires.
+/// The committed golden slo-report invocation: the serve-bench golden
+/// load with a burn-rate threshold tuned so exactly one alert fires.
 fn slo_report_cmd(extra: &[&str]) -> Command {
     let mut c = cli();
     c.args([
@@ -857,19 +898,25 @@ fn slo_report_is_deterministic_and_matches_golden() {
         "golden config fires exactly one burn-rate alert:\n{text}"
     );
     assert!(text.contains("| error budget remaining |"), "{text}");
+    assert_golden("slo_report.md", "slo-report", &a);
 
-    let golden = fixture("slo_report.md");
-    if std::env::var("DAIL_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&golden, &text).expect("write golden");
-        return;
+    // Traced at 1% and 100% head sampling (with the windowed store every
+    // traced run owns), the report keeps every byte of the untraced golden.
+    for rate in ["0.01", "1.0"] {
+        let trace = std::env::temp_dir().join(format!("dail_cli_slo_golden_{rate}.jsonl"));
+        let trace = trace.to_str().unwrap();
+        let out = slo_report_cmd(&["--trace-sample", rate, "--trace", trace])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let what = format!("slo-report (--trace-sample {rate})");
+        assert_golden("slo_report.md", &what, &out.stdout);
+        let _ = std::fs::remove_file(trace);
     }
-    let expected = std::fs::read_to_string(&golden)
-        .expect("golden slo-report committed; regenerate with DAIL_UPDATE_GOLDEN=1");
-    assert_eq!(
-        text, expected,
-        "slo-report drifted from tests/golden/slo_report.md; \
-         if intended, regenerate with DAIL_UPDATE_GOLDEN=1 cargo test -p bench"
-    );
 }
 
 #[test]
@@ -965,19 +1012,48 @@ fn dashboard_is_deterministic_and_matches_golden() {
     assert!(profile.contains("- **servekit."), "{profile}");
     assert!(!profile.contains("- **tsdb."), "{profile}");
     let _ = std::fs::remove_file(&t1);
+    assert_golden("dashboard.md", "dashboard", a.as_bytes());
+}
 
-    let golden = fixture("dashboard.md");
-    if std::env::var("DAIL_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&golden, &a).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&golden)
-        .expect("golden dashboard committed; regenerate with DAIL_UPDATE_GOLDEN=1");
-    assert_eq!(
-        a, expected,
-        "dashboard drifted from tests/golden/dashboard.md; \
-         if intended, regenerate with DAIL_UPDATE_GOLDEN=1 cargo test -p bench"
+#[test]
+fn tsdb_series_bound_reroutes_to_overflow() {
+    // With the series bound squeezed to 2, excess label sets reroute to the
+    // `__overflow__` series, and the overflow count shows in both the
+    // dashboard and the exposition.
+    let trace = std::env::temp_dir().join("dail_cli_dash_overflow.jsonl");
+    let _ = std::fs::remove_file(&trace);
+    let out = serve_bench_cmd(&[
+        "--tsdb-max-series",
+        "2",
+        "--trace-sample",
+        "1.0",
+        "--trace",
+        trace.to_str().unwrap(),
+    ])
+    .output()
+    .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let dash = dashboard_output(&trace, &[]);
+    assert!(dash.contains("__overflow__"), "{dash}");
+    assert!(!dash.contains("| overflow | 0 |"), "{dash}");
+    let out = cli()
+        .arg("metrics")
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(&trace);
+    assert!(out.status.success());
+    let expo = String::from_utf8_lossy(&out.stdout);
+    let overflow: u64 = expo
+        .lines()
+        .find_map(|l| l.strip_prefix("obskit_tsdb_overflow "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no obskit_tsdb_overflow sample in:\n{expo}"));
+    assert!(overflow > 0, "overflow counter did not fire");
 }
 
 #[test]
@@ -1110,8 +1186,8 @@ fn unparsable_dail_threads_warns_and_falls_back() {
 
 // ---- explain / stats / digests ----
 
-/// The committed golden explain invocation (also gated by
-/// `scripts/check.sh`): canonical ANALYZE plan for a join + group query.
+/// The committed golden explain invocation: canonical ANALYZE plan for a
+/// join + group query.
 fn explain_cmd_golden() -> Command {
     let mut c = cli();
     c.args([
@@ -1149,18 +1225,7 @@ fn explain_matches_golden_plan() {
     ] {
         assert!(actual.contains(needle), "missing {needle:?} in:\n{actual}");
     }
-    let golden = fixture("explain_plan.txt");
-    if std::env::var("DAIL_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&golden, actual.as_bytes()).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&golden)
-        .expect("golden explain plan committed; regenerate with DAIL_UPDATE_GOLDEN=1");
-    assert_eq!(
-        actual, expected,
-        "explain plan drifted from tests/golden/explain_plan.txt; \
-         if intended, regenerate with DAIL_UPDATE_GOLDEN=1 cargo test -p bench"
-    );
+    assert_golden("explain_plan.txt", "explain plan", &out.stdout);
 }
 
 #[test]
@@ -1581,44 +1646,94 @@ fn store_flag_with_missing_dir_exits_2() {
 }
 
 #[test]
-fn exec_diff_corpus_missing_file_exits_2() {
+fn exec_diff_gold_queries_agree_bit_for_bit() {
+    // Every gold query of the serving golden's benchmark size, through both
+    // engines under both join strategies (exit 1 on any divergence).
     let out = cli()
-        .args(["exec-diff", "--corpus", "/definitely/not/a/corpus.sql"])
+        .args(["exec-diff", "--train", "60", "--dev", "24"])
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("exec-diff: 84 gold queries"), "{text}");
+    assert!(text.contains("agree bit-for-bit"), "{text}");
 }
 
 #[test]
-fn exec_diff_replays_committed_corpora() {
-    for corpus in ["nulls_nan_zeros.sql", "joins_and_planner.sql"] {
-        let path = format!(
-            "{}/../../tests/golden/exec_diff/{corpus}",
-            env!("CARGO_MANIFEST_DIR")
-        );
+fn select_bench_is_thread_invariant_and_pins_the_exact_checksum() {
+    // 6000 rows is above the 4096-row parallel threshold, so DAIL_THREADS=4
+    // really shards the scan; the exact selection's checksum is the golden
+    // recorded before approximate retrieval existed.
+    let run = |threads: &str| {
         let out = cli()
-            .args(["exec-diff", "--corpus", &path])
+            .env("DAIL_THREADS", threads)
+            .args([
+                "select-bench",
+                "--pool",
+                "6000",
+                "--queries",
+                "12",
+                "--seed",
+                "11",
+                "--no-timing",
+            ])
             .output()
             .expect("binary runs");
         assert!(
             out.status.success(),
-            "{corpus}: {}",
+            "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("corpus queries"), "{text}");
-        assert!(text.contains("agree bit-for-bit"), "{text}");
+        out.stdout
+    };
+    let t1 = run("1");
+    assert!(
+        t1 == run("4"),
+        "select-bench report differs between DAIL_THREADS=1 and =4"
+    );
+    let text = String::from_utf8_lossy(&t1);
+    assert!(
+        text.contains("| selection checksum | 0x125a29265b97d94a |"),
+        "exact selection checksum drifted from the pre-IVF golden:\n{text}"
+    );
+}
+
+#[test]
+fn unknown_flag_exits_2_and_names_it() {
+    let corpus = fixture("exec_diff/nulls_nan_zeros.sql");
+    for args in [
+        vec!["serve-bench", "--reqests", "5"],
+        vec!["exec-diff", "--corpus", &corpus],
+        vec!["slo-report", "--canonical"],
+        vec!["models", "--verbose"],
+    ] {
+        let out = cli().args(&args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag {}", args[1])),
+            "{args:?}: {err}"
+        );
     }
 }
 
 #[test]
 fn crash_injected_persist_recovers_to_identical_store() {
+    // The serving golden's benchmark, persisted with a crash injected
+    // mid-commit, recovered and resumed: the page files equal an
+    // uninterrupted persist's, and serving from the recovered store
+    // reproduces the serve-bench golden byte for byte.
     let dir = std::env::temp_dir().join("dail_cli_crash_test");
     let clean = std::env::temp_dir().join("dail_cli_crash_clean");
     for d in [&dir, &clean] {
         let _ = std::fs::remove_dir_all(d);
     }
-    let common = ["--train", "40", "--dev", "10"];
+    let common = ["--seed", "7", "--train", "60", "--dev", "24"];
 
     // Injected crash: the process must die mid-commit, not exit cleanly.
     let out = cli()
@@ -1674,6 +1789,31 @@ fn crash_injected_persist_recovers_to_identical_store() {
         let b = std::fs::read(clean.join(&name)).unwrap();
         assert_eq!(a, b, "{name} differs between recovered and clean persist");
     }
+
+    let out = cli()
+        .args(["recover", dir.to_str().unwrap(), "--verify"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("0 incomplete, 0 corrupt"), "{text}");
+    let out = serve_bench_cmd(&["--store", dir.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_golden(
+        "serve_bench_report.md",
+        "serve-bench from the crash-recovered store",
+        &out.stdout,
+    );
     for d in [&dir, &clean] {
         let _ = std::fs::remove_dir_all(d);
     }

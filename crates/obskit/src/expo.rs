@@ -11,7 +11,7 @@
 //! Output is deterministic: families render in sorted name order (the
 //! snapshot maps are `BTreeMap`s) and label sets are written in a fixed
 //! order, so expositions of the same metrics are byte-identical — which
-//! is what lets `scripts/check.sh` golden-gate them.
+//! is what lets the CLI tests golden-gate them.
 //!
 //! Traces that carry windowed [`crate::tsdb`] series additionally render
 //! OpenMetrics-style *labelled* families — one sample per label set for

@@ -173,15 +173,22 @@ pub fn to_json_line(ev: &Event) -> String {
 
 // ---- parsing ----
 
-/// A minimal JSON value (only the shapes the serializer emits).
+/// A parsed JSON value: the workspace's one JSON reader, shared by the
+/// trace parser here and `storage`'s statistics interchange format.
+/// `true`/`false` are not supported (no format in the workspace emits them).
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+pub enum Json {
+    /// `null`.
     Null,
     /// Integer token (no `.`/`e`), kept exact — `u64::MAX` must round-trip.
     Int(i128),
+    /// Any other number.
     Num(f64),
+    /// A string, unescaped.
     Str(String),
+    /// An array.
     Arr(Vec<Json>),
+    /// An object, fields in input order.
     Obj(Vec<(String, Json)>),
 }
 
@@ -346,7 +353,22 @@ impl<'a> Parser<'a> {
 }
 
 impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
+    /// Parse a whole document: one value, optionally surrounded by
+    /// whitespace. Trailing characters are an error.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            b: text.as_bytes(),
+            i: 0,
+        };
+        let v = p.value()?;
+        match p.peek() {
+            None => Ok(v),
+            Some(_) => Err(format!("trailing characters at byte {}", p.i)),
+        }
+    }
+
+    /// The value of `key` when `self` is an object that has it.
+    pub fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -371,7 +393,8 @@ impl Json {
         }
     }
 
-    fn as_str(&self) -> Option<&str> {
+    /// The string when `self` is one.
+    pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -644,6 +667,15 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("plain"), "plain");
         assert_eq!(json_escape("\r\t\u{1}"), "\\r\\t\\u0001");
+    }
+
+    #[test]
+    fn whole_document_parse_rejects_trailing_characters() {
+        let arr = Json::Arr(vec![Json::Int(1), Json::Str("a".into()), Json::Null]);
+        assert_eq!(Json::parse(" [1, \"a\", null]\n"), Ok(arr));
+        assert!(Json::parse("{} {}").is_err());
+        assert!(Json::parse("1 x").is_err());
+        assert!(Json::parse("").is_err());
     }
 
     #[test]

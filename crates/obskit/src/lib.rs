@@ -11,7 +11,7 @@
 //! * [`Span`] — RAII timers with parent/child nesting (thread-local stack).
 //! * [`Recorder`] — thread-safe event sink; serializes traces to JSONL
 //!   (whose string escaper, [`json_escape`], every crate's JSON output
-//!   shares).
+//!   shares, as `storage`'s statistics reader shares its [`Json`] parser).
 //! * Named counters, gauges and log-scale latency [`Histogram`]s.
 //! * [`Profile`] — the one replay of a recorded trace. One pass builds
 //!   the span forest under one rule (self-times sum to the wall-clock on
@@ -63,7 +63,7 @@ pub use flame::{Flame, FlameNode};
 pub use hist::{bucket_high, bucket_index, bucket_low, Histogram, BUCKETS};
 pub use jsonl::{
     canonical_jsonl, json_escape, json_escape_into, parse_jsonl, parse_jsonl_line,
-    parse_jsonl_lossy, to_json_line, SKIPPED_LINES_COUNTER,
+    parse_jsonl_lossy, to_json_line, Json, SKIPPED_LINES_COUNTER,
 };
 pub use profile::{fmt_ns, fmt_ns_delta, Profile, ProfileDiff, StageDelta, StageStats};
 pub use recorder::{current, enabled, MetricsSnapshot, Recorder, SinkGuard, Span};

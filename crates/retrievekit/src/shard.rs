@@ -5,8 +5,9 @@
 //! rows — below that, thread spawn/join costs more than the scan. Scores
 //! are a pure function of `(row, query)` and shard results carry global
 //! indices, so the merged answer is bit-identical for any worker count
-//! (the `scripts/check.sh` golden gate runs `select-bench` under
-//! `DAIL_THREADS=1` and `=4` and byte-compares the reports).
+//! (the CLI test `select_bench_is_thread_invariant_and_pins_the_exact_checksum`
+//! runs `select-bench` under `DAIL_THREADS=1` and `=4` and byte-compares
+//! the reports).
 
 use crate::matrix::EmbeddingMatrix;
 use crate::topk::{merge_top_k, TopK};

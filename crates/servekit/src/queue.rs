@@ -1,9 +1,9 @@
-//! Bounded MPMC work queue with blocking and non-blocking producers.
+//! Bounded MPMC work queue with blocking producers.
 //!
 //! The queue is the backpressure point of the serving layer: producers
-//! either block until a slot frees up ([`BoundedQueue::push`]) or get the
-//! item handed back immediately ([`BoundedQueue::try_push`]), which the
-//! server surfaces as a typed `Overloaded` outcome — never a panic.
+//! block until a slot frees up ([`BoundedQueue::push`]). Shedding is not
+//! the queue's job: the server's admission model decides it on the
+//! virtual clock and surfaces it as a typed `Overloaded` outcome.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -39,21 +39,6 @@ impl<T> BoundedQueue<T> {
         if obskit::enabled() {
             obskit::current().set_gauge("servekit.queue.depth", depth as f64);
         }
-    }
-
-    /// Non-blocking enqueue. Returns the item back when the queue is full
-    /// or closed — the caller sheds the load instead of waiting.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut g = self.inner.lock().unwrap();
-        if g.closed || g.items.len() >= self.capacity {
-            return Err(item);
-        }
-        g.items.push_back(item);
-        let depth = g.items.len();
-        drop(g);
-        self.note_depth(depth);
-        self.not_empty.notify_one();
-        Ok(())
     }
 
     /// Blocking enqueue: waits for a slot. Returns the item back only if
@@ -101,11 +86,6 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-
-    /// Current number of queued items.
-    pub fn depth(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
-    }
 }
 
 #[cfg(test)]
@@ -114,21 +94,11 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn try_push_sheds_when_full() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(2);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        assert_eq!(q.try_push(3), Err(3), "full queue hands the item back");
-        assert_eq!(q.pop(), Some(1));
-        assert!(q.try_push(3).is_ok(), "slot freed after pop");
-    }
-
-    #[test]
     fn pop_returns_none_after_close_and_drain() {
         let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
+        q.push(1).unwrap();
         q.close();
-        assert_eq!(q.try_push(2), Err(2), "closed queue rejects producers");
+        assert_eq!(q.push(2), Err(2), "closed queue rejects producers");
         assert_eq!(q.pop(), Some(1), "items enqueued before close still drain");
         assert_eq!(q.pop(), None);
     }

@@ -24,9 +24,8 @@
 //! The admission model is intentionally worker-count independent (one
 //! nominal server with a buffer of `queue_capacity`): reports from
 //! `--workers 1` and `--workers 8` are byte-identical and therefore
-//! comparable. Real backpressure on the bounded queue is still exercised —
-//! producers block on a full queue, and [`BoundedQueue::try_push`] gives
-//! the non-blocking shed path (unit-tested in this crate).
+//! comparable. Real backpressure on the bounded queue is still exercised:
+//! producers block on a full queue.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,9 +57,6 @@ pub struct ServeConfig {
     pub backoff_base_ms: u64,
     /// Per-request deadline on simulated service time, in ms.
     pub deadline_ms: u64,
-    /// Scale simulated service time into real sleeps (0.0 = don't sleep;
-    /// useful to watch the pool under realistic pacing).
-    pub time_scale: f64,
     /// Question representation name, part of the cache key.
     pub repr: String,
     /// Few-shot example count, part of the cache key.
@@ -84,7 +80,6 @@ impl Default for ServeConfig {
             max_attempts: 4,
             backoff_base_ms: 25,
             deadline_ms: 2_000,
-            time_scale: 0.0,
             repr: "code".into(),
             shots: 0,
             faults: FaultConfig::default(),
@@ -387,13 +382,8 @@ pub fn serve(
             scope.spawn(move || {
                 let _sink = sink.enter();
                 while let Some(work) = queue.pop() {
-                    let served =
-                        run_attempts(predictor, ctx, &items[work.item_idx], inj, &work, cfg);
+                    let served = run_attempts(predictor, ctx, &items[work.item_idx], inj, &work);
                     retries.fetch_add(u64::from(work.sim.attempts - 1), Ordering::Relaxed);
-                    if cfg.time_scale > 0.0 {
-                        let ms = (work.sim.service_ms as f64 * cfg.time_scale) as u64;
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
                     if matches!(served, Served::Failed { .. })
                         && matches!(work.sim.kind, SimKind::Success { .. })
                     {
@@ -630,7 +620,6 @@ fn run_attempts(
     item: &ExampleItem,
     inj: &FaultInjector,
     work: &WorkItem,
-    _cfg: &ServeConfig,
 ) -> Served {
     let attempts = work.sim.attempts;
     // Spans for the attempts that drew a transient fault (or ran past the

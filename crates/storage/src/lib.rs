@@ -60,7 +60,7 @@ pub use exec::{
     ExecOptions, JoinStrategy, ResultSet,
 };
 pub use explain::{explain_query, OpKind, OpStats, Plan, PlanNode};
-pub use oracle::{execute_query_oracle, execute_query_oracle_with};
+pub use oracle::{check_agreement, execute_query_oracle, execute_query_oracle_with};
 pub use pagestore::{
     load_database, persist_database, recover_store, CrashPoint, StoreError, StoreInfo, StoreResult,
 };

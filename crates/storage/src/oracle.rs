@@ -1,16 +1,18 @@
-//! The differential-testing oracle: the original row-at-a-time interpreter.
+//! The differential-testing oracle: the original row-at-a-time interpreter,
+//! and the agreement rule the columnar engine is held to against it.
 //!
 //! The columnar engine ([`crate::exec::Engine::Columnar`]) never replaced
 //! the tree-walking interpreter — it only front-ends FROM + WHERE when its
 //! planner proves the shape safe, and materializes every output cell from
 //! the same row store. The interpreter therefore remains fully reachable as
 //! the *reference implementation*, and this module pins it down as an
-//! explicit entry point:
+//! explicit entry point. [`check_agreement`] is the one statement of what
+//! "the engines agree" means, and every differential gate calls it:
 //!
-//! * the differential proptest suite executes every generated query through
-//!   both engines and requires `value_eq`-identical results (or identical
-//!   errors);
-//! * the `exec-diff` CLI subcommand does the same over the benchmark's gold
+//! * `crates/storage/tests/exec_differential.rs` runs it on random
+//!   databases and queries, and replays the committed regression corpus
+//!   under `tests/golden/exec_diff/`;
+//! * the `exec-diff` CLI subcommand runs it over the benchmark's gold
 //!   queries;
 //! * `exec-bench --engine oracle` runs the fixed workload through the
 //!   interpreter, the baseline of the step-change perf gate.
@@ -20,7 +22,8 @@
 
 use crate::db::Database;
 use crate::error::ExecResult;
-use crate::exec::{execute_query_with, Engine, ExecOptions, ResultSet};
+use crate::exec::{execute_query_with, Engine, ExecOptions, JoinStrategy, ResultSet};
+use crate::value::Value;
 use sqlkit::ast::Query;
 
 /// Execute a query through the reference interpreter, default options.
@@ -44,6 +47,46 @@ pub fn execute_query_oracle_with(
             ..opts
         },
     )
+}
+
+/// The engine-agreement rule: under both join strategies, the columnar
+/// engine and the reference interpreter return bit-identical results or
+/// equal errors. Bit-identical is stricter than `PartialEq`: same columns,
+/// same row order, and every float cell equal by `to_bits`, so `-0.0` vs
+/// `0.0` and NaN payloads cannot silently diverge. `Err` describes the
+/// first divergence.
+pub fn check_agreement(db: &Database, q: &Query) -> Result<(), String> {
+    fn bits_eq(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        }
+    }
+    for join in [JoinStrategy::Hash, JoinStrategy::NestedLoop] {
+        let opts = ExecOptions {
+            join,
+            engine: Engine::Columnar,
+        };
+        let oracle = execute_query_oracle_with(db, q, opts);
+        let columnar = execute_query_with(db, q, opts);
+        let agree = match (&oracle, &columnar) {
+            (Ok(a), Ok(b)) => {
+                a.columns == b.columns
+                    && a.rows.len() == b.rows.len()
+                    && a.rows.iter().zip(&b.rows).all(|(r, s)| {
+                        r.len() == s.len() && r.iter().zip(s).all(|(x, y)| bits_eq(x, y))
+                    })
+            }
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        };
+        if !agree {
+            return Err(format!(
+                "engines diverge ({join:?})\n  oracle:   {oracle:?}\n  columnar: {columnar:?}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

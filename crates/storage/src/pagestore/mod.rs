@@ -35,9 +35,9 @@
 //! [`persist_database`] aborts the process at the n-th (1-based) hit of the
 //! named site, after deliberately writing a *partial* record where the site
 //! is mid-write. Sites: `mid-frame`, `before-commit`, `mid-commit`,
-//! `after-commit`, `mid-checkpoint`. The check.sh kill-and-recover gate
-//! drives this through `persist --crash-at` to prove recovery determinism
-//! end-to-end.
+//! `after-commit`, `mid-checkpoint`. The kill-and-recover CLI test
+//! (`crash_injected_persist_recovers_to_identical_store`) drives this
+//! through `persist --crash-at` to prove recovery determinism end-to-end.
 
 mod btree;
 mod pager;

@@ -10,13 +10,15 @@
 //! the current obskit sink by [`crate::explain::Plan::record_observations`].
 //!
 //! The JSONL serialization is the committed stats interchange format: one
-//! header line identifying the database, then one line per table. The format
-//! round-trips byte-exactly (`from_jsonl(to_jsonl(s)) == s` and re-serializing
-//! yields identical bytes), which `scripts/check.sh` gates.
+//! header line identifying the database, then one line per table, read back
+//! through obskit's [`Json`] parser. The format round-trips byte-exactly
+//! (`from_jsonl(to_jsonl(s)) == s` and re-serializing yields identical
+//! bytes), which the unit tests below and the CLI test
+//! `stats_round_trip_is_byte_identical` (`stats --roundtrip`) pin.
 
 use crate::db::Database;
 use crate::value::Value;
-use obskit::{json_escape_into, Histogram};
+use obskit::{json_escape_into, Histogram, Json};
 use std::fmt::Write as _;
 
 /// Exact statistics for one column.
@@ -232,57 +234,54 @@ impl DbStats {
     /// a successful parse re-serializes to identical bytes.
     pub fn from_jsonl(text: &str) -> Result<DbStats, String> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = json::parse(lines.next().ok_or("empty stats input")?)?;
+        let header = Json::parse(lines.next().ok_or("empty stats input")?)?;
         let db_id = header
             .get("db")
-            .and_then(json::Json::as_str)
+            .and_then(Json::as_str)
             .ok_or("header line missing \"db\"")?
             .to_string();
         let mut tables = Vec::new();
         for line in lines {
-            let obj = json::parse(line)?;
+            let obj = Json::parse(line)?;
             let name = obj
                 .get("table")
-                .and_then(json::Json::as_str)
+                .and_then(Json::as_str)
                 .ok_or("table line missing \"table\"")?
                 .to_string();
             let rows = obj
                 .get("rows")
-                .and_then(json::Json::as_u64)
+                .and_then(uint)
                 .ok_or("table line missing \"rows\"")?;
             let mut columns = Vec::new();
             for c in obj
                 .get("columns")
-                .and_then(json::Json::as_array)
+                .and_then(array)
                 .ok_or("table line missing \"columns\"")?
             {
                 let get_str = |k: &str| {
                     c.get(k)
-                        .and_then(json::Json::as_str)
+                        .and_then(Json::as_str)
                         .ok_or_else(|| format!("column missing {k:?}"))
                 };
                 let get_u64 = |k: &str| {
                     c.get(k)
-                        .and_then(json::Json::as_u64)
+                        .and_then(uint)
                         .ok_or_else(|| format!("column missing {k:?}"))
                 };
                 let w = c.get("width").ok_or("column missing \"width\"")?;
                 let wu = |k: &str| {
                     w.get(k)
-                        .and_then(json::Json::as_u64)
+                        .and_then(uint)
                         .ok_or_else(|| format!("width missing {k:?}"))
                 };
                 let mut buckets = Vec::new();
                 for pair in w
                     .get("buckets")
-                    .and_then(json::Json::as_array)
+                    .and_then(array)
                     .ok_or("width missing \"buckets\"")?
                 {
-                    let pair = pair.as_array().ok_or("bucket entry must be an array")?;
-                    match (
-                        pair.first().and_then(json::Json::as_u64),
-                        pair.get(1).and_then(json::Json::as_u64),
-                    ) {
+                    let pair = array(pair).ok_or("bucket entry must be an array")?;
+                    match (pair.first().and_then(uint), pair.get(1).and_then(uint)) {
                         (Some(b), Some(n)) if pair.len() == 2 => buckets.push((b as u32, n)),
                         _ => return Err("bad bucket entry".to_string()),
                     }
@@ -312,188 +311,19 @@ impl DbStats {
     }
 }
 
-/// Minimal strict JSON parser — just enough for the stats interchange format
-/// (objects, arrays, strings, unsigned integers). Numbers keep their raw
-/// text so `u64` values round-trip without a float detour.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// A string.
-        Str(String),
-        /// A number, kept as raw text.
-        Num(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object (insertion order preserved).
-        Obj(Vec<(String, Json)>),
+/// A JSON integer that fits `u64`. Stricter than a lenient numeric read:
+/// `null`, floats and negatives are errors, not 0 or a truncation.
+fn uint(v: &Json) -> Option<u64> {
+    match v {
+        Json::Int(i) => u64::try_from(*i).ok(),
+        _ => None,
     }
+}
 
-    impl Json {
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Json::Num(raw) => raw.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(line: &str) -> Result<Json, String> {
-        let chars: Vec<char> = line.chars().collect();
-        let mut pos = 0usize;
-        let v = value(&chars, &mut pos)?;
-        skip_ws(&chars, &mut pos);
-        if pos != chars.len() {
-            return Err(format!("trailing characters at {pos} in {line:?}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(c: &[char], pos: &mut usize) {
-        while *pos < c.len() && c[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(c: &[char], pos: &mut usize, ch: char) -> Result<(), String> {
-        skip_ws(c, pos);
-        if c.get(*pos) == Some(&ch) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {ch:?} at {pos}", pos = *pos))
-        }
-    }
-
-    fn value(c: &[char], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(c, pos);
-        match c.get(*pos) {
-            Some('{') => object(c, pos),
-            Some('[') => array(c, pos),
-            Some('"') => Ok(Json::Str(string(c, pos)?)),
-            Some(ch) if ch.is_ascii_digit() || *ch == '-' => Ok(Json::Num(number(c, pos))),
-            other => Err(format!("unexpected {other:?} at {pos}", pos = *pos)),
-        }
-    }
-
-    fn object(c: &[char], pos: &mut usize) -> Result<Json, String> {
-        expect(c, pos, '{')?;
-        let mut fields = Vec::new();
-        skip_ws(c, pos);
-        if c.get(*pos) == Some(&'}') {
-            *pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            skip_ws(c, pos);
-            let key = string(c, pos)?;
-            expect(c, pos, ':')?;
-            fields.push((key, value(c, pos)?));
-            skip_ws(c, pos);
-            match c.get(*pos) {
-                Some(',') => *pos += 1,
-                Some('}') => {
-                    *pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    fn array(c: &[char], pos: &mut usize) -> Result<Json, String> {
-        expect(c, pos, '[')?;
-        let mut items = Vec::new();
-        skip_ws(c, pos);
-        if c.get(*pos) == Some(&']') {
-            *pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(value(c, pos)?);
-            skip_ws(c, pos);
-            match c.get(*pos) {
-                Some(',') => *pos += 1,
-                Some(']') => {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn string(c: &[char], pos: &mut usize) -> Result<String, String> {
-        if c.get(*pos) != Some(&'"') {
-            return Err(format!("expected string at {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&ch) = c.get(*pos) {
-            *pos += 1;
-            match ch {
-                '"' => return Ok(out),
-                '\\' => {
-                    let esc = c.get(*pos).copied().ok_or("truncated escape")?;
-                    *pos += 1;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let hex: String = c.iter().skip(*pos).take(4).collect();
-                            if hex.len() != 4 {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            *pos += 4;
-                            let code = u32::from_str_radix(&hex, 16).map_err(|e| format!("{e}"))?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("bad escape \\{other}")),
-                    }
-                }
-                other => out.push(other),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(c: &[char], pos: &mut usize) -> String {
-        let start = *pos;
-        if c.get(*pos) == Some(&'-') {
-            *pos += 1;
-        }
-        while c
-            .get(*pos)
-            .is_some_and(|ch| ch.is_ascii_digit() || matches!(ch, '.' | 'e' | 'E' | '+' | '-'))
-        {
-            *pos += 1;
-        }
-        c[start..*pos].iter().collect()
+fn array(v: &Json) -> Option<&[Json]> {
+    match v {
+        Json::Arr(items) => Some(items),
+        _ => None,
     }
 }
 
@@ -593,6 +423,16 @@ mod tests {
         assert!(DbStats::from_jsonl("").is_err());
         assert!(DbStats::from_jsonl("not json\n").is_err());
         assert!(DbStats::from_jsonl("{\"db\":\"x\"}\n{\"rows\":1}\n").is_err());
+        assert!(DbStats::from_jsonl("{\"db\":\"x\"} {}\n").is_err());
+        // A table line is accepted only when every count is a JSON integer
+        // that fits u64: null, floats and negatives do not read as numbers.
+        let table = |rows: &str| {
+            format!("{{\"db\":\"x\"}}\n{{\"table\":\"t\",\"rows\":{rows},\"columns\":[]}}\n")
+        };
+        assert!(DbStats::from_jsonl(&table("1")).is_ok());
+        for rows in ["null", "1.5", "-1"] {
+            assert!(DbStats::from_jsonl(&table(rows)).is_err(), "rows {rows}");
+        }
     }
 
     #[test]

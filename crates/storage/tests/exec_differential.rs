@@ -1,9 +1,9 @@
 //! Differential testing: the columnar engine vs the reference interpreter.
 //!
-//! Every generated (database, query) pair must produce **bit-identical**
-//! results through both engines — same column labels, same row order, same
-//! cell bits (floats compare by `to_bits`, so `-0.0` vs `0.0` and NaN
-//! payloads cannot silently diverge) — or the exact same error. The
+//! Every generated (database, query) pair must satisfy
+//! [`storage::check_agreement`]: **bit-identical** results through both
+//! engines under both join strategies — same column labels, same row
+//! order, same cell bits — or the exact same error. The
 //! generator leans into the adversarial corners the planner special-cases:
 //! NULL-heavy columns, NaN and negative zero, integers beyond 2^53 (where
 //! the f64 prefilter buckets collide), duplicate join keys, and empty
@@ -16,10 +16,7 @@
 use proptest::prelude::*;
 use sqlkit::parse_query;
 use storage::schema::{ColType, ColumnDef, DbSchema, ForeignKey, TableSchema};
-use storage::{
-    execute_query_oracle_with, execute_query_with, Database, Engine, ExecOptions, JoinStrategy,
-    ResultSet, Value,
-};
+use storage::{check_agreement, Database, Value};
 
 /// Three-table schema exercising joins, FKs, and all three column types.
 fn schema() -> DbSchema {
@@ -270,58 +267,10 @@ fn query_strategy() -> BoxedStrategy<String> {
     .boxed()
 }
 
-/// Bit-exact cell equality: stricter than both `PartialEq` (NaN) and
-/// `value_eq` (tolerance). Any representational drift fails.
-fn bits_eq(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
-}
-
-fn strict_eq(a: &ResultSet, b: &ResultSet) -> bool {
-    a.columns == b.columns
-        && a.rows.len() == b.rows.len()
-        && a.rows
-            .iter()
-            .zip(&b.rows)
-            .all(|(r, s)| r.len() == s.len() && r.iter().zip(s).all(|(x, y)| bits_eq(x, y)))
-}
-
-/// Run one query through the oracle and the columnar engine (both join
-/// strategies) and demand bit-identical results or identical errors.
-fn check_agreement(db: &Database, sql: &str) -> Result<(), String> {
-    let q = parse_query(sql).map_err(|e| format!("generated SQL must parse: {e} -- {sql}"))?;
-    for join in [JoinStrategy::Hash, JoinStrategy::NestedLoop] {
-        let opts = ExecOptions {
-            join,
-            engine: Engine::Columnar,
-        };
-        let oracle = execute_query_oracle_with(db, &q, opts);
-        let columnar = execute_query_with(db, &q, opts);
-        match (&oracle, &columnar) {
-            (Ok(a), Ok(b)) => {
-                if !strict_eq(a, b) {
-                    return Err(format!(
-                        "engines diverge ({join:?}) on {sql}\noracle:   {a:?}\ncolumnar: {b:?}"
-                    ));
-                }
-            }
-            (Err(a), Err(b)) => {
-                if a != b {
-                    return Err(format!(
-                        "engines err differently ({join:?}) on {sql}\noracle:   {a}\ncolumnar: {b}"
-                    ));
-                }
-            }
-            _ => {
-                return Err(format!(
-                    "engine status diverges ({join:?}) on {sql}\noracle:   {oracle:?}\ncolumnar: {columnar:?}"
-                ))
-            }
-        }
-    }
-    Ok(())
+/// Parse `sql` and hold the engines to [`check_agreement`] on it.
+fn check_sql(db: &Database, sql: &str) -> Result<(), String> {
+    let q = parse_query(sql).map_err(|e| format!("SQL must parse: {e} -- {sql}"))?;
+    check_agreement(db, &q).map_err(|e| format!("{e}\non {sql}"))
 }
 
 proptest! {
@@ -331,7 +280,7 @@ proptest! {
     /// both engines, bit-identical output.
     #[test]
     fn columnar_engine_matches_oracle(db in db_strategy(), sql in query_strategy()) {
-        if let Err(msg) = check_agreement(&db, &sql) {
+        if let Err(msg) = check_sql(&db, &sql) {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -413,7 +362,7 @@ fn committed_corpus_replays_clean() {
             if sql.is_empty() || sql.starts_with('#') {
                 continue;
             }
-            if let Err(msg) = check_agreement(&db, sql) {
+            if let Err(msg) = check_sql(&db, sql) {
                 panic!("{}: {msg}", path.display());
             }
             n += 1;

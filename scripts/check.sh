@@ -1,6 +1,18 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene gate: formatting, lints, tests, and a print-statement
-# lint for library code. Run from anywhere; operates on the repo root.
+# Repo-wide CI gate. Run from anywhere; operates on the repo root.
+#
+# Every behaviour gate (goldens, byte-identity across threads and trace
+# sampling, the differential engine oracle, crash recovery, exit codes)
+# lives in the Rust suite, run once here by `cargo test --workspace`.
+# This script holds only what that debug-build run cannot:
+#   - fmt, clippy and the workspace test run itself;
+#   - three source lints (print statements in library code,
+#     process-global telemetry, DAIL_ environment readers);
+#   - six gates that need a release build or wall-clock timing: the
+#     telemetry overhead ceiling (wall-clock), the select-bench 3x floor,
+#     ANN sweep determinism (a 20k-row pool, too slow unoptimized), the
+#     1M-row ANN gate, the columnar step-change gate and the warm-start 10x
+#     floor (release-build timings).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,119 +77,13 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
-echo "==> perf regression gate (baseline profile, profile diff + flamegraph)"
-# The committed baseline/slowdown traces verify the gate machinery itself:
-# the baseline's profile must match its golden byte for byte, an identical
-# pair must pass, the injected-slowdown fixture must be flagged, and the
-# flamegraph renderer must produce a non-empty SVG.
-CLI="cargo run -q --offline -p bench --bin dail_sql_cli --"
-$CLI profile tests/golden/baseline_trace.jsonl > target/baseline-profile.md
-if ! cmp -s target/baseline-profile.md tests/golden/baseline_profile.md; then
-    echo "profile drifted from tests/golden/baseline_profile.md:" >&2
-    diff tests/golden/baseline_profile.md target/baseline-profile.md >&2 || true
-    echo "regenerate with: DAIL_UPDATE_GOLDEN=1 cargo test --test golden" >&2
-    exit 1
-fi
-$CLI profile tests/golden/baseline_trace.jsonl tests/golden/baseline_trace.jsonl \
-    --fail-on-regress 10 >/dev/null
-if $CLI profile tests/golden/baseline_trace.jsonl tests/golden/slowdown_trace.jsonl \
-    --fail-on-regress 10 >/dev/null 2>&1; then
-    echo "perf gate failed to flag the injected-slowdown fixture" >&2
-    exit 1
-fi
-$CLI flame tests/golden/baseline_trace.jsonl --out target/flame-baseline.svg 2>/dev/null
-[ -s target/flame-baseline.svg ] || {
-    echo "flamegraph render produced no output" >&2
-    exit 1
-}
-
-echo "==> serve-bench golden report (deterministic serving layer)"
-# The serving layer must produce a byte-identical report for a fixed seed,
-# independent of machine and worker count. Regenerate the golden after an
-# intended change with:  DAIL_UPDATE_GOLDEN=1 cargo test -q -p bench --test cli
-$CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
-    --mean-gap-ms 15 --queue 16 > target/serve-bench-report.md
-if ! cmp -s target/serve-bench-report.md tests/golden/serve_bench_report.md; then
-    echo "serve-bench report drifted from tests/golden/serve_bench_report.md:" >&2
-    diff tests/golden/serve_bench_report.md target/serve-bench-report.md >&2 || true
-    echo "regenerate with: DAIL_UPDATE_GOLDEN=1 cargo test -q -p bench --test cli" >&2
-    exit 1
-fi
-
-echo "==> metrics exposition golden (Prometheus text format)"
-# The exposition of the committed baseline trace must stay byte-stable;
-# regenerate after an intended change with:
-#   DAIL_UPDATE_GOLDEN=1 cargo test -q -p bench --test cli
-$CLI metrics tests/golden/baseline_trace.jsonl > target/metrics-expo.txt
-if ! cmp -s target/metrics-expo.txt tests/golden/metrics_expo.txt; then
-    echo "metrics exposition drifted from tests/golden/metrics_expo.txt:" >&2
-    diff tests/golden/metrics_expo.txt target/metrics-expo.txt >&2 || true
-    echo "regenerate with: DAIL_UPDATE_GOLDEN=1 cargo test -q -p bench --test cli" >&2
-    exit 1
-fi
-
-echo "==> slo-report golden (multi-window burn-rate alerting)"
-# The SLO report for the serve-bench golden load must stay byte-stable
-# and fire exactly one burn-rate alert at the tuned threshold.
-$CLI slo-report --seed 7 --train 60 --dev 24 --requests 120 \
-    --mean-gap-ms 15 --queue 16 --burn-alert 4 > target/slo-report.md
-if ! cmp -s target/slo-report.md tests/golden/slo_report.md; then
-    echo "slo-report drifted from tests/golden/slo_report.md:" >&2
-    diff tests/golden/slo_report.md target/slo-report.md >&2 || true
-    echo "regenerate with: DAIL_UPDATE_GOLDEN=1 cargo test -q -p bench --test cli" >&2
-    exit 1
-fi
-alerts=$(grep -c '^- ALERT' target/slo-report.md || true)
-if [ "$alerts" != "1" ]; then
-    echo "slo-report golden must fire exactly one burn-rate alert, found ${alerts}" >&2
-    exit 1
-fi
-
-echo "==> explain golden plan (canonical ANALYZE rendering)"
-# The canonical (time-zeroed) ANALYZE plan for a fixed join+group query must
-# stay byte-stable — cardinalities, operator order, and estimate display all
-# included. Regenerate after an intended change with:
-#   DAIL_UPDATE_GOLDEN=1 cargo test -q -p bench --test cli
-$CLI explain concert_singer \
-    "SELECT T1.country, count(*) FROM singer AS T1 JOIN concert AS T2 ON T1.singer_id = T2.singer_id WHERE T2.year > 2015 GROUP BY T1.country ORDER BY count(*) DESC LIMIT 3" \
-    --analyze --canonical --train 40 --dev 10 > target/explain-plan.txt
-if ! cmp -s target/explain-plan.txt tests/golden/explain_plan.txt; then
-    echo "explain plan drifted from tests/golden/explain_plan.txt:" >&2
-    diff tests/golden/explain_plan.txt target/explain-plan.txt >&2 || true
-    echo "regenerate with: DAIL_UPDATE_GOLDEN=1 cargo test -q -p bench --test cli" >&2
-    exit 1
-fi
-
-echo "==> table/column statistics JSONL round-trip"
-# Collected statistics must survive serialize -> parse -> serialize
-# byte-identically (the CLI exits 1 on any mismatch).
-$CLI stats concert_singer --roundtrip --train 40 --dev 10 > target/db-stats.jsonl
-[ -s target/db-stats.jsonl ] || {
-    echo "stats subcommand produced no JSONL output" >&2
-    exit 1
-}
-
-echo "==> ANALYZE passivity (report bytes unchanged with stats collection on)"
-# --digests scores through the analyzed executor (per-operator stats
-# collection on) and appends a digest rollup; the report before it must
-# stay byte-identical to the committed golden: the observability layer is
-# strictly passive.
-$CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
-    --mean-gap-ms 15 --queue 16 --digests > target/serve-bench-analyzed.md
-golden_bytes=$(wc -c < tests/golden/serve_bench_report.md)
-if ! cmp -s -n "$golden_bytes" target/serve-bench-analyzed.md tests/golden/serve_bench_report.md; then
-    echo "--digests changed the serve-bench report bytes:" >&2
-    diff tests/golden/serve_bench_report.md \
-        <(head -c "$golden_bytes" target/serve-bench-analyzed.md) >&2 || true
-    exit 1
-fi
-
 echo "==> telemetry overhead ceiling (1% head sampling, tsdb on)"
 # Tracing at a production-like 1% sample rate — with per-operator ANALYZE
 # stats collection AND the windowed time-series store enabled on top —
 # must not meaningfully slow the serving layer. The bound is deliberately
 # loose (2x + 1s slack): it catches pathological per-request overhead,
 # not scheduler noise.
+CLI="cargo run -q --offline -p bench --bin dail_sql_cli --"
 t0=$(date +%s%N)
 $CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
     --mean-gap-ms 15 --queue 16 >/dev/null
@@ -193,103 +99,6 @@ if [ "$t_on" -gt "$ceiling" ]; then
     exit 1
 fi
 echo "    untraced ${t_off}ms, 1%-sampled ${t_on}ms (ceiling ${ceiling}ms)"
-
-echo "==> tsdb passivity gate (report bytes unchanged with tsdb sampled/on)"
-# A traced run always owns a windowed time-series store; it must never
-# change a reported number. serve-bench and slo-report must match their
-# goldens (recorded untraced, with no store) byte-for-byte with requests
-# head-sampled and fully sampled.
-for rate in 0.01 1.0; do
-    $CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
-        --mean-gap-ms 15 --queue 16 --trace-sample "$rate" \
-        --trace target/tsdb-passivity.jsonl > target/serve-bench-tsdb.md 2>/dev/null
-    if ! cmp -s target/serve-bench-tsdb.md tests/golden/serve_bench_report.md; then
-        echo "serve-bench report changed under --trace-sample ${rate}:" >&2
-        diff tests/golden/serve_bench_report.md target/serve-bench-tsdb.md >&2 || true
-        exit 1
-    fi
-    $CLI slo-report --seed 7 --train 60 --dev 24 --requests 120 \
-        --mean-gap-ms 15 --queue 16 --burn-alert 4 --trace-sample "$rate" \
-        --trace target/tsdb-passivity.jsonl > target/slo-report-tsdb.md 2>/dev/null
-    if ! cmp -s target/slo-report-tsdb.md tests/golden/slo_report.md; then
-        echo "slo-report changed under --trace-sample ${rate}:" >&2
-        diff tests/golden/slo_report.md target/slo-report-tsdb.md >&2 || true
-        exit 1
-    fi
-done
-
-echo "==> dashboard golden (byte-stable across DAIL_THREADS 1 vs 4)"
-# The dashboard reads only drain-time tsdb events on the virtual clock,
-# so its bytes must not depend on thread count or worker scheduling.
-# Regenerate with: DAIL_UPDATE_GOLDEN=1 cargo test -q -p bench --test cli
-DAIL_THREADS=1 $CLI serve-bench --seed 7 --train 60 --dev 24 \
-    --requests 120 --mean-gap-ms 15 --queue 16 --workers 1 --trace-sample 1.0 \
-    --trace target/dash-t1.jsonl >/dev/null 2>&1
-DAIL_THREADS=4 $CLI serve-bench --seed 7 --train 60 --dev 24 \
-    --requests 120 --mean-gap-ms 15 --queue 16 --workers 6 --trace-sample 1.0 \
-    --trace target/dash-t4.jsonl >/dev/null 2>&1
-$CLI dashboard target/dash-t1.jsonl > target/dashboard-t1.md
-$CLI dashboard target/dash-t4.jsonl > target/dashboard-t4.md
-if ! cmp -s target/dashboard-t1.md target/dashboard-t4.md; then
-    echo "dashboard differs between DAIL_THREADS=1 and =4:" >&2
-    diff target/dashboard-t1.md target/dashboard-t4.md >&2 || true
-    exit 1
-fi
-if ! cmp -s target/dashboard-t1.md tests/golden/dashboard.md; then
-    echo "dashboard drifted from tests/golden/dashboard.md:" >&2
-    diff tests/golden/dashboard.md target/dashboard-t1.md >&2 || true
-    echo "regenerate with: DAIL_UPDATE_GOLDEN=1 cargo test -q -p bench --test cli" >&2
-    exit 1
-fi
-
-echo "==> tsdb cardinality-bound trip gate (overflow series + counter fire)"
-# With the series bound squeezed to 2, excess label sets must reroute to
-# the __overflow__ series and the overflow counter must fire — loudly
-# visible in both the dashboard and the Prometheus exposition.
-$CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 --mean-gap-ms 15 \
-    --queue 16 --tsdb-max-series 2 --trace-sample 1.0 \
-    --trace target/dash-overflow.jsonl >/dev/null 2>&1
-$CLI dashboard target/dash-overflow.jsonl > target/dashboard-overflow.md
-if ! grep -q '__overflow__' target/dashboard-overflow.md; then
-    echo "cardinality trip left no __overflow__ series in the dashboard" >&2
-    exit 1
-fi
-if grep -q '| overflow | 0 |' target/dashboard-overflow.md; then
-    echo "cardinality trip did not raise the dashboard overflow count" >&2
-    exit 1
-fi
-$CLI metrics target/dash-overflow.jsonl > target/metrics-overflow.txt
-overflow_count=$(sed -n 's/^obskit_tsdb_overflow \([0-9]*\)$/\1/p' target/metrics-overflow.txt)
-if [ -z "$overflow_count" ] || [ "$overflow_count" = "0" ]; then
-    echo "obskit_tsdb_overflow counter missing or zero in the exposition" >&2
-    exit 1
-fi
-echo "    overflow observations rerouted: ${overflow_count}"
-
-echo "==> select-bench determinism gate (byte-identical across DAIL_THREADS)"
-# Selection results must not depend on the worker count: the sharded scan
-# carries global indices and the k-way merge uses the same
-# score-then-index ranking as a single-threaded pass. A pool above the
-# 4096-row parallel threshold makes DAIL_THREADS=4 actually shard.
-DAIL_THREADS=1 $CLI select-bench --pool 6000 --queries 12 --seed 11 --no-timing \
-    > target/select-bench-t1.md
-DAIL_THREADS=4 $CLI select-bench --pool 6000 --queries 12 --seed 11 --no-timing \
-    > target/select-bench-t4.md
-if ! cmp -s target/select-bench-t1.md target/select-bench-t4.md; then
-    echo "select-bench report differs between DAIL_THREADS=1 and =4:" >&2
-    diff target/select-bench-t1.md target/select-bench-t4.md >&2 || true
-    exit 1
-fi
-
-echo "==> exact-selection checksum pin (pre-IVF golden)"
-# The select-bench report above scores the pool with the exact scan; its
-# selection checksum must equal the golden recorded before ANN retrieval
-# existed. (The report is the same for every DAIL_THREADS, as just shown.)
-if ! grep -q '0x125a29265b97d94a' target/select-bench-t1.md; then
-    echo "exact selection checksum drifted from the pre-IVF golden 0x125a29265b97d94a:" >&2
-    grep -i checksum target/select-bench-t1.md >&2 || true
-    exit 1
-fi
 
 echo "==> select-bench perf floor (fast path >= 3x naive reference at 10k rows)"
 # The retrievekit fast path (contiguous f32 matrix + bounded-heap top-k)
@@ -358,12 +167,6 @@ fi
 echo "    1M-row recall@k: ivf ${recall_ivf}, ivf-int8 ${recall_int8}"
 echo "    1M-row speedup vs exact: ivf ${speedup_ivf}x, ivf-int8 ${speedup_int8}x"
 
-echo "==> columnar executor: differential oracle gate"
-# Every gold query must produce bit-identical results through the columnar
-# engine and the reference interpreter, under both join strategies
-# (exec-diff exits 1 on any divergence).
-$CLI exec-diff --train 60 --dev 24 >/dev/null
-
 echo "==> columnar executor: step-change perf gate"
 # Trace the same fixed workload through both engines and require the
 # INVERTED profile gate to flag the oracle run as a regression against the
@@ -387,54 +190,6 @@ if $CLI_REL profile target/exec-columnar.jsonl target/exec-oracle.jsonl \
     exit 1
 fi
 
-echo "==> kill-and-recover determinism gate (crash-injected persist)"
-# Persist the golden benchmark's databases to disk with a crash injected
-# mid-commit (the process must die, not error out cleanly), recover the
-# torn store, resume persistence, and serve the golden load from disk.
-# The report must be byte-identical to the committed golden: a crash plus
-# recovery may not change a single result bit.
-rm -rf target/crash-store
-# (the nested bash keeps its own "Aborted" job notice off our stderr; the
-# trailing exit stops it exec-ing persist directly and dying by the signal)
-rc=0
-bash -c "$CLI_REL persist --seed 7 --train 60 --dev 24 --out target/crash-store \
-    --crash-at mid-commit@2; exit \$?" >/dev/null 2>&1 || rc=$?
-if [ "$rc" -le 128 ]; then
-    echo "crash injector did not fire: persist exited ${rc}, not by a signal" >&2
-    exit 1
-fi
-$CLI_REL recover target/crash-store >/dev/null
-$CLI_REL persist --seed 7 --train 60 --dev 24 --out target/crash-store --resume >/dev/null
-$CLI_REL recover target/crash-store --verify >/dev/null
-$CLI_REL serve-bench --store target/crash-store --seed 7 --train 60 --dev 24 \
-    --requests 120 --mean-gap-ms 15 --queue 16 > target/serve-bench-recovered.md
-if ! cmp -s target/serve-bench-recovered.md tests/golden/serve_bench_report.md; then
-    echo "serve-bench from a crash-recovered store drifted from the golden:" >&2
-    diff tests/golden/serve_bench_report.md target/serve-bench-recovered.md >&2 || true
-    exit 1
-fi
-
-echo "==> recover/exec-diff exit-code contract (2 = usage/missing input)"
-# Missing or unreadable inputs are caller errors (exit 2), distinct from
-# corruption findings (exit 1).
-set +e
-$CLI_REL recover target/definitely-not-a-store >/dev/null 2>&1
-rc_recover=$?
-$CLI_REL exec-diff --corpus target/definitely-not-a-corpus.sql >/dev/null 2>&1
-rc_corpus=$?
-set -e
-if [ "$rc_recover" != "2" ] || [ "$rc_corpus" != "2" ]; then
-    echo "expected exit 2 for missing inputs, got recover=${rc_recover} exec-diff=${rc_corpus}" >&2
-    exit 1
-fi
-
-echo "==> exec-diff corpus replay (committed edge-case statements)"
-# Every committed regression statement must execute bit-identically through
-# the columnar engine and the oracle under both join strategies.
-for corpus in tests/golden/exec_diff/*.sql; do
-    $CLI exec-diff --corpus "$corpus" >/dev/null
-done
-
 echo "==> warm-start perf floor (snapshot load >= 10x cold pool build)"
 # Loading the example pool from a binary snapshot must be at least 10x
 # faster than re-embedding it from scratch, with the loaded selector
@@ -452,14 +207,5 @@ if ! awk -v s="$warm_speedup" 'BEGIN { exit !(s >= 10.0) }'; then
     exit 1
 fi
 echo "    warm-start speedup: ${warm_speedup}x"
-
-echo "==> LIKE pathology timing guard"
-# The iterative LIKE matcher must answer adversarial many-% patterns
-# quickly; the old recursive matcher effectively hung here. 60s is a hard
-# backstop (the tests assert tighter bounds internally).
-timeout 60 cargo test -q --offline -p storage pathological >/dev/null || {
-    echo "pathological LIKE patterns no longer complete in bounded time" >&2
-    exit 1
-}
 
 echo "all checks passed"
