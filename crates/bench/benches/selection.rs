@@ -7,10 +7,7 @@ use bench::small_benchmark;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use retrievekit::{
-    dot_i8, full_sort, quantize_query, top_k, top_k_cosine, EmbeddingMatrix, IvfIndex, IvfParams,
-    QuantizedMatrix, TopK,
-};
+use retrievekit::{full_sort, top_k, top_k_cosine, EmbeddingMatrix, IvfIndex, IvfParams, TopK};
 use std::hint::black_box;
 use textkit::{embed, embed_into, Embedding, DIM};
 
@@ -127,26 +124,6 @@ fn end_to_end(c: &mut Criterion) {
     });
 }
 
-fn int8_kernel(c: &mut Criterion) {
-    // The int8 dot against the f32 matrix kernel at the embedding width:
-    // the quantized kernel trades per-lane precision for i32 accumulation,
-    // so its win here is what pays for the rerank in ivf-int8 mode.
-    let a = embed("how many singers are there in each stadium");
-    let b_ = embed("list the names of all concerts ordered by year");
-    let mut m = EmbeddingMatrix::with_capacity(DIM, 1);
-    m.push_row(&a.0);
-    let quant = QuantizedMatrix::from_matrix(&m);
-    let qq = quantize_query(&b_.0);
-
-    c.bench_function("dot_f32_kernel_512", |b| {
-        b.iter(|| black_box(m.cosine(0, black_box(&b_.0))))
-    });
-
-    c.bench_function("dot_i8_kernel_512", |b| {
-        b.iter(|| black_box(dot_i8(quant.row(0), black_box(&qq.q))))
-    });
-}
-
 fn ivf_probe(c: &mut Criterion) {
     // IVF probe-width sweep on a 10k pool with the near-duplicate question
     // distribution: cost should scale with the probed fraction of the pool
@@ -183,13 +160,5 @@ fn ivf_probe(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    embedder,
-    kernel,
-    topk,
-    end_to_end,
-    int8_kernel,
-    ivf_probe
-);
+criterion_group!(benches, embedder, kernel, topk, end_to_end, ivf_probe);
 criterion_main!(benches);

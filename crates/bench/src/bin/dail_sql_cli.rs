@@ -218,9 +218,9 @@ fn usage() {
          \u{20}\u{20}                                         with --no-timing)\n\
          \u{20}\u{20}select-bench --pool-rows N[,N...] [--queries M] [--seed S] [--json FILE]\n\
          \u{20}\u{20}     [--no-timing]                       ANN sweep instead: per pool size,\n\
-         \u{20}\u{20}                                         exact scan vs ivf and ivf-int8\n\
-         \u{20}\u{20}                                         retrieval with recall@k, training\n\
-         \u{20}\u{20}                                         cost, and throughput per point\n\
+         \u{20}\u{20}                                         exact scan vs ivf retrieval with\n\
+         \u{20}\u{20}                                         recall@k, training cost and\n\
+         \u{20}\u{20}                                         throughput per point\n\
          \u{20}\u{20}exec-diff [--train N] [--dev N] [--seed N]\n\
          \u{20}\u{20}                                         run every gold query through the\n\
          \u{20}\u{20}                                         columnar engine AND the reference\n\
@@ -1131,16 +1131,8 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
         } = outcome
         {
             let item = &bench.dev[req.item_idx];
-            let score = match &mut digests {
-                Some(acc) => {
-                    let (score, observed) = eval::score_item_observed(bench.db(item), item, sql);
-                    if let Some((q, obs)) = observed {
-                        acc.record(&q, obs, Some(score.ex));
-                    }
-                    score
-                }
-                None => eval::score_item_traced(bench.db(item), item, sql, out.traces[i]),
-            };
+            let score =
+                eval::score_item_traced(bench.db(item), item, sql, out.traces[i], digests.as_mut());
             trace.rec.tsdb(|t| {
                 t.counter(
                     "eval.ex_verdicts",
@@ -1750,16 +1742,16 @@ fn sb_question_region(rng: &mut rand::rngs::StdRng) -> String {
 }
 
 /// ANN retrieval sweep (`select-bench --pool-rows N[,N...]`): for each
-/// pool size, measure the exact sharded scan, then IVF (f32) and IVF+int8
-/// retrieval — recall@k against the exact oracle, training cost, and
-/// throughput. `scripts/check.sh` gates recall ≥ 0.99 and a ≥5× speedup
+/// pool size, measure the exact sharded scan, then IVF retrieval —
+/// recall@k against the exact oracle, training cost, and throughput.
+/// `scripts/check.sh` gates recall ≥ 0.99 and a ≥5× speedup
 /// at the 1M-row point from the `--json` output. With `--no-timing` the
 /// report carries no wall-clock numbers and is byte-identical across
 /// machines and `DAIL_THREADS` settings (the determinism gate).
 fn select_bench_sweep(flags: &HashMap<String, String>) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrievekit::{top_k_cosine, EmbeddingMatrix, IvfIndex, IvfParams, QuantizedMatrix};
+    use retrievekit::{top_k_cosine, EmbeddingMatrix, IvfIndex, IvfParams};
     use std::fmt::Write as _;
     use textkit::{embed_into, DIM};
 
@@ -1800,9 +1792,6 @@ fn select_bench_sweep(flags: &HashMap<String, String>) {
     for (t, chunk) in targets.iter().zip(target_rows.chunks_exact_mut(DIM)) {
         embed_into(t, chunk);
     }
-    // int8 mirror of the full pool; a size-n prefix scan only ever touches
-    // rows < n, so one quantization pass serves every sweep point.
-    let quant = QuantizedMatrix::from_matrix(&matrix);
 
     struct Point {
         pool: usize,
@@ -1848,42 +1837,34 @@ fn select_bench_sweep(flags: &HashMap<String, String>) {
         let index = IvfIndex::train(&matrix, n, &IvfParams::default());
         let train_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        for mode in ["ivf", "ivf-int8"] {
-            let t0 = std::time::Instant::now();
-            let approx: Vec<Vec<(f32, u32)>> = target_rows
-                .chunks_exact(DIM)
-                .map(|q| {
-                    if mode == "ivf" {
-                        index.search(&matrix, q, k)
-                    } else {
-                        index.search_quantized(&matrix, &quant, q, k)
-                    }
-                })
-                .collect();
-            let approx_s = t0.elapsed().as_secs_f64();
-            let qps = queries_n as f64 / approx_s.max(1e-9);
-            let mut hit = 0usize;
-            let mut checksum = 0xcbf29ce484222325u64;
-            for (got, want) in approx.iter().zip(&exact) {
-                hit += got
-                    .iter()
-                    .filter(|(_, id)| want.iter().any(|&(_, w)| w == *id))
-                    .count();
-                checksum = sb_checksum(checksum, got);
-            }
-            let recall = hit as f64 / (queries_n * k_eff) as f64;
-            points.push(Point {
-                pool: n,
-                mode,
-                clusters: Some(index.n_clusters()),
-                probe: Some(index.n_probe()),
-                recall: Some(recall),
-                train_ms: timing.then_some(train_ms),
-                qps: timing.then_some(qps),
-                speedup: timing.then_some(qps / exact_qps.max(1e-9)),
-                checksum,
-            });
+        let t0 = std::time::Instant::now();
+        let approx: Vec<Vec<(f32, u32)>> = target_rows
+            .chunks_exact(DIM)
+            .map(|q| index.search(&matrix, q, k))
+            .collect();
+        let approx_s = t0.elapsed().as_secs_f64();
+        let qps = queries_n as f64 / approx_s.max(1e-9);
+        let mut hit = 0usize;
+        let mut checksum = 0xcbf29ce484222325u64;
+        for (got, want) in approx.iter().zip(&exact) {
+            hit += got
+                .iter()
+                .filter(|(_, id)| want.iter().any(|&(_, w)| w == *id))
+                .count();
+            checksum = sb_checksum(checksum, got);
         }
+        let recall = hit as f64 / (queries_n * k_eff) as f64;
+        points.push(Point {
+            pool: n,
+            mode: "ivf",
+            clusters: Some(index.n_clusters()),
+            probe: Some(index.n_probe()),
+            recall: Some(recall),
+            train_ms: timing.then_some(train_ms),
+            qps: timing.then_some(qps),
+            speedup: timing.then_some(qps / exact_qps.max(1e-9)),
+            checksum,
+        });
     }
 
     let opt = |v: Option<f64>, fmt: fn(f64) -> String| match v {

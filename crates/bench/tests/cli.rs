@@ -1365,6 +1365,51 @@ fn serve_bench_digests_section_is_deterministic() {
 }
 
 #[test]
+fn digests_keep_scoring_spans_inside_their_request() {
+    // `--digests` scores through the analyzed executor. It must open the
+    // same parented eval.execution and eval.comparison spans as plain
+    // scoring, with the executor's storage.exec span inside
+    // eval.execution.
+    let spans = |tag: &str, extra: &[&str]| {
+        let trace = std::env::temp_dir().join(format!("dail_cli_scoring_spans_{tag}.jsonl"));
+        let _ = std::fs::remove_file(&trace);
+        let mut args = vec!["--trace", trace.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let out = serve_bench_cmd(&args).output().expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let events = obskit::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&trace);
+        span_index(&events)
+    };
+    let parents = |idx: &std::collections::HashMap<u64, (String, Option<u64>)>, name: &str| {
+        idx.values()
+            .filter(|(n, _)| n == name)
+            .map(|(_, parent)| parent.unwrap_or_else(|| panic!("{name} span has no parent")))
+            .collect::<Vec<u64>>()
+    };
+    let plain = spans("plain", &[]);
+    let digests = spans("digests", &["--digests", "5"]);
+    for name in ["eval.execution", "eval.comparison"] {
+        let n = parents(&plain, name).len();
+        assert!(n > 0, "plain scoring opens {name} spans");
+        assert_eq!(
+            parents(&digests, name).len(),
+            n,
+            "{name} spans under --digests"
+        );
+    }
+    let execs = parents(&digests, "storage.exec");
+    assert_eq!(execs.len(), parents(&digests, "eval.execution").len());
+    for p in execs {
+        assert_eq!(digests[&p].0, "eval.execution", "storage.exec parent");
+    }
+}
+
+#[test]
 fn serve_bench_json_report_has_headline_numbers() {
     let dir = std::env::temp_dir().join("dail_cli_serve_json_test");
     let _ = std::fs::create_dir_all(&dir);
@@ -1526,6 +1571,45 @@ fn persist_then_recover_round_trips() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("0 databases"), "nothing rewritten: {text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recover_verify_flags_a_snapshot_header_bit_flip() {
+    let dir = std::env::temp_dir().join("dail_cli_snapshot_flip_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = cli()
+        .args([
+            "persist",
+            "--out",
+            dir.to_str().unwrap(),
+            "--seed",
+            "7",
+            "--train",
+            "60",
+            "--dev",
+            "24",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Bit 0 of the header's `dim` field (byte 12) turns 512 into 513,
+    // which every stored lane still fits.
+    let snap = dir.join("pool.emb");
+    let mut bytes = std::fs::read(&snap).unwrap();
+    bytes[12] ^= 1;
+    std::fs::write(&snap, &bytes).unwrap();
+    let out = cli()
+        .args(["recover", dir.to_str().unwrap(), "--verify"])
+        .output()
+        .expect("binary runs");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    assert!(text.contains("pool.emb: CORRUPT"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

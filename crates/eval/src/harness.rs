@@ -3,7 +3,7 @@
 
 use crate::cost::CostTally;
 use crate::digest::DigestAccumulator;
-use crate::metrics::{score_item, score_item_observed, ItemScore};
+use crate::metrics::{score_item_traced, ItemScore};
 use dail_core::{PredictCtx, Predictor};
 use promptkit::ExampleSelector;
 use spider_gen::{Benchmark, ExampleItem};
@@ -178,17 +178,13 @@ pub fn evaluate_opts(
                             };
                             let score = {
                                 let _s = item_span.child("score");
-                                match &mut acc {
-                                    Some(acc) => {
-                                        let (score, observed) =
-                                            score_item_observed(bench.db(item), item, &pred.sql);
-                                        if let Some((q, obs)) = observed {
-                                            acc.record(&q, obs, Some(score.ex));
-                                        }
-                                        score
-                                    }
-                                    None => score_item(bench.db(item), item, &pred.sql),
-                                }
+                                score_item_traced(
+                                    bench.db(item),
+                                    item,
+                                    &pred.sql,
+                                    ctx.trace,
+                                    acc.as_mut(),
+                                )
                             };
                             wrec.add_counter("eval.items", 1);
                             wrec.add_counter("eval.prompt_tokens", pred.prompt_tokens as u64);

@@ -1,8 +1,9 @@
 //! Scoring: execution accuracy (EX), exact-set match (EM), validity.
 
+use crate::digest::{DigestAccumulator, QueryObs};
 use spider_gen::ExampleItem;
 use sqlkit::{exact_set_match, parse_query, Query};
-use storage::{execute_query, results_match, Database};
+use storage::{execute_query, execute_query_analyzed, results_match, Database, ExecOptions};
 
 /// Scores for one (gold, prediction) pair.
 #[derive(Debug, Clone, Copy, Default)]
@@ -17,19 +18,25 @@ pub struct ItemScore {
 
 /// Score one predicted SQL string against an item's gold query.
 pub fn score_item(db: &Database, item: &ExampleItem, pred_sql: &str) -> ItemScore {
-    score_item_traced(db, item, pred_sql, obskit::TraceContext::disabled())
+    score_item_traced(db, item, pred_sql, obskit::TraceContext::disabled(), None)
 }
 
 /// [`score_item`] under a request trace context: query execution runs
 /// in an `eval.execution` span and the result comparison in an
 /// `eval.comparison` span, completing the per-request trace tree
-/// (admission → … → execution → comparison). Scores are identical to
-/// the untraced path.
+/// (admission → … → execution → comparison).
+///
+/// With `digests`, the prediction runs through the analyzed executor (its
+/// `storage.exec` span opens inside `eval.execution`) and every prediction
+/// that parses is folded into the rollup with its EX verdict; one that
+/// fails to execute is folded with zeroed counters, so digest counts and
+/// EX-failure rates still include it. Scores are identical on every path.
 pub fn score_item_traced(
     db: &Database,
     item: &ExampleItem,
     pred_sql: &str,
     trace: obskit::TraceContext,
+    digests: Option<&mut DigestAccumulator>,
 ) -> ItemScore {
     let Ok(pred) = parse_query(pred_sql) else {
         return ItemScore::default();
@@ -37,72 +44,44 @@ pub fn score_item_traced(
     let em = exact_set_match(&item.gold, &pred);
     let executed = {
         let (_span, _) = trace.span("eval.execution");
-        execute_query(db, &pred).map(|pred_rs| {
+        let pred_rs = if digests.is_some() {
+            execute_query_analyzed(db, &pred, ExecOptions::default(), None).map(|an| {
+                let obs = QueryObs {
+                    exec_ns: an.plan.total_self_ns(),
+                    rows_scanned: an.plan.rows_scanned(),
+                };
+                (an.result, obs)
+            })
+        } else {
+            execute_query(db, &pred).map(|rs| (rs, QueryObs::default()))
+        };
+        pred_rs.map(|(pred_rs, obs)| {
             let gold_rs = execute_query(db, &item.gold).expect("gold queries always execute");
-            (pred_rs, gold_rs)
+            (pred_rs, gold_rs, obs)
         })
     };
-    let Ok((pred_rs, gold_rs)) = executed else {
-        // EM can hold even for un-executable predictions in principle, but
-        // Spider counts such predictions as failures on both metrics.
-        return ItemScore {
-            valid: false,
-            ex: false,
-            em: false,
-        };
+    // EM can hold even for un-executable predictions in principle, but
+    // Spider counts such predictions as failures on both metrics.
+    let (score, obs) = match executed {
+        Ok((pred_rs, gold_rs, obs)) => {
+            let ordered = has_top_level_order(&item.gold);
+            let ex = {
+                let (_span, _) = trace.span("eval.comparison");
+                results_match(&gold_rs, &pred_rs, ordered)
+            };
+            let score = ItemScore {
+                valid: true,
+                ex,
+                em,
+            };
+            (score, obs)
+        }
+        Err(_) => (ItemScore::default(), QueryObs::default()),
     };
-    let ordered = has_top_level_order(&item.gold);
-    let ex = {
-        let (_span, _) = trace.span("eval.comparison");
-        results_match(&gold_rs, &pred_rs, ordered)
-    };
-    ItemScore {
-        valid: true,
-        ex,
-        em,
+    if let Some(acc) = digests {
+        acc.record(&pred, obs, Some(score.ex));
     }
-}
-
-/// [`score_item`] variant that executes the prediction through the analyzed
-/// path and returns, alongside the (identical) scores, the parsed prediction
-/// plus a [`QueryObs`] observation for the digest rollup.
-///
-/// Returns `None` for the observation only when the prediction does not
-/// parse (there is no query shape to digest). A prediction that parses but
-/// fails to execute is observed with zeroed counters so digest `count` and
-/// EX-failure rates still include it.
-pub fn score_item_observed(
-    db: &Database,
-    item: &ExampleItem,
-    pred_sql: &str,
-) -> (ItemScore, Option<(Query, crate::digest::QueryObs)>) {
-    let Ok(pred) = parse_query(pred_sql) else {
-        return (ItemScore::default(), None);
-    };
-    let em = exact_set_match(&item.gold, &pred);
-    let analyzed =
-        storage::execute_query_analyzed(db, &pred, storage::ExecOptions::default(), None);
-    let Ok(an) = analyzed else {
-        let score = ItemScore {
-            valid: false,
-            ex: false,
-            em: false,
-        };
-        return (score, Some((pred, crate::digest::QueryObs::default())));
-    };
-    let obs = crate::digest::QueryObs {
-        exec_ns: an.plan.total_self_ns(),
-        rows_scanned: an.plan.rows_scanned(),
-    };
-    let gold_rs = execute_query(db, &item.gold).expect("gold queries always execute");
-    let ordered = has_top_level_order(&item.gold);
-    let ex = results_match(&gold_rs, &an.result, ordered);
-    let score = ItemScore {
-        valid: true,
-        ex,
-        em,
-    };
-    (score, Some((pred, obs)))
+    score
 }
 
 fn has_top_level_order(q: &Query) -> bool {

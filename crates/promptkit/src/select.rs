@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use retrievekit::{
-    top_k, top_k_cosine_traced, EmbeddingMatrix, FeatureCache, IvfIndex, IvfParams,
-    QuantizedMatrix, RetrievalMode, SnapshotError, SnapshotSection, SECTION_IVF,
+    top_k, top_k_cosine_traced, EmbeddingMatrix, FeatureCache, IvfIndex, IvfParams, RetrievalMode,
+    SnapshotError,
 };
 use spider_gen::{Benchmark, ExampleItem};
 use sqlkit::{Query, Skeleton};
@@ -85,29 +85,12 @@ struct QueryFeatures {
 /// so even the full experiment grid stays far below this.
 const FEATURE_CACHE_CAPACITY: usize = 8192;
 
-/// Approximate-retrieval state for one embedding matrix: the trained IVF
-/// index, plus the int8 scan mirror when the mode asks for it. The
-/// quantized matrix is never persisted — rebuilding it is a cheap,
-/// deterministic function of the f32 matrix.
-struct AnnState {
-    index: IvfIndex,
-    quant: Option<QuantizedMatrix>,
-}
-
-impl AnnState {
-    /// Train (or adopt a pre-trained index for) one matrix under `mode`.
-    fn build(
-        mode: RetrievalMode,
-        matrix: &EmbeddingMatrix,
-        index: Option<IvfIndex>,
-    ) -> Option<AnnState> {
-        if mode == RetrievalMode::Exact {
-            return None;
-        }
-        let index =
-            index.unwrap_or_else(|| IvfIndex::train(matrix, matrix.len(), &IvfParams::default()));
-        let quant = (mode == RetrievalMode::IvfInt8).then(|| QuantizedMatrix::from_matrix(matrix));
-        Some(AnnState { index, quant })
+/// The IVF index one matrix is searched through under `mode`: `None`
+/// for the exact scan.
+fn train_index(mode: RetrievalMode, matrix: &EmbeddingMatrix) -> Option<IvfIndex> {
+    match mode {
+        RetrievalMode::Exact => None,
+        RetrievalMode::Ivf => Some(IvfIndex::train(matrix, matrix.len(), &IvfParams::default())),
     }
 }
 
@@ -119,8 +102,8 @@ pub struct ExampleSelector<'a> {
     skeletons: Vec<Skeleton>,
     features: FeatureCache<QueryFeatures>,
     masked_targets: FeatureCache<String>,
-    raw_ann: Option<AnnState>,
-    masked_ann: Option<AnnState>,
+    raw_ann: Option<IvfIndex>,
+    masked_ann: Option<IvfIndex>,
 }
 
 impl<'a> ExampleSelector<'a> {
@@ -132,9 +115,8 @@ impl<'a> ExampleSelector<'a> {
         Self::with_retrieval(bench, RetrievalMode::Exact)
     }
 
-    /// [`ExampleSelector::new`] with an explicit retrieval mode; the ANN
-    /// modes are reachable only through this and
-    /// [`ExampleSelector::load_snapshot_with_retrieval`].
+    /// [`ExampleSelector::new`] with an explicit retrieval mode; IVF is
+    /// reachable only through this.
     pub fn with_retrieval(bench: &'a Benchmark, mode: RetrievalMode) -> Self {
         let n = bench.train.len();
         let mut raw = EmbeddingMatrix::with_capacity(DIM, n);
@@ -153,8 +135,8 @@ impl<'a> ExampleSelector<'a> {
             masked.push_row(&row);
             skeletons.push(Skeleton::of(&ex.gold));
         }
-        let raw_ann = AnnState::build(mode, &raw, None);
-        let masked_ann = AnnState::build(mode, &masked, None);
+        let raw_ann = train_index(mode, &raw);
+        let masked_ann = train_index(mode, &masked);
         ExampleSelector {
             pool: &bench.train,
             raw,
@@ -168,26 +150,22 @@ impl<'a> ExampleSelector<'a> {
     }
 
     /// Top-k over one matrix under the active retrieval mode: the exact
-    /// sharded scan when no ANN state exists, else the IVF probe (with
-    /// int8 candidate generation and exact rerank in `ivf-int8` mode).
-    /// Every path ends in full-precision f32 scores with score-desc /
-    /// index-asc tie-breaking.
+    /// sharded scan when no index exists, else the IVF probe. Both paths
+    /// end in full-precision f32 scores with score-desc / index-asc
+    /// tie-breaking.
     fn retrieve(
         &self,
         matrix: &EmbeddingMatrix,
-        ann: &Option<AnnState>,
+        ann: &Option<IvfIndex>,
         query: &[f32],
         k: usize,
         trace: obskit::TraceContext,
     ) -> Vec<(f32, u32)> {
         match ann {
             None => top_k_cosine_traced(matrix, query, matrix.len(), k, trace),
-            Some(a) => {
+            Some(index) => {
                 let (_span, _) = trace.span("retrievekit.score");
-                match &a.quant {
-                    Some(qm) => a.index.search_quantized(matrix, qm, query, k),
-                    None => a.index.search(matrix, query, k),
-                }
+                index.search(matrix, query, k)
             }
         }
     }
@@ -415,13 +393,7 @@ impl<'a> ExampleSelector<'a> {
     /// blob catalogs the pool (`u32` question length + UTF-8 bytes, `u16`
     /// token count + `u16` [`sqlkit::SkelTok`] codes per row) so a later
     /// load can prove the snapshot belongs to the benchmark it is asked to
-    /// serve.
-    ///
-    /// Under an IVF retrieval mode the trained indexes ride along as
-    /// `IVFIDX01` sections (payload: one role byte — 0 raw, 1 masked —
-    /// then [`IvfIndex::to_bytes`]) so warm starts skip k-means. In exact
-    /// mode no sections are written and the file is byte-identical to
-    /// pre-IVF builds.
+    /// serve. A trained IVF index is not saved.
     pub fn save_snapshot(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
         let mut aux = Vec::new();
         for (ex, sk) in self.pool.iter().zip(&self.skeletons) {
@@ -436,18 +408,7 @@ impl<'a> ExampleSelector<'a> {
                 aux.extend_from_slice(&t.to_code().to_le_bytes());
             }
         }
-        let mut sections = Vec::new();
-        for (role, ann) in [(0u8, &self.raw_ann), (1u8, &self.masked_ann)] {
-            if let Some(a) = ann {
-                let mut payload = vec![role];
-                payload.extend_from_slice(&a.index.to_bytes());
-                sections.push(SnapshotSection {
-                    tag: SECTION_IVF,
-                    payload,
-                });
-            }
-        }
-        retrievekit::save_snapshot_with_sections(path, &[&self.raw, &self.masked], &aux, &sections)
+        retrievekit::save_snapshot(path, &[&self.raw, &self.masked], &aux)
     }
 
     /// Rebuild a selector from a snapshot written by
@@ -462,27 +423,12 @@ impl<'a> ExampleSelector<'a> {
     /// a snapshot from a different (or regenerated) benchmark is rejected
     /// rather than silently served. `verify_data` additionally checksums
     /// the f32 blocks (slower; meant for integrity audits, not the warm
-    /// path).
+    /// path). The loaded selector retrieves exactly, like
+    /// [`ExampleSelector::new`].
     pub fn load_snapshot(
         bench: &'a Benchmark,
         path: &std::path::Path,
         verify_data: bool,
-    ) -> Result<Self, SnapshotError> {
-        Self::load_snapshot_with_retrieval(bench, path, verify_data, RetrievalMode::Exact)
-    }
-
-    /// [`ExampleSelector::load_snapshot`] with an explicit retrieval mode.
-    ///
-    /// Under an IVF mode, persisted `IVFIDX01` sections whose shape
-    /// matches the pool are adopted; a snapshot without a usable index
-    /// (e.g. one written by an exact-mode run) falls back to retraining —
-    /// and since training is deterministic, the retrained index (and every
-    /// selection) is identical to what a cold build produces.
-    pub fn load_snapshot_with_retrieval(
-        bench: &'a Benchmark,
-        path: &std::path::Path,
-        verify_data: bool,
-        mode: RetrievalMode,
     ) -> Result<Self, SnapshotError> {
         let corrupt = |m: String| SnapshotError::Corrupt(m);
         let snap = retrievekit::load_snapshot(path, verify_data)?;
@@ -554,30 +500,6 @@ impl<'a> ExampleSelector<'a> {
             )));
         }
 
-        // Recover persisted IVF indexes by role byte. A malformed section
-        // payload is a hard error (the section checksum already passed, so
-        // this is a format skew, not bit rot); a merely *missing* or
-        // wrong-shape index falls back to retraining below.
-        let mut stored: [Option<IvfIndex>; 2] = [None, None];
-        for s in &snap.sections {
-            if s.tag != SECTION_IVF {
-                continue;
-            }
-            let Some((&role, body)) = s.payload.split_first() else {
-                return Err(corrupt("empty IVFIDX01 section payload".into()));
-            };
-            if role > 1 {
-                return Err(corrupt(format!("unknown IVFIDX01 role byte {role}")));
-            }
-            let idx = IvfIndex::from_bytes(body).map_err(&corrupt)?;
-            if idx.rows() == n && idx.dim() == DIM {
-                stored[role as usize] = Some(idx);
-            }
-        }
-        let [stored_raw, stored_masked] = stored;
-        let raw_ann = AnnState::build(mode, &raw, stored_raw);
-        let masked_ann = AnnState::build(mode, &masked, stored_masked);
-
         Ok(ExampleSelector {
             pool: &bench.train,
             raw,
@@ -585,8 +507,8 @@ impl<'a> ExampleSelector<'a> {
             skeletons,
             features: FeatureCache::new(FEATURE_CACHE_CAPACITY),
             masked_targets: FeatureCache::new(FEATURE_CACHE_CAPACITY),
-            raw_ann,
-            masked_ann,
+            raw_ann: None,
+            masked_ann: None,
         })
     }
 }
@@ -984,81 +906,32 @@ mod tests {
     #[test]
     fn ivf_modes_select_k_and_find_exact_duplicates() {
         let b = bench();
-        for mode in [RetrievalMode::Ivf, RetrievalMode::IvfInt8] {
-            let sel = ExampleSelector::with_retrieval(&b, mode);
-            // Query a pool question verbatim: its embedding is an exact
-            // duplicate of a pool row, the probe lands in that row's own
-            // cluster, so top-1 must share the question text.
-            let target = &b.train[b.train.len() / 2];
-            let picked = sel.select(
-                SelectionStrategy::QuestionSimilarity,
-                &target.question,
-                &target.question,
-                None,
-                5,
-                1,
-            );
-            assert_eq!(picked.len(), 5, "{mode:?}");
-            assert_eq!(picked[0].question, target.question, "{mode:?}");
-            for strat in SelectionStrategy::ALL {
-                let got = sel.select(
-                    strat,
-                    "how many things are there",
-                    "how many <mask> are there",
-                    None,
-                    4,
-                    9,
-                );
-                assert_eq!(got.len(), 4, "{mode:?} {strat:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn ivf_warm_start_and_retrain_fallback_match_cold_selections() {
-        let b = bench();
-        let mode = RetrievalMode::IvfInt8;
-        let cold = ExampleSelector::with_retrieval(&b, mode);
-        let dir = std::env::temp_dir();
-        let with_index = dir.join(format!("dail_sel_{}_ivf.emb", std::process::id()));
-        let without_index = dir.join(format!("dail_sel_{}_noivf.emb", std::process::id()));
-        cold.save_snapshot(&with_index).unwrap();
-        // An exact-mode selector writes the section-free version-1 format —
-        // the "old snapshot" a later IVF run must fall back from.
-        ExampleSelector::with_retrieval(&b, RetrievalMode::Exact)
-            .save_snapshot(&without_index)
-            .unwrap();
-        let warm =
-            ExampleSelector::load_snapshot_with_retrieval(&b, &with_index, true, mode).unwrap();
-        let retrained =
-            ExampleSelector::load_snapshot_with_retrieval(&b, &without_index, true, mode).unwrap();
-        assert!(warm.raw_ann.is_some() && retrained.raw_ann.is_some());
-        let draft = sqlkit::parse_query("SELECT count(*) FROM t").unwrap();
+        let sel = ExampleSelector::with_retrieval(&b, RetrievalMode::Ivf);
+        // Query a pool question verbatim: its embedding is an exact
+        // duplicate of a pool row, the probe lands in that row's own
+        // cluster, so top-1 must share the question text.
+        let target = &b.train[b.train.len() / 2];
+        let picked = sel.select(
+            SelectionStrategy::QuestionSimilarity,
+            &target.question,
+            &target.question,
+            None,
+            5,
+            1,
+        );
+        assert_eq!(picked.len(), 5);
+        assert_eq!(picked[0].question, target.question);
         for strat in SelectionStrategy::ALL {
-            for prelim in [None, Some(&draft)] {
-                let pick = |sel: &ExampleSelector| -> Vec<usize> {
-                    sel.select(
-                        strat,
-                        "How many gadgets are there?",
-                        "how many <mask> are there",
-                        prelim,
-                        5,
-                        7,
-                    )
-                    .iter()
-                    .map(|e| e.id)
-                    .collect()
-                };
-                let want = pick(&cold);
-                // Warm start adopts the persisted index; the fallback
-                // retrains — both must reproduce the cold selector exactly
-                // because training is deterministic.
-                assert_eq!(pick(&warm), want, "warm {strat:?}");
-                assert_eq!(pick(&retrained), want, "retrained {strat:?}");
-            }
+            let got = sel.select(
+                strat,
+                "how many things are there",
+                "how many <mask> are there",
+                None,
+                4,
+                9,
+            );
+            assert_eq!(got.len(), 4, "{strat:?}");
         }
-        let _ = std::fs::remove_file(&with_index);
-        let _ = std::fs::remove_file(&without_index);
     }
 
     #[test]

@@ -23,12 +23,14 @@
 //! - centroid updates accumulate `f64` sums sequentially in row order, so
 //!   no floating-point reassociation can leak thread count into results.
 //!
-//! The `proptest_ivf.rs` suite pins all three contracts: thread-count
-//! invariance, full-probe degeneracy (`n_probe = n_clusters` ≡ exact
-//! top-k), and the bounded-error int8 kernel.
+//! The `proptest_ivf.rs` suite pins both halves of the contract:
+//! thread-count invariance of training, and full-probe degeneracy
+//! (`n_probe = n_clusters` ≡ exact top-k).
+//!
+//! An index lives only in memory: a selector trains it when it is built,
+//! and the same inputs always train the same index.
 
 use crate::matrix::{dot, EmbeddingMatrix};
-use crate::quant::{quantize_query, QuantizedMatrix};
 use crate::shard::resolve_threads;
 use crate::topk::TopK;
 
@@ -45,10 +47,6 @@ pub enum RetrievalMode {
     /// same arithmetic as the exact scan, so only unprobed clusters can
     /// cost recall.
     Ivf,
-    /// IVF probe + int8 candidate generation, then exact f32 rerank of the
-    /// shortlist. ~4× less scan bandwidth; the rerank keeps the final
-    /// ordering a function of exact scores.
-    IvfInt8,
 }
 
 impl RetrievalMode {
@@ -57,7 +55,6 @@ impl RetrievalMode {
         match self {
             RetrievalMode::Exact => "exact",
             RetrievalMode::Ivf => "ivf",
-            RetrievalMode::IvfInt8 => "ivf-int8",
         }
     }
 }
@@ -97,7 +94,7 @@ impl Default for IvfParams {
 
 /// A trained IVF index: unit-norm (or zero) centroids plus one ascending
 /// inverted list of row ids per centroid.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct IvfIndex {
     dim: usize,
     rows: usize,
@@ -309,16 +306,6 @@ impl IvfIndex {
         }
     }
 
-    /// Row dimension the index was trained on.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of pool rows the index covers.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Number of clusters.
     pub fn n_clusters(&self) -> usize {
         self.lists.len()
@@ -327,6 +314,11 @@ impl IvfIndex {
     /// Default probe width used by [`IvfIndex::search`].
     pub fn n_probe(&self) -> usize {
         self.n_probe
+    }
+
+    /// Centroids, row-major `n_clusters × dim`, each unit-norm or zero.
+    pub fn centroids(&self) -> &[f32] {
+        &self.centroids
     }
 
     /// Reconstruct the per-row cluster assignment (index `i` → cluster id),
@@ -385,155 +377,6 @@ impl IvfIndex {
             obskit::current().add_counter("retrievekit.ivf_probes", n_probe as u64);
         }
         heap.into_sorted()
-    }
-
-    /// Top-k with int8 candidate generation: probed lists are ranked by the
-    /// quantized i32 dot kernel into a shortlist of `max(16k, 128)`, then the
-    /// shortlist is reranked with exact f32 cosines. The approximate stage
-    /// decides only *which* rows reach the rerank; final scores and
-    /// ordering are full precision.
-    pub fn search_quantized(
-        &self,
-        matrix: &EmbeddingMatrix,
-        quant: &QuantizedMatrix,
-        query: &[f32],
-        k: usize,
-    ) -> Vec<(f32, u32)> {
-        self.search_quantized_with_probe(matrix, quant, query, k, self.n_probe)
-    }
-
-    /// [`Self::search_quantized`] with an explicit probe width.
-    pub fn search_quantized_with_probe(
-        &self,
-        matrix: &EmbeddingMatrix,
-        quant: &QuantizedMatrix,
-        query: &[f32],
-        k: usize,
-        n_probe: usize,
-    ) -> Vec<(f32, u32)> {
-        debug_assert!(quant.len() >= self.rows, "index/quant row mismatch");
-        let qq = quantize_query(query);
-        // The int8 kernel resolves relative score gaps down to roughly
-        // 1/127 per operand; near-duplicate pools pack many candidates
-        // inside that band, so the shortlist must be much wider than k for
-        // the true top-k to survive candidate generation. Reranking is
-        // O(shortlist · d) against an O(candidates · d) scan, so a wide
-        // margin costs almost nothing.
-        let shortlist_n = (16 * k).max(128);
-        let mut shortlist = TopK::new(shortlist_n);
-        let mut scanned = 0u64;
-        for &(_, c) in &self.probe(query, n_probe) {
-            let list = &self.lists[c as usize];
-            scanned += list.len() as u64;
-            for &id in list {
-                shortlist.push(quant.approx_cosine(id as usize, &qq), id);
-            }
-        }
-        if obskit::enabled() {
-            obskit::current().add_counter("retrievekit.scored", scanned);
-            obskit::current().add_counter("retrievekit.ivf_probes", n_probe as u64);
-        }
-        let mut heap = TopK::new(k);
-        for (_, id) in shortlist.into_sorted() {
-            heap.push(matrix.cosine(id as usize, query), id);
-        }
-        heap.into_sorted()
-    }
-
-    /// Serialize to the DAILEMB1 `IVFIDX01` section payload:
-    /// header (`dim`, `n_clusters`, `n_probe`, reserved, `rows`), centroid
-    /// f32 bits, then per-cluster `[len u32][ascending ids u32 …]`, all
-    /// little-endian.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let ids: usize = self.lists.iter().map(|l| l.len()).sum();
-        let mut out =
-            Vec::with_capacity(24 + self.centroids.len() * 4 + self.lists.len() * 4 + ids * 4);
-        out.extend_from_slice(&(self.dim as u32).to_le_bytes());
-        out.extend_from_slice(&(self.lists.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.n_probe as u32).to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&(self.rows as u64).to_le_bytes());
-        for c in &self.centroids {
-            out.extend_from_slice(&c.to_bits().to_le_bytes());
-        }
-        for list in &self.lists {
-            out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-            for id in list {
-                out.extend_from_slice(&id.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Parse a section payload written by [`Self::to_bytes`], validating
-    /// shapes, list ordering, and that every row id appears exactly once.
-    pub fn from_bytes(bytes: &[u8]) -> Result<IvfIndex, String> {
-        fn take<'a>(b: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], String> {
-            if b.len() < n {
-                return Err(format!("ivf index truncated reading {what}"));
-            }
-            let (head, tail) = b.split_at(n);
-            *b = tail;
-            Ok(head)
-        }
-        let mut b = bytes;
-        let u32_at = |raw: &[u8]| u32::from_le_bytes(raw.try_into().unwrap());
-        let dim = u32_at(take(&mut b, 4, "dim")?) as usize;
-        let k = u32_at(take(&mut b, 4, "n_clusters")?) as usize;
-        let n_probe = u32_at(take(&mut b, 4, "n_probe")?) as usize;
-        let reserved = u32_at(take(&mut b, 4, "reserved")?);
-        let rows = u64::from_le_bytes(take(&mut b, 8, "rows")?.try_into().unwrap()) as usize;
-        if reserved != 0 {
-            return Err(format!("ivf index reserved field is {reserved}, want 0"));
-        }
-        if dim == 0 || k == 0 {
-            return Err("ivf index has zero dim or zero clusters".to_string());
-        }
-        if n_probe == 0 || n_probe > k {
-            return Err(format!("ivf index n_probe {n_probe} out of range 1..={k}"));
-        }
-        let mut centroids = Vec::with_capacity(k * dim);
-        for raw in take(&mut b, k * dim * 4, "centroids")?.chunks_exact(4) {
-            centroids.push(f32::from_bits(u32_at(raw)));
-        }
-        let mut lists = Vec::with_capacity(k);
-        let mut seen = vec![false; rows];
-        let mut total = 0usize;
-        for c in 0..k {
-            let len = u32_at(take(&mut b, 4, "list length")?) as usize;
-            let mut list = Vec::with_capacity(len);
-            let mut prev: Option<u32> = None;
-            for raw in take(&mut b, len * 4, "list ids")?.chunks_exact(4) {
-                let id = u32_at(raw);
-                if id as usize >= rows {
-                    return Err(format!("ivf list {c} id {id} out of range (rows {rows})"));
-                }
-                if prev.is_some_and(|p| p >= id) {
-                    return Err(format!("ivf list {c} ids not strictly ascending"));
-                }
-                if seen[id as usize] {
-                    return Err(format!("ivf row id {id} appears in two lists"));
-                }
-                seen[id as usize] = true;
-                prev = Some(id);
-                list.push(id);
-            }
-            total += len;
-            lists.push(list);
-        }
-        if !b.is_empty() {
-            return Err(format!("ivf index has {} trailing bytes", b.len()));
-        }
-        if total != rows {
-            return Err(format!("ivf lists cover {total} rows, header says {rows}"));
-        }
-        Ok(IvfIndex {
-            dim,
-            rows,
-            n_probe,
-            centroids,
-            lists,
-        })
     }
 }
 
@@ -605,75 +448,6 @@ mod tests {
             let got = idx.search(&m, &q, 1);
             assert_eq!(got[0].1, qi as u32, "row {qi} should be its own top-1");
         }
-    }
-
-    #[test]
-    fn quantized_search_reranks_with_exact_scores() {
-        let m = clustered_matrix(400, 32);
-        let quant = QuantizedMatrix::from_matrix(&m);
-        let idx = IvfIndex::train(
-            &m,
-            m.len(),
-            &IvfParams {
-                n_clusters: Some(5),
-                threads: Some(1),
-                ..IvfParams::default()
-            },
-        );
-        let q = m.row(42).to_vec();
-        let got = idx.search_quantized_with_probe(&m, &quant, &q, 4, idx.n_clusters());
-        // Full probe + shortlist ≥ 4k means the true top-4 survive candidate
-        // generation here; scores must be the exact f32 cosines.
-        let want = exact_top_k(&m, &q, 4);
-        assert_eq!(got, want);
-        for &(s, id) in &got {
-            assert_eq!(s.to_bits(), m.cosine(id as usize, &q).to_bits());
-        }
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let m = clustered_matrix(300, 16);
-        let idx = IvfIndex::train(
-            &m,
-            m.len(),
-            &IvfParams {
-                n_clusters: Some(7),
-                threads: Some(1),
-                ..IvfParams::default()
-            },
-        );
-        let bytes = idx.to_bytes();
-        let back = IvfIndex::from_bytes(&bytes).expect("round trip");
-        assert_eq!(back, idx);
-    }
-
-    #[test]
-    fn from_bytes_rejects_corruption() {
-        let m = clustered_matrix(50, 8);
-        let idx = IvfIndex::train(
-            &m,
-            m.len(),
-            &IvfParams {
-                n_clusters: Some(3),
-                threads: Some(1),
-                ..IvfParams::default()
-            },
-        );
-        let good = idx.to_bytes();
-        assert!(IvfIndex::from_bytes(&good[..good.len() - 1])
-            .unwrap_err()
-            .contains("truncated"));
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(IvfIndex::from_bytes(&trailing)
-            .unwrap_err()
-            .contains("trailing"));
-        let mut bad_probe = good.clone();
-        bad_probe[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(IvfIndex::from_bytes(&bad_probe)
-            .unwrap_err()
-            .contains("n_probe"));
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //!   identical output for any worker count;
 //! * per-strategy re-embedding of targets → a shared [`FeatureCache`];
 //! * full-pool scans at million-row scale → an optional [`IvfIndex`]
-//!   (deterministic k-means, probed inverted lists, exact f32 rerank) with
-//!   an int8 [`QuantizedMatrix`] scan for candidate generation, selected
-//!   per selector by a [`RetrievalMode`] — exact stays the default and the
-//!   oracle.
+//!   (deterministic k-means, probed inverted lists, exact f32 rerank),
+//!   selected per selector by a [`RetrievalMode`] — exact stays the
+//!   default and the oracle.
 //!
 //! Instrumentation: `retrievekit.scored` counts candidates scored,
 //! `retrievekit.feature_cache_{hits,misses}` track target reuse, and
@@ -35,7 +34,6 @@
 pub mod cache;
 pub mod ivf;
 pub mod matrix;
-pub mod quant;
 pub mod shard;
 pub mod snapshot;
 pub mod topk;
@@ -43,10 +41,6 @@ pub mod topk;
 pub use cache::FeatureCache;
 pub use ivf::{IvfIndex, IvfParams, RetrievalMode};
 pub use matrix::{dot, EmbeddingMatrix};
-pub use quant::{dot_i8, quantize_query, QuantizedMatrix, QuantizedQuery};
 pub use shard::{resolve_threads, top_k_cosine, top_k_cosine_traced, PARALLEL_THRESHOLD};
-pub use snapshot::{
-    load_snapshot, save_snapshot, save_snapshot_with_sections, Snapshot, SnapshotError,
-    SnapshotSection, SECTION_IVF,
-};
+pub use snapshot::{load_snapshot, save_snapshot, Snapshot, SnapshotError};
 pub use topk::{full_sort, merge_top_k, top_k, TopK};

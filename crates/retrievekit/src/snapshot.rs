@@ -5,29 +5,21 @@
 //!
 //! ```text
 //! header (64 bytes):
-//!   [magic "DAILEMB1": 8] [version: u32] [dim: u32] [total_rows: u64]
-//!   [n_mats: u32] [reserved: u32] [aux_len: u64] [meta_crc: u64]
-//!   [data_crc: u64] [pad: 8]
+//!   [magic "DAILEMB1": 8] [version 3: u32] [dim: u32] [total_rows: u64]
+//!   [n_mats: u32] [reserved 0: u32] [aux_len: u64] [meta_crc: u64]
+//!   [data_crc: u64] [pad 0: 8]
 //! body:
 //!   matrix table            (n_mats × 24 bytes:
-//!                              [rows: u64] [encoding: u8] [pad: 7]
+//!                              [rows: u64] [encoding: u8] [pad 0: 7]
 //!                              [block_len: u64])
 //!   per-matrix norms blocks (rows_i × f32 each, matrix order)
 //!   per-matrix data blocks  (block_len_i bytes each, matrix order)
 //!   aux blob                (aux_len bytes, opaque to this crate)
-//! sections (version 2 only, zero or more after the aux blob):
-//!   [tag: 8] [payload_len: u64] [payload_crc: u64] [payload bytes]
 //! ```
 //!
-//! Sections carry optional derived artifacts — today the trained IVF index
-//! (tag `IVFIDX01`, see [`SECTION_IVF`]) so warm starts skip k-means. A
-//! file with no sections is written as **version 1, byte-identical to the
-//! pre-section format**; sections bump the header version to 2 so a
-//! pre-section reader fails loudly ("unsupported version") instead of
-//! misparsing trailing bytes. The current reader accepts both versions,
-//! returns version-1 files with an empty section list (callers fall back
-//! to retraining), and rejects unknown section tags, bad per-section
-//! checksums, and truncated section headers with clear errors.
+//! The file ends with the aux blob. The reader knows one version, 3;
+//! versions 1 and 2 kept the header outside the checksum, and the reader
+//! rejects them as unsupported.
 //!
 //! A data block is either **dense** (encoding 0: `rows × dim × f32`,
 //! row-major) or **sparse** (encoding 1: per row `[nnz: u16]` then `nnz ×
@@ -42,11 +34,16 @@
 //! decided on bit patterns too (`to_bits() != 0`): a `-0.0` lane is stored
 //! explicitly, never folded into the implicit `+0.0` background.
 //!
-//! Two checksums with different jobs: `meta_crc` (matrix table + norms +
-//! aux) is cheap and verified on every load; `data_crc` covers the data
-//! blocks word-wise and is verified only when the caller asks
-//! ([`load_snapshot`] with `verify_data`) — integrity checking is
-//! available without taxing the warm-start path it exists to keep fast.
+//! Two checksums with different jobs. `meta_crc` covers every byte that
+//! says how to read the rest: the whole header (its own field read as
+//! zero), the matrix table, the norms and the aux blob. It is cheap and
+//! verified on every load. `data_crc` covers the data blocks word-wise and
+//! is verified only when the caller asks ([`load_snapshot`] with
+//! `verify_data`), so integrity checking is available without taxing the
+//! warm-start path it exists to keep fast. Sizes read from the file are
+//! combined with checked arithmetic and bounded by the file length before
+//! anything is allocated from them, so a damaged file is an error, never a
+//! panic or an oversized allocation.
 
 use crate::matrix::EmbeddingMatrix;
 use std::fs;
@@ -54,34 +51,12 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"DAILEMB1";
-const VERSION: u32 = 1;
-const VERSION_SECTIONS: u32 = 2;
+const VERSION: u32 = 3;
 const HEADER_LEN: usize = 64;
+const META_CRC_AT: usize = 40;
 const MAT_ENTRY_LEN: usize = 24;
-const SECTION_HEADER_LEN: usize = 24;
 const ENC_DENSE: u8 = 0;
 const ENC_SPARSE: u8 = 1;
-
-/// Section tag for a serialized [`crate::ivf::IvfIndex`]
-/// (`IvfIndex::to_bytes` payload).
-pub const SECTION_IVF: [u8; 8] = *b"IVFIDX01";
-
-/// Every tag this reader understands. An unknown tag is a hard error: a
-/// section is a derived artifact some writer thought mattered, and
-/// skipping it silently would turn a format skew into a silent retrain or
-/// worse.
-const KNOWN_SECTIONS: &[[u8; 8]] = &[SECTION_IVF];
-
-/// One optional trailing section: an 8-byte ASCII tag naming the payload
-/// format plus the payload itself (opaque at this layer, checksummed
-/// individually on disk).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotSection {
-    /// Format tag (must be one of the known tags, e.g. [`SECTION_IVF`]).
-    pub tag: [u8; 8],
-    /// Payload bytes, verbatim.
-    pub payload: Vec<u8>,
-}
 
 /// Errors from snapshot save/load.
 #[derive(Debug)]
@@ -117,8 +92,6 @@ pub struct Snapshot {
     pub matrices: Vec<EmbeddingMatrix>,
     /// Opaque auxiliary payload (promptkit stores its pool catalog here).
     pub aux: Vec<u8>,
-    /// Optional trailing sections (empty for version-1 files).
-    pub sections: Vec<SnapshotSection>,
 }
 
 /// FNV-1a 64 processed a u64 word at a time — one xor/multiply per eight
@@ -216,7 +189,16 @@ fn decode_dense(bytes: &[u8]) -> Vec<f32> {
 /// Decode a sparse data block into a dense row-major buffer. Rejects
 /// out-of-range lanes, non-ascending lanes, explicit `+0.0` entries
 /// (which would break the encoding's canonical form) and trailing bytes.
+/// Lanes are `u16` and every row spends at least its two-byte count, so
+/// the buffer is allocated only for a block long enough to hold `rows`
+/// rows at a width the encoding can express.
 fn decode_sparse(bytes: &[u8], rows: usize, dim: usize) -> Result<Vec<f32>, String> {
+    if dim > u16::MAX as usize || bytes.len() / 2 < rows {
+        return Err(format!(
+            "sparse block of {} bytes cannot hold {rows} rows at dim {dim}",
+            bytes.len()
+        ));
+    }
     let mut out = vec![0f32; rows * dim];
     let mut off = 0usize;
     for r in 0..rows {
@@ -257,34 +239,26 @@ fn decode_sparse(bytes: &[u8], rows: usize, dim: usize) -> Result<Vec<f32>, Stri
     Ok(out)
 }
 
+/// Checksum of the metadata region: `header_to_data` is the file from its
+/// first byte up to the data blocks, hashed with the `meta_crc` field
+/// zeroed, followed by the aux blob.
+fn meta_checksum(header_to_data: &[u8], aux: &[u8]) -> u64 {
+    let mut joined = Vec::with_capacity(header_to_data.len() + aux.len());
+    joined.extend_from_slice(header_to_data);
+    joined[META_CRC_AT..META_CRC_AT + 8].fill(0);
+    joined.extend_from_slice(aux);
+    fnv1a64_words(&joined)
+}
+
 /// Save matrices plus an opaque `aux` blob to `path`, atomically (write to
 /// a sibling temp file, fsync, rename). All matrices must share one
-/// dimension. Writes the version-1 format — byte-identical to pre-section
-/// builds.
+/// dimension.
 pub fn save_snapshot(
     path: &Path,
     matrices: &[&EmbeddingMatrix],
     aux: &[u8],
 ) -> Result<(), SnapshotError> {
-    save_snapshot_with_sections(path, matrices, aux, &[])
-}
-
-/// [`save_snapshot`] plus trailing sections. With an empty `sections`
-/// slice the output is the version-1 format, bit-for-bit; any section
-/// bumps the header version to 2 so old readers reject the file loudly.
-pub fn save_snapshot_with_sections(
-    path: &Path,
-    matrices: &[&EmbeddingMatrix],
-    aux: &[u8],
-    sections: &[SnapshotSection],
-) -> Result<(), SnapshotError> {
     let dim = matrices.first().map(|m| m.dim()).unwrap_or(1);
-    if let Some(s) = sections.iter().find(|s| !KNOWN_SECTIONS.contains(&s.tag)) {
-        return Err(SnapshotError::Corrupt(format!(
-            "refusing to write unknown section tag {:?}",
-            s.tag
-        )));
-    }
     if matrices.iter().any(|m| m.dim() != dim) {
         return Err(SnapshotError::Corrupt(
             "matrices in one snapshot must share a dimension".into(),
@@ -293,57 +267,36 @@ pub fn save_snapshot_with_sections(
     let total_rows: u64 = matrices.iter().map(|m| m.len() as u64).sum();
 
     let blocks: Vec<(u8, Vec<u8>)> = matrices.iter().map(|m| encode_data(m)).collect();
-    let mut meta = Vec::new();
-    for (m, (enc, block)) in matrices.iter().zip(&blocks) {
-        meta.extend_from_slice(&(m.len() as u64).to_le_bytes());
-        meta.push(*enc);
-        meta.extend_from_slice(&[0u8; 7]);
-        meta.extend_from_slice(&(block.len() as u64).to_le_bytes());
-    }
-    for m in matrices {
-        push_f32s(&mut meta, m.norms());
-    }
     let mut data = Vec::new();
     for (_, block) in &blocks {
         data.extend_from_slice(block);
     }
-    let meta_crc = {
-        let mut joined = meta.clone();
-        joined.extend_from_slice(aux);
-        fnv1a64_words(&joined)
-    };
-    let data_crc = fnv1a64_words(&data);
 
-    let version = if sections.is_empty() {
-        VERSION
-    } else {
-        VERSION_SECTIONS
-    };
-    let sections_len: usize = sections
-        .iter()
-        .map(|s| SECTION_HEADER_LEN + s.payload.len())
-        .sum();
-    let mut out =
-        Vec::with_capacity(HEADER_LEN + meta.len() + data.len() + aux.len() + sections_len);
+    let meta_len = matrices.len() * MAT_ENTRY_LEN + total_rows as usize * 4;
+    let mut out = Vec::with_capacity(HEADER_LEN + meta_len + data.len() + aux.len());
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(dim as u32).to_le_bytes());
     out.extend_from_slice(&total_rows.to_le_bytes());
     out.extend_from_slice(&(matrices.len() as u32).to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
     out.extend_from_slice(&(aux.len() as u64).to_le_bytes());
-    out.extend_from_slice(&meta_crc.to_le_bytes());
-    out.extend_from_slice(&data_crc.to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes()); // meta_crc, patched below
+    out.extend_from_slice(&fnv1a64_words(&data).to_le_bytes());
     out.resize(HEADER_LEN, 0);
-    out.extend_from_slice(&meta);
+    for (m, (enc, block)) in matrices.iter().zip(&blocks) {
+        out.extend_from_slice(&(m.len() as u64).to_le_bytes());
+        out.push(*enc);
+        out.extend_from_slice(&[0u8; 7]);
+        out.extend_from_slice(&(block.len() as u64).to_le_bytes());
+    }
+    for m in matrices {
+        push_f32s(&mut out, m.norms());
+    }
+    let meta_crc = meta_checksum(&out, aux);
+    out[META_CRC_AT..META_CRC_AT + 8].copy_from_slice(&meta_crc.to_le_bytes());
     out.extend_from_slice(&data);
     out.extend_from_slice(aux);
-    for s in sections {
-        out.extend_from_slice(&s.tag);
-        out.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64_words(&s.payload).to_le_bytes());
-        out.extend_from_slice(&s.payload);
-    }
 
     let tmp = tmp_path(path);
     {
@@ -361,8 +314,8 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Load a snapshot. The header and meta checksum (matrix table, norms,
-/// aux) are always verified; pass `verify_data = true` to also checksum
+/// Load a snapshot. The header, matrix table, norms and aux are always
+/// verified against `meta_crc`; pass `verify_data = true` to also checksum
 /// the data blocks (slower — meant for `recover --verify`, not the warm
 /// start).
 pub fn load_snapshot(path: &Path, verify_data: bool) -> Result<Snapshot, SnapshotError> {
@@ -374,79 +327,77 @@ pub fn load_snapshot(path: &Path, verify_data: bool) -> Result<Snapshot, Snapsho
     let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
     let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
     let version = u32_at(8);
-    if version != VERSION && version != VERSION_SECTIONS {
+    if version != VERSION {
         return Err(corrupt(format!(
-            "unsupported version {version} (this reader knows 1 and 2)"
+            "unsupported version {version} (this reader knows {VERSION})"
         )));
     }
     let dim = u32_at(12) as usize;
-    let total_rows = u64_at(16) as usize;
-    let n_mats = u32_at(24) as usize;
-    let aux_len = u64_at(32) as usize;
-    let meta_crc = u64_at(40);
+    let total_rows = u64_at(16);
+    let n_mats = u32_at(24) as u64;
+    let aux_len = u64_at(32);
+    let meta_crc = u64_at(META_CRC_AT);
     let data_crc = u64_at(48);
+    if u32_at(28) != 0 || bytes[56..HEADER_LEN].iter().any(|&b| b != 0) {
+        return Err(corrupt(
+            "reserved or pad bytes in the header are not zero".into(),
+        ));
+    }
     if dim == 0 {
         return Err(corrupt("zero dimension".into()));
     }
-    let table_len = n_mats * MAT_ENTRY_LEN;
-    let norms_len = total_rows * 4;
-    let table_at = HEADER_LEN;
-    let norms_at = table_at + table_len;
-    let data_at = norms_at + norms_len;
-    if bytes.len() < data_at + aux_len {
-        return Err(corrupt(format!(
-            "file is {} bytes, header implies at least {}",
-            bytes.len(),
-            data_at + aux_len
-        )));
-    }
 
-    let mut rows = Vec::with_capacity(n_mats);
-    let mut encs = Vec::with_capacity(n_mats);
-    let mut block_lens = Vec::with_capacity(n_mats);
-    for i in 0..n_mats {
-        let at = table_at + i * MAT_ENTRY_LEN;
-        rows.push(u64_at(at) as usize);
-        encs.push(bytes[at + 8]);
-        block_lens.push(u64_at(at + 16) as usize);
+    // Region bounds in u64 with checked arithmetic; every region must lie
+    // inside the file before it is read.
+    let file_len = bytes.len() as u64;
+    let in_file = |need: Option<u64>| match need {
+        Some(n) if n <= file_len => Ok(n as usize),
+        Some(n) => Err(corrupt(format!(
+            "file is {file_len} bytes, header implies at least {n}"
+        ))),
+        None => Err(corrupt("header sizes overflow".into())),
+    };
+    let table_at = HEADER_LEN;
+    let norms_at = in_file(Some(HEADER_LEN as u64 + n_mats * MAT_ENTRY_LEN as u64))?;
+    let data_at = in_file(
+        total_rows
+            .checked_mul(4)
+            .and_then(|n| n.checked_add(norms_at as u64)),
+    )?;
+
+    // (rows, encoding, block_len) per matrix.
+    let mut table = Vec::with_capacity(n_mats as usize);
+    let (mut rows_sum, mut data_len) = (Some(0u64), Some(0u64));
+    for at in (table_at..norms_at).step_by(MAT_ENTRY_LEN) {
+        if bytes[at + 9..at + 16].iter().any(|&b| b != 0) {
+            return Err(corrupt("pad bytes in the matrix table are not zero".into()));
+        }
+        rows_sum = rows_sum.and_then(|s| s.checked_add(u64_at(at)));
+        data_len = data_len.and_then(|s| s.checked_add(u64_at(at + 16)));
+        table.push((u64_at(at) as usize, bytes[at + 8], u64_at(at + 16) as usize));
     }
-    if rows.iter().sum::<usize>() != total_rows {
+    if rows_sum != Some(total_rows) {
         return Err(corrupt("per-matrix row counts disagree with total".into()));
     }
-    let data_len: usize = block_lens.iter().sum();
-    let aux_at = data_at + data_len;
-    let sections_at = aux_at + aux_len;
-    if version == VERSION && bytes.len() != sections_at {
+    let aux_at = in_file(data_len.and_then(|n| n.checked_add(data_at as u64)))?;
+    let end = in_file((aux_at as u64).checked_add(aux_len))?;
+    if end != bytes.len() {
         return Err(corrupt(format!(
-            "file is {} bytes, header implies {}",
-            bytes.len(),
-            sections_at
+            "file is {file_len} bytes, header implies {end}"
         )));
     }
-    if bytes.len() < sections_at {
-        return Err(corrupt(format!(
-            "file is {} bytes, header implies at least {}",
-            bytes.len(),
-            sections_at
-        )));
-    }
-    let sections = parse_sections(&bytes[sections_at..]).map_err(&corrupt)?;
 
-    let meta_got = {
-        let mut joined = bytes[table_at..data_at].to_vec();
-        joined.extend_from_slice(&bytes[aux_at..sections_at]);
-        fnv1a64_words(&joined)
-    };
-    if meta_got != meta_crc {
+    if meta_checksum(&bytes[..data_at], &bytes[aux_at..]) != meta_crc {
         return Err(corrupt("meta checksum mismatch".into()));
     }
     if verify_data && fnv1a64_words(&bytes[data_at..aux_at]) != data_crc {
         return Err(corrupt("data checksum mismatch".into()));
     }
 
-    let mut matrices = Vec::with_capacity(n_mats);
+    // Every norms block and data block now lies inside the file.
+    let mut matrices = Vec::with_capacity(table.len());
     let (mut norm_off, mut block_off) = (norms_at, data_at);
-    for ((r, enc), block_len) in rows.into_iter().zip(encs).zip(block_lens) {
+    for (r, enc, block_len) in table {
         let mut norms = vec![0f32; r];
         decode_f32s_into(&mut norms, &bytes[norm_off..norm_off + r * 4]);
         norm_off += r * 4;
@@ -454,7 +405,7 @@ pub fn load_snapshot(path: &Path, verify_data: bool) -> Result<Snapshot, Snapsho
         block_off += block_len;
         let data = match enc {
             ENC_DENSE => {
-                if block_len != r * dim * 4 {
+                if r.checked_mul(dim).and_then(|n| n.checked_mul(4)) != Some(block_len) {
                     return Err(corrupt(format!(
                         "dense block is {block_len} bytes for {r} rows at dim {dim}"
                     )));
@@ -468,53 +419,8 @@ pub fn load_snapshot(path: &Path, verify_data: bool) -> Result<Snapshot, Snapsho
     }
     Ok(Snapshot {
         matrices,
-        aux: bytes[aux_at..sections_at].to_vec(),
-        sections,
+        aux: bytes[aux_at..].to_vec(),
     })
-}
-
-/// Parse the trailing section region (empty for version-1 files — the
-/// exact-length check above guarantees `tail` is empty there).
-fn parse_sections(mut tail: &[u8]) -> Result<Vec<SnapshotSection>, String> {
-    let mut sections = Vec::new();
-    while !tail.is_empty() {
-        if tail.len() < SECTION_HEADER_LEN {
-            return Err(format!(
-                "truncated section header ({} trailing bytes)",
-                tail.len()
-            ));
-        }
-        let tag: [u8; 8] = tail[..8].try_into().expect("8-byte tag");
-        let len = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes")) as usize;
-        let crc = u64::from_le_bytes(tail[16..24].try_into().expect("8 bytes"));
-        if !KNOWN_SECTIONS.contains(&tag) {
-            return Err(format!(
-                "unknown section tag {:?} ({})",
-                tag,
-                String::from_utf8_lossy(&tag)
-            ));
-        }
-        if tail.len() < SECTION_HEADER_LEN + len {
-            return Err(format!(
-                "section {} payload truncated ({} of {len} bytes present)",
-                String::from_utf8_lossy(&tag),
-                tail.len() - SECTION_HEADER_LEN
-            ));
-        }
-        let payload = &tail[SECTION_HEADER_LEN..SECTION_HEADER_LEN + len];
-        if fnv1a64_words(payload) != crc {
-            return Err(format!(
-                "section {} checksum mismatch",
-                String::from_utf8_lossy(&tag)
-            ));
-        }
-        sections.push(SnapshotSection {
-            tag,
-            payload: payload.to_vec(),
-        });
-        tail = &tail[SECTION_HEADER_LEN + len..];
-    }
-    Ok(sections)
 }
 
 #[cfg(test)]
@@ -671,100 +577,72 @@ mod tests {
     }
 
     #[test]
-    fn sections_round_trip_and_plain_saves_stay_version_1() {
-        let path = tmp("sections");
-        let m = sparse_sample(6, 64, 3);
-        let ivf = SnapshotSection {
-            tag: SECTION_IVF,
-            payload: vec![7u8; 133],
-        };
-        save_snapshot_with_sections(&path, &[&m], b"aux", std::slice::from_ref(&ivf)).unwrap();
-        let bytes = fs::read(&path).unwrap();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
-        let snap = load_snapshot(&path, true).unwrap();
-        assert_eq!(snap.aux, b"aux");
-        assert_eq!(snap.sections, vec![ivf]);
-        assert_bits_eq(&m, &snap.matrices[0]);
-
-        // No sections → version-1 header, empty section list on load.
-        save_snapshot(&path, &[&m], b"aux").unwrap();
-        let bytes = fs::read(&path).unwrap();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
-        assert!(load_snapshot(&path, true).unwrap().sections.is_empty());
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn unknown_section_tags_and_versions_are_rejected() {
-        let path = tmp("sections_bad");
+    fn unsupported_versions_are_rejected() {
+        let path = tmp("versions");
         let m = dense_sample(3, 8, 0.9);
-        // Writer refuses tags it does not know.
-        let alien = SnapshotSection {
-            tag: *b"WHATISIT",
-            payload: vec![1, 2, 3],
-        };
-        assert!(matches!(
-            save_snapshot_with_sections(&path, &[&m], &[], &[alien]),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        // Reader refuses an on-disk unknown tag.
-        let good = SnapshotSection {
-            tag: SECTION_IVF,
-            payload: vec![9u8; 40],
-        };
-        save_snapshot_with_sections(&path, &[&m], &[], &[good]).unwrap();
+        save_snapshot(&path, &[&m], &[]).unwrap();
         let base = fs::read(&path).unwrap();
-        let sec_at = base.len() - SECTION_HEADER_LEN - 40;
-        let mut bad_tag = base.clone();
-        bad_tag[sec_at..sec_at + 8].copy_from_slice(b"WHATISIT");
-        fs::write(&path, &bad_tag).unwrap();
-        let err = load_snapshot(&path, false).unwrap_err().to_string();
-        assert!(err.contains("unknown section tag"), "{err}");
-        // Reader refuses a corrupted payload.
-        let mut bad_crc = base.clone();
-        *bad_crc.last_mut().unwrap() ^= 0x10;
-        fs::write(&path, &bad_crc).unwrap();
-        let err = load_snapshot(&path, false).unwrap_err().to_string();
-        assert!(err.contains("checksum mismatch"), "{err}");
-        // Reader refuses a truncated section header.
-        let mut short = base.clone();
-        short.truncate(sec_at + 10);
-        fs::write(&path, &short).unwrap();
-        let err = load_snapshot(&path, false).unwrap_err().to_string();
-        assert!(err.contains("truncated"), "{err}");
-        // Reader refuses a future header version.
-        let mut v3 = base.clone();
-        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
-        fs::write(&path, &v3).unwrap();
-        let err = load_snapshot(&path, false).unwrap_err().to_string();
-        assert!(err.contains("unsupported version 3"), "{err}");
+        assert_eq!(u32::from_le_bytes(base[8..12].try_into().unwrap()), 3);
+        // Versions 1 and 2 left the header outside the checksum; a future
+        // version is unknown. None of them may be read as this format.
+        for version in [1u32, 2, 4] {
+            let mut old = base.clone();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &old).unwrap();
+            let err = load_snapshot(&path, false).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unsupported version {version}")),
+                "{err}"
+            );
+        }
         let _ = fs::remove_file(&path);
     }
 
     #[test]
-    fn ivf_index_section_round_trips_through_snapshot() {
-        use crate::ivf::{IvfIndex, IvfParams};
-        let path = tmp("ivf_section");
-        let m = sparse_sample(200, 64, 17);
-        let idx = IvfIndex::train(
-            &m,
-            m.len(),
-            &IvfParams {
-                n_clusters: Some(4),
-                threads: Some(1),
-                ..IvfParams::default()
-            },
-        );
-        let section = SnapshotSection {
-            tag: SECTION_IVF,
-            payload: idx.to_bytes(),
-        };
-        save_snapshot_with_sections(&path, &[&m], b"catalog", &[section]).unwrap();
-        let snap = load_snapshot(&path, true).unwrap();
-        assert_eq!(snap.sections.len(), 1);
-        assert_eq!(snap.sections[0].tag, SECTION_IVF);
-        let back = IvfIndex::from_bytes(&snap.sections[0].payload).unwrap();
-        assert_eq!(back, idx);
+    fn every_header_and_table_bit_flip_is_rejected() {
+        let path = tmp("bitflip");
+        let mut sparse = EmbeddingMatrix::with_dim(16);
+        let mut row = [0f32; 16];
+        row[3] = 0.5;
+        row[9] = -0.0;
+        sparse.push_row(&row);
+        let dense = dense_sample(2, 16, 0.4);
+        // Mixed encodings, and sparse only: there no block length depends
+        // on `dim`, so only the checksum can catch a wider `dim`.
+        for mats in [[&sparse, &dense], [&sparse, &sparse]] {
+            save_snapshot(&path, &mats, b"aux").unwrap();
+            let good = fs::read(&path).unwrap();
+            assert!(load_snapshot(&path, true).is_ok());
+            for bit in 0..(HEADER_LEN + 2 * MAT_ENTRY_LEN) * 8 {
+                let mut bad = good.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                fs::write(&path, &bad).unwrap();
+                match load_snapshot(&path, true) {
+                    Err(SnapshotError::Corrupt(_)) => {}
+                    Err(e) => panic!("flipping bit {bit} gave {e}"),
+                    Ok(_) => panic!("flipping bit {bit} loaded as a valid snapshot"),
+                }
+            }
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_resealed_header_cannot_widen_a_sparse_matrix() {
+        // A header rewritten under a valid checksum, not bit rot: the
+        // sparse decoder must refuse a width its u16 lanes cannot express
+        // before it allocates rows × dim floats.
+        let path = tmp("resealed");
+        let m = sparse_sample(2, 64, 5);
+        save_snapshot(&path, &[&m], &[]).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[12..16].copy_from_slice(&(1u32 << 16).to_le_bytes());
+        let data_at = HEADER_LEN + MAT_ENTRY_LEN + 2 * 4;
+        let crc = meta_checksum(&bytes[..data_at], &[]);
+        bytes[META_CRC_AT..META_CRC_AT + 8].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let err = load_snapshot(&path, true).unwrap_err().to_string();
+        assert!(err.contains("cannot hold 2 rows at dim 65536"), "{err}");
         let _ = fs::remove_file(&path);
     }
 

@@ -137,35 +137,31 @@ if ! cmp -s target/select-sweep-t1.md target/select-sweep-t4.md; then
     exit 1
 fi
 
-echo "==> ANN retrieval gate (1M rows: recall >= 0.99, int8 scan >= 5x exact)"
-# The IVF+int8 path must hold recall@k >= 0.99 against the exact oracle at
-# the default probe setting and clear a 5x throughput floor over the exact
+echo "==> ANN retrieval gate (1M rows: recall >= 0.99, ivf >= 5x exact)"
+# The IVF path must hold recall@k >= 0.99 against the exact oracle at the
+# default probe setting and clear a 5x throughput floor over the exact
 # scan on a million-row pool. Numbers land in target/BENCH_select.json
-# (one point per line: exact baseline, then ivf and ivf-int8).
+# (one point per line: exact baseline, then ivf).
 $CLI_REL select-bench --pool-rows 1000000 --queries 20 --seed 2023 \
     --json target/BENCH_select.json > target/select-ann-report.md 2>/dev/null
 recall_ivf=$(sed -n 's/.*"mode":"ivf",.*"recall_at_k":\([0-9.]*\).*/\1/p' target/BENCH_select.json)
-recall_int8=$(sed -n 's/.*"mode":"ivf-int8",.*"recall_at_k":\([0-9.]*\).*/\1/p' target/BENCH_select.json)
 speedup_ivf=$(sed -n 's/.*"mode":"ivf",.*"speedup_vs_exact":\([0-9.]*\).*/\1/p' target/BENCH_select.json)
-speedup_int8=$(sed -n 's/.*"mode":"ivf-int8",.*"speedup_vs_exact":\([0-9.]*\).*/\1/p' target/BENCH_select.json)
-if [ -z "$recall_ivf" ] || [ -z "$recall_int8" ] \
-    || [ -z "$speedup_ivf" ] || [ -z "$speedup_int8" ]; then
+if [ -z "$recall_ivf" ] || [ -z "$speedup_ivf" ]; then
     echo "could not parse ANN metrics from target/BENCH_select.json" >&2
     cat target/BENCH_select.json >&2
     exit 1
 fi
-if ! awk -v a="$recall_ivf" -v b="$recall_int8" 'BEGIN { exit !(a >= 0.99 && b >= 0.99) }'; then
-    echo "ANN recall below floor 0.99: ivf=${recall_ivf} ivf-int8=${recall_int8}" >&2
+if ! awk -v a="$recall_ivf" 'BEGIN { exit !(a >= 0.99) }'; then
+    echo "ANN recall below floor 0.99: ivf=${recall_ivf}" >&2
     cat target/select-ann-report.md >&2
     exit 1
 fi
-if ! awk -v a="$speedup_ivf" -v b="$speedup_int8" 'BEGIN { exit !(a >= 5.0 && b >= 5.0) }'; then
-    echo "ANN speedup below floor 5.0x: ivf=${speedup_ivf}x ivf-int8=${speedup_int8}x" >&2
+if ! awk -v a="$speedup_ivf" 'BEGIN { exit !(a >= 5.0) }'; then
+    echo "ANN speedup below floor 5.0x: ivf=${speedup_ivf}x" >&2
     cat target/select-ann-report.md >&2
     exit 1
 fi
-echo "    1M-row recall@k: ivf ${recall_ivf}, ivf-int8 ${recall_int8}"
-echo "    1M-row speedup vs exact: ivf ${speedup_ivf}x, ivf-int8 ${speedup_int8}x"
+echo "    1M-row ivf: recall@k ${recall_ivf}, speedup vs exact ${speedup_ivf}x"
 
 echo "==> columnar executor: step-change perf gate"
 # Trace the same fixed workload through both engines and require the
