@@ -1,13 +1,16 @@
 //! Microbenches for the retrievekit selection fast path: the streaming
-//! embedder vs the allocating one, the blocked f32 dot kernel vs the f64
-//! reference cosine, bounded-heap top-k vs the full-sort oracle, and the
-//! end-to-end matrix scan vs the naive per-row layout.
+//! embedder vs the allocating one, the sparse kernel vs the dense blocked
+//! f32 row it reproduces and the f64 reference cosine, bounded-heap top-k
+//! vs the full-sort oracle, and the end-to-end sparse scan vs the naive
+//! per-row layout.
 
 use bench::small_benchmark;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use retrievekit::{full_sort, top_k, top_k_cosine, EmbeddingMatrix, IvfIndex, IvfParams, TopK};
+use retrievekit::{
+    full_sort, top_k, top_k_cosine, EmbeddingMatrix, IvfIndex, IvfParams, SparseMatrix, TopK,
+};
 use std::hint::black_box;
 use textkit::{embed, embed_into, Embedding, DIM};
 
@@ -41,6 +44,8 @@ fn kernel(c: &mut Criterion) {
     let b_ = embed("list the names of all concerts ordered by year");
     let mut m = EmbeddingMatrix::with_capacity(DIM, 1);
     m.push_row(&a.0);
+    let mut sparse = SparseMatrix::with_capacity(DIM, 1);
+    sparse.push_row(&a.0);
 
     c.bench_function("cosine_f64_reference", |b| {
         b.iter(|| black_box(black_box(&a).cosine(black_box(&b_))))
@@ -48,6 +53,10 @@ fn kernel(c: &mut Criterion) {
 
     c.bench_function("cosine_f32_kernel", |b| {
         b.iter(|| black_box(m.cosine(0, black_box(&b_.0))))
+    });
+
+    c.bench_function("cosine_sparse_kernel", |b| {
+        b.iter(|| black_box(sparse.cosine(0, black_box(&b_.0))))
     });
 }
 
@@ -96,7 +105,7 @@ fn end_to_end(c: &mut Criterion) {
         })
         .collect();
 
-    let mut matrix = EmbeddingMatrix::with_capacity(DIM, POOL);
+    let mut matrix = SparseMatrix::with_capacity(DIM, POOL);
     let mut row = vec![0f32; DIM];
     for q in &pool {
         embed_into(q, &mut row);
@@ -137,7 +146,7 @@ fn ivf_probe(c: &mut Criterion) {
         "show the products ordered by price",
     ];
     let mut rng = StdRng::seed_from_u64(5);
-    let mut matrix = EmbeddingMatrix::with_capacity(DIM, POOL);
+    let mut matrix = SparseMatrix::with_capacity(DIM, POOL);
     let mut row = vec![0f32; DIM];
     for i in 0..POOL {
         let q = format!(
@@ -153,9 +162,7 @@ fn ivf_probe(c: &mut Criterion) {
 
     for p in [1usize, 4, 16] {
         c.bench_function(format!("ivf_probe_p{p}_10k"), |b| {
-            b.iter(|| {
-                black_box(index.search_with_probe(black_box(&matrix), black_box(&target.0), K, p))
-            })
+            b.iter(|| black_box(index.search_with_probe(black_box(&target.0), K, p)))
         });
     }
 }

@@ -1562,7 +1562,7 @@ fn sb_naive_select(
 fn select_bench(flags: &HashMap<String, String>) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrievekit::{full_sort, top_k_cosine, EmbeddingMatrix};
+    use retrievekit::{full_sort, top_k_cosine, EmbeddingMatrix, SparseMatrix};
     use std::fmt::Write as _;
     use textkit::{embed, embed_into, DIM};
 
@@ -1589,26 +1589,30 @@ fn select_bench(flags: &HashMap<String, String>) {
     let pool: Vec<String> = (0..pool_n).map(|_| sb_question(&mut rng)).collect();
     let targets: Vec<String> = (0..queries_n).map(|_| sb_question(&mut rng)).collect();
 
-    // Build both index shapes once, outside any timed region.
-    let mut matrix = EmbeddingMatrix::with_capacity(DIM, pool_n);
+    // Build every index shape once, outside any timed region: the sparse
+    // rows the fast path scans, the dense oracle and the naive rows.
+    let mut matrix = SparseMatrix::with_capacity(DIM, pool_n);
+    let mut dense = EmbeddingMatrix::with_capacity(DIM, pool_n);
     let mut row = vec![0f32; DIM];
     for q in &pool {
         embed_into(q, &mut row);
         matrix.push_row(&row);
+        dense.push_row(&row);
     }
     let naive_rows: Vec<textkit::Embedding> = pool.iter().map(|q| embed(q)).collect();
 
-    // Correctness sweep: the fast path must equal the full-sort oracle on
-    // every query (hard gate), and we report its agreement with the f64
-    // naive reference (informational — `f32` accumulation is allowed to
-    // diverge below 1e-5, which in practice never reorders a selection).
+    // Correctness sweep: the fast path must equal the full-sort oracle
+    // over the dense rows on every query (hard gate), and we report its
+    // agreement with the f64 naive reference (informational — `f32`
+    // accumulation is allowed to diverge below 1e-5, which in practice
+    // never reorders a selection).
     let mut checksum = 0xcbf29ce484222325u64;
     let mut naive_agree = 0usize;
     let mut qbuf = vec![0f32; DIM];
     for (qi, t) in targets.iter().enumerate() {
         embed_into(t, &mut qbuf);
         let fast = top_k_cosine(&matrix, &qbuf, pool_n, k);
-        let oracle = full_sort((0..pool_n).map(|i| matrix.cosine(i, &qbuf)), k);
+        let oracle = full_sort(dense.scores(&qbuf, 0, pool_n), k);
         if fast != oracle {
             eprintln!("FATAL: query {qi} fast path disagrees with full-sort oracle");
             eprintln!("  fast:   {fast:?}");
@@ -1742,16 +1746,18 @@ fn sb_question_region(rng: &mut rand::rngs::StdRng) -> String {
 }
 
 /// ANN retrieval sweep (`select-bench --pool-rows N[,N...]`): for each
-/// pool size, measure the exact sharded scan, then IVF retrieval —
-/// recall@k against the exact oracle, training cost, and throughput.
-/// `scripts/check.sh` gates recall ≥ 0.99 and a ≥5× speedup
+/// pool size, measure the exact sharded scan of the sparse rows, then IVF
+/// retrieval — recall@k against the exact scan, training cost, and
+/// throughput. `scripts/check.sh` gates recall ≥ 0.99 and a ≥5× speedup
 /// at the 1M-row point from the `--json` output. With `--no-timing` the
 /// report carries no wall-clock numbers and is byte-identical across
-/// machines and `DAIL_THREADS` settings (the determinism gate).
+/// machines and `DAIL_THREADS` settings (the CLI test
+/// `select_sweep_matches_golden_at_every_thread_count` holds a 20k-row
+/// report to a committed golden).
 fn select_bench_sweep(flags: &HashMap<String, String>) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrievekit::{top_k_cosine, EmbeddingMatrix, IvfIndex, IvfParams};
+    use retrievekit::{top_k_cosine, IvfIndex, IvfParams, SparseMatrix};
     use std::fmt::Write as _;
     use textkit::{embed_into, DIM};
 
@@ -1779,7 +1785,7 @@ fn select_bench_sweep(flags: &HashMap<String, String>) {
     let max_n = *sizes.iter().max().expect("sizes is non-empty");
     let mut rng = StdRng::seed_from_u64(seed);
     eprintln!("building {max_n}-row pool...");
-    let mut matrix = EmbeddingMatrix::with_capacity(DIM, max_n);
+    let mut matrix = SparseMatrix::with_capacity(DIM, max_n);
     let mut row = vec![0f32; DIM];
     for _ in 0..max_n {
         embed_into(&sb_question_region(&mut rng), &mut row);
@@ -1840,7 +1846,7 @@ fn select_bench_sweep(flags: &HashMap<String, String>) {
         let t0 = std::time::Instant::now();
         let approx: Vec<Vec<(f32, u32)>> = target_rows
             .chunks_exact(DIM)
-            .map(|q| index.search(&matrix, q, k))
+            .map(|q| index.search(q, k).0)
             .collect();
         let approx_s = t0.elapsed().as_secs_f64();
         let qps = queries_n as f64 / approx_s.max(1e-9);

@@ -1515,6 +1515,64 @@ fn eval_digests_flag_appends_the_rollup() {
     );
 }
 
+#[test]
+fn eval_digests_trace_nests_exec_spans_under_their_item() {
+    // `--digests` scores through the analyzed executor, which records a
+    // storage.exec span into whatever recorder its thread has entered.
+    // Each eval worker must enter its own buffer, so the span nests under
+    // the item's score span and lands at the same place in every run.
+    let run = |tag: &str| {
+        let trace = std::env::temp_dir().join(format!("dail_cli_eval_exec_{tag}.jsonl"));
+        let _ = std::fs::remove_file(&trace);
+        let out = cli()
+            .args([
+                "eval",
+                "--pipeline",
+                "dail",
+                "--model",
+                "gpt-4",
+                "--train",
+                "40",
+                "--dev",
+                "12",
+                "--threads",
+                "2",
+                "--digests",
+                "3",
+                "--trace",
+                trace.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let events = obskit::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&trace);
+        // Latency histograms hold wall-clock samples; everything else,
+        // event order included, must repeat byte for byte.
+        let events: Vec<obskit::Event> = events
+            .into_iter()
+            .filter(|e| !matches!(e, obskit::Event::Histogram { .. }))
+            .collect();
+        let idx = span_index(&events);
+        let execs: Vec<Option<u64>> = idx
+            .values()
+            .filter(|(name, _)| name == "storage.exec")
+            .map(|(_, parent)| *parent)
+            .collect();
+        assert_eq!(execs.len(), 12, "one analyzed execution per dev item");
+        for parent in execs {
+            let parent = parent.expect("storage.exec span has a parent");
+            assert_eq!(idx[&parent].0, "score", "storage.exec parent");
+        }
+        obskit::canonical_jsonl(&events)
+    };
+    assert_eq!(run("a"), run("b"), "canonical traces differ between runs");
+}
+
 // --- persistence: persist / recover / warm-start-bench / --store ---------
 
 #[test]
@@ -1784,6 +1842,42 @@ fn select_bench_is_thread_invariant_and_pins_the_exact_checksum() {
         text.contains("| selection checksum | 0x125a29265b97d94a |"),
         "exact selection checksum drifted from the pre-IVF golden:\n{text}"
     );
+}
+
+#[test]
+fn select_sweep_matches_golden_at_every_thread_count() {
+    // The ANN sweep on a 20k-row pool: above the 4096-row threshold, so
+    // DAIL_THREADS=4 shards both the exact scan and the k-means
+    // assignment. The report — recall, cluster counts and both selection
+    // checksums — must equal the golden at any worker count; the golden
+    // was recorded from the dense k-means, so it also pins the sparse
+    // index to the selections the dense one made.
+    for threads in ["1", "4"] {
+        let out = cli()
+            .env("DAIL_THREADS", threads)
+            .args([
+                "select-bench",
+                "--pool-rows",
+                "20000",
+                "--queries",
+                "12",
+                "--seed",
+                "11",
+                "--no-timing",
+            ])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_golden(
+            "select_sweep_20k.md",
+            &format!("select-bench sweep at DAIL_THREADS={threads}"),
+            &out.stdout,
+        );
+    }
 }
 
 #[test]

@@ -121,8 +121,9 @@ pub fn evaluate(
 
 /// [`evaluate`] with explicit [`EvalOptions`]. Traced when an enabled
 /// obskit sink is current: per-item spans and cost counters are buffered
-/// per worker and absorbed in chunk order, and each worker enters the
-/// caller's sink so the layers underneath record into it too.
+/// per worker and absorbed in chunk order. Each worker enters its own
+/// buffer, so what the layers underneath record lands there too, nested
+/// under the item's open span and in item order.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_opts(
     bench: &Benchmark,
@@ -157,7 +158,7 @@ pub fn evaluate_opts(
             let handle = {
                 let wrec = wrec.clone();
                 scope.spawn(move || {
-                    let _sink = rec.enter();
+                    let _sink = wrec.enter();
                     let tokenizer = Tokenizer::new();
                     let ctx = PredictCtx {
                         bench,

@@ -11,21 +11,21 @@
 //!   and re-ranked by query-skeleton similarity, capturing both the question
 //!   intent and the (estimated) target SQL shape.
 //!
-//! Scoring runs on `retrievekit`: pool embeddings live in contiguous
-//! [`EmbeddingMatrix`] storage scored by the blocked `f32` kernel, the
-//! best `k` are kept by a bounded heap instead of a full sort, and target
-//! features are memoized in a [`FeatureCache`] so the experiment grids
-//! embed each target once instead of once per strategy. Results are
-//! identical to the pre-optimization selector (ties and all) — see the
-//! `matches_reference_selector` test, which keeps the old implementation
-//! alive as the specification.
+//! Scoring runs on `retrievekit`: pool embeddings live as sparse rows in a
+//! [`SparseMatrix`] scored by a kernel bit-identical to the dense blocked
+//! `f32` one, the best `k` are kept by a bounded heap instead of a full
+//! sort, and target features are memoized in a [`FeatureCache`] so the
+//! experiment grids embed each target once instead of once per strategy.
+//! Results are identical to the pre-optimization selector (ties and all) —
+//! see the `matches_reference_selector` test, which keeps the old
+//! implementation alive as the specification.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use retrievekit::{
-    top_k, top_k_cosine_traced, EmbeddingMatrix, FeatureCache, IvfIndex, IvfParams, RetrievalMode,
-    SnapshotError,
+    top_k, top_k_cosine_traced, FeatureCache, IvfIndex, IvfParams, RetrievalMode, SnapshotError,
+    SparseMatrix,
 };
 use spider_gen::{Benchmark, ExampleItem};
 use sqlkit::{Query, Skeleton};
@@ -87,7 +87,7 @@ const FEATURE_CACHE_CAPACITY: usize = 8192;
 
 /// The IVF index one matrix is searched through under `mode`: `None`
 /// for the exact scan.
-fn train_index(mode: RetrievalMode, matrix: &EmbeddingMatrix) -> Option<IvfIndex> {
+fn train_index(mode: RetrievalMode, matrix: &SparseMatrix) -> Option<IvfIndex> {
     match mode {
         RetrievalMode::Exact => None,
         RetrievalMode::Ivf => Some(IvfIndex::train(matrix, matrix.len(), &IvfParams::default())),
@@ -97,8 +97,8 @@ fn train_index(mode: RetrievalMode, matrix: &EmbeddingMatrix) -> Option<IvfIndex
 /// Precomputed selector over a benchmark's training pool.
 pub struct ExampleSelector<'a> {
     pool: &'a [ExampleItem],
-    raw: EmbeddingMatrix,
-    masked: EmbeddingMatrix,
+    raw: SparseMatrix,
+    masked: SparseMatrix,
     skeletons: Vec<Skeleton>,
     features: FeatureCache<QueryFeatures>,
     masked_targets: FeatureCache<String>,
@@ -108,7 +108,7 @@ pub struct ExampleSelector<'a> {
 
 impl<'a> ExampleSelector<'a> {
     /// Build the selector: embeds every training question (raw and masked
-    /// with its own domain vocabulary) into contiguous matrix rows and
+    /// with its own domain vocabulary) into sparse matrix rows and
     /// extracts gold skeletons. Retrieval is exact: the committed oracle,
     /// whose selections are byte-identical to pre-IVF builds.
     pub fn new(bench: &'a Benchmark) -> Self {
@@ -119,13 +119,17 @@ impl<'a> ExampleSelector<'a> {
     /// reachable only through this.
     pub fn with_retrieval(bench: &'a Benchmark, mode: RetrievalMode) -> Self {
         let n = bench.train.len();
-        let mut raw = EmbeddingMatrix::with_capacity(DIM, n);
-        let mut masked = EmbeddingMatrix::with_capacity(DIM, n);
+        let mut raw = SparseMatrix::with_capacity(DIM, n);
+        let mut masked = SparseMatrix::with_capacity(DIM, n);
         let mut skeletons = Vec::with_capacity(n);
         let mut row = vec![0f32; DIM];
+        // One masker per database: it depends only on the domain's terms.
+        let mut maskers: std::collections::HashMap<&str, DomainMasker> =
+            std::collections::HashMap::new();
         for ex in &bench.train {
-            let spec = &bench.specs[&ex.db_id];
-            let masker = DomainMasker::new(spec.domain_terms());
+            let masker = maskers
+                .entry(&ex.db_id)
+                .or_insert_with(|| DomainMasker::new(bench.specs[&ex.db_id].domain_terms()));
             embed_into(&ex.question, &mut row);
             raw.push_row(&row);
             // The mask token itself carries no intent information —
@@ -152,22 +156,30 @@ impl<'a> ExampleSelector<'a> {
     /// Top-k over one matrix under the active retrieval mode: the exact
     /// sharded scan when no index exists, else the IVF probe. Both paths
     /// end in full-precision f32 scores with score-desc / index-asc
-    /// tie-breaking.
+    /// tie-breaking. The rows the path scored are counted into
+    /// `promptkit.candidates_scored`.
     fn retrieve(
         &self,
-        matrix: &EmbeddingMatrix,
+        matrix: &SparseMatrix,
         ann: &Option<IvfIndex>,
         query: &[f32],
         k: usize,
         trace: obskit::TraceContext,
     ) -> Vec<(f32, u32)> {
-        match ann {
-            None => top_k_cosine_traced(matrix, query, matrix.len(), k, trace),
+        let (hits, scored) = match ann {
+            None => (
+                top_k_cosine_traced(matrix, query, matrix.len(), k, trace),
+                matrix.len(),
+            ),
             Some(index) => {
                 let (_span, _) = trace.span("retrievekit.score");
-                index.search(matrix, query, k)
+                index.search(query, k)
             }
+        };
+        if obskit::enabled() {
+            obskit::current().add_counter("promptkit.candidates_scored", scored as u64);
         }
+        hits
     }
 
     /// Memoized masked form of a target question, keyed by database and
@@ -257,9 +269,7 @@ impl<'a> ExampleSelector<'a> {
         let timed = obskit::enabled();
         let started = timed.then(std::time::Instant::now);
         if timed {
-            let g = obskit::current();
-            g.add_counter("promptkit.selections", 1);
-            g.add_counter("promptkit.candidates_scored", self.pool.len() as u64);
+            obskit::current().add_counter("promptkit.selections", 1);
         }
         let picked = self.select_inner(
             strategy,
@@ -320,6 +330,10 @@ impl<'a> ExampleSelector<'a> {
                 };
                 let sk = Skeleton::of(pq);
                 let (_score_span, _) = trace.span("retrievekit.score");
+                if obskit::enabled() {
+                    obskit::current()
+                        .add_counter("promptkit.candidates_scored", self.pool.len() as u64);
+                }
                 self.take(top_k(self.skeletons.iter().map(|s| s.similarity(&sk)), k))
             }
             SelectionStrategy::Dail => {
@@ -413,7 +427,7 @@ impl<'a> ExampleSelector<'a> {
 
     /// Rebuild a selector from a snapshot written by
     /// [`ExampleSelector::save_snapshot`] — the warm-start path. No
-    /// masking, embedding, or AST walk runs: matrices come back
+    /// masking, embedding, or AST walk runs: the sparse matrices decode
     /// bit-identical from disk and skeletons decode from their token
     /// codes, so every subsequent selection matches the cold-built
     /// selector exactly.
@@ -864,10 +878,14 @@ mod tests {
         let warm = ExampleSelector::load_snapshot(&b, &path, true).unwrap();
 
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(cold.raw.data()), bits(warm.raw.data()));
-        assert_eq!(bits(cold.raw.norms()), bits(warm.raw.norms()));
-        assert_eq!(bits(cold.masked.data()), bits(warm.masked.data()));
-        assert_eq!(bits(cold.masked.norms()), bits(warm.masked.norms()));
+        for (c, w) in [(&cold.raw, &warm.raw), (&cold.masked, &warm.masked)] {
+            assert_eq!(c.len(), w.len());
+            for i in 0..c.len() {
+                assert_eq!(c.row(i).0, w.row(i).0, "lanes of row {i}");
+                assert_eq!(bits(c.row(i).1), bits(w.row(i).1), "values of row {i}");
+            }
+            assert_eq!(bits(c.norms()), bits(w.norms()));
+        }
         assert_eq!(cold.skeletons, warm.skeletons);
 
         let draft = sqlkit::parse_query("SELECT count(*) FROM t").unwrap();
@@ -932,6 +950,37 @@ mod tests {
             );
             assert_eq!(got.len(), 4, "{strat:?}");
         }
+
+        // `promptkit.candidates_scored` counts the rows a selection really
+        // scored: the probed lists under IVF, nothing for Random.
+        let counted = |strat| {
+            let rec = obskit::Recorder::enabled();
+            {
+                let _sink = rec.enter();
+                sel.select(
+                    strat,
+                    "how many things are there",
+                    "how many <mask> are there",
+                    None,
+                    4,
+                    9,
+                );
+            }
+            let m = rec.metrics();
+            let get = |name: &str| m.counters.get(name).copied().unwrap_or(0);
+            (
+                get("promptkit.candidates_scored"),
+                get("retrievekit.scored"),
+            )
+        };
+        let (candidates, scored) = counted(SelectionStrategy::MaskedQuestionSimilarity);
+        assert_eq!(candidates, scored);
+        assert!(
+            0 < scored && scored < b.train.len() as u64,
+            "an IVF probe scores part of the {}-row pool, not {scored} rows",
+            b.train.len()
+        );
+        assert_eq!(counted(SelectionStrategy::Random), (0, 0));
     }
 
     #[test]
@@ -958,10 +1007,11 @@ mod tests {
         let b = bench();
         let sel = ExampleSelector::new(&b);
         let f = sel.target_features("how many things are there", "how many <mask> are there");
+        let mut row = vec![0f32; DIM];
         for i in 0..sel.raw.len() {
             let fast = sel.raw.cosine(i, &f.raw) as f64;
-            let slow = textkit::Embedding(sel.raw.row(i).to_vec())
-                .cosine(&textkit::Embedding(f.raw.clone()));
+            sel.raw.densify_into(i, &mut row);
+            let slow = textkit::Embedding(row.clone()).cosine(&textkit::Embedding(f.raw.clone()));
             assert!(
                 (fast - slow).abs() < 1e-5,
                 "row {i}: f32 {fast} vs f64 {slow}"

@@ -1,17 +1,29 @@
-//! IVF (inverted-file) approximate retrieval: deterministic k-means over
-//! the embedding matrix, inverted lists per centroid, and probed search
-//! with exact rerank.
+//! IVF (inverted-file) approximate retrieval over sparse rows:
+//! deterministic k-means, inverted lists that own their rows, and probed
+//! search with exact rerank.
 //!
-//! The exact sharded scan ([`crate::top_k_cosine`]) is O(n·d) per query;
-//! at a million pool rows that is half a gigaflop per selection. An IVF
-//! index spends a one-time clustering pass to partition rows into
-//! `n_clusters` inverted lists, then answers each query by scoring only
-//! the lists of the `n_probe` nearest centroids — a tunable fraction of
-//! the pool — while the final top-k is always computed from
+//! The exact sharded scan ([`crate::top_k_cosine`]) scores every pool row
+//! per query. An IVF index spends a one-time clustering pass to partition
+//! rows into `n_clusters` inverted lists, then answers each query by
+//! scoring only the lists of the `n_probe` nearest centroids — a tunable
+//! fraction of the pool — while the final top-k is always computed from
 //! **full-precision f32 cosines** with the committed score-desc/index-asc
 //! tie-breaking. Approximation can therefore *drop* a true neighbor whose
 //! cluster went unprobed (measured as recall@k by `select-bench`), but it
 //! can never *reorder* the candidates it does see.
+//!
+//! **Sparse rows throughout.** Training and search take a
+//! [`SparseMatrix`] and score with [`sparse_dot`], which is bit-identical
+//! to the dense [`dot`]: the stride sample is kept as normalized sparse
+//! rows, kmeans++, Lloyd and the final assignment score them against the
+//! dense centroids, and the f64 centroid sums add only the stored lanes.
+//! The centroids themselves stay dense and are probed with [`dot`].
+//!
+//! **Lists own their rows.** The index copies the pool rows into one
+//! [`SparseMatrix`] in list order, with each row's pool id and the offset
+//! where each list starts, so a probe streams its lists front to back
+//! instead of gathering rows from across the pool. Hits carry pool ids and
+//! [`TopK`] breaks ties by them, so the scan order cannot show through.
 //!
 //! **Determinism.** Training must be byte-identical across `DAIL_THREADS`
 //! values and across runs:
@@ -30,8 +42,9 @@
 //! An index lives only in memory: a selector trains it when it is built,
 //! and the same inputs always train the same index.
 
-use crate::matrix::{dot, EmbeddingMatrix};
+use crate::matrix::dot;
 use crate::shard::resolve_threads;
+use crate::sparse::{sparse_dot, SparseMatrix};
 use crate::topk::TopK;
 
 /// Which scan representation `promptkit` selection uses. Callers pick it
@@ -92,15 +105,18 @@ impl Default for IvfParams {
     }
 }
 
-/// A trained IVF index: unit-norm (or zero) centroids plus one ascending
-/// inverted list of row ids per centroid.
+/// A trained IVF index: unit-norm (or zero) dense centroids, and the
+/// pool rows copied into one sparse matrix in list order — cluster, then
+/// ascending pool id — with each row's pool id and the offset where each
+/// list starts.
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     dim: usize,
-    rows: usize,
     n_probe: usize,
     centroids: Vec<f32>,
-    lists: Vec<Vec<u32>>,
+    rows: SparseMatrix,
+    ids: Vec<u32>,
+    starts: Vec<u32>,
 }
 
 /// splitmix64 step — the only randomness source in training, fully
@@ -113,28 +129,36 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Copy row `i` of `m` into `out`, scaled to unit norm (zeros if the row
-/// has zero norm).
-fn normalized_row(m: &EmbeddingMatrix, i: usize, out: &mut [f32]) {
+/// Append row `i` of `m` to `out`, scaled to unit norm (an empty row if
+/// it has zero norm). Lanes the division leaves at `+0.0` are dropped,
+/// as [`SparseMatrix::push_row`] would drop them. Training reads only the
+/// sample's entries, so its stored norm is just "unit or zero".
+fn push_normalized(m: &SparseMatrix, i: usize, out: &mut SparseMatrix) {
     let n = m.norm(i);
-    if n == 0.0 {
-        out.fill(0.0);
-    } else {
-        for (o, x) in out.iter_mut().zip(m.row(i)) {
-            *o = x / n;
+    let (mut lanes, mut values) = (Vec::new(), Vec::new());
+    if n != 0.0 {
+        let (src_lanes, src_values) = m.row(i);
+        for (&l, &x) in src_lanes.iter().zip(src_values) {
+            let y = x / n;
+            if y.to_bits() != 0 {
+                lanes.push(l);
+                values.push(y);
+            }
         }
     }
+    out.push_entries(&lanes, &values, if n == 0.0 { 0.0 } else { 1.0 });
 }
 
-/// Nearest centroid of `x` by dot product, ties to the lowest index.
+/// Nearest centroid of row `i` by dot product, ties to the lowest index.
 /// Centroids are unit-or-zero norm and ranking by dot is scale-invariant
 /// for positive row norms, so this is cosine assignment without divisions.
 #[inline]
-fn nearest_centroid(x: &[f32], centroids: &[f32], dim: usize) -> u32 {
+fn nearest_centroid(m: &SparseMatrix, i: usize, centroids: &[f32], dim: usize) -> u32 {
+    let (lanes, values) = m.row(i);
     let mut best = 0u32;
     let mut best_score = f32::NEG_INFINITY;
     for (j, c) in centroids.chunks_exact(dim).enumerate() {
-        let s = dot(x, c);
+        let s = sparse_dot(lanes, values, c);
         if s > best_score {
             best_score = s;
             best = j as u32;
@@ -143,18 +167,19 @@ fn nearest_centroid(x: &[f32], centroids: &[f32], dim: usize) -> u32 {
     best
 }
 
-/// Assign every sample/row in `0..n` to its nearest centroid, sharded
+/// Assign rows `0..out.len()` of `m` to their nearest centroids, sharded
 /// across `threads` workers. Each assignment is a pure function of one
 /// row, so the output is byte-identical for any worker count.
-fn assign_all(rows: &[f32], dim: usize, centroids: &[f32], threads: usize, out: &mut [u32]) {
+fn assign_all(m: &SparseMatrix, centroids: &[f32], threads: usize, out: &mut [u32]) {
     let n = out.len();
     if n == 0 {
         return;
     }
+    let dim = m.dim();
     let threads = threads.max(1).min(n);
     if threads == 1 || n < crate::shard::PARALLEL_THRESHOLD {
         for (i, slot) in out.iter_mut().enumerate() {
-            *slot = nearest_centroid(&rows[i * dim..(i + 1) * dim], centroids, dim);
+            *slot = nearest_centroid(m, i, centroids, dim);
         }
         return;
     }
@@ -164,8 +189,7 @@ fn assign_all(rows: &[f32], dim: usize, centroids: &[f32], threads: usize, out: 
             let lo = t * chunk;
             scope.spawn(move || {
                 for (off, slot) in slice.iter_mut().enumerate() {
-                    let i = lo + off;
-                    *slot = nearest_centroid(&rows[i * dim..(i + 1) * dim], centroids, dim);
+                    *slot = nearest_centroid(m, lo + off, centroids, dim);
                 }
             });
         }
@@ -178,8 +202,9 @@ impl IvfIndex {
     /// Training normalizes a deterministic stride sample of the rows, seeds
     /// centroids with kmeans++, runs `params.iters` Lloyd iterations
     /// (assignment parallel, f64 centroid accumulation sequential in row
-    /// order), then assigns every pool row to its final centroid.
-    pub fn train(matrix: &EmbeddingMatrix, rows: usize, params: &IvfParams) -> IvfIndex {
+    /// order), then assigns every pool row to its final centroid and copies
+    /// the rows into list order.
+    pub fn train(matrix: &SparseMatrix, rows: usize, params: &IvfParams) -> IvfIndex {
         assert!(rows <= matrix.len(), "train rows exceed matrix length");
         let dim = matrix.dim();
         let k = params
@@ -192,32 +217,32 @@ impl IvfIndex {
         if rows == 0 {
             return IvfIndex {
                 dim,
-                rows: 0,
                 n_probe,
                 centroids: vec![0.0; k * dim],
-                lists: vec![Vec::new(); k],
+                rows: SparseMatrix::with_dim(dim),
+                ids: Vec::new(),
+                starts: vec![0; k + 1],
             };
         }
 
         // Deterministic stride sample of `s` rows, normalized once.
         let s = rows.min(params.sample_cap.max(k));
-        let mut sample = vec![0f32; s * dim];
+        let mut sample = SparseMatrix::with_capacity(dim, s);
         for i in 0..s {
             let src = i * rows / s; // floor stride: covers the pool evenly
-            normalized_row(matrix, src, &mut sample[i * dim..(i + 1) * dim]);
+            push_normalized(matrix, src, &mut sample);
         }
 
         // kmeans++ seeding on the sample (single-threaded, seeded).
         let mut rng = params.seed;
         let mut centroids = vec![0f32; k * dim];
         let first = (splitmix64(&mut rng) % s as u64) as usize;
-        centroids[..dim].copy_from_slice(&sample[first * dim..(first + 1) * dim]);
+        sample.densify_into(first, &mut centroids[..dim]);
         // d2[i] = squared distance on the unit sphere to the nearest chosen
         // centroid so far: 2 - 2·dot, clamped at 0 for rounding.
-        let mut d2 = vec![0f64; s];
-        for (i, x) in sample.chunks_exact(dim).enumerate() {
-            d2[i] = (2.0 - 2.0 * dot(x, &centroids[..dim]) as f64).max(0.0);
-        }
+        let mut d2: Vec<f64> = (0..s)
+            .map(|i| (2.0 - 2.0 * sample.dot(i, &centroids[..dim]) as f64).max(0.0))
+            .collect();
         for j in 1..k {
             let total: f64 = d2.iter().sum();
             let pick = if total <= 0.0 {
@@ -237,12 +262,12 @@ impl IvfIndex {
                 }
                 chosen
             };
-            let (dst, src) = (j * dim, pick * dim);
-            centroids[dst..dst + dim].copy_from_slice(&sample[src..src + dim]);
-            for (i, x) in sample.chunks_exact(dim).enumerate() {
-                let nd = (2.0 - 2.0 * dot(x, &centroids[dst..dst + dim]) as f64).max(0.0);
-                if nd < d2[i] {
-                    d2[i] = nd;
+            let centroid = &mut centroids[j * dim..(j + 1) * dim];
+            sample.densify_into(pick, centroid);
+            for (i, d) in d2.iter_mut().enumerate() {
+                let nd = (2.0 - 2.0 * sample.dot(i, centroid) as f64).max(0.0);
+                if nd < *d {
+                    *d = nd;
                 }
             }
         }
@@ -252,17 +277,20 @@ impl IvfIndex {
         let mut sums = vec![0f64; k * dim];
         let mut counts = vec![0u64; k];
         for _ in 0..params.iters {
-            assign_all(&sample, dim, &centroids, threads, &mut assign);
+            assign_all(&sample, &centroids, threads, &mut assign);
             sums.fill(0.0);
             counts.fill(0);
             // Sequential accumulation in sample order: thread-count cannot
-            // perturb the f64 sums.
-            for (i, x) in sample.chunks_exact(dim).enumerate() {
-                let c = assign[i] as usize;
+            // perturb the f64 sums. Only stored lanes are added: a sum
+            // that starts at +0.0 never becomes -0.0, so the +0.0 a
+            // skipped lane would add leaves it unchanged.
+            for (i, &c) in assign.iter().enumerate() {
+                let c = c as usize;
                 counts[c] += 1;
                 let acc = &mut sums[c * dim..(c + 1) * dim];
-                for (a, v) in acc.iter_mut().zip(x) {
-                    *a += *v as f64;
+                let (lanes, values) = sample.row(i);
+                for (&l, &v) in lanes.iter().zip(values) {
+                    acc[l as usize] += v as f64;
                 }
             }
             for c in 0..k {
@@ -286,29 +314,38 @@ impl IvfIndex {
         // centroids identically to normalized ones; zero rows tie
         // everywhere and land in cluster 0 via the lowest-index rule.
         let mut pool_assign = vec![0u32; rows];
-        assign_all(
-            &matrix.data()[..rows * dim],
-            dim,
-            &centroids,
-            threads,
-            &mut pool_assign,
-        );
-        let mut lists = vec![Vec::new(); k];
-        for (i, &c) in pool_assign.iter().enumerate() {
-            lists[c as usize].push(i as u32); // in-order push → ascending ids
+        assign_all(matrix, &centroids, threads, &mut pool_assign);
+
+        // List order: by cluster, and (the sort is stable) by ascending
+        // pool id within a list.
+        let mut ids: Vec<u32> = (0..rows as u32).collect();
+        ids.sort_by_key(|&i| pool_assign[i as usize]);
+        let mut starts = vec![0u32; k + 1];
+        for &c in &pool_assign {
+            starts[c as usize + 1] += 1;
+        }
+        for c in 0..k {
+            starts[c + 1] += starts[c];
+        }
+        let mut list_rows = SparseMatrix::with_capacity(dim, rows);
+        list_rows.reserve_entries((0..rows).map(|i| matrix.row(i).0.len()).sum());
+        for &id in &ids {
+            let (lanes, values) = matrix.row(id as usize);
+            list_rows.push_entries(lanes, values, matrix.norm(id as usize));
         }
         IvfIndex {
             dim,
-            rows,
             n_probe,
             centroids,
-            lists,
+            rows: list_rows,
+            ids,
+            starts,
         }
     }
 
     /// Number of clusters.
     pub fn n_clusters(&self) -> usize {
-        self.lists.len()
+        self.starts.len() - 1
     }
 
     /// Default probe width used by [`IvfIndex::search`].
@@ -324,9 +361,9 @@ impl IvfIndex {
     /// Reconstruct the per-row cluster assignment (index `i` → cluster id),
     /// the byte-comparable artifact the determinism property test pins.
     pub fn assignments(&self) -> Vec<u32> {
-        let mut out = vec![0u32; self.rows];
-        for (c, list) in self.lists.iter().enumerate() {
-            for &id in list {
+        let mut out = vec![0u32; self.ids.len()];
+        for (c, w) in self.starts.windows(2).enumerate() {
+            for &id in &self.ids[w[0] as usize..w[1] as usize] {
                 out[id as usize] = c as u32;
             }
         }
@@ -337,46 +374,47 @@ impl IvfIndex {
     /// centroid index asc — the same deterministic order as everything
     /// else).
     fn probe(&self, query: &[f32], n_probe: usize) -> Vec<(f32, u32)> {
-        let mut heap = TopK::new(n_probe.clamp(1, self.lists.len()));
+        let mut heap = TopK::new(n_probe.clamp(1, self.n_clusters()));
         for (j, c) in self.centroids.chunks_exact(self.dim).enumerate() {
             heap.push(dot(query, c), j as u32);
         }
         heap.into_sorted()
     }
 
-    /// Top-k by exact f32 cosine over the rows of the `n_probe` default
-    /// probed lists. Equivalent to [`Self::search_with_probe`] at the
-    /// stored probe width.
-    pub fn search(&self, matrix: &EmbeddingMatrix, query: &[f32], k: usize) -> Vec<(f32, u32)> {
-        self.search_with_probe(matrix, query, k, self.n_probe)
+    /// [`Self::search_with_probe`] at the stored probe width.
+    pub fn search(&self, query: &[f32], k: usize) -> (Vec<(f32, u32)>, usize) {
+        self.search_with_probe(query, k, self.n_probe)
     }
 
     /// Top-k by exact f32 cosine over the rows of the `n_probe` probed
-    /// lists. Scoring uses [`EmbeddingMatrix::cosine`] — bit-identical
-    /// arithmetic to the exact scan — so with `n_probe = n_clusters` the
-    /// result equals the exact top-k, ties included.
+    /// lists, as `(score, pool_id)` best first, plus the number of rows
+    /// scored. Scoring is [`SparseMatrix::cosine`] — bit-identical
+    /// arithmetic to the exact scan — and ties break by pool id, so with
+    /// `n_probe = n_clusters` the result equals the exact top-k, ties
+    /// included.
     pub fn search_with_probe(
         &self,
-        matrix: &EmbeddingMatrix,
         query: &[f32],
         k: usize,
         n_probe: usize,
-    ) -> Vec<(f32, u32)> {
-        debug_assert!(matrix.len() >= self.rows, "index/matrix row mismatch");
+    ) -> (Vec<(f32, u32)>, usize) {
         let mut heap = TopK::new(k);
-        let mut scanned = 0u64;
+        let mut scanned = 0usize;
         for &(_, c) in &self.probe(query, n_probe) {
-            let list = &self.lists[c as usize];
-            scanned += list.len() as u64;
-            for &id in list {
-                heap.push(matrix.cosine(id as usize, query), id);
+            let (lo, hi) = (
+                self.starts[c as usize] as usize,
+                self.starts[c as usize + 1] as usize,
+            );
+            scanned += hi - lo;
+            for (s, &id) in self.rows.scores(query, lo, hi).zip(&self.ids[lo..hi]) {
+                heap.push(s, id);
             }
         }
         if obskit::enabled() {
-            obskit::current().add_counter("retrievekit.scored", scanned);
+            obskit::current().add_counter("retrievekit.scored", scanned as u64);
             obskit::current().add_counter("retrievekit.ivf_probes", n_probe as u64);
         }
-        heap.into_sorted()
+        (heap.into_sorted(), scanned)
     }
 }
 
@@ -385,10 +423,16 @@ mod tests {
     use super::*;
     use crate::topk::full_sort;
 
-    fn clustered_matrix(rows: usize, dim: usize) -> EmbeddingMatrix {
+    fn dense_row(m: &SparseMatrix, i: usize) -> Vec<f32> {
+        let mut row = vec![0f32; m.dim()];
+        m.densify_into(i, &mut row);
+        row
+    }
+
+    fn clustered_matrix(rows: usize, dim: usize) -> SparseMatrix {
         // Three well-separated directions plus per-row jitter, L2-normalized
         // like real textkit embeddings.
-        let mut m = EmbeddingMatrix::with_capacity(dim, rows);
+        let mut m = SparseMatrix::with_capacity(dim, rows);
         let mut row = vec![0f32; dim];
         for i in 0..rows {
             let center = i % 3;
@@ -405,7 +449,7 @@ mod tests {
         m
     }
 
-    fn exact_top_k(m: &EmbeddingMatrix, q: &[f32], k: usize) -> Vec<(f32, u32)> {
+    fn exact_top_k(m: &SparseMatrix, q: &[f32], k: usize) -> Vec<(f32, u32)> {
         full_sort(m.scores(q, 0, m.len()), k)
     }
 
@@ -422,9 +466,10 @@ mod tests {
             },
         );
         for qi in [0usize, 7, 123, 499] {
-            let q = m.row(qi).to_vec();
-            let got = idx.search_with_probe(&m, &q, 6, idx.n_clusters());
+            let q = dense_row(&m, qi);
+            let (got, scored) = idx.search_with_probe(&q, 6, idx.n_clusters());
             assert_eq!(got, exact_top_k(&m, &q, 6), "query row {qi}");
+            assert_eq!(scored, m.len());
         }
     }
 
@@ -444,29 +489,29 @@ mod tests {
         // A pool row is its own nearest neighbor; the probed cluster that
         // contains it must be found.
         for qi in [3usize, 50, 77] {
-            let q = m.row(qi).to_vec();
-            let got = idx.search(&m, &q, 1);
+            let q = dense_row(&m, qi);
+            let (got, _) = idx.search(&q, 1);
             assert_eq!(got[0].1, qi as u32, "row {qi} should be its own top-1");
         }
     }
 
     #[test]
     fn empty_and_tiny_pools_are_handled() {
-        let m = EmbeddingMatrix::with_dim(8);
+        let m = SparseMatrix::with_dim(8);
         let idx = IvfIndex::train(&m, 0, &IvfParams::default());
-        assert!(idx.search(&m, &[0.5; 8], 3).is_empty());
-        let mut one = EmbeddingMatrix::with_dim(8);
+        assert_eq!(idx.search(&[0.5; 8], 3), (Vec::new(), 0));
+        let mut one = SparseMatrix::with_dim(8);
         one.push_row(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
         let idx1 = IvfIndex::train(&one, 1, &IvfParams::default());
         assert_eq!(idx1.n_clusters(), 1);
-        let got = idx1.search(&one, &[1.0; 8], 3);
+        let (got, _) = idx1.search(&[1.0; 8], 3);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1, 0);
     }
 
     #[test]
     fn zero_rows_land_in_cluster_zero() {
-        let mut m = EmbeddingMatrix::with_dim(8);
+        let mut m = SparseMatrix::with_dim(8);
         for i in 0..20 {
             let mut row = [0f32; 8];
             row[i % 8] = 1.0;

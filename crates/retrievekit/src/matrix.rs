@@ -1,17 +1,20 @@
-//! Contiguous embedding storage and the blocked dot-product kernel.
+//! The dense oracle: row-major embedding storage and the blocked
+//! dot-product kernel.
 //!
-//! The pre-optimization selector kept one heap `Vec<f32>` per candidate —
-//! 512 floats behind a pointer, visited through an iterator that widened
-//! every lane to `f64`. Scoring a pool walked `n` unrelated allocations.
-//! [`EmbeddingMatrix`] stores all rows back to back in one row-major
-//! buffer, so a scoring pass is a single forward sweep the prefetcher can
-//! follow, and [`dot`] keeps four independent `f32` accumulators so the
-//! multiplies pipeline instead of serializing on one add chain.
+//! The selector scores its pool through [`crate::SparseMatrix`], whose
+//! kernel skips the lanes a text-hash embedding leaves at `+0.0`.
+//! [`EmbeddingMatrix`] keeps every lane: it is the reference that kernel
+//! must reproduce bit for bit, scored by `select-bench`'s full-sort check,
+//! the property tests and the `selection` criterion bench. [`dot`] keeps
+//! four independent `f32` accumulators so the multiplies pipeline instead
+//! of serializing on one add chain; its accumulator layout is the
+//! contract [`crate::sparse_dot`] follows, and it still scores the dense
+//! IVF centroids.
 //!
 //! Accumulation happens in `f32` (the reference path,
 //! `textkit::Embedding::cosine`, accumulates in `f64`); for unit-norm
-//! 512-dim rows the divergence is bounded well below `1e-5` — see the
-//! `kernel_matches_reference_cosine` tests here and in `promptkit`.
+//! 512-dim rows the divergence is bounded well below `1e-5` — see
+//! promptkit's `f32_kernel_divergence_is_bounded` test.
 
 /// A dense row-major matrix of embedding rows with precomputed L2 norms.
 ///
@@ -70,29 +73,9 @@ impl EmbeddingMatrix {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// The whole row-major backing buffer (`len() * dim()` lanes) — the
-    /// block the on-disk snapshot format serializes verbatim.
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-
     /// All precomputed L2 norms, one per row.
     pub fn norms(&self) -> &[f32] {
         &self.norms
-    }
-
-    /// Reassemble a matrix from its serialized parts (the inverse of
-    /// [`Self::data`] + [`Self::norms`]). Norms are trusted as stored, not
-    /// recomputed — a warm start must reproduce the cold matrix
-    /// bit-identically, including any rounding baked into the norms.
-    pub fn from_parts(dim: usize, data: Vec<f32>, norms: Vec<f32>) -> EmbeddingMatrix {
-        assert!(dim > 0, "embedding dimension must be positive");
-        assert_eq!(
-            data.len(),
-            norms.len() * dim,
-            "data length must be rows * dim"
-        );
-        EmbeddingMatrix { dim, data, norms }
     }
 
     /// Precomputed L2 norm of row `i`.

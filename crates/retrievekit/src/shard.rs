@@ -1,5 +1,5 @@
-//! Sharded pool scoring: split the matrix rows across workers, take a
-//! local top-k per shard, merge via the k-way heap.
+//! Sharded pool scoring: split the sparse matrix rows across workers,
+//! take a local top-k per shard, merge via the k-way heap.
 //!
 //! Sharding kicks in only for pools of at least [`PARALLEL_THRESHOLD`]
 //! rows — below that, thread spawn/join costs more than the scan. Scores
@@ -9,7 +9,7 @@
 //! runs `select-bench` under `DAIL_THREADS=1` and `=4` and byte-compares
 //! the reports).
 
-use crate::matrix::EmbeddingMatrix;
+use crate::sparse::SparseMatrix;
 use crate::topk::{merge_top_k, TopK};
 
 /// Pool size below which scoring stays single-threaded.
@@ -34,21 +34,35 @@ pub fn resolve_threads() -> usize {
 }
 
 /// Cosine-score the first `rows` rows of `matrix` against `query` and
-/// return the top `k` as `(score, row_index)`, best first.
+/// return the top `k` as `(score, row_index)`, best first. Scores are
+/// bit-identical to [`crate::EmbeddingMatrix::cosine`] on the dense rows,
+/// so the answer equals [`crate::full_sort`] over the dense oracle.
 ///
-/// Uses sharded scoring when the pool is large enough and more than one
-/// worker is available; the result is identical either way.
+/// Uses sharded scoring across [`resolve_threads`] workers when the pool
+/// is large enough; the result is identical either way.
 pub fn top_k_cosine(
-    matrix: &EmbeddingMatrix,
+    matrix: &SparseMatrix,
     query: &[f32],
     rows: usize,
     k: usize,
+) -> Vec<(f32, u32)> {
+    top_k_cosine_with_threads(matrix, query, rows, k, resolve_threads())
+}
+
+/// [`top_k_cosine`] across an explicit worker count, so tests can pin it
+/// without racing on the environment. Any count gives the same answer.
+pub fn top_k_cosine_with_threads(
+    matrix: &SparseMatrix,
+    query: &[f32],
+    rows: usize,
+    k: usize,
+    threads: usize,
 ) -> Vec<(f32, u32)> {
     let rows = rows.min(matrix.len());
     if obskit::enabled() {
         obskit::current().add_counter("retrievekit.scored", rows as u64);
     }
-    let threads = resolve_threads().min(rows.max(1));
+    let threads = threads.min(rows.max(1));
     if rows < PARALLEL_THRESHOLD || threads <= 1 {
         return scan(matrix, query, 0, rows, k);
     }
@@ -73,7 +87,7 @@ pub fn top_k_cosine(
 /// request's trace context. Scoring is unchanged — the span only makes
 /// the retrieval stage visible in per-request trace trees.
 pub fn top_k_cosine_traced(
-    matrix: &EmbeddingMatrix,
+    matrix: &SparseMatrix,
     query: &[f32],
     rows: usize,
     k: usize,
@@ -84,13 +98,7 @@ pub fn top_k_cosine_traced(
 }
 
 /// One shard's streaming scan over rows `lo..hi` (global indices kept).
-fn scan(
-    matrix: &EmbeddingMatrix,
-    query: &[f32],
-    lo: usize,
-    hi: usize,
-    k: usize,
-) -> Vec<(f32, u32)> {
+fn scan(matrix: &SparseMatrix, query: &[f32], lo: usize, hi: usize, k: usize) -> Vec<(f32, u32)> {
     let mut heap = TopK::new(k);
     for (i, s) in matrix.scores(query, lo, hi).enumerate() {
         heap.push(s, (lo + i) as u32);
@@ -102,8 +110,8 @@ fn scan(
 mod tests {
     use super::*;
 
-    fn matrix(rows: usize, dim: usize) -> EmbeddingMatrix {
-        let mut m = EmbeddingMatrix::with_capacity(dim, rows);
+    fn matrix(rows: usize, dim: usize) -> SparseMatrix {
+        let mut m = SparseMatrix::with_capacity(dim, rows);
         let mut row = vec![0f32; dim];
         for i in 0..rows {
             for (j, x) in row.iter_mut().enumerate() {
@@ -125,8 +133,12 @@ mod tests {
             }
             heap.into_sorted()
         };
-        // Whatever DAIL_THREADS says, the sharded result must agree.
-        assert_eq!(top_k_cosine(&m, &query, m.len(), 7), single);
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                top_k_cosine_with_threads(&m, &query, m.len(), 7, threads),
+                single
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Binary on-disk snapshots of embedding matrices — millisecond warm
-//! starts instead of re-embedding the pool through textkit.
+//! Binary on-disk snapshots of sparse embedding matrices — millisecond
+//! warm starts instead of re-embedding the pool through textkit.
 //!
 //! ## Format (all integers little-endian)
 //!
@@ -26,13 +26,17 @@
 //! ([lane: u16] [bits: f32])`, lanes strictly ascending). The writer picks
 //! whichever is smaller per matrix. Text-hash embeddings put a few dozen
 //! n-grams into 512 lanes, so sparse typically shrinks the file — and the
-//! warm-start read behind it — by an order of magnitude.
+//! warm-start read behind it — by an order of magnitude. In memory every
+//! matrix is a [`SparseMatrix`]: the writer encodes from its stored
+//! entries, the loader decodes a sparse block straight into one, and a
+//! dense block is sparsified row by row on the way in.
 //!
 //! Floats are stored as raw IEEE bits, so a loaded matrix is
 //! **bit-identical** to the one saved — cosine scores, tie-breaks, and
 //! therefore every selection downstream reproduce exactly. Sparseness is
 //! decided on bit patterns too (`to_bits() != 0`): a `-0.0` lane is stored
-//! explicitly, never folded into the implicit `+0.0` background.
+//! explicitly, never folded into the implicit `+0.0` background. Norms are
+//! trusted as stored, not recomputed.
 //!
 //! Two checksums with different jobs. `meta_crc` covers every byte that
 //! says how to read the rest: the whole header (its own field read as
@@ -45,7 +49,7 @@
 //! anything is allocated from them, so a damaged file is an error, never a
 //! panic or an oversized allocation.
 
-use crate::matrix::EmbeddingMatrix;
+use crate::sparse::SparseMatrix;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -89,7 +93,7 @@ impl From<std::io::Error> for SnapshotError {
 pub struct Snapshot {
     /// Matrices in the order they were saved, bit-identical to the saved
     /// ones.
-    pub matrices: Vec<EmbeddingMatrix>,
+    pub matrices: Vec<SparseMatrix>,
     /// Opaque auxiliary payload (promptkit stores its pool catalog here).
     pub aux: Vec<u8>,
 }
@@ -121,29 +125,28 @@ fn push_f32s(out: &mut Vec<u8>, xs: &[f32]) {
 /// Encode one matrix's data block, choosing the smaller of the dense and
 /// sparse encodings. Sparse needs `u16` lane indices, so matrices wider
 /// than `u16::MAX` lanes are always dense.
-fn encode_data(m: &EmbeddingMatrix) -> (u8, Vec<u8>) {
+fn encode_data(m: &SparseMatrix) -> (u8, Vec<u8>) {
     let dim = m.dim();
     let dense_len = m.len() * dim * 4;
-    if dim <= u16::MAX as usize {
-        let nnz: usize = m.data().iter().filter(|x| x.to_bits() != 0).count();
-        let sparse_len = m.len() * 2 + nnz * 6;
-        if sparse_len < dense_len {
-            let mut out = Vec::with_capacity(sparse_len);
-            for row in m.data().chunks_exact(dim) {
-                let row_nnz = row.iter().filter(|x| x.to_bits() != 0).count();
-                out.extend_from_slice(&(row_nnz as u16).to_le_bytes());
-                for (lane, x) in row.iter().enumerate() {
-                    if x.to_bits() != 0 {
-                        out.extend_from_slice(&(lane as u16).to_le_bytes());
-                        out.extend_from_slice(&x.to_bits().to_le_bytes());
-                    }
-                }
+    let sparse_len = m.len() * 2 + m.nnz() * 6;
+    if dim <= u16::MAX as usize && sparse_len < dense_len {
+        let mut out = Vec::with_capacity(sparse_len);
+        for i in 0..m.len() {
+            let (lanes, values) = m.row(i);
+            out.extend_from_slice(&(lanes.len() as u16).to_le_bytes());
+            for (&lane, x) in lanes.iter().zip(values) {
+                out.extend_from_slice(&lane.to_le_bytes());
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
             }
-            return (ENC_SPARSE, out);
         }
+        return (ENC_SPARSE, out);
     }
     let mut out = Vec::with_capacity(dense_len);
-    push_f32s(&mut out, m.data());
+    let mut row = vec![0f32; dim];
+    for i in 0..m.len() {
+        m.densify_into(i, &mut row);
+        push_f32s(&mut out, &row);
+    }
     (ENC_DENSE, out)
 }
 
@@ -153,55 +156,45 @@ fn decode_f32s_into(dst: &mut [f32], src: &[u8]) {
     }
 }
 
-/// Floats below which dense decoding stays single-threaded — under this,
-/// thread spawn/join costs more than the conversion itself.
-const PARALLEL_DECODE_THRESHOLD: usize = 1 << 16;
-
-/// Decode a dense little-endian f32 block, splitting large blocks across
-/// `DAIL_THREADS` workers. The conversion is elementwise (each output
-/// float depends on exactly four input bytes), so the result is
-/// bit-identical for any worker count — same determinism argument as the
-/// sharded scorer in [`crate::shard`].
-fn decode_dense(bytes: &[u8]) -> Vec<f32> {
-    let n = bytes.len() / 4;
-    let mut out = vec![0f32; n];
-    let threads = crate::shard::resolve_threads().min(n.max(1));
-    if n < PARALLEL_DECODE_THRESHOLD || threads <= 1 {
-        decode_f32s_into(&mut out, bytes);
-        return out;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [f32] = &mut out;
-        let mut src = bytes;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (dst_head, dst_tail) = rest.split_at_mut(take);
-            let (src_head, src_tail) = src.split_at(take * 4);
-            scope.spawn(move || decode_f32s_into(dst_head, src_head));
-            rest = dst_tail;
-            src = src_tail;
+/// Decode a dense block of `norms.len()` rows, keeping each row's non-zero
+/// bits (the block length was checked against `rows × dim × 4`).
+fn decode_dense(bytes: &[u8], dim: usize, norms: &[f32]) -> SparseMatrix {
+    let mut m = SparseMatrix::with_capacity(dim, norms.len());
+    let (mut lanes, mut values) = (Vec::new(), Vec::new());
+    for (row, &norm) in bytes.chunks_exact(dim * 4).zip(norms) {
+        lanes.clear();
+        values.clear();
+        for (lane, c) in row.chunks_exact(4).enumerate() {
+            let bits = u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+            if bits != 0 {
+                lanes.push(lane as u16);
+                values.push(f32::from_bits(bits));
+            }
         }
-    });
-    out
+        m.push_entries(&lanes, &values, norm);
+    }
+    m
 }
 
-/// Decode a sparse data block into a dense row-major buffer. Rejects
-/// out-of-range lanes, non-ascending lanes, explicit `+0.0` entries
-/// (which would break the encoding's canonical form) and trailing bytes.
-/// Lanes are `u16` and every row spends at least its two-byte count, so
-/// the buffer is allocated only for a block long enough to hold `rows`
-/// rows at a width the encoding can express.
-fn decode_sparse(bytes: &[u8], rows: usize, dim: usize) -> Result<Vec<f32>, String> {
+/// Decode a sparse data block of `norms.len()` rows straight into a
+/// [`SparseMatrix`]. Rejects out-of-range lanes, non-ascending lanes,
+/// explicit `+0.0` entries (which would break the encoding's canonical
+/// form) and trailing bytes. Lanes are `u16` and every row spends at least
+/// its two-byte count, so nothing is allocated for a block too short to
+/// hold its rows or a width the encoding cannot express.
+fn decode_sparse(bytes: &[u8], dim: usize, norms: &[f32]) -> Result<SparseMatrix, String> {
+    let rows = norms.len();
     if dim > u16::MAX as usize || bytes.len() / 2 < rows {
         return Err(format!(
             "sparse block of {} bytes cannot hold {rows} rows at dim {dim}",
             bytes.len()
         ));
     }
-    let mut out = vec![0f32; rows * dim];
+    let mut m = SparseMatrix::with_capacity(dim, rows);
+    m.reserve_entries((bytes.len() - rows * 2) / 6);
+    let (mut lanes, mut values) = (Vec::new(), Vec::new());
     let mut off = 0usize;
-    for r in 0..rows {
+    for (r, &norm) in norms.iter().enumerate() {
         if off + 2 > bytes.len() {
             return Err(format!("sparse block truncated at row {r}"));
         }
@@ -210,25 +203,25 @@ fn decode_sparse(bytes: &[u8], rows: usize, dim: usize) -> Result<Vec<f32>, Stri
         if off + nnz * 6 > bytes.len() {
             return Err(format!("sparse block truncated inside row {r}"));
         }
-        let row = &mut out[r * dim..(r + 1) * dim];
-        let mut prev_lane: Option<usize> = None;
+        lanes.clear();
+        values.clear();
         for _ in 0..nnz {
-            let lane =
-                u16::from_le_bytes(bytes[off..off + 2].try_into().expect("2 bytes")) as usize;
+            let lane = u16::from_le_bytes(bytes[off..off + 2].try_into().expect("2 bytes"));
             let bits = u32::from_le_bytes(bytes[off + 2..off + 6].try_into().expect("4 bytes"));
             off += 6;
-            if lane >= dim {
+            if lane as usize >= dim {
                 return Err(format!("sparse lane {lane} out of range at row {r}"));
             }
-            if prev_lane.is_some_and(|p| lane <= p) {
+            if lanes.last().is_some_and(|&p| lane <= p) {
                 return Err(format!("sparse lanes not ascending at row {r}"));
             }
             if bits == 0 {
                 return Err(format!("explicit zero entry at row {r} lane {lane}"));
             }
-            prev_lane = Some(lane);
-            row[lane] = f32::from_bits(bits);
+            lanes.push(lane);
+            values.push(f32::from_bits(bits));
         }
+        m.push_entries(&lanes, &values, norm);
     }
     if off != bytes.len() {
         return Err(format!(
@@ -236,7 +229,7 @@ fn decode_sparse(bytes: &[u8], rows: usize, dim: usize) -> Result<Vec<f32>, Stri
             bytes.len() - off
         ));
     }
-    Ok(out)
+    Ok(m)
 }
 
 /// Checksum of the metadata region: `header_to_data` is the file from its
@@ -255,7 +248,7 @@ fn meta_checksum(header_to_data: &[u8], aux: &[u8]) -> u64 {
 /// dimension.
 pub fn save_snapshot(
     path: &Path,
-    matrices: &[&EmbeddingMatrix],
+    matrices: &[&SparseMatrix],
     aux: &[u8],
 ) -> Result<(), SnapshotError> {
     let dim = matrices.first().map(|m| m.dim()).unwrap_or(1);
@@ -346,6 +339,11 @@ pub fn load_snapshot(path: &Path, verify_data: bool) -> Result<Snapshot, Snapsho
     if dim == 0 {
         return Err(corrupt("zero dimension".into()));
     }
+    if dim > u16::MAX as usize + 1 {
+        return Err(corrupt(format!(
+            "dim {dim} is wider than u16 lanes can index"
+        )));
+    }
 
     // Region bounds in u64 with checked arithmetic; every region must lie
     // inside the file before it is read.
@@ -403,19 +401,25 @@ pub fn load_snapshot(path: &Path, verify_data: bool) -> Result<Snapshot, Snapsho
         norm_off += r * 4;
         let block = &bytes[block_off..block_off + block_len];
         block_off += block_len;
-        let data = match enc {
+        // Either encoding spends at least four bytes per stored entry, and
+        // a sparse matrix indexes its entries with `u32` offsets.
+        if block_len / 4 > u32::MAX as usize {
+            return Err(corrupt(format!(
+                "data block of {block_len} bytes exceeds u32 entry offsets"
+            )));
+        }
+        matrices.push(match enc {
             ENC_DENSE => {
                 if r.checked_mul(dim).and_then(|n| n.checked_mul(4)) != Some(block_len) {
                     return Err(corrupt(format!(
                         "dense block is {block_len} bytes for {r} rows at dim {dim}"
                     )));
                 }
-                decode_dense(block)
+                decode_dense(block, dim, &norms)
             }
-            ENC_SPARSE => decode_sparse(block, r, dim).map_err(&corrupt)?,
+            ENC_SPARSE => decode_sparse(block, dim, &norms).map_err(&corrupt)?,
             other => return Err(corrupt(format!("unknown data encoding {other}"))),
-        };
-        matrices.push(EmbeddingMatrix::from_parts(dim, data, norms));
+        });
     }
     Ok(Snapshot {
         matrices,
@@ -435,8 +439,8 @@ mod tests {
 
     /// Mostly-zero rows (the realistic text-hash shape) with adversarial
     /// nonzero bits: `-0.0` must round-trip as an explicit entry.
-    fn sparse_sample(rows: usize, dim: usize, seed: u32) -> EmbeddingMatrix {
-        let mut m = EmbeddingMatrix::with_capacity(dim, rows);
+    fn sparse_sample(rows: usize, dim: usize, seed: u32) -> SparseMatrix {
+        let mut m = SparseMatrix::with_capacity(dim, rows);
         let mut row = vec![0f32; dim];
         for i in 0..rows {
             row.iter_mut().for_each(|x| *x = 0.0);
@@ -452,8 +456,8 @@ mod tests {
         m
     }
 
-    fn dense_sample(rows: usize, dim: usize, seed: f32) -> EmbeddingMatrix {
-        let mut m = EmbeddingMatrix::with_capacity(dim, rows);
+    fn dense_sample(rows: usize, dim: usize, seed: f32) -> SparseMatrix {
+        let mut m = SparseMatrix::with_capacity(dim, rows);
         for i in 0..rows {
             let row: Vec<f32> = (0..dim)
                 .map(|j| ((i * dim + j) as f32 * seed).sin())
@@ -463,11 +467,14 @@ mod tests {
         m
     }
 
-    fn assert_bits_eq(a: &EmbeddingMatrix, b: &EmbeddingMatrix) {
+    fn assert_bits_eq(a: &SparseMatrix, b: &SparseMatrix) {
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(a.len(), b.len());
         assert_eq!(a.dim(), b.dim());
-        assert_eq!(bits(a.data()), bits(b.data()));
+        for i in 0..a.len() {
+            assert_eq!(a.row(i).0, b.row(i).0, "lanes of row {i}");
+            assert_eq!(bits(a.row(i).1), bits(b.row(i).1), "values of row {i}");
+        }
         assert_eq!(bits(a.norms()), bits(b.norms()));
     }
 
@@ -508,7 +515,7 @@ mod tests {
     #[test]
     fn empty_matrices_and_aux_roundtrip() {
         let path = tmp("empty");
-        let m = EmbeddingMatrix::with_dim(8);
+        let m = SparseMatrix::with_dim(8);
         save_snapshot(&path, &[&m], &[]).unwrap();
         let snap = load_snapshot(&path, true).unwrap();
         assert!(snap.matrices[0].is_empty());
@@ -601,7 +608,7 @@ mod tests {
     #[test]
     fn every_header_and_table_bit_flip_is_rejected() {
         let path = tmp("bitflip");
-        let mut sparse = EmbeddingMatrix::with_dim(16);
+        let mut sparse = SparseMatrix::with_dim(16);
         let mut row = [0f32; 16];
         row[3] = 0.5;
         row[9] = -0.0;
@@ -631,18 +638,28 @@ mod tests {
     fn a_resealed_header_cannot_widen_a_sparse_matrix() {
         // A header rewritten under a valid checksum, not bit rot: the
         // sparse decoder must refuse a width its u16 lanes cannot express
-        // before it allocates rows × dim floats.
+        // before it allocates anything, and no block may claim a width the
+        // in-memory u16 lanes cannot index.
         let path = tmp("resealed");
         let m = sparse_sample(2, 64, 5);
         save_snapshot(&path, &[&m], &[]).unwrap();
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[12..16].copy_from_slice(&(1u32 << 16).to_le_bytes());
-        let data_at = HEADER_LEN + MAT_ENTRY_LEN + 2 * 4;
-        let crc = meta_checksum(&bytes[..data_at], &[]);
-        bytes[META_CRC_AT..META_CRC_AT + 8].copy_from_slice(&crc.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        let err = load_snapshot(&path, true).unwrap_err().to_string();
-        assert!(err.contains("cannot hold 2 rows at dim 65536"), "{err}");
+        let good = fs::read(&path).unwrap();
+        for (dim, want) in [
+            (1u32 << 16, "cannot hold 2 rows at dim 65536"),
+            (
+                (1u32 << 16) + 1,
+                "dim 65537 is wider than u16 lanes can index",
+            ),
+        ] {
+            let mut bytes = good.clone();
+            bytes[12..16].copy_from_slice(&dim.to_le_bytes());
+            let data_at = HEADER_LEN + MAT_ENTRY_LEN + 2 * 4;
+            let crc = meta_checksum(&bytes[..data_at], &[]);
+            bytes[META_CRC_AT..META_CRC_AT + 8].copy_from_slice(&crc.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let err = load_snapshot(&path, true).unwrap_err().to_string();
+            assert!(err.contains(want), "{err}");
+        }
         let _ = fs::remove_file(&path);
     }
 

@@ -10,13 +10,15 @@
 //!    arithmetic as the exact scan and `TopK`'s total order makes the
 //!    result push-order-independent, so partitioning cannot show through.
 //!
+//! The index trains on and searches sparse rows; the exact top-k it must
+//! reproduce is scored on the dense oracle built from the same rows.
 //! Matrices are built from a proptest-supplied seed through a local
 //! splitmix64 so a failing case shrinks to a tiny reproducible tuple
 //! instead of a 100k-element vector.
 
 use proptest::prelude::*;
 use retrievekit::ivf::{IvfIndex, IvfParams};
-use retrievekit::{full_sort, EmbeddingMatrix, PARALLEL_THRESHOLD};
+use retrievekit::{full_sort, EmbeddingMatrix, SparseMatrix, PARALLEL_THRESHOLD};
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -31,28 +33,37 @@ fn unit(state: &mut u64) -> f32 {
     (splitmix64(state) >> 40) as f32 / (1u64 << 24) as f32
 }
 
-/// A seeded matrix with mild cluster structure and heavy duplication —
-/// every 7th row repeats an earlier one, so exact ties exist and the
-/// tie-breaking half of the contracts is actually exercised.
-fn seeded_matrix(seed: u64, rows: usize, dim: usize) -> EmbeddingMatrix {
+/// A seeded pool, as sparse rows and as the dense oracle, with mild
+/// cluster structure, about a third of the lanes left at zero, and heavy
+/// duplication — every 7th row repeats an earlier one, so exact ties exist
+/// and the tie-breaking half of the contracts is actually exercised.
+fn seeded_matrix(seed: u64, rows: usize, dim: usize) -> (SparseMatrix, EmbeddingMatrix) {
     let mut state = seed;
-    let mut m = EmbeddingMatrix::with_capacity(dim, rows);
+    let mut sparse = SparseMatrix::with_capacity(dim, rows);
+    let mut dense = EmbeddingMatrix::with_capacity(dim, rows);
     let mut row = vec![0f32; dim];
     for i in 0..rows {
         if i % 7 == 6 && i > 0 {
             let dup = (splitmix64(&mut state) as usize) % i;
-            let prev = m.row(dup).to_vec();
-            m.push_row(&prev);
+            let prev = dense.row(dup).to_vec();
+            sparse.push_row(&prev);
+            dense.push_row(&prev);
             continue;
         }
         let center = i % 4;
         for (j, x) in row.iter_mut().enumerate() {
             let base = if j % 4 == center { 0.8 } else { 0.1 };
-            *x = base + 0.3 * (unit(&mut state) - 0.5);
+            let jitter = unit(&mut state);
+            *x = if j % 4 != center && jitter < 0.45 {
+                0.0
+            } else {
+                base + 0.3 * (jitter - 0.5)
+            };
         }
-        m.push_row(&row);
+        sparse.push_row(&row);
+        dense.push_row(&row);
     }
-    m
+    (sparse, dense)
 }
 
 proptest! {
@@ -69,7 +80,7 @@ proptest! {
         k in 2usize..9,
     ) {
         let rows = PARALLEL_THRESHOLD + extra;
-        let m = seeded_matrix(seed, rows, dim);
+        let (m, _) = seeded_matrix(seed, rows, dim);
         let params = |threads| IvfParams {
             n_clusters: Some(k),
             iters: 3,
@@ -97,16 +108,17 @@ proptest! {
         clusters in 1usize..8,
         query_pick in any::<usize>(),
     ) {
-        let m = seeded_matrix(seed, rows, dim);
+        let (m, dense) = seeded_matrix(seed, rows, dim);
         let idx = IvfIndex::train(&m, rows, &IvfParams {
             n_clusters: Some(clusters.min(rows)),
             iters: 2,
             threads: Some(1),
             ..IvfParams::default()
         });
-        let q = m.row(query_pick % rows).to_vec();
-        let got = idx.search_with_probe(&m, &q, k, idx.n_clusters());
-        let want = full_sort(m.scores(&q, 0, rows), k);
+        let q = dense.row(query_pick % rows).to_vec();
+        let (got, scored) = idx.search_with_probe(&q, k, idx.n_clusters());
+        let want = full_sort(dense.scores(&q, 0, rows), k);
         prop_assert_eq!(got, want);
+        prop_assert_eq!(scored, rows);
     }
 }
