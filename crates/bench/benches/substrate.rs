@@ -1,6 +1,7 @@
 //! Microbenches for the substrates: SQL parsing, execution, canonicalization,
 //! skeleton extraction, tokenization and embedding — the inner loops every
-//! experiment runs millions of times.
+//! experiment runs millions of times — plus the two halves of a simulated
+//! completion and the self-consistency vote.
 
 use bench::small_benchmark;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -91,5 +92,55 @@ fn obskit_overhead(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, substrate, obskit_overhead);
+/// Self-consistency's shared work: a full completion of a 5-shot DAIL
+/// prompt against one sample drawn from its prebuilt comprehension, and a
+/// vote over five candidates of which two are distinct.
+fn self_consistency(c: &mut Criterion) {
+    let bench = small_benchmark();
+    let selector = promptkit::ExampleSelector::new(&bench);
+    let tok = Tokenizer::new();
+    let item = &bench.dev[0];
+    // The gold query stands in for the preliminary prediction.
+    let prompt = promptkit::build_prompt(
+        &promptkit::PromptConfig::dail_sql(5),
+        &bench,
+        &selector,
+        item,
+        Some(&item.gold),
+        false,
+        &tok,
+        1,
+    )
+    .text;
+    let model = simllm::SimLlm::new("gpt-4").expect("zoo model");
+    let opts = simllm::GenOptions {
+        seed: 1,
+        temperature: 1.0,
+        sample_index: 3,
+        ..simllm::GenOptions::default()
+    };
+    c.bench_function("simllm_complete_dail_prompt", |b| {
+        b.iter(|| black_box(model.complete(black_box(&prompt), &opts)))
+    });
+    let comprehension = model.comprehend(&prompt, obskit::TraceContext::disabled());
+    c.bench_function("simllm_sample_shared", |b| {
+        b.iter(|| black_box(model.sample(black_box(&comprehension), &opts)))
+    });
+
+    let db = bench.db(item);
+    let other = format!("SELECT count(*) FROM {}", db.schema.tables[0].name);
+    let candidates = [
+        &item.gold_sql,
+        &other,
+        &item.gold_sql,
+        &other,
+        &item.gold_sql,
+    ]
+    .map(|s| s.to_string());
+    c.bench_function("vote_by_execution_5", |b| {
+        b.iter(|| black_box(dail_core::vote_by_execution(db, black_box(&candidates))))
+    });
+}
+
+criterion_group!(benches, substrate, obskit_overhead, self_consistency);
 criterion_main!(benches);

@@ -428,8 +428,13 @@ fn explain_cmd(positional: &[&String], flags: &HashMap<String, String>) {
     let stats = storage::collect(db);
     let canonical = flags.contains_key("canonical");
     if flags.contains_key("analyze") {
-        match storage::execute_query_analyzed(db, &q, storage::ExecOptions::default(), Some(&stats))
-        {
+        match storage::execute_query_analyzed(
+            db,
+            &q,
+            storage::ExecOptions::default(),
+            Some(&stats),
+            obskit::TraceContext::disabled(),
+        ) {
             Ok(an) => print!("{}", an.plan.render(true, canonical)),
             Err(e) => {
                 eprintln!("execution error: {e}");
@@ -600,9 +605,11 @@ fn exec_bench(flags: &HashMap<String, String>) {
         ..ExecOptions::default()
     };
     let t0 = std::time::Instant::now();
-    for (name, sql) in queries {
+    for (i, (name, sql)) in queries.into_iter().enumerate() {
         let q = sqlkit::parse_query(sql).expect("workload SQL parses");
-        match storage::execute_query_analyzed(&db, &q, opts, None) {
+        // Each workload query is its own traced request.
+        let request = obskit::TraceContext::root(i as u64, true, None);
+        match storage::execute_query_analyzed(&db, &q, opts, None, request) {
             Ok(an) => println!("{name}: {} rows", an.result.rows.len()),
             Err(e) => {
                 eprintln!("exec-bench query {name} failed: {e}");

@@ -752,11 +752,19 @@ fn serve_bench_trace_forms_one_connected_tree_per_request() {
 
 #[test]
 fn sampled_out_requests_emit_no_spans_but_still_count() {
-    let trace = std::env::temp_dir().join("dail_cli_sampled_out.jsonl");
+    // Plain scoring, then scoring through the analyzed executor, whose
+    // storage.exec span must follow the request's sampling decision too
+    // (`--canonical` zeroes the digest table's wall-clock column).
+    sampled_out_run("plain", &[]);
+    sampled_out_run("digests", &["--digests", "5", "--canonical"]);
+}
+
+fn sampled_out_run(tag: &str, extra: &[&str]) {
+    let trace = std::env::temp_dir().join(format!("dail_cli_sampled_out_{tag}.jsonl"));
     let _ = std::fs::remove_file(&trace);
-    let out = serve_bench_cmd(&["--trace", trace.to_str().unwrap(), "--trace-sample", "0"])
-        .output()
-        .expect("binary runs");
+    let mut args = vec!["--trace", trace.to_str().unwrap(), "--trace-sample", "0"];
+    args.extend_from_slice(extra);
+    let out = serve_bench_cmd(&args).output().expect("binary runs");
     assert!(
         out.status.success(),
         "{}",
@@ -785,7 +793,7 @@ fn sampled_out_requests_emit_no_spans_but_still_count() {
 
     // The rendered report is byte-identical to a fully-untraced run:
     // telemetry never changes a reported number.
-    let untraced = serve_bench_cmd(&[]).output().expect("binary runs");
+    let untraced = serve_bench_cmd(extra).output().expect("binary runs");
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&untraced.stdout)
@@ -1520,7 +1528,8 @@ fn eval_digests_trace_nests_exec_spans_under_their_item() {
     // `--digests` scores through the analyzed executor, which records a
     // storage.exec span into whatever recorder its thread has entered.
     // Each eval worker must enter its own buffer, so the span nests under
-    // the item's score span and lands at the same place in every run.
+    // the item's eval.execution span, inside its score span, and lands at
+    // the same place in every run.
     let run = |tag: &str| {
         let trace = std::env::temp_dir().join(format!("dail_cli_eval_exec_{tag}.jsonl"));
         let _ = std::fs::remove_file(&trace);
@@ -1566,7 +1575,10 @@ fn eval_digests_trace_nests_exec_spans_under_their_item() {
         assert_eq!(execs.len(), 12, "one analyzed execution per dev item");
         for parent in execs {
             let parent = parent.expect("storage.exec span has a parent");
-            assert_eq!(idx[&parent].0, "score", "storage.exec parent");
+            let (name, grandparent) = &idx[&parent];
+            assert_eq!(name, "eval.execution", "storage.exec parent");
+            let grandparent = grandparent.expect("eval.execution span has a parent");
+            assert_eq!(idx[&grandparent].0, "score", "eval.execution parent");
         }
         obskit::canonical_jsonl(&events)
     };

@@ -330,10 +330,11 @@ impl Predictor for C3Style {
         let had_prefix = bundle.text.trim_end().ends_with("SELECT");
         let mut prompt_tokens = 0;
         let mut completion_tokens = 0;
+        let comprehension = self.model.comprehend(&bundle.text, ctx.trace);
         let mut candidates = Vec::with_capacity(self.samples);
         for i in 0..self.samples {
-            let out = self.model.complete(
-                &bundle.text,
+            let out = self.model.sample(
+                &comprehension,
                 &GenOptions {
                     seed: ctx.seed,
                     temperature: 1.0,

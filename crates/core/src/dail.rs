@@ -3,7 +3,8 @@
 //! Code representation (CR_P) + DAIL example selection (masked-question
 //! similarity ∧ query-skeleton similarity against a preliminary prediction)
 //! + DAIL example organization (question–SQL pairs), with optional
-//!   self-consistency voting over sampled completions.
+//!   self-consistency voting over sampled completions (the prompt is
+//!   comprehended once and sampled k times).
 
 use crate::pipeline::{PredictCtx, Prediction, Predictor};
 use crate::self_consistency::vote_by_execution;
@@ -120,13 +121,15 @@ impl Predictor for DailSql {
             completion_tokens += ctx.tokenizer.count(&sql);
             sql
         } else {
+            // Every sample reads the same prompt: comprehend it once.
+            let comprehension = self.model.comprehend(&bundle.text, tctx);
             let mut candidates = Vec::with_capacity(self.self_consistency);
             for i in 0..self.self_consistency {
                 // Sample 0 is the greedy decode (standard practice: include
                 // the temperature-0 answer among the voters).
                 let temperature = if i == 0 { 0.0 } else { 1.0 };
-                let out = self.model.complete(
-                    &bundle.text,
+                let out = self.model.sample(
+                    &comprehension,
                     &GenOptions {
                         seed: ctx.seed,
                         temperature,

@@ -4,6 +4,8 @@
 //! results agree form a vote block, and the SQL of the largest block wins
 //! (ties break toward the earliest sample, i.e. the lowest-temperature-index
 //! candidate). Invalid or failing candidates vote only for themselves.
+//! Samples often repeat one another, so each distinct SQL string is parsed
+//! and executed once.
 
 use sqlkit::parse_query;
 use storage::{execute_query, Database, ResultSet};
@@ -15,24 +17,43 @@ pub fn vote_by_execution(db: &Database, candidates: &[String]) -> String {
     if candidates.is_empty() {
         return String::new();
     }
-    let mut signatures: Vec<Option<String>> = Vec::with_capacity(candidates.len());
+    // One entry per distinct SQL string, in first-seen order: its result
+    // signature (None when it fails to parse or execute) and its count.
+    let mut distinct: Vec<(&str, Option<String>, usize)> = Vec::new();
+    // For each candidate, its entry in `distinct`.
+    let mut entry_of = Vec::with_capacity(candidates.len());
+    let mut executions = 0u64;
     for sql in candidates {
-        let sig = parse_query(sql)
-            .ok()
-            .and_then(|q| execute_query(db, &q).ok())
-            .map(|rs| signature(&rs));
-        signatures.push(sig);
+        let e = match distinct.iter().position(|(s, _, _)| *s == sql.as_str()) {
+            Some(e) => e,
+            None => {
+                let sig = parse_query(sql).ok().and_then(|q| {
+                    executions += 1;
+                    execute_query(db, &q).ok().map(|rs| signature(&rs))
+                });
+                distinct.push((sql.as_str(), sig, 0));
+                distinct.len() - 1
+            }
+        };
+        distinct[e].2 += 1;
+        entry_of.push(e);
     }
+    if obskit::enabled() {
+        obskit::current().add_counter("core.vote.executions", executions);
+    }
+    // A candidate's votes: every candidate whose result equals its own.
+    let votes_of = |e: usize| match &distinct[e].1 {
+        Some(sig) => distinct
+            .iter()
+            .filter(|(_, other, _)| other.as_ref() == Some(sig))
+            .map(|(_, _, n)| n)
+            .sum(),
+        None => 0,
+    };
     let mut best_idx = 0usize;
     let mut best_votes = 0usize;
-    for (i, sig) in signatures.iter().enumerate() {
-        let votes = match sig {
-            Some(s) => signatures
-                .iter()
-                .filter(|other| other.as_deref() == Some(s.as_str()))
-                .count(),
-            None => 0,
-        };
+    for (i, &e) in entry_of.iter().enumerate() {
+        let votes = votes_of(e);
         if votes > best_votes {
             best_votes = votes;
             best_idx = i;

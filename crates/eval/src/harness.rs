@@ -172,18 +172,28 @@ pub fn evaluate_opts(
                     let part_scores = part
                         .iter()
                         .map(|item| {
+                            // Each item is traced as one request: the
+                            // pipeline's own spans nest under `predict`
+                            // and `score`.
+                            let request = |parent: &obskit::Span| {
+                                obskit::TraceContext::root(item.id as u64, true, parent.id())
+                            };
                             let item_span = wrec.span("item");
                             let pred = {
-                                let _s = item_span.child("predict");
+                                let s = item_span.child("predict");
+                                let ctx = PredictCtx {
+                                    trace: request(&s),
+                                    ..ctx
+                                };
                                 predictor.predict(&ctx, item)
                             };
                             let score = {
-                                let _s = item_span.child("score");
+                                let s = item_span.child("score");
                                 score_item_traced(
                                     bench.db(item),
                                     item,
                                     &pred.sql,
-                                    ctx.trace,
+                                    request(&s),
                                     acc.as_mut(),
                                 )
                             };

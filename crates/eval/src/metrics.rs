@@ -43,9 +43,9 @@ pub fn score_item_traced(
     };
     let em = exact_set_match(&item.gold, &pred);
     let executed = {
-        let (_span, _) = trace.span("eval.execution");
+        let (_span, xctx) = trace.span("eval.execution");
         let pred_rs = if digests.is_some() {
-            execute_query_analyzed(db, &pred, ExecOptions::default(), None).map(|an| {
+            execute_query_analyzed(db, &pred, ExecOptions::default(), None, xctx).map(|an| {
                 let obs = QueryObs {
                     exec_ns: an.plan.total_self_ns(),
                     rows_scanned: an.plan.rows_scanned(),

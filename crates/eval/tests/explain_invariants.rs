@@ -57,8 +57,14 @@ proptest! {
         let db = b.db(item);
 
         let t0 = std::time::Instant::now();
-        let an = execute_query_analyzed(db, &item.gold, ExecOptions::default(), None)
-            .expect("gold queries always execute");
+        let an = execute_query_analyzed(
+            db,
+            &item.gold,
+            ExecOptions::default(),
+            None,
+            obskit::TraceContext::disabled(),
+        )
+        .expect("gold queries always execute");
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
 
         // Rows flow through the operator tree without loss.
@@ -97,8 +103,14 @@ fn exec_span_duration_equals_self_time_total() {
     let b = bench();
     for item in b.dev.iter().take(10) {
         let before: Vec<obskit::Event> = rec.events();
-        let an = execute_query_analyzed(b.db(item), &item.gold, ExecOptions::default(), None)
-            .expect("gold queries always execute");
+        let an = execute_query_analyzed(
+            b.db(item),
+            &item.gold,
+            ExecOptions::default(),
+            None,
+            obskit::TraceContext::root(item.id as u64, true, None),
+        )
+        .expect("gold queries always execute");
         let after = rec.events();
         let durs: Vec<u64> = after[before.len()..]
             .iter()

@@ -904,7 +904,7 @@ mod tests {
             },
         );
         let parsed = parse_prompt(&p);
-        let linker = Linker::new(&parsed);
+        let linker = Linker::new(&parsed, &parsed.tables);
         let vals = values::extract(question);
         let mut rng = StdRng::seed_from_u64(1);
         decode(intent, &linker, &vals, &mut rng, tier)
@@ -1008,7 +1008,7 @@ mod tests {
             },
         );
         let parsed = parse_prompt(&p);
-        let linker = Linker::new(&parsed);
+        let linker = Linker::new(&parsed, &parsed.tables);
         let vals = values::extract(question);
         let mut wrong = 0;
         for seed in 0..60 {

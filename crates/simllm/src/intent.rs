@@ -11,8 +11,9 @@
 
 use crate::comprehend::ParsedExample;
 use sqlkit::ast::*;
-use sqlkit::parse_query;
-use textkit::text_cosine;
+use sqlkit::{parse_query, Skeleton};
+use std::collections::HashMap;
+use textkit::embed;
 
 /// Query sketch families (aligned with the generator's template families,
 /// which mirror the Spider query distribution).
@@ -164,14 +165,8 @@ pub fn fire_cues(question: &str) -> Vec<Cue> {
     cues
 }
 
-/// Classify the intent of an in-context example's SQL (a reliable reverse
-/// mapping — the model "reads" the demonstration).
-pub fn intent_of_sql(sql: &str) -> Option<Intent> {
-    let q = parse_query(sql).ok()?;
-    Some(intent_of_query(&q))
-}
-
-/// Classify a query AST into its sketch family.
+/// Classify a query AST into its sketch family (a reliable reverse
+/// mapping — the model "reads" a demonstration's SQL this way).
 pub fn intent_of_query(q: &Query) -> Intent {
     match q {
         Query::Compound { op, .. } => match op {
@@ -304,60 +299,91 @@ pub fn neutralize(question: &str) -> String {
         .join(" ")
 }
 
+/// How the model reads one in-context example: the sketch family and
+/// skeleton of its SQL (from one parse) and how similar its question is to
+/// the target's.
+#[derive(Debug, Clone)]
+pub(crate) struct ExampleReading {
+    /// Sketch family and skeleton; `None` when the example's SQL does not
+    /// parse.
+    pub(crate) shape: Option<(Intent, Skeleton)>,
+    /// Neutralized-question cosine to the target, floored at 0; `None` for
+    /// SQL-only examples.
+    pub(crate) similarity: Option<f64>,
+}
+
+/// Read every in-context example once against the target question.
+///
+/// The model abstracts away domain content when comparing a demonstration
+/// to the target — what transfers is the question's *intent*, not its
+/// nouns. This is why masked similarity selection outperforms raw text
+/// similarity. The target is neutralized and embedded once.
+pub(crate) fn read_examples(question: &str, examples: &[ParsedExample]) -> Vec<ExampleReading> {
+    let target = embed(&neutralize(question));
+    examples
+        .iter()
+        .map(|ex| ExampleReading {
+            shape: parse_query(&ex.sql)
+                .ok()
+                .map(|q| (intent_of_query(&q), Skeleton::of(&q))),
+            similarity: ex
+                .question
+                .as_ref()
+                .map(|exq| target.cosine(&embed(&neutralize(exq))).max(0.0)),
+        })
+        .collect()
+}
+
+/// The in-context example votes: one `(intent, weight)` per example whose
+/// SQL parses, in prompt order.
+///
+/// Examples with questions vote with weight proportional to question
+/// similarity, SQL-only ones with a small uniform weight, all scaled by
+/// the model's in-context-learning strength `icl_weight`.
+pub(crate) fn example_votes(readings: &[ExampleReading], icl_weight: f64) -> Vec<(Intent, f64)> {
+    // A *consistent* demonstration set is more convincing than the same
+    // number of scattered ones: count how many examples share each intent.
+    let mut intent_counts: HashMap<Intent, usize> = HashMap::new();
+    for (intent, _) in readings.iter().filter_map(|r| r.shape.as_ref()) {
+        *intent_counts.entry(*intent).or_insert(0) += 1;
+    }
+    readings
+        .iter()
+        .filter_map(|r| {
+            let (intent, _) = r.shape.as_ref()?;
+            let consistency = 1.0 + 0.15 * (intent_counts[intent].saturating_sub(1)) as f64;
+            let weight = match r.similarity {
+                // Only similar demonstrations steer the sketch.
+                Some(sim) if sim > 0.25 => 2.4 * sim * icl_weight,
+                // Dissimilar demonstrations barely register; five
+                // skeleton-identical but question-unrelated examples
+                // must not outvote the model's own reading.
+                Some(_) => 0.08 * icl_weight,
+                // SQL-only examples: the model sees shapes but cannot match
+                // them to the target question — weak, diffuse votes.
+                None => 0.25 * icl_weight,
+            };
+            Some((*intent, weight * consistency))
+        })
+        .collect()
+}
+
 /// Combine (dropout-filtered) cue votes with in-context example votes and
 /// return intents ranked by total score.
 ///
 /// * `kept_cues` — the cues that survived attention dropout;
-/// * `examples` — parsed in-context examples; ones with questions vote with
-///   weight proportional to question similarity, SQL-only ones with a small
-///   uniform weight;
-/// * `icl_weight` — the model's in-context-learning strength.
-pub fn rank_intents(
-    question: &str,
-    kept_cues: &[Cue],
-    examples: &[ParsedExample],
-    icl_weight: f64,
-) -> Vec<(Intent, f64)> {
-    use std::collections::HashMap;
+/// * `votes` — the in-context example votes `(intent, weight)`, in prompt
+///   order.
+///
+/// Each intent's score sums its cue weights first, then its example votes
+/// in prompt order.
+pub fn rank_intents(kept_cues: &[Cue], votes: &[(Intent, f64)]) -> Vec<(Intent, f64)> {
     let mut scores: HashMap<Intent, f64> = HashMap::new();
     for (_, intent, w) in kept_cues {
         *scores.entry(*intent).or_insert(0.0) += w;
     }
-    // A *consistent* demonstration set is more convincing than the same
-    // number of scattered ones: count how many examples share each intent.
-    let mut intent_counts: HashMap<Intent, usize> = HashMap::new();
-    for ex in examples {
-        if let Some(i) = intent_of_sql(&ex.sql) {
-            *intent_counts.entry(i).or_insert(0) += 1;
-        }
-    }
-    for ex in examples {
-        let Some(intent) = intent_of_sql(&ex.sql) else {
-            continue;
-        };
-        let consistency = 1.0 + 0.15 * (intent_counts[&intent].saturating_sub(1)) as f64;
-        let weight = match &ex.question {
-            Some(exq) => {
-                // The model abstracts away domain content when comparing the
-                // demonstration to the target — what transfers is the
-                // question's *intent*, not its nouns. This is why masked
-                // similarity selection outperforms raw text similarity.
-                let sim = text_cosine(&neutralize(question), &neutralize(exq)).max(0.0);
-                // Only similar demonstrations steer the sketch.
-                if sim > 0.25 {
-                    2.4 * sim * icl_weight
-                } else {
-                    // Dissimilar demonstrations barely register; five
-                    // skeleton-identical but question-unrelated examples
-                    // must not outvote the model's own reading.
-                    0.08 * icl_weight
-                }
-            }
-            // SQL-only examples: the model sees shapes but cannot match them
-            // to the target question — weak, diffuse votes.
-            None => 0.25 * icl_weight,
-        };
-        *scores.entry(intent).or_insert(0.0) += weight * consistency;
+    for (intent, v) in votes {
+        *scores.entry(*intent).or_insert(0.0) += v;
     }
     let mut ranked: Vec<(Intent, f64)> = scores.into_iter().collect();
     // Ties must break deterministically (HashMap iteration order is
@@ -376,7 +402,7 @@ mod tests {
 
     fn top(question: &str) -> Intent {
         let cues = fire_cues(question);
-        rank_intents(question, &cues, &[], 0.0)[0].0
+        rank_intents(&cues, &[])[0].0
     }
 
     #[test]
@@ -497,7 +523,7 @@ mod tests {
             ),
         ];
         for (sql, want) in cases {
-            assert_eq!(intent_of_sql(sql), Some(want), "{sql}");
+            assert_eq!(intent_of_query(&parse_query(sql).unwrap()), want, "{sql}");
         }
     }
 
@@ -516,10 +542,11 @@ mod tests {
             };
             3
         ];
-        let ranked = rank_intents(question, &cues, &examples, 0.9);
+        let votes = example_votes(&read_examples(question, &examples), 0.9);
+        let ranked = rank_intents(&cues, &votes);
         assert_eq!(ranked[0].0, Intent::GroupCount);
         // Without ICL the default List wins.
-        let ranked0 = rank_intents(question, &cues, &[], 0.9);
+        let ranked0 = rank_intents(&cues, &[]);
         assert_eq!(ranked0[0].0, Intent::List);
     }
 
@@ -535,8 +562,15 @@ mod tests {
             question: None,
             sql: "SELECT avg(x) FROM gadget".into(),
         }];
-        let w_paired = rank_intents(question, &cues, &paired, 0.9)[0].1;
-        let w_sqlonly = rank_intents(question, &cues, &sql_only, 0.9)[0].1;
+        let vote = |examples: &[ParsedExample]| {
+            rank_intents(
+                &cues,
+                &example_votes(&read_examples(question, examples), 0.9),
+            )[0]
+            .1
+        };
+        let w_paired = vote(&paired);
+        let w_sqlonly = vote(&sql_only);
         assert!(w_paired > w_sqlonly * 2.0, "{w_paired} vs {w_sqlonly}");
     }
 }

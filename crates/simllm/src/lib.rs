@@ -3,11 +3,14 @@
 //! The offline stand-in for the LLM APIs the paper benchmarks. A
 //! [`SimLlm`] consumes *only the prompt string* and produces a completion:
 //!
-//! 1. **comprehension** — re-parse the prompt (schema, foreign keys,
-//!    examples, question, instruction flags); information a representation
-//!    omitted is genuinely unavailable downstream;
-//! 2. **schema linking** — match question words to recovered tables/columns,
-//!    with tier-scaled attention dropout;
+//! 1. **comprehension** ([`SimLlm::comprehend`], once per prompt, no seed)
+//!    — re-parse the prompt (schema, foreign keys, examples, question,
+//!    instruction flags), trim it to the context window and read each
+//!    example once; information a representation omitted is genuinely
+//!    unavailable downstream;
+//! 2. **schema linking** ([`SimLlm::sample`] from here on, once per seeded
+//!    sample) — match question words to recovered tables/columns, after
+//!    tier-scaled attention dropout;
 //! 3. **intent induction** — cue-based sketch prior plus in-context example
 //!    votes weighted by question similarity (the paper's question→skeleton
 //!    learning hypothesis, made mechanical);
@@ -37,8 +40,8 @@ pub mod values;
 
 pub use comprehend::{parse_prompt, ParsedExample, ParsedFk, ParsedPrompt, ParsedTable};
 pub use faults::{FaultConfig, FaultInjector, FaultPlan};
-pub use intent::{intent_of_query, intent_of_sql, Intent};
+pub use intent::{intent_of_query, Intent};
 pub use linking::Linker;
-pub use model::{extract_sql, CompletionTrace, GenOptions, SimLlm};
+pub use model::{extract_sql, CompletionTrace, Comprehension, GenOptions, SimLlm};
 pub use profile::{profile, ModelProfile, MAIN_STUDY, OPEN_SOURCE_STUDY, ZOO};
 pub use sft::{detect_style, PromptStyle, SftState};

@@ -134,16 +134,23 @@ fn word_eq(a: &str, b: &str) -> bool {
 
 /// Linker over one parsed prompt and one question.
 pub struct Linker<'a> {
-    /// The parsed prompt.
+    /// The parsed prompt: question, foreign keys and sampled content.
     pub parsed: &'a ParsedPrompt,
+    /// The tables in scope, as the model retained them.
+    tables: &'a [ParsedTable],
     qwords: Vec<String>,
 }
 
 impl<'a> Linker<'a> {
-    /// Build a linker for the target question in the prompt.
-    pub fn new(parsed: &'a ParsedPrompt) -> Self {
+    /// Build a linker for the target question in the prompt, over `tables`
+    /// (the prompt's tables after any attention dropout).
+    pub fn new(parsed: &'a ParsedPrompt, tables: &'a [ParsedTable]) -> Self {
         let qwords = split_words(&parsed.question);
-        Linker { parsed, qwords }
+        Linker {
+            parsed,
+            tables,
+            qwords,
+        }
     }
 
     /// The question's words.
@@ -153,17 +160,17 @@ impl<'a> Linker<'a> {
 
     /// Table count in scope.
     pub fn n_tables(&self) -> usize {
-        self.parsed.tables.len()
+        self.tables.len()
     }
 
     /// Access a table by index.
     pub fn table(&self, ti: usize) -> &ParsedTable {
-        &self.parsed.tables[ti]
+        &self.tables[ti]
     }
 
     /// Fraction of the table-name words that occur in the question.
     pub fn table_score(&self, ti: usize) -> f64 {
-        let words = split_words(&self.parsed.tables[ti].name);
+        let words = split_words(&self.tables[ti].name);
         if words.is_empty() {
             return 0.0;
         }
@@ -176,7 +183,7 @@ impl<'a> Linker<'a> {
 
     /// Tables ranked by score (desc), ties keep prompt order.
     pub fn ranked_tables(&self) -> Vec<(usize, f64)> {
-        let mut v: Vec<(usize, f64)> = (0..self.parsed.tables.len())
+        let mut v: Vec<(usize, f64)> = (0..self.tables.len())
             .map(|i| (i, self.table_score(i)))
             .collect();
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -191,7 +198,7 @@ impl<'a> Linker<'a> {
     /// Column score: fraction of column-name words present in the question
     /// (snake_case split), with a bonus for full multi-word matches.
     pub fn column_score(&self, ti: usize, ci: usize) -> f64 {
-        let words = split_words(&self.parsed.tables[ti].columns[ci]);
+        let words = split_words(&self.tables[ti].columns[ci]);
         if words.is_empty() {
             return 0.0;
         }
@@ -209,7 +216,7 @@ impl<'a> Linker<'a> {
 
     /// Columns of a table ranked by score (desc).
     pub fn ranked_columns(&self, ti: usize) -> Vec<(usize, f64)> {
-        let n = self.parsed.tables[ti].columns.len();
+        let n = self.tables[ti].columns.len();
         let mut v: Vec<(usize, f64)> = (0..n).map(|ci| (ci, self.column_score(ti, ci))).collect();
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         v
@@ -225,7 +232,7 @@ impl<'a> Linker<'a> {
                 return ci;
             }
         }
-        let t = &self.parsed.tables[ti];
+        let t = &self.tables[ti];
         for (ci, c) in t.columns.iter().enumerate() {
             let lc = c.to_lowercase();
             if lc == "name" || lc == "title" || lc.ends_with("_name") {
@@ -242,7 +249,7 @@ impl<'a> Linker<'a> {
     /// Whether a column looks like a key (ids should rarely be projected or
     /// aggregated over).
     pub fn is_idlike(&self, ti: usize, ci: usize) -> bool {
-        let c = self.parsed.tables[ti].columns[ci].to_lowercase();
+        let c = self.tables[ti].columns[ci].to_lowercase();
         c == "id" || c.ends_with("_id")
     }
 
@@ -299,8 +306,8 @@ impl<'a> Linker<'a> {
         // Among question-linked columns, prefer ones that are plausibly
         // numeric (DDL type when available, else a measure-word name).
         for &(ci, _) in &linked {
-            let lc = self.parsed.tables[ti].columns[ci].to_lowercase();
-            let numeric = self.parsed.tables[ti].is_numeric(ci) == Some(true)
+            let lc = self.tables[ti].columns[ci].to_lowercase();
+            let numeric = self.tables[ti].is_numeric(ci) == Some(true)
                 || MEASURE_HINTS_LOCAL.iter().any(|h| lc.contains(h));
             if numeric {
                 return Some(ci);
@@ -308,12 +315,12 @@ impl<'a> Linker<'a> {
         }
         // Linked column that at least isn't a display name.
         for &(ci, _) in &linked {
-            let lc = self.parsed.tables[ti].columns[ci].to_lowercase();
+            let lc = self.tables[ti].columns[ci].to_lowercase();
             if lc != "name" && lc != "title" && !lc.ends_with("_name") {
                 return Some(ci);
             }
         }
-        let t = &self.parsed.tables[ti];
+        let t = &self.tables[ti];
         // Type info (CR_P only) pins down numeric non-key columns.
         let typed: Vec<usize> = (0..t.columns.len())
             .filter(|&ci| t.is_numeric(ci) == Some(true) && !self.is_idlike(ti, ci))
@@ -364,7 +371,7 @@ impl<'a> Linker<'a> {
                 return Some(ci);
             }
         }
-        let t = &self.parsed.tables[ti];
+        let t = &self.tables[ti];
         for (ci, c) in t.columns.iter().enumerate() {
             let lc = c.to_lowercase();
             if self.is_idlike(ti, ci) || lc == "name" || lc == "title" || lc.ends_with("_name") {
@@ -402,8 +409,8 @@ impl<'a> Linker<'a> {
     /// Foreign key between two tables from prompt FK info, as
     /// `(col_in_ti, col_in_tj)`.
     pub fn fk_between(&self, ti: usize, tj: usize) -> Option<(String, String)> {
-        let a = &self.parsed.tables[ti].name;
-        let b = &self.parsed.tables[tj].name;
+        let a = &self.tables[ti].name;
+        let b = &self.tables[tj].name;
         for fk in &self.parsed.fks {
             if fk.from_table.eq_ignore_ascii_case(a) && fk.to_table.eq_ignore_ascii_case(b) {
                 return Some((fk.from_column.clone(), fk.to_column.clone()));
@@ -418,8 +425,8 @@ impl<'a> Linker<'a> {
     /// Name-based join guess: a column in one table that embeds the other
     /// table's name (`singer_id`), or an exactly shared column name.
     pub fn guess_join(&self, ti: usize, tj: usize) -> Option<(String, String)> {
-        let ta = &self.parsed.tables[ti];
-        let tb = &self.parsed.tables[tj];
+        let ta = &self.tables[ti];
+        let tb = &self.tables[tj];
         let a_name = ta.name.to_lowercase();
         let b_name = tb.name.to_lowercase();
         // child.{parent}_id = parent.{parent}_id (or parent's pk-ish column)
@@ -476,7 +483,7 @@ mod tests {
     #[test]
     fn links_explicit_table_and_column() {
         let parsed = linker_for("What is the average age of all singers?", true);
-        let l = Linker::new(&parsed);
+        let l = Linker::new(&parsed, &parsed.tables);
         let ti = l.best_table();
         assert_eq!(l.table(ti).name, "singer");
         let (ci, score) = l.ranked_columns(ti)[0];
@@ -489,8 +496,8 @@ mod tests {
         let explicit = linker_for("Show singers with age above 40.", true);
         // A paraphrase outside the synonym lexicon cannot link the column.
         let vague = linker_for("Which singers have been around the longest?", true);
-        let le = Linker::new(&explicit);
-        let lv = Linker::new(&vague);
+        let le = Linker::new(&explicit, &explicit.tables);
+        let lv = Linker::new(&vague, &vague.tables);
         let ti = le.best_table();
         let age_idx = le
             .table(ti)
@@ -504,7 +511,7 @@ mod tests {
     #[test]
     fn synonym_lexicon_bridges_common_paraphrases() {
         let parsed = linker_for("Which singers are older than 40?", true);
-        let l = Linker::new(&parsed);
+        let l = Linker::new(&parsed, &parsed.tables);
         let ti = l.best_table();
         let age_idx = l.table(ti).columns.iter().position(|c| c == "age").unwrap();
         assert!(
@@ -516,7 +523,7 @@ mod tests {
     #[test]
     fn fk_between_uses_prompt_fks() {
         let parsed = linker_for("q", true);
-        let l = Linker::new(&parsed);
+        let l = Linker::new(&parsed, &parsed.tables);
         let singer = l
             .parsed
             .tables
@@ -536,7 +543,7 @@ mod tests {
     #[test]
     fn fk_absent_without_fk_info() {
         let parsed = linker_for("q", false);
-        let l = Linker::new(&parsed);
+        let l = Linker::new(&parsed, &parsed.tables);
         assert!(l.fk_between(0, 1).is_none());
         // But a name-based guess still exists for this friendly schema.
         let singer = l
@@ -557,7 +564,7 @@ mod tests {
     #[test]
     fn display_column_prefers_name() {
         let parsed = linker_for("Show all stadiums.", true);
-        let l = Linker::new(&parsed);
+        let l = Linker::new(&parsed, &parsed.tables);
         let ti = l
             .parsed
             .tables
@@ -571,7 +578,7 @@ mod tests {
     #[test]
     fn measure_column_uses_types_from_ddl() {
         let parsed = linker_for("Which stadium is the biggest?", true);
-        let l = Linker::new(&parsed);
+        let l = Linker::new(&parsed, &parsed.tables);
         let ti = l
             .parsed
             .tables

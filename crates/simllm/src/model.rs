@@ -1,21 +1,28 @@
 //! The simulated LLM driver: prompt in, completion text out.
 //!
-//! `SimLlm::complete` chains the substrate stages — comprehension (with
-//! tier-scaled attention dropout), schema linking, cue-based intent
-//! induction with in-context example votes, sketch decoding, corruption
-//! noise, and alignment-dependent output formatting. Everything is
+//! A completion runs in two halves. [`SimLlm::comprehend`] does everything
+//! that depends only on the prompt and the model: it parses the prompt,
+//! trims it to the context window, fixes the effective parameters, fires
+//! the question cues and reads each in-context example once (its SQL's
+//! sketch family and skeleton, its question's similarity to the target).
+//! [`SimLlm::sample`] runs the seeded steps on that [`Comprehension`]:
+//! reasoning-path reroll, tier-scaled attention dropout, schema linking,
+//! cue dropout, intent ranking with the example votes, sketch decoding,
+//! corruption noise and alignment-dependent output formatting.
+//! [`SimLlm::complete`] is one of each, so a caller that draws several
+//! samples from one prompt can comprehend it once. Everything is
 //! deterministic given (prompt, seed, sample index).
 
 use crate::comprehend::{parse_prompt, ParsedPrompt};
 use crate::decode::{corrupt_query, decode};
-use crate::intent::{fire_cues, rank_intents};
+use crate::intent::{example_votes, fire_cues, rank_intents, read_examples, Cue, Intent};
 use crate::linking::Linker;
 use crate::profile::{profile, ModelProfile};
 use crate::sft::{detect_style, SftState};
-use crate::values;
+use crate::values::{self, ExtractedValues};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use textkit::text_cosine;
+use sqlkit::Skeleton;
 
 /// Generation options.
 #[derive(Debug, Clone, Copy)]
@@ -26,8 +33,9 @@ pub struct GenOptions {
     pub temperature: f64,
     /// Sample index for self-consistency sampling.
     pub sample_index: u32,
-    /// Request trace context; when sampled, each completion opens a
-    /// `simllm.complete` span under it. Never affects the output text.
+    /// Request trace context; when sampled, each sample opens a
+    /// `simllm.complete` span under it (and [`SimLlm::complete`] a
+    /// `simllm.comprehend` span before it). Never affects the output text.
     pub trace: obskit::TraceContext,
 }
 
@@ -79,6 +87,39 @@ pub struct CompletionTrace {
     pub response: String,
 }
 
+/// What one model understood from one prompt, before any seeded draw.
+///
+/// Built by [`SimLlm::comprehend`] and consumed by [`SimLlm::sample`];
+/// it carries the comprehending model's effective parameters, so sample
+/// it with that model. Every sample drawn from it equals a full
+/// [`SimLlm::complete`] of the same prompt.
+#[derive(Debug, Clone)]
+pub struct Comprehension {
+    /// The parsed prompt, its examples trimmed to the context window.
+    parsed: ParsedPrompt,
+    /// Hash of the task content (question plus recovered schema).
+    content_hash: u64,
+    /// Hash of the prompt's surface style.
+    style_hash: u64,
+    /// Capability tier after SFT, before temperature and instructions.
+    tier: f64,
+    alignment: f64,
+    /// Whether the prompt carries any task instruction.
+    has_instruction: bool,
+    /// Whether the schema is in a structured format (DDL / pound-sign).
+    structured: bool,
+    values: ExtractedValues,
+    /// Cues a perfectly attentive reader would fire.
+    cues: Vec<Cue>,
+    /// The in-context example votes, in prompt order.
+    votes: Vec<(Intent, f64)>,
+    /// Skeletons of the examples whose SQL parses.
+    skeletons: Vec<Skeleton>,
+    /// Question-similarity channel of demonstration stabilization.
+    icl_signal: f64,
+    icl_weight: f64,
+}
+
 /// A simulated LLM.
 #[derive(Debug, Clone)]
 pub struct SimLlm {
@@ -102,7 +143,8 @@ impl SimLlm {
         SimLlm { profile, sft: None }
     }
 
-    /// Generate a completion for a prompt.
+    /// Generate a completion for a prompt: [`SimLlm::sample`] on a fresh
+    /// [`SimLlm::comprehend`].
     ///
     /// Two error sources are deliberately separated: *systematic* errors
     /// (misreading the schema, overlooking a question cue, guessing a wrong
@@ -111,27 +153,27 @@ impl SimLlm {
     /// them away — while *sampling* noise (decoding slip-ups, formatting)
     /// additionally varies with the sample index.
     pub fn complete(&self, prompt: &str, opts: &GenOptions) -> String {
-        self.complete_traced(prompt, opts).response
+        self.sample(&self.comprehend(prompt, opts.trace), opts)
     }
 
     /// Like [`SimLlm::complete`], but also returns the full stage-by-stage
     /// trace. The `response` field is byte-identical to what `complete`
     /// returns for the same inputs.
     pub fn complete_traced(&self, prompt: &str, opts: &GenOptions) -> CompletionTrace {
+        self.sample_traced(&self.comprehend(prompt, opts.trace), opts)
+    }
+
+    /// Comprehend a prompt: everything a completion needs that depends
+    /// only on the prompt and this model. Draws nothing from any seed.
+    /// When `trace` is recording, runs in a `simllm.comprehend` span.
+    pub fn comprehend(&self, prompt: &str, trace: obskit::TraceContext) -> Comprehension {
         // Telemetry goes to the current obskit sink as counters and
         // latency histograms only — aggregates are order-independent, so
         // multi-threaded harness runs still produce deterministic traces.
         let obs = obskit::enabled().then(std::time::Instant::now);
-        let (_gen_span, _gen_ctx) = opts.trace.span("simllm.complete");
-        let mut trace = CompletionTrace::default();
-        let comprehend_t = obs.map(|_| std::time::Instant::now());
+        let (_span, _) = trace.span("simllm.comprehend");
         let mut parsed = parse_prompt(prompt);
-        if let Some(t) = comprehend_t {
-            let g = obskit::current();
-            g.observe("simllm.comprehend_ns", t.elapsed().as_nanos() as u64);
-            g.add_counter("simllm.tables_seen", parsed.tables.len() as u64);
-            g.add_counter("simllm.examples_seen", parsed.examples.len() as u64);
-        }
+        let (tables_parsed, examples_parsed) = (parsed.tables.len(), parsed.examples.len());
 
         // Systematic decisions are seeded by the *information content* of
         // the task — the question plus the recovered schema — not by the raw
@@ -149,12 +191,95 @@ impl SimLlm {
                 content_sig.push_str(c);
             }
         }
-        let sys_seed = fnv(&content_sig) ^ opts.seed.wrapping_mul(0x9E3779B97F4A7C15);
+
+        // --- effective parameters (SFT shifts them per prompt style) ---
+        let style = detect_style(prompt);
+        let (tier, alignment, icl_weight) = match &self.sft {
+            Some(sft) => sft.effective_params(&self.profile, style),
+            None => (
+                self.profile.tier,
+                self.profile.alignment,
+                self.profile.icl_weight,
+            ),
+        };
+
+        // A prompt with no task instruction at all (BS_P) leaves the model
+        // guessing what is being asked — the paper's finding that detailed
+        // instructions matter.
+        let has_instruction = parsed.has_rule
+            || prompt.contains("Answer the following")
+            || prompt.contains("Write a sql")
+            || prompt.contains("Complete sqlite");
+
+        // --- context window: drop earliest examples until the prompt fits ---
+        let approx_tokens = prompt.len() / 4;
+        if approx_tokens > self.profile.context_window {
+            let overflow = approx_tokens - self.profile.context_window;
+            // Rough per-example cost estimate; drop from the front.
+            let per_example = 40.max(prompt.len() / (4 * (parsed.examples.len() + 4)));
+            let drop = (overflow / per_example + 1).min(parsed.examples.len());
+            parsed.examples.drain(..drop);
+        }
+
+        // --- in-context examples: each one read once ---
+        let readings = read_examples(&parsed.question, &parsed.examples);
+        let votes = example_votes(&readings, icl_weight);
+        // ICL signal: relevant demonstrations stabilize generation.
+        let icl_signal = readings
+            .iter()
+            .filter_map(|r| r.similarity)
+            .fold(0.0f64, f64::max)
+            * icl_weight;
+        let skeletons = readings
+            .into_iter()
+            .filter_map(|r| r.shape.map(|(_, skel)| skel))
+            .collect();
+
+        let comprehension = Comprehension {
+            content_hash: fnv(&content_sig),
+            style_hash: fnv(&format!("{style:?}")),
+            tier,
+            alignment,
+            has_instruction,
+            // The structured formats (DDL / pound-sign) are easier to read.
+            structured: prompt.contains("CREATE TABLE") || prompt.contains("### SQLite SQL tables"),
+            values: values::extract(&parsed.question),
+            cues: fire_cues(&parsed.question),
+            votes,
+            skeletons,
+            icl_signal,
+            icl_weight,
+            parsed,
+        };
+        if let Some(t) = obs {
+            let g = obskit::current();
+            g.add_counter("simllm.comprehensions", 1);
+            g.observe("simllm.comprehend_ns", t.elapsed().as_nanos() as u64);
+            g.add_counter("simllm.tables_seen", tables_parsed as u64);
+            g.add_counter("simllm.examples_seen", examples_parsed as u64);
+        }
+        comprehension
+    }
+
+    /// Draw one completion from a [`Comprehension`] of this model: every
+    /// step seeded by `opts`. Equals [`SimLlm::complete`] on the prompt
+    /// the comprehension was built from.
+    pub fn sample(&self, c: &Comprehension, opts: &GenOptions) -> String {
+        self.sample_traced(c, opts).response
+    }
+
+    /// Like [`SimLlm::sample`], but also returns the full stage-by-stage
+    /// trace.
+    pub fn sample_traced(&self, c: &Comprehension, opts: &GenOptions) -> CompletionTrace {
+        let obs = obskit::enabled().then(std::time::Instant::now);
+        let (_gen_span, _gen_ctx) = opts.trace.span("simllm.complete");
+        let mut trace = CompletionTrace::default();
+
+        let sys_seed = c.content_hash ^ opts.seed.wrapping_mul(0x9E3779B97F4A7C15);
         // The sampling stream additionally varies with the surface form:
         // token-level noise is prompt-shape-sensitive even when the task
         // content is identical.
-        let mut sample_seed =
-            sys_seed ^ 0xA5A5A5A5A5A5A5A5 ^ fnv(&format!("{:?}", detect_style(prompt)));
+        let mut sample_seed = sys_seed ^ 0xA5A5A5A5A5A5A5A5 ^ c.style_hash;
         if opts.temperature > 0.0 {
             sample_seed ^= (opts.sample_index as u64).wrapping_mul(0xD1B54A32D192ED03) | 1;
         }
@@ -173,46 +298,17 @@ impl SimLlm {
         });
         let mut rng = StdRng::seed_from_u64(sample_seed);
 
-        // --- effective parameters (SFT shifts them per prompt style) ---
-        let style = detect_style(prompt);
-        let (tier, alignment, icl_weight) = match &self.sft {
-            Some(sft) => sft.effective_params(&self.profile, style),
-            None => (
-                self.profile.tier,
-                self.profile.alignment,
-                self.profile.icl_weight,
-            ),
-        };
         // Temperature loosens decoding slightly (used for self-consistency).
-        let mut tier = (tier - 0.04 * opts.temperature).clamp(0.02, 0.99);
-
-        // A prompt with no task instruction at all (BS_P) leaves the model
-        // guessing what is being asked — the paper's finding that detailed
-        // instructions matter. Aligned models cope better.
-        let has_instruction = parsed.has_rule
-            || prompt.contains("Answer the following")
-            || prompt.contains("Write a sql")
-            || prompt.contains("Complete sqlite");
-        if !has_instruction {
-            tier = (tier - 0.05 - 0.10 * (1.0 - alignment)).clamp(0.02, 0.99);
+        let mut tier = (c.tier - 0.04 * opts.temperature).clamp(0.02, 0.99);
+        // Aligned models cope better with a missing instruction.
+        if !c.has_instruction {
+            tier = (tier - 0.05 - 0.10 * (1.0 - c.alignment)).clamp(0.02, 0.99);
         }
 
-        // --- context window: drop earliest examples until the prompt fits ---
-        let approx_tokens = prompt.len() / 4;
-        if approx_tokens > self.profile.context_window {
-            let overflow = approx_tokens - self.profile.context_window;
-            // Rough per-example cost estimate; drop from the front.
-            let per_example = 40.max(prompt.len() / (4 * (parsed.examples.len() + 4)));
-            let drop = (overflow / per_example + 1).min(parsed.examples.len());
-            parsed.examples.drain(..drop);
-        }
-
-        // --- comprehension dropout: weaker models overlook columns; the
-        //     structured formats (DDL / pound-sign) are easier to read ---
-        let structured =
-            prompt.contains("CREATE TABLE") || prompt.contains("### SQLite SQL tables");
-        let drop_p = 0.10 * (1.0 - tier) * if structured { 0.6 } else { 1.0 };
-        for t in &mut parsed.tables {
+        // --- comprehension dropout: weaker models overlook columns ---
+        let mut tables = c.parsed.tables.clone();
+        let drop_p = 0.10 * (1.0 - tier) * if c.structured { 0.6 } else { 1.0 };
+        for t in &mut tables {
             if t.columns.len() > 1 {
                 let mut i = 0;
                 while i < t.columns.len() {
@@ -228,19 +324,17 @@ impl SimLlm {
             }
         }
 
-        trace.tables_seen = parsed
-            .tables
+        trace.tables_seen = tables
             .iter()
             .map(|t| (t.name.clone(), t.columns.len()))
             .collect();
-        trace.fks_seen = parsed.fks.len();
-        trace.examples_seen = parsed.examples.len();
-        trace.question = parsed.question.clone();
+        trace.fks_seen = c.parsed.fks.len();
+        trace.examples_seen = c.parsed.examples.len();
+        trace.question = c.parsed.question.clone();
         trace.tier = tier;
-        trace.alignment = alignment;
+        trace.alignment = c.alignment;
 
-        let linker = Linker::new(&parsed);
-        let vals = values::extract(&parsed.question);
+        let linker = Linker::new(&c.parsed, &tables);
 
         // --- intent: cue dropout + ICL votes ---
         // The chance of overlooking a cue falls with capability AND with the
@@ -248,8 +342,10 @@ impl SimLlm {
         // while subtle compositional cues slip past weaker readers. This is
         // what concentrates errors on hard queries, as in the paper's
         // per-hardness breakdowns.
-        let kept: Vec<_> = fire_cues(&parsed.question)
-            .into_iter()
+        let kept: Vec<Cue> = c
+            .cues
+            .iter()
+            .copied()
             .filter(|(id, _, w)| {
                 if *id == 22 {
                     // The default-List prior is always retained.
@@ -260,36 +356,16 @@ impl SimLlm {
             })
             .collect();
         trace.cues_kept = kept.iter().map(|(id, _, w)| (*id, *w)).collect();
-        let ranked = rank_intents(&parsed.question, &kept, &parsed.examples, icl_weight);
-        trace.intent_ranking = ranked.clone();
-        let intent = ranked
-            .first()
-            .map(|(i, _)| *i)
-            .unwrap_or(crate::intent::Intent::List);
+        let ranked = rank_intents(&kept, &c.votes);
+        let intent = ranked.first().map(|(i, _)| *i).unwrap_or(Intent::List);
+        trace.intent_ranking = ranked;
         trace.intent = intent;
-
-        // --- ICL signal reduces decoding noise (relevant demonstrations
-        //     stabilize generation) ---
-        let icl_signal = parsed
-            .examples
-            .iter()
-            .filter_map(|ex| ex.question.as_ref())
-            .map(|exq| {
-                text_cosine(
-                    &crate::intent::neutralize(&parsed.question),
-                    &crate::intent::neutralize(exq),
-                )
-                .max(0.0)
-            })
-            .fold(0.0f64, f64::max)
-            * icl_weight;
 
         // --- decode (systematic slot errors) + corrupt (sampling noise) ---
         let decode_t = obs.map(|_| std::time::Instant::now());
-        let query = decode(intent, &linker, &vals, &mut sys_rng, tier).or_else(|| {
+        let query = decode(intent, &linker, &c.values, &mut sys_rng, tier).or_else(|| {
             // Fallback sketch: project something from the best table.
-            let fallback = crate::intent::Intent::List;
-            decode(fallback, &linker, &vals, &mut sys_rng, tier)
+            decode(Intent::List, &linker, &c.values, &mut sys_rng, tier)
         });
         if let Some(t) = decode_t {
             let g = obskit::current();
@@ -305,15 +381,14 @@ impl SimLlm {
                 // matching *SQL skeleton* (the demonstrated structure guides
                 // each clause). The second channel is what skeleton-aware
                 // DAIL selection — and, weakly, SQL-only organization — buys.
-                let skel = sqlkit::Skeleton::of(&q);
-                let icl_struct = parsed
-                    .examples
+                let skel = Skeleton::of(&q);
+                let icl_struct = c
+                    .skeletons
                     .iter()
-                    .filter_map(|ex| sqlkit::parse_query(&ex.sql).ok())
-                    .map(|exq| sqlkit::Skeleton::of(&exq).similarity(&skel))
+                    .map(|ex| ex.similarity(&skel))
                     .fold(0.0f64, f64::max)
-                    * icl_weight;
-                let stabilize = icl_signal.max(icl_struct).min(1.0);
+                    * c.icl_weight;
+                let stabilize = c.icl_signal.max(icl_struct).min(1.0);
                 trace.stabilize = stabilize;
 
                 // Systematic misreadings: per-site probability scales with
@@ -333,8 +408,8 @@ impl SimLlm {
             None => "SELECT 1".to_string(),
         };
 
-        trace.sql = sql.clone();
-        trace.response = self.format_output(&sql, &parsed, alignment, &mut rng);
+        trace.response = self.format_output(&sql, &c.parsed, c.alignment, &mut rng);
+        trace.sql = sql;
         if let Some(t) = obs {
             let g = obskit::current();
             g.add_counter("simllm.completions", 1);

@@ -96,16 +96,19 @@ pub struct Analyzed {
 /// Rows are identical to [`execute_query_with`] by construction — same code
 /// path, plus probe bookkeeping. On success, the plan's operator self-times
 /// partition the statement's wall-clock exactly (`plan.total_self_ns()` *is*
-/// the measured total), and when an enabled sink is current a
-/// `storage.exec` span is emitted with exactly that duration, plus
-/// per-operator observation metrics ([`Plan::record_observations`]).
-/// Pass [`crate::stats::DbStats`] to sharpen the plan's cardinality
-/// estimates.
+/// the measured total). When an enabled sink is current, the statement
+/// counters and per-operator observation metrics
+/// ([`Plan::record_observations`]) are recorded, and when `trace` is
+/// recording a `storage.exec` span with exactly that duration is emitted
+/// under the innermost open span. A request that was sampled out emits
+/// no span. Pass [`crate::stats::DbStats`] to sharpen the plan's
+/// cardinality estimates.
 pub fn execute_query_analyzed(
     db: &Database,
     q: &Query,
     opts: ExecOptions,
     stats: Option<&crate::stats::DbStats>,
+    trace: obskit::TraceContext,
 ) -> ExecResult<Analyzed> {
     // Resolve statistics once and hand the same reference to both the plan
     // builder and the executor, so the plan shown is the plan run.
@@ -140,7 +143,9 @@ pub fn execute_query_analyzed(
         if out.is_err() {
             g.add_counter("storage.errors", 1);
         } else {
-            g.record_span("storage.exec", plan.total_self_ns());
+            if trace.is_recording() {
+                g.record_span("storage.exec", plan.total_self_ns());
+            }
             plan.record_observations(&g);
         }
     }
@@ -1503,6 +1508,7 @@ pub(crate) fn row_key<R: AsRef<[Value]>>(row: R) -> String {
 mod tests {
     use super::*;
     use crate::schema::{ColType, ColumnDef, DbSchema, ForeignKey, TableSchema};
+    use obskit::TraceContext;
     use sqlkit::parse_query;
 
     /// A small concert_singer-like database used across executor tests.
@@ -2011,8 +2017,14 @@ mod tests {
 
     fn analyze(sql: &str) -> Analyzed {
         let q = parse_query(sql).unwrap();
-        execute_query_analyzed(&db(), &q, ExecOptions::default(), None)
-            .unwrap_or_else(|e| panic!("analyze failed for {sql}: {e}"))
+        execute_query_analyzed(
+            &db(),
+            &q,
+            ExecOptions::default(),
+            None,
+            TraceContext::disabled(),
+        )
+        .unwrap_or_else(|e| panic!("analyze failed for {sql}: {e}"))
     }
 
     /// Assert the rows-flow invariant on every node: a parent's `rows_in`
@@ -2119,6 +2131,7 @@ mod tests {
                 ..ExecOptions::default()
             },
             None,
+            TraceContext::disabled(),
         )
         .unwrap();
         let filter = an
