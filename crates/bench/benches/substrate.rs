@@ -1,7 +1,8 @@
-//! Microbenches for the substrates: SQL parsing, execution, canonicalization,
-//! skeleton extraction, tokenization and embedding — the inner loops every
-//! experiment runs millions of times — plus the two halves of a simulated
-//! completion and the self-consistency vote.
+//! Microbenches for the substrates: SQL parsing, execution (subqueries
+//! included), canonicalization, skeleton extraction, tokenization and
+//! embedding — the inner loops every experiment runs millions of times —
+//! plus the two halves of a simulated completion and the self-consistency
+//! vote.
 
 use bench::small_benchmark;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -36,6 +37,27 @@ fn substrate(c: &mut Criterion) {
     let db = bench.db(item);
     c.bench_function("execute_gold_query", |b| {
         b.iter(|| black_box(execute_query(db, black_box(&item.gold)).unwrap()))
+    });
+
+    // Subqueries on the generated concert_singer database: the uncorrelated
+    // IN runs its subquery once per statement, the correlated EXISTS once
+    // per singer.
+    let concert = &bench.databases["concert_singer"];
+    let uncorrelated = parse_query(
+        "SELECT name FROM singer WHERE singer_id IN \
+         (SELECT singer_id FROM concert WHERE year > 2015)",
+    )
+    .unwrap();
+    c.bench_function("exec_uncorrelated_in", |b| {
+        b.iter(|| black_box(execute_query(concert, black_box(&uncorrelated)).unwrap()))
+    });
+    let correlated = parse_query(
+        "SELECT name FROM singer AS S WHERE EXISTS \
+         (SELECT 1 FROM concert AS C WHERE C.singer_id = S.singer_id)",
+    )
+    .unwrap();
+    c.bench_function("exec_correlated_exists", |b| {
+        b.iter(|| black_box(execute_query(concert, black_box(&correlated)).unwrap()))
     });
 
     let tok = Tokenizer::new();

@@ -1236,6 +1236,36 @@ fn explain_matches_golden_plan() {
     assert_golden("explain_plan.txt", "explain plan", &out.stdout);
 }
 
+/// Uncorrelated subqueries run once per statement (`calls=1`, one scan of
+/// `concert` and one of `singer`); the correlated EXISTS runs once for each
+/// outer row that reaches it.
+#[test]
+fn explain_subquery_matches_golden_plan() {
+    let out = cli()
+        .args([
+            "explain",
+            "concert_singer",
+            "SELECT name FROM singer AS S WHERE singer_id IN \
+             (SELECT singer_id FROM concert WHERE year > 2015) \
+             AND age > (SELECT avg(age) FROM singer) \
+             AND EXISTS (SELECT 1 FROM concert AS C WHERE C.singer_id = S.singer_id)",
+            "--analyze",
+            "--canonical",
+            "--train",
+            "40",
+            "--dev",
+            "10",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_golden("explain_subquery.txt", "explain subquery plan", &out.stdout);
+}
+
 #[test]
 fn explain_analyze_is_byte_identical_across_thread_counts() {
     let run = |threads: &str| {

@@ -8,6 +8,11 @@
 //! time / scan volume / failures" across a whole benchmark or serving run,
 //! the way a database's statement-digest view does.
 //!
+//! Rows scanned count what the executor actually ran: the columnar engine
+//! runs an uncorrelated subquery once per statement, so its scans count
+//! once, while a correlated subquery's scans count once per outer row that
+//! reached it.
+//!
 //! [`fingerprint`]: sqlkit::Skeleton::fingerprint
 
 use sqlkit::{Query, Skeleton};

@@ -4,14 +4,22 @@
 //! small) and supports correlated subqueries via a stack of outer row scopes.
 //! Join strategy is configurable (nested-loop vs hash) so the `ablate_join`
 //! bench can compare them; results are identical by construction.
+//!
+//! The columnar engine runs each uncorrelated subquery once per statement:
+//! a subquery whose first run read no outer row is memoized for the rest of
+//! the execute call (see `Executor::subquery`). The reference interpreter
+//! ([`Engine::Oracle`]) re-runs every subquery for every outer row, and
+//! [`crate::check_agreement`] holds the memo to that.
 
 use crate::db::Database;
 use crate::error::{ExecError, ExecResult};
 use crate::explain::{Plan, Probe, SelectIds};
 use crate::value::{Row, Value};
 use sqlkit::ast::*;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// The result of executing a query.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,13 +45,14 @@ pub enum JoinStrategy {
 pub enum Engine {
     /// Vectorized columnar front-end with cost-based planning (default).
     /// Falls back per-select to the reference interpreter whenever the
-    /// planner does not recognize the FROM/WHERE shape as statically safe.
+    /// planner does not recognize the FROM/WHERE shape as statically safe,
+    /// and runs each uncorrelated subquery once per statement.
     #[default]
     Columnar,
-    /// The row-at-a-time reference interpreter, unconditionally. This is
-    /// the differential-testing oracle (and `exec-bench --engine oracle`);
-    /// results are `value_eq`-identical to [`Engine::Columnar`] by
-    /// construction.
+    /// The row-at-a-time reference interpreter, unconditionally, re-running
+    /// every subquery for every outer row. This is the differential-testing
+    /// oracle (and `exec-bench --engine oracle`); results are
+    /// `value_eq`-identical to [`Engine::Columnar`] by construction.
     Oracle,
 }
 
@@ -63,13 +72,7 @@ pub fn execute_query(db: &Database, q: &Query) -> ExecResult<ResultSet> {
 
 /// Execute with explicit options.
 pub fn execute_query_with(db: &Database, q: &Query, opts: ExecOptions) -> ExecResult<ResultSet> {
-    let ex = Executor {
-        db,
-        opts,
-        stats: None,
-        rows_scanned: std::cell::Cell::new(0),
-        probe: None,
-    };
+    let ex = Executor::new(db, opts, None, None);
     let out = ex.run(q);
     if obskit::enabled() {
         let g = obskit::current();
@@ -116,13 +119,7 @@ pub fn execute_query_analyzed(
     let (mut nodes, root, map) = crate::explain::build_plan(db, q, opts, Some(stats));
     let probe = Probe::new(map, nodes.len());
     let (out, rows_scanned) = {
-        let ex = Executor {
-            db,
-            opts,
-            stats: Some(stats),
-            rows_scanned: std::cell::Cell::new(0),
-            probe: Some(&probe),
-        };
+        let ex = Executor::new(db, opts, Some(stats), Some(&probe));
         probe.enter(root);
         let out = ex.run(q);
         probe.exit();
@@ -204,10 +201,16 @@ struct Executor<'a> {
     /// [`Database::cached_stats`] when absent.
     stats: Option<&'a crate::stats::DbStats>,
     /// Base-table rows materialized by scans (telemetry only).
-    rows_scanned: std::cell::Cell<u64>,
+    rows_scanned: Cell<u64>,
     /// Per-operator probe for analyzed runs; `None` on the normal path, in
     /// which case every probe hook is a single branch.
     probe: Option<&'a Probe>,
+    /// Results of the subqueries whose run read no outer row, keyed by the
+    /// subquery's AST address; lives as long as this one execute call.
+    memo: RefCell<HashMap<usize, Rc<ResultSet>>>,
+    /// Lowest outer-scope index read since [`Executor::subquery`] last
+    /// reset it, `usize::MAX` for none.
+    outer_read: Cell<usize>,
 }
 
 /// RAII guard for a probe `enter`: exits on drop, so early `?` returns keep
@@ -224,6 +227,23 @@ impl Drop for ProbeGuard<'_> {
 }
 
 impl<'a> Executor<'a> {
+    fn new(
+        db: &'a Database,
+        opts: ExecOptions,
+        stats: Option<&'a crate::stats::DbStats>,
+        probe: Option<&'a Probe>,
+    ) -> Self {
+        Executor {
+            db,
+            opts,
+            stats,
+            rows_scanned: Cell::new(0),
+            probe,
+            memo: RefCell::new(HashMap::new()),
+            outer_read: Cell::new(usize::MAX),
+        }
+    }
+
     fn run(&self, q: &Query) -> ExecResult<ResultSet> {
         self.exec_query(q, &[])
     }
@@ -1011,12 +1031,17 @@ impl<'a> Executor<'a> {
                 .unwrap_or(Value::Null)),
             Err(e @ ExecError::AmbiguousColumn(_)) => Err(e),
             Err(_) => {
-                // Correlated reference: walk outer scopes, innermost first.
-                for scope in outers.iter().rev() {
+                // Correlated reference: walk outer scopes, innermost first,
+                // and note which one was read for the subquery memo.
+                for (depth, scope) in outers.iter().enumerate().rev() {
                     if let Ok(idx) = resolve(scope.cols, c) {
+                        self.note_outer_read(depth);
                         return Ok(scope.row[idx].clone());
                     }
                 }
+                // Every scope was looked at, so the outcome depends on all
+                // of them (the zero-row column-name probe swallows it).
+                self.note_outer_read(0);
                 Err(unknown_column_error(c, ctx.cols(), outers))
             }
         }
@@ -1132,34 +1157,18 @@ impl<'a> Executor<'a> {
                 if v.is_null() {
                     return Ok(None);
                 }
-                let candidates: Vec<Value> = match source {
-                    InSource::List(lits) => lits.iter().map(Value::from_literal).collect(),
+                let res = match source {
+                    InSource::List(lits) => {
+                        let lits: Vec<Value> = lits.iter().map(Value::from_literal).collect();
+                        in_result(&v, &lits)
+                    }
                     InSource::Subquery(q) => {
                         let rs = self.subquery(q, ctx, outers)?;
                         if rs.columns.len() != 1 {
                             return Err(ExecError::SubqueryArity(rs.columns.len()));
                         }
-                        rs.rows.into_iter().map(|mut r| r.remove(0)).collect()
+                        in_result(&v, rs.rows.iter().map(|r| &r[0]))
                     }
-                };
-                let mut saw_null = false;
-                let mut found = false;
-                for cand in &candidates {
-                    match v.sql_cmp(cand) {
-                        Some(Ordering::Equal) => {
-                            found = true;
-                            break;
-                        }
-                        None => saw_null = true,
-                        _ => {}
-                    }
-                }
-                let res = if found {
-                    Some(true)
-                } else if saw_null {
-                    None
-                } else {
-                    Some(false)
                 };
                 Ok(negate_if(res, *negated))
             }
@@ -1213,12 +1222,31 @@ impl<'a> Executor<'a> {
     }
 
     /// Run a subquery with the current row pushed as an outer scope.
+    ///
+    /// On the columnar engine a subquery whose run read no outer row is
+    /// memoized for the rest of the execute call, because nothing it read
+    /// changes from one outer row to the next. Correlation is observed, not
+    /// inferred: `eval_col` lowers `outer_read` to the index of the scope it
+    /// read. This run starts from a cleared mark and is memoized only if the
+    /// mark stays at or above `scopes.len()`, past every scope it can see
+    /// (higher scopes are rows of its own nested subqueries). The mark is
+    /// then folded back into the enclosing run, so when the innermost
+    /// subquery reads the outermost row every subquery between them counts
+    /// as correlated too. A memo hit runs nothing, so EXPLAIN's `calls=`
+    /// counts real executions. The interpreter re-runs every subquery.
     fn subquery(
         &self,
         q: &Query,
         ctx: &Ctx<'_>,
         outers: &[OuterScope<'_>],
-    ) -> ExecResult<ResultSet> {
+    ) -> ExecResult<Rc<ResultSet>> {
+        let key = q as *const Query as usize;
+        let memoize = self.opts.engine == Engine::Columnar;
+        if memoize {
+            if let Some(rs) = self.memo.borrow().get(&key) {
+                return Ok(Rc::clone(rs));
+            }
+        }
         let mut scopes: Vec<OuterScope<'_>> = outers.to_vec();
         if let Some(row) = ctx.repr_row() {
             scopes.push(OuterScope {
@@ -1228,9 +1256,20 @@ impl<'a> Executor<'a> {
         }
         let pid = self.subq_pid(q);
         let _g = self.pg(pid);
-        let rs = self.exec_query(q, &scopes)?;
+        let enclosing = self.outer_read.replace(usize::MAX);
+        let out = self.exec_query(q, &scopes);
+        let read = self.outer_read.get();
+        self.outer_read.set(enclosing.min(read));
+        let rs = Rc::new(out?);
         self.prows(pid, rs.rows.len(), rs.rows.len());
+        if memoize && read >= scopes.len() {
+            self.memo.borrow_mut().insert(key, Rc::clone(&rs));
+        }
         Ok(rs)
+    }
+
+    fn note_outer_read(&self, depth: usize) {
+        self.outer_read.set(self.outer_read.get().min(depth));
     }
 
     fn scalar_subquery(
@@ -1359,6 +1398,24 @@ fn resolve(cols: &[(String, String)], c: &ColumnRef) -> ExecResult<usize> {
                 _ => Err(ExecError::UnknownColumn(name)),
             }
         }
+    }
+}
+
+/// Three-valued `v IN (candidates)` for a non-NULL `v`: true on a match,
+/// else NULL if some comparison was NULL, else false.
+fn in_result<'v>(v: &Value, candidates: impl IntoIterator<Item = &'v Value>) -> Option<bool> {
+    let mut saw_null = false;
+    for cand in candidates {
+        match v.sql_cmp(cand) {
+            Some(Ordering::Equal) => return Some(true),
+            None => saw_null = true,
+            _ => {}
+        }
+    }
+    if saw_null {
+        None
+    } else {
+        Some(false)
     }
 }
 
@@ -1798,6 +1855,34 @@ mod tests {
             "SELECT name FROM singer WHERE EXISTS (SELECT 1 FROM song WHERE song.singer_id = singer.singer_id) ORDER BY name ASC",
         );
         assert_eq!(strs(&rs), vec!["Amy", "Bob", "Dan", "Joe"]);
+    }
+
+    /// The columnar engine runs an uncorrelated subquery once per
+    /// statement, so its scans count once; a correlated subquery still runs,
+    /// and scans, once per outer row, as every subquery does in the oracle.
+    #[test]
+    fn uncorrelated_subquery_scans_once_correlated_per_outer_row() {
+        let d = db();
+        let scanned = |sql: &str, engine: Engine| {
+            let rec = obskit::Recorder::enabled();
+            let _sink = rec.enter();
+            let q = parse_query(sql).unwrap();
+            let opts = ExecOptions {
+                engine,
+                ..ExecOptions::default()
+            };
+            execute_query_with(&d, &q, opts).unwrap();
+            rec.metrics().counters["storage.rows_scanned"]
+        };
+        // Five singers, five songs.
+        let uncorrelated =
+            "SELECT name FROM singer WHERE singer_id IN (SELECT singer_id FROM song)";
+        assert_eq!(scanned(uncorrelated, Engine::Columnar), 5 + 5);
+        assert_eq!(scanned(uncorrelated, Engine::Oracle), 5 + 5 * 5);
+        let correlated = "SELECT name FROM singer WHERE EXISTS \
+                          (SELECT 1 FROM song WHERE song.singer_id = singer.singer_id)";
+        assert_eq!(scanned(correlated, Engine::Columnar), 5 + 5 * 5);
+        assert_eq!(scanned(correlated, Engine::Oracle), 5 + 5 * 5);
     }
 
     #[test]

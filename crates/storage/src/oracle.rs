@@ -6,7 +6,10 @@
 //! planner proves the shape safe, and materializes every output cell from
 //! the same row store. The interpreter therefore remains fully reachable as
 //! the *reference implementation*, and this module pins it down as an
-//! explicit entry point. [`check_agreement`] is the one statement of what
+//! explicit entry point. The interpreter re-runs every subquery for every
+//! outer row, while the columnar engine runs a subquery whose run read no
+//! outer row once per statement; agreement therefore holds that memo to
+//! the naive semantics. [`check_agreement`] is the one statement of what
 //! "the engines agree" means, and every differential gate calls it:
 //!
 //! * `crates/storage/tests/exec_differential.rs` runs it on random

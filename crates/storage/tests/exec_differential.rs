@@ -7,7 +7,8 @@
 //! generator leans into the adversarial corners the planner special-cases:
 //! NULL-heavy columns, NaN and negative zero, integers beyond 2^53 (where
 //! the f64 prefilter buckets collide), duplicate join keys, and empty
-//! tables.
+//! tables; and into the correlation shapes the columnar engine's subquery
+//! memo depends on, since the oracle re-runs every subquery per outer row.
 //!
 //! Shrunk regressions live in `tests/golden/exec_diff/` at the repo root;
 //! `committed_corpus_replays_clean` replays them on a fixed database so a
@@ -259,10 +260,129 @@ fn query_strategy() -> BoxedStrategy<String> {
              (SELECT 1 FROM visit WHERE visit.person_id = A.id) ORDER BY id ASC"
                 .to_string()
         ),
+        // The correlation shapes the columnar engine's subquery memo
+        // depends on (it memoizes a subquery whose run read no outer row).
+        subquery_strategy(),
         // Arithmetic in projection and predicate.
         pred("").prop_map(|p| format!(
             "SELECT id, score * 2 + 1 FROM person WHERE {p} ORDER BY id ASC"
         )),
+    ]
+    .boxed()
+}
+
+/// Subquery shapes that separate a correct memo from one that memoizes a
+/// correlated run: outer references that are unqualified, skip a level or
+/// stop at the middle level; subqueries in HAVING (including the empty
+/// global group, which pushes no outer row); subqueries some rows never
+/// reach; subqueries that error, run over the empty-able `tag` table, feed
+/// `NOT IN` with NULLs, or sit inside a derived table.
+fn subquery_strategy() -> BoxedStrategy<String> {
+    prop_oneof![
+        // Unqualified outer reference: `id` resolves only in the outer row.
+        Just(
+            "SELECT id FROM person WHERE EXISTS \
+             (SELECT 1 FROM visit WHERE person_id = id) ORDER BY id ASC"
+                .to_string()
+        ),
+        Just(
+            "SELECT id FROM person WHERE score > \
+             (SELECT avg(amount) FROM visit WHERE person_id = grp) ORDER BY id ASC"
+                .to_string()
+        ),
+        // Skip-level: the innermost subquery reads the outermost row, so
+        // the middle one is correlated too.
+        Just(
+            "SELECT id FROM person AS A WHERE EXISTS (SELECT 1 FROM person AS B \
+             WHERE B.grp IN (SELECT person_id FROM visit AS V WHERE V.person_id = A.id)) \
+             ORDER BY id ASC"
+                .to_string()
+        ),
+        (0i64..4).prop_map(|g| format!(
+            "SELECT id FROM person AS A WHERE grp = {g} OR EXISTS (SELECT 1 FROM tag AS T \
+             WHERE T.tid IN (SELECT vid FROM visit AS V WHERE V.person_id = A.id)) \
+             ORDER BY id ASC"
+        )),
+        // Correlated to the middle level only: the middle subquery is
+        // uncorrelated to the outer row, its inner one is not.
+        Just(
+            "SELECT id FROM person AS A WHERE A.grp IN (SELECT B.grp FROM person AS B \
+             WHERE EXISTS (SELECT 1 FROM visit AS V WHERE V.person_id = B.id)) ORDER BY id ASC"
+                .to_string()
+        ),
+        // HAVING: correlated to the group's row, uncorrelated, and over an
+        // empty global group.
+        Just(
+            "SELECT grp, count(*) FROM person AS P GROUP BY grp HAVING count(*) >= \
+             (SELECT count(*) FROM visit WHERE visit.person_id = P.grp) ORDER BY grp ASC"
+                .to_string()
+        ),
+        Just(
+            "SELECT grp, max(score) FROM person GROUP BY grp HAVING grp IN \
+             (SELECT person_id FROM visit) ORDER BY grp ASC"
+                .to_string()
+        ),
+        (0i64..8).prop_map(|g| format!(
+            "SELECT count(*) FROM person WHERE grp > {g} HAVING count(*) < \
+             (SELECT count(*) FROM visit WHERE person_id > {g})"
+        )),
+        // Subqueries some rows never reach: AND / OR short-circuit, and a
+        // NULL left operand of IN.
+        (0i64..4).prop_map(|g| format!(
+            "SELECT id FROM person WHERE grp = {g} AND score > \
+             (SELECT avg(amount) FROM visit) ORDER BY id ASC"
+        )),
+        (0i64..4).prop_map(|g| format!(
+            "SELECT id FROM person AS A WHERE grp = {g} OR EXISTS \
+             (SELECT 1 FROM visit WHERE visit.person_id = A.id) ORDER BY id ASC"
+        )),
+        Just(
+            "SELECT id FROM person WHERE grp IN \
+             (SELECT person_id FROM visit WHERE amount > 0.0) ORDER BY id ASC"
+                .to_string()
+        ),
+        // Uncorrelated subqueries that error: two columns where one is
+        // needed, and an unknown column (the error is swallowed when the
+        // subquery returns no rows, and then the arity check fails).
+        Just(
+            "SELECT id FROM person WHERE grp IN (SELECT person_id, amount FROM visit)".to_string()
+        ),
+        Just("SELECT id FROM person WHERE score > (SELECT vid, amount FROM visit)".to_string()),
+        Just("SELECT id FROM person WHERE grp IN (SELECT nope FROM visit)".to_string()),
+        // Over the `tag` table, often empty: an empty result must stay empty
+        // for every outer row, correlated or not.
+        Just(
+            "SELECT id FROM person WHERE grp NOT IN (SELECT tid FROM tag) ORDER BY id ASC"
+                .to_string()
+        ),
+        Just(
+            "SELECT id FROM person AS A WHERE NOT EXISTS \
+             (SELECT 1 FROM tag WHERE tag.label = A.name) ORDER BY id ASC"
+                .to_string()
+        ),
+        Just("SELECT id FROM person WHERE score > (SELECT max(tid) FROM tag)".to_string()),
+        // NOT IN over a NULL-bearing subquery is never true.
+        Just(
+            "SELECT id FROM person WHERE grp NOT IN (SELECT person_id FROM visit) ORDER BY id ASC"
+                .to_string()
+        ),
+        // Inside a derived table, uncorrelated and correlated, and a derived
+        // table inside a correlated subquery.
+        Just(
+            "SELECT T.id FROM (SELECT id, grp FROM person WHERE grp IN \
+             (SELECT person_id FROM visit)) AS T ORDER BY T.id ASC"
+                .to_string()
+        ),
+        Just(
+            "SELECT T.id FROM (SELECT id FROM person AS A WHERE EXISTS \
+             (SELECT 1 FROM visit WHERE visit.person_id = A.id)) AS T"
+                .to_string()
+        ),
+        Just(
+            "SELECT id FROM person AS A WHERE EXISTS (SELECT 1 FROM \
+             (SELECT person_id FROM visit WHERE person_id = A.id) AS D) ORDER BY id ASC"
+                .to_string()
+        ),
     ]
     .boxed()
 }
@@ -280,6 +400,15 @@ proptest! {
     /// both engines, bit-identical output.
     #[test]
     fn columnar_engine_matches_oracle(db in db_strategy(), sql in query_strategy()) {
+        if let Err(msg) = check_sql(&db, &sql) {
+            prop_assert!(false, "{}", msg);
+        }
+    }
+
+    /// The subquery shapes alone, so each gets enough random databases to
+    /// expose a memo that caches a correlated run.
+    #[test]
+    fn subquery_shapes_match_oracle(db in db_strategy(), sql in subquery_strategy()) {
         if let Err(msg) = check_sql(&db, &sql) {
             prop_assert!(false, "{}", msg);
         }

@@ -8,10 +8,11 @@
 #   - fmt, clippy and the workspace test run itself;
 #   - three source lints (print statements in library code,
 #     process-global telemetry, DAIL_ environment readers);
-#   - five gates that need a release build or wall-clock timing: the
-#     telemetry overhead ceiling (wall-clock), the select-bench 3x floor,
-#     the 1M-row ANN gate, the columnar step-change gate and the warm-start
-#     10x floor (release-build timings).
+#   - six gates that need a release build or wall-clock timing: the
+#     telemetry overhead ceiling (wall-clock), the results/ regeneration
+#     gate (a full-scale release run), the select-bench 3x floor, the
+#     1M-row ANN gate, the columnar step-change gate and the warm-start 10x
+#     floor (release-build timings).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -98,6 +99,23 @@ if [ "$t_on" -gt "$ceiling" ]; then
     exit 1
 fi
 echo "    untraced ${t_off}ms, 1%-sampled ${t_on}ms (ceiling ${ceiling}ms)"
+
+echo "==> results/ gate (run_experiments regenerates every committed table)"
+# The tables under results/ are exactly what run_experiments writes: a
+# change that moves a paper number shows it in the results/ diff. The run
+# writes into a temp dir, and every file must be byte-equal to results/,
+# with none missing or extra.
+root=$(pwd)
+regen=$(mktemp -d)
+trap 'rm -rf "$regen"' EXIT
+(cd "$regen" && cargo run -q --offline --release --manifest-path "$root/Cargo.toml" \
+    -p bench --bin run_experiments >/dev/null 2>&1)
+if ! diff -r results "$regen/results" >&2; then
+    echo "results/ differs from a fresh run_experiments; if the change is intended," >&2
+    echo "regenerate with: cargo run --release -p bench --bin run_experiments" >&2
+    exit 1
+fi
+echo "    $(ls results | wc -l) files byte-equal to a fresh run"
 
 echo "==> select-bench perf floor (fast path >= 3x naive reference at 10k rows)"
 # The retrievekit fast path (contiguous f32 matrix + bounded-heap top-k)
