@@ -116,7 +116,7 @@ fn main() {
 /// Flags [`bench_from_flags`] reads.
 const BENCH_FLAGS: &[&str] = &["seed", "train", "dev", "store"];
 /// Flags [`setup_trace`] reads.
-const TRACE_FLAGS: &[&str] = &["trace", "tsdb-max-series"];
+const TRACE_FLAGS: &[&str] = &["trace"];
 /// Flags [`build_predictor`] reads.
 const PREDICTOR_FLAGS: &[&str] = &["model", "pipeline"];
 /// Flags [`run_serve`] reads itself; it also calls the three helpers above.
@@ -162,9 +162,6 @@ fn usage() {
          \u{20}\u{20}     [--trace FILE.jsonl] [--digests N] [--canonical] [--store DIR]\n\
          \u{20}\u{20}                                         evaluate a pipeline and print the summary;\n\
          \u{20}\u{20}                                         --digests appends a query-digest rollup\n\
-         \u{20}\u{20}                                         (every --trace command also takes\n\
-         \u{20}\u{20}                                         --tsdb-max-series N, the windowed\n\
-         \u{20}\u{20}                                         store's series bound, default 512)\n\
          \u{20}\u{20}explain DB_ID \"SQL\" [--analyze] [--canonical] [--seed N]\n\
          \u{20}\u{20}                                         print the operator plan tree for a query\n\
          \u{20}\u{20}                                         (--analyze executes it and adds actual\n\
@@ -315,20 +312,11 @@ struct Trace {
 
 /// Enter the command's sink: an enabled recorder when `--trace FILE` was
 /// given, else a disabled one.
-///
-/// A traced sink also owns a windowed [`obskit::tsdb`] store (labelled
-/// series, drained into the trace with everything else) whose hard
-/// cardinality bound is `--tsdb-max-series` (default 512).
 fn setup_trace(flags: &HashMap<String, String>) -> Trace {
     let path = flags.get("trace").map(PathBuf::from);
-    let defaults = obskit::tsdb::TsdbConfig::default();
-    let max_series = num_flag(flags, "tsdb-max-series", defaults.max_series).max(1);
     let rec = match path {
         None => obskit::Recorder::disabled(),
-        Some(_) => obskit::Recorder::with_tsdb(obskit::tsdb::TsdbConfig {
-            max_series,
-            ..defaults
-        }),
+        Some(_) => obskit::Recorder::enabled(),
     };
     let _sink = rec.enter();
     Trace { rec, path, _sink }
@@ -1063,7 +1051,6 @@ fn run_eval(flags: &HashMap<String, String>) {
 /// One finished serve-bench run, owned (no borrows into the benchmark),
 /// shared by `serve-bench` and `slo-report`.
 struct ServeRun {
-    seed: u64,
     predictor_name: String,
     faults: simllm::FaultConfig,
     reqs: Vec<servekit::ServeReq>,
@@ -1140,8 +1127,8 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
             let item = &bench.dev[req.item_idx];
             let score =
                 eval::score_item_traced(bench.db(item), item, sql, out.traces[i], digests.as_mut());
-            trace.rec.tsdb(|t| {
-                t.counter(
+            if trace.rec.is_enabled() {
+                trace.rec.add_counter_at(
                     "eval.ex_verdicts",
                     &[
                         ("db", item.db_id.as_str()),
@@ -1150,15 +1137,14 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
                     ],
                     req.arrival_ms + latency_ms,
                     1,
-                )
-            });
+                );
+            }
             ex.push(Some(score.ex));
         } else {
             ex.push(None);
         }
     }
     ServeRun {
-        seed,
         predictor_name: predictor.name(),
         faults,
         reqs,
@@ -1170,34 +1156,15 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
     }
 }
 
-/// Assemble the [`servekit::ReportInput`] for a finished run (shared by
-/// the markdown report, the `--json` emitter and `slo-report --json`).
-fn serve_report_input(run: &ServeRun) -> servekit::ReportInput {
-    let ex_scored = run.ex.iter().flatten().count() as u64;
-    let ex_correct = run.ex.iter().flatten().filter(|&&v| v).count() as u64;
-    let s = &run.stats;
+/// The [`servekit::ReportInput`] of a finished run (shared by the
+/// markdown report, the `--json` emitter and `slo-report --json`).
+fn serve_report_input(run: &ServeRun) -> servekit::ReportInput<'_> {
     servekit::ReportInput {
-        seed: run.seed,
-        predictor: run.predictor_name.clone(),
-        error_rate: run.faults.error_rate,
-        spike_rate: run.faults.spike_rate,
-        spike_ms: run.faults.spike_ms,
-        corrupt_rate: run.faults.corrupt_rate,
-        submitted: s.submitted,
-        admitted: s.admitted,
-        shed: s.shed,
-        ok: s.ok,
-        failed: s.failed,
-        deadline_exceeded: s.deadline_exceeded,
-        retries: s.retries,
-        panics: s.panics,
-        cache_served: s.cache.served,
-        cache_misses: s.cache.misses,
-        cache_evictions: s.cache.evictions,
-        latencies_ms: s.total_ms.clone(),
-        makespan_ms: s.makespan_ms,
-        ex_correct,
-        ex_scored,
+        predictor: &run.predictor_name,
+        faults: &run.faults,
+        stats: &run.stats,
+        ex_correct: run.ex.iter().flatten().filter(|&&v| v).count() as u64,
+        ex_scored: run.ex.iter().flatten().count() as u64,
     }
 }
 
@@ -1284,10 +1251,10 @@ fn metrics_trace(positional: &[&String]) {
     print!("{}", obskit::expo::render_profile(&profile));
 }
 
-/// `dashboard`: render as markdown the windowed time-series store a
-/// traced run drained into its JSONL, as the trace's profile decodes it.
-/// Every number derives from drain-time `tsdb.*` events on the virtual
-/// clock, so the output is byte-identical across runs and thread counts.
+/// `dashboard`: render as markdown the windowed time-series store that
+/// the trace's profile folds from the run's windowed writes. Every number
+/// derives from those `tsdb.*` events on the virtual clock, so the output
+/// is byte-identical across runs and thread counts.
 fn dashboard_cmd(positional: &[&String], flags: &HashMap<String, String>) {
     let [path] = positional else {
         eprintln!("dashboard requires a trace file: dail_sql_cli dashboard TRACE.jsonl");
@@ -1358,26 +1325,26 @@ fn dashboard_rows<'a>(
 
 fn render_dashboard(tsdb: &obskit::tsdb::Tsdb, window: u64, tenant: Option<&str>) -> String {
     use std::fmt::Write as _;
-    let cfg = tsdb.config();
+    let step_ms = obskit::tsdb::STEP_MS;
     let latest = tsdb.latest_window().unwrap_or(0);
     let earliest = tsdb.earliest_window().unwrap_or(latest);
     let mut out = String::new();
     out.push_str("# tsdb dashboard\n\n");
     out.push_str("| param | value |\n|---|---|\n");
-    let _ = writeln!(out, "| step | {} ms |", cfg.step_ms);
+    let _ = writeln!(out, "| step | {step_ms} ms |");
     let _ = writeln!(out, "| series | {} |", tsdb.series_count());
     let _ = writeln!(
         out,
         "| windows | {}..{} (span {} ms) |",
         earliest,
         latest,
-        (latest - earliest + 1) * cfg.step_ms
+        (latest - earliest + 1) * step_ms
     );
     let _ = writeln!(
         out,
         "| stats window | last {} windows ({} ms) |",
         window,
-        window * cfg.step_ms
+        window * step_ms
     );
     if let Some(t) = tenant {
         let _ = writeln!(out, "| tenant filter | {t} |");
@@ -1393,7 +1360,7 @@ fn render_dashboard(tsdb: &obskit::tsdb::Tsdb, window: u64, tenant: Option<&str>
     out.push_str("|---|---|---|---|---|---|---|\n");
     for s in dashboard_rows(tsdb, tenant) {
         let rate =
-            s.windowed_count(window, latest) as f64 / (window as f64 * cfg.step_ms as f64 / 1000.0);
+            s.windowed_count(window, latest) as f64 / (window as f64 * step_ms as f64 / 1000.0);
         let (p50, p99) = if s.is_hist() {
             let h = s.merged(window, latest);
             if h.count() > 0 {
@@ -1422,13 +1389,13 @@ fn render_dashboard(tsdb: &obskit::tsdb::Tsdb, window: u64, tenant: Option<&str>
 
 fn dashboard_json(tsdb: &obskit::tsdb::Tsdb, window: u64, tenant: Option<&str>) -> String {
     use std::fmt::Write as _;
-    let cfg = tsdb.config();
+    let step_ms = obskit::tsdb::STEP_MS;
     let latest = tsdb.latest_window().unwrap_or(0);
     let mut out = String::new();
     let _ = write!(
         out,
         "{{\"step_ms\":{},\"series\":{},\"window\":{},\"overflow\":{},\"dropped_late\":{},\"rows\":[",
-        cfg.step_ms,
+        step_ms,
         tsdb.series_count(),
         window,
         tsdb.overflow(),
@@ -1439,7 +1406,7 @@ fn dashboard_json(tsdb: &obskit::tsdb::Tsdb, window: u64, tenant: Option<&str>) 
             out.push(',');
         }
         let rate =
-            s.windowed_count(window, latest) as f64 / (window as f64 * cfg.step_ms as f64 / 1000.0);
+            s.windowed_count(window, latest) as f64 / (window as f64 * step_ms as f64 / 1000.0);
         let _ = write!(
             out,
             "{{\"series\":\"{}\",\"total\":{},\"rate_per_s\":{rate:.4}",

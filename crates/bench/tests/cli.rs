@@ -1025,29 +1025,24 @@ fn dashboard_is_deterministic_and_matches_golden() {
 
 #[test]
 fn tsdb_series_bound_reroutes_to_overflow() {
-    // With the series bound squeezed to 2, excess label sets reroute to the
-    // `__overflow__` series, and the overflow count shows in both the
-    // dashboard and the exposition.
+    // A trace with more distinct label sets than the series bound: the
+    // excess reroutes to the `__overflow__` series, and the overflow count
+    // shows in both the dashboard and the exposition.
     let trace = std::env::temp_dir().join("dail_cli_dash_overflow.jsonl");
-    let _ = std::fs::remove_file(&trace);
-    let out = serve_bench_cmd(&[
-        "--tsdb-max-series",
-        "2",
-        "--trace-sample",
-        "1.0",
-        "--trace",
-        trace.to_str().unwrap(),
-    ])
-    .output()
-    .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let rec = obskit::Recorder::enabled();
+    for i in 0..obskit::tsdb::MAX_SERIES + 5 {
+        let tenant = format!("t{i}");
+        rec.add_counter_at(
+            "servekit.requests",
+            &[("tenant", &tenant)],
+            10 * i as u64,
+            1,
+        );
+    }
+    rec.write_jsonl(&trace).expect("trace written");
     let dash = dashboard_output(&trace, &[]);
     assert!(dash.contains("__overflow__"), "{dash}");
-    assert!(!dash.contains("| overflow | 0 |"), "{dash}");
+    assert!(dash.contains("| overflow | 5 |"), "{dash}");
     let out = cli()
         .arg("metrics")
         .arg(&trace)
@@ -1930,6 +1925,12 @@ fn unknown_flag_exits_2_and_names_it() {
         vec!["exec-diff", "--corpus", &corpus],
         vec!["slo-report", "--canonical"],
         vec!["models", "--verbose"],
+        // The windowed store's series bound is a constant, not a flag.
+        vec!["eval", "--tsdb-max-series", "2"],
+        vec!["run-experiments", "--tsdb-max-series", "2"],
+        vec!["exec-bench", "--tsdb-max-series", "2"],
+        vec!["serve-bench", "--tsdb-max-series", "2"],
+        vec!["slo-report", "--tsdb-max-series", "2"],
     ] {
         let out = cli().args(&args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

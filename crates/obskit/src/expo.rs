@@ -325,7 +325,8 @@ fn parse_labels(s: &str) -> Result<Vec<(String, String)>, String> {
 }
 
 /// Parse a `k="v",...` label set (escape-aware) into pairs. Public for
-/// [`crate::tsdb`]'s serialized-label round trip and for tests.
+/// the label sets of [`crate::tsdb`]'s windowed-write annotations and for
+/// tests.
 pub fn parse_label_set(s: &str) -> Result<Vec<(String, String)>, String> {
     parse_labels(s)
 }
@@ -763,12 +764,10 @@ mod tests {
 
     #[test]
     fn render_profile_includes_tsdb_series_with_exemplars() {
-        let rec = crate::Recorder::with_tsdb(crate::tsdb::TsdbConfig::default());
-        rec.tsdb(|db| {
-            db.counter("req.count", &[("tenant", "t0")], 10, 3);
-            db.counter("req.count", &[("tenant", "t1")], 300, 1);
-            db.observe("lat.ms", &[("tenant", "t0")], 10, 64, Some(7));
-        });
+        let rec = crate::Recorder::enabled();
+        rec.add_counter_at("req.count", &[("tenant", "t0")], 10, 3);
+        rec.add_counter_at("req.count", &[("tenant", "t1")], 300, 1);
+        rec.observe_at("lat.ms", &[("tenant", "t0")], 10, 64, Some(7));
         rec.add_counter("plain.counter", 5);
         let text = render_trace(&rec.drain_trace());
         assert!(text.contains("# TYPE req_count counter"), "{text}");
@@ -788,8 +787,8 @@ mod tests {
 
     #[test]
     fn tsdb_family_name_collisions_get_suffixed() {
-        let rec = crate::Recorder::with_tsdb(crate::tsdb::TsdbConfig::default());
-        rec.tsdb(|db| db.counter("plain.counter", &[("t", "a")], 0, 1));
+        let rec = crate::Recorder::enabled();
+        rec.add_counter_at("plain.counter", &[("t", "a")], 0, 1);
         rec.add_counter("plain.counter", 5);
         let text = render_trace(&rec.drain_trace());
         assert!(text.contains("# TYPE plain_counter counter\nplain_counter 5"));

@@ -29,10 +29,12 @@
 //! * [`expo`] — Prometheus text exposition of the counters/gauges/log₂
 //!   histograms (and a profile's labelled [`tsdb`] series with
 //!   `# exemplar` lines), plus a validating mini-parser for tests.
-//! * [`tsdb`] — windowed time series: labelled series with a hard
-//!   cardinality bound, fixed-step ring-buffer windows (rates, windowed
-//!   quantiles), and per-window exemplars linking back to sampled
-//!   request traces. All on the virtual clock.
+//! * [`tsdb`] — windowed time series, folded from the windowed writes a
+//!   run records ([`Recorder::add_counter_at`], [`Recorder::observe_at`]):
+//!   labelled series with a hard cardinality bound, fixed-step
+//!   ring-buffer windows (rates, windowed quantiles), and per-window
+//!   exemplars linking back to sampled request traces. All on the
+//!   virtual clock.
 //! * One scoped sink per run: [`Recorder::enter`] makes a recorder current
 //!   on the calling thread (an RAII [`SinkGuard`] restores the previous
 //!   one), so deep layers (`simllm`, `storage`, `promptkit`, …) emit to

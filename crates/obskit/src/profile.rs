@@ -1,6 +1,6 @@
 //! The one replay of a recorded trace: spans into a forest with
 //! self-times and a flame tree, metric summaries into a snapshot,
-//! `tsdb.*` annotations into a windowed store, and a per-stage breakdown
+//! windowed writes into a time-series store, and a per-stage breakdown
 //! report over the result.
 
 use crate::event::Event;
@@ -45,7 +45,7 @@ pub struct Profile {
     pub metrics: MetricsSnapshot,
     /// Meta annotations other than `tsdb.*`, in order.
     pub metas: Vec<(String, Vec<(String, String)>)>,
-    /// Windowed series decoded from the `tsdb.*` annotations.
+    /// Windowed series folded from the `tsdb.*` annotations.
     pub tsdb: Tsdb,
 }
 
@@ -72,9 +72,13 @@ impl Profile {
     ///   every trace, truncated or overlong children included.
     ///
     /// Counters with the same name are summed, gauges keep the last value
-    /// and histograms merge. The events a drained store wrote (its
-    /// `tsdb.*` annotations and accounting counters) decode through
-    /// [`Tsdb::from_events`]; the other annotations are kept in order.
+    /// and histograms merge. Windowed writes (the `tsdb.*` annotations of
+    /// [`crate::Recorder::add_counter_at`] and
+    /// [`crate::Recorder::observe_at`]) replay into [`Profile::tsdb`] in
+    /// trace order, and the store's accounting joins the counters as
+    /// `obskit.tsdb.series`, plus `obskit.tsdb.overflow` and
+    /// `obskit.tsdb.dropped_late` when non-zero; the other annotations are
+    /// kept in order.
     pub fn from_events(events: &[Event]) -> Profile {
         let mut p = Profile::default();
         let mut spans: Vec<TraceSpan> = Vec::new();
@@ -82,12 +86,7 @@ impl Profile {
         // one still open with it.
         let mut latest: BTreeMap<u64, usize> = BTreeMap::new();
         let mut open: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut tsdb_events: Vec<Event> = Vec::new();
         for ev in events {
-            let for_tsdb = Tsdb::decodes(ev);
-            if for_tsdb {
-                tsdb_events.push(ev.clone());
-            }
             match ev {
                 Event::SpanStart {
                     id, parent, name, ..
@@ -131,13 +130,27 @@ impl Profile {
                         .or_default()
                         .merge(&h);
                 }
-                Event::Meta { .. } if for_tsdb => {}
+                Event::Meta { name, fields } if name.starts_with("tsdb.") => {
+                    p.tsdb.replay(name, fields);
+                }
                 Event::Meta { name, fields } => {
                     p.metas.push((name.clone(), fields.clone()));
                 }
             }
         }
-        p.tsdb = Tsdb::from_events(&tsdb_events);
+        if p.tsdb.series_count() > 0 {
+            let counters = &mut p.metrics.counters;
+            *counters.entry("obskit.tsdb.series".into()).or_insert(0) +=
+                p.tsdb.series_count() as u64;
+            for (name, value) in [
+                ("obskit.tsdb.overflow", p.tsdb.overflow()),
+                ("obskit.tsdb.dropped_late", p.tsdb.dropped_late()),
+            ] {
+                if value > 0 {
+                    *counters.entry(name.into()).or_insert(0) += value;
+                }
+            }
+        }
         p.fold_spans(&spans);
         p
     }

@@ -1,10 +1,9 @@
-//! The event sink: spans, counters, gauges, histograms, an optional
-//! windowed [`Tsdb`], and the per-thread *current sink* that deep layers
-//! emit to.
+//! The event sink: spans, counters, gauges, histograms, windowed writes,
+//! and the per-thread *current sink* that deep layers emit to.
 
 use crate::event::Event;
 use crate::hist::Histogram;
-use crate::tsdb::{Tsdb, TsdbConfig};
+use crate::tsdb;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -71,7 +70,6 @@ struct Inner {
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
     hists: Mutex<BTreeMap<String, Histogram>>,
-    tsdb: Option<Mutex<Tsdb>>,
 }
 
 /// A thread-safe trace/metrics sink.
@@ -84,9 +82,9 @@ struct Inner {
 /// A run hands its telemetry to the layers underneath by entering its
 /// recorder ([`Recorder::enter`]): deep layers emit to [`current`], and
 /// code that fans work out to threads enters the caller's sink on each
-/// worker. An enabled recorder may also own the run's windowed [`Tsdb`]
-/// ([`Recorder::with_tsdb`]), which [`Recorder::drain_trace`] serializes
-/// into the trace.
+/// worker. Windowed writes ([`Recorder::add_counter_at`],
+/// [`Recorder::observe_at`]) are recorded as trace events like any other;
+/// [`crate::Profile::from_events`] folds them into a [`crate::tsdb::Tsdb`].
 #[derive(Clone)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -111,17 +109,6 @@ impl Recorder {
 
     /// An enabled in-memory recorder.
     pub fn enabled() -> Recorder {
-        Recorder::build(None)
-    }
-
-    /// An enabled recorder that also owns a windowed time-series store
-    /// (reached through [`Recorder::tsdb`], drained by
-    /// [`Recorder::drain_trace`]).
-    pub fn with_tsdb(cfg: TsdbConfig) -> Recorder {
-        Recorder::build(Some(Tsdb::new(cfg)))
-    }
-
-    fn build(tsdb: Option<Tsdb>) -> Recorder {
         Recorder {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
@@ -130,7 +117,6 @@ impl Recorder {
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 hists: Mutex::new(BTreeMap::new()),
-                tsdb: tsdb.map(Mutex::new),
             })),
         }
     }
@@ -145,15 +131,6 @@ impl Recorder {
             prev,
             _not_send: PhantomData,
         }
-    }
-
-    /// Run `f` against this recorder's windowed store; `None` (and `f`
-    /// never runs) when the recorder has no store or is disabled.
-    pub fn tsdb<R>(&self, f: impl FnOnce(&mut Tsdb) -> R) -> Option<R> {
-        let store = self.inner.as_ref()?.tsdb.as_ref()?;
-        Some(f(&mut store
-            .lock()
-            .expect("tsdb lock poisoned by a panicking writer")))
     }
 
     /// Is this recorder actually recording?
@@ -287,6 +264,38 @@ impl Recorder {
         Some(id)
     }
 
+    /// Add `delta` to the windowed counter series `metric{labels}` at
+    /// virtual time `t_ms`, recorded as one `tsdb.counter` annotation.
+    pub fn add_counter_at(&self, metric: &str, labels: &[(&str, &str)], t_ms: u64, delta: u64) {
+        let Some(inner) = &self.inner else { return };
+        let ev = tsdb::write_event(tsdb::COUNTER_EVENT, metric, labels, t_ms, delta, None);
+        inner.events.lock().unwrap().push(ev);
+    }
+
+    /// Record one observation into the windowed histogram series
+    /// `metric{labels}` at virtual time `t_ms`, optionally carrying the
+    /// request id of a *sampled* request as an exemplar; recorded as one
+    /// `tsdb.observe` annotation.
+    pub fn observe_at(
+        &self,
+        metric: &str,
+        labels: &[(&str, &str)],
+        t_ms: u64,
+        value: u64,
+        exemplar_request: Option<u64>,
+    ) {
+        let Some(inner) = &self.inner else { return };
+        let ev = tsdb::write_event(
+            tsdb::OBSERVE_EVENT,
+            metric,
+            labels,
+            t_ms,
+            value,
+            exemplar_request,
+        );
+        inner.events.lock().unwrap().push(ev);
+    }
+
     /// Attach a free-form key/value annotation event.
     pub fn meta(&self, name: &str, fields: &[(&str, String)]) {
         let Some(inner) = &self.inner else { return };
@@ -328,7 +337,7 @@ impl Recorder {
     }
 
     /// Merge a finished child recorder's events and metrics into this
-    /// one (a child's windowed store is not merged).
+    /// one.
     ///
     /// Span ids are remapped onto this recorder's id space; root spans of
     /// the child are re-parented under `attach_to`. Workers use this to
@@ -393,20 +402,12 @@ impl Recorder {
         }
     }
 
-    /// The full trace: recorded events, then the windowed store's series
-    /// (when there is one), then final counter, gauge and histogram
-    /// summary events (sorted by name for determinism). Reads only, so
-    /// repeated calls return the same events.
+    /// The full trace: recorded events, then final counter, gauge and
+    /// histogram summary events (sorted by name for determinism). Reads
+    /// only, so repeated calls return the same events.
     pub fn drain_trace(&self) -> Vec<Event> {
         let mut out = self.events();
-        let mut m = self.metrics();
-        for ev in self.tsdb(|t| t.to_events()).unwrap_or_default() {
-            match ev {
-                // The store's accounting counters join the sorted summary.
-                Event::Counter { name, value } => *m.counters.entry(name).or_insert(0) += value,
-                other => out.push(other),
-            }
-        }
+        let m = self.metrics();
         for (name, value) in m.counters {
             out.push(Event::Counter { name, value });
         }
@@ -526,6 +527,8 @@ mod tests {
         r.add_counter("c", 5);
         r.set_gauge("g", 1.0);
         r.observe("h", 9);
+        r.add_counter_at("w", &[("t", "a")], 0, 1);
+        r.observe_at("w.h", &[], 0, 9, Some(1));
         r.meta("m", &[("k", "v".into())]);
         assert!(r.events().is_empty());
         assert!(r.drain_trace().is_empty());
@@ -647,13 +650,15 @@ mod tests {
         }
         worker.add_counter("items", 1);
         worker.observe("lat", 42);
+        worker.add_counter_at("req", &[("tenant", "t0")], 10, 1);
 
         main.absorb(&worker, Some(root_id));
         drop(root);
 
         let ev = main.events();
-        // root start, absorbed item start/end, root end.
-        assert_eq!(ev.len(), 4);
+        // root start, absorbed item start/end and windowed write, root end.
+        assert_eq!(ev.len(), 5);
+        assert_eq!(ev[3].name(), "tsdb.counter");
         match &ev[1] {
             Event::SpanStart {
                 id, parent, name, ..

@@ -6,16 +6,16 @@
 //! metrics **over time** and **per label set**:
 //!
 //! * **Labelled series** — `metric{db="x",tenant="t0"}` with a hard
-//!   cardinality bound. Observations for label sets past the bound are
-//!   rerouted, loudly, into a per-metric `{series="__overflow__"}`
-//!   series, and the reroute count is exported as the
-//!   `obskit.tsdb.overflow` counter.
+//!   cardinality bound ([`MAX_SERIES`]). Observations for label sets past
+//!   the bound are rerouted, loudly, into a per-metric
+//!   `{series="__overflow__"}` series, and the reroute count is exported
+//!   as the `obskit.tsdb.overflow` counter.
 //! * **Fixed-step ring-buffer windows** — every observation lands in the
-//!   window `t_ms / step_ms` of a bounded ring. Counters become rates
-//!   (count per window), histograms become *windowed* quantiles (the
-//!   log₂ [`Histogram`] per window, mergeable across a window range).
-//!   Observations older than the ring are dropped and counted
-//!   (`obskit.tsdb.dropped_late`).
+//!   window `t_ms / STEP_MS` of a ring of [`WINDOW_SLOTS`] windows.
+//!   Counters become rates (count per window), histograms become
+//!   *windowed* quantiles (the log₂ [`Histogram`] per window, mergeable
+//!   across a window range). Observations older than the ring are dropped
+//!   and counted (`obskit.tsdb.dropped_late`).
 //! * **Exemplars** — a histogram observation may carry the
 //!   [`crate::TraceContext`] request id of a *sampled* request. Each
 //!   window keeps the exemplar of its largest such observation, so a p99
@@ -23,15 +23,17 @@
 //!   JSONL trace.
 //!
 //! Everything is driven by caller-supplied **virtual milliseconds** — no
-//! wall clock anywhere — so a drained tsdb is byte-identical across
-//! runs, thread counts and worker counts. A run's store is owned by its
-//! sink ([`crate::Recorder::with_tsdb`]) and written through
-//! [`crate::Recorder::tsdb`]. Draining the sink's trace serializes each
-//! occupied window as a `tsdb.series` [`Event::Meta`] (plus a
-//! `tsdb.config` header, see [`Tsdb::to_events`]), which round-trips
-//! through the existing JSONL format; [`Tsdb::from_events`] rebuilds the
-//! series when [`crate::Profile::from_events`] folds a recorded trace,
-//! for the `dashboard` subcommand and the exposition renderer.
+//! wall clock anywhere. A run records each windowed write as one trace
+//! annotation ([`crate::Recorder::add_counter_at`],
+//! [`crate::Recorder::observe_at`]: a `tsdb.counter` or `tsdb.observe`
+//! [`Event::Meta`] holding the metric, the label set, the virtual ms, the
+//! value and the optional exemplar request id). A store is built in one
+//! place: [`crate::Profile::from_events`] replays those annotations in
+//! recording order through the store's one write path (`Tsdb::counter`
+//! and `Tsdb::observe`), for the `dashboard` subcommand and the
+//! exposition renderer. A run that
+//! writes from one thread therefore folds to the same store however many
+//! threads served it.
 //!
 //! [`SlidingCounts`] is the second windowing primitive: an exact
 //! event-time sliding window (deque-based, O(1) amortized per event)
@@ -42,26 +44,35 @@ use crate::event::Event;
 use crate::hist::Histogram;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Configuration of a [`Tsdb`].
+/// Window width in virtual ms: an observation at `t_ms` lands in window
+/// `t_ms / STEP_MS`.
+pub const STEP_MS: u64 = 250;
+/// Ring capacity in windows: windows older than the newest
+/// `WINDOW_SLOTS` are evicted.
+pub const WINDOW_SLOTS: usize = 256;
+/// Hard cardinality bound: maximum distinct series (overflow series are
+/// exempt — they are where the excess goes).
+pub const MAX_SERIES: usize = 512;
+
+/// Annotation name of one windowed counter increment.
+pub(crate) const COUNTER_EVENT: &str = "tsdb.counter";
+/// Annotation name of one windowed histogram observation.
+pub(crate) const OBSERVE_EVENT: &str = "tsdb.observe";
+
+/// The shape of a store; the constants above outside this module's tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsdbConfig {
-    /// Window width in virtual ms; observation at `t_ms` lands in window
-    /// `t_ms / step_ms`.
-    pub step_ms: u64,
-    /// Hard cardinality bound: maximum distinct series (overflow series
-    /// are exempt — they are where the excess goes).
-    pub max_series: usize,
-    /// Ring capacity in windows; windows older than the newest
-    /// `window_slots` are evicted.
-    pub window_slots: usize,
+pub(crate) struct TsdbConfig {
+    step_ms: u64,
+    max_series: usize,
+    window_slots: usize,
 }
 
 impl Default for TsdbConfig {
     fn default() -> Self {
         TsdbConfig {
-            step_ms: 250,
-            max_series: 512,
-            window_slots: 256,
+            step_ms: STEP_MS,
+            max_series: MAX_SERIES,
+            window_slots: WINDOW_SLOTS,
         }
     }
 }
@@ -77,7 +88,7 @@ pub struct Exemplar {
 }
 
 /// Label value used for rerouted observations of a metric whose series
-/// cardinality exceeded [`TsdbConfig::max_series`].
+/// cardinality exceeded [`MAX_SERIES`].
 pub const OVERFLOW_LABEL: &str = "__overflow__";
 
 #[derive(Debug, Clone, PartialEq)]
@@ -254,9 +265,9 @@ impl Series {
 
 /// A deterministic, virtual-clock-driven windowed time-series store.
 ///
-/// See the [module docs](self) for the model. Not internally
-/// synchronized — wrap in a `Mutex` for shared use (the store a
-/// [`crate::Recorder::with_tsdb`] owns is).
+/// See the [module docs](self) for the model. Outside this crate a store
+/// is read only: [`crate::Profile::from_events`] is the one place that
+/// fills one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tsdb {
     cfg: TsdbConfig,
@@ -303,22 +314,14 @@ impl Default for Tsdb {
 }
 
 impl Tsdb {
-    /// An empty store with the given config.
-    pub fn new(cfg: TsdbConfig) -> Tsdb {
+    /// An empty store of the given shape.
+    pub(crate) fn new(cfg: TsdbConfig) -> Tsdb {
         Tsdb {
-            cfg: TsdbConfig {
-                step_ms: cfg.step_ms.max(1),
-                ..cfg
-            },
+            cfg,
             series: BTreeMap::new(),
             overflow: 0,
             dropped_late: 0,
         }
-    }
-
-    /// The configuration this store was built with.
-    pub fn config(&self) -> &TsdbConfig {
-        &self.cfg
     }
 
     /// Observations rerouted to `__overflow__` series so far.
@@ -364,14 +367,14 @@ impl Tsdb {
     }
 
     /// Add `delta` to the counter series `metric{labels}` at `t_ms`.
-    pub fn counter(&mut self, metric: &str, labels: &[(&str, &str)], t_ms: u64, delta: u64) {
+    pub(crate) fn counter(&mut self, metric: &str, labels: &[(&str, &str)], t_ms: u64, delta: u64) {
         self.record(metric, labels, t_ms, delta, false, 0, None);
     }
 
     /// Record one histogram observation into `metric{labels}` at `t_ms`,
     /// optionally carrying the request id of a *sampled* request as an
     /// exemplar (each window keeps its largest-value exemplar).
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         metric: &str,
         labels: &[(&str, &str)],
@@ -428,197 +431,71 @@ impl Tsdb {
         }
     }
 
-    /// The store as trace events: a `tsdb.config` meta event, one
-    /// `tsdb.series` meta event per occupied window (in sorted series
-    /// order), then the `obskit.tsdb.*` accounting counters. The result
-    /// round-trips through JSONL and [`Tsdb::from_events`].
-    pub fn to_events(&self) -> Vec<Event> {
-        let meta = |name: &str, fields: Vec<(&str, String)>| Event::Meta {
-            name: name.to_string(),
-            fields: fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+    /// Replay one windowed write recorded by [`write_event`] through
+    /// [`Tsdb::counter`] or [`Tsdb::observe`]. Any other `tsdb.*`
+    /// annotation, or a malformed one, writes nothing.
+    pub(crate) fn replay(&mut self, name: &str, fields: &[(String, String)]) {
+        let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let num = |key: &str| field(key).and_then(|v| v.parse::<u64>().ok());
+        let (Some(metric), Some(Ok(labels)), Some(t_ms), Some(value)) = (
+            field("metric"),
+            field("labels").map(|l| crate::expo::parse_label_set(l)),
+            num("t_ms"),
+            num("value"),
+        ) else {
+            return;
         };
-        let counter = |name: &str, value: u64| Event::Counter {
-            name: name.to_string(),
-            value,
-        };
-        let mut out = vec![meta(
-            "tsdb.config",
-            vec![
-                ("step_ms", self.cfg.step_ms.to_string()),
-                ("max_series", self.cfg.max_series.to_string()),
-                ("window_slots", self.cfg.window_slots.to_string()),
-            ],
-        )];
-        for series in self.series.values() {
-            for w in series.windows() {
-                let mut fields: Vec<(&str, String)> = vec![
-                    ("metric", series.metric.clone()),
-                    ("labels", render_label_set(&series.labels)),
-                    (
-                        "kind",
-                        if series.is_hist { "hist" } else { "counter" }.to_string(),
-                    ),
-                    ("win", w.win.to_string()),
-                    ("count", w.count.to_string()),
-                ];
-                if let Some(h) = w.hist {
-                    fields.push(("sum", h.sum().to_string()));
-                    fields.push(("min", h.min().to_string()));
-                    fields.push(("max", h.max().to_string()));
-                    let buckets = h
-                        .occupied()
-                        .iter()
-                        .map(|(i, n)| format!("{i}:{n}"))
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    fields.push(("buckets", buckets));
-                }
-                if let Some(e) = w.exemplar {
-                    fields.push(("exemplar_req", e.request_id.to_string()));
-                    fields.push(("exemplar_val", e.value.to_string()));
-                }
-                out.push(meta("tsdb.series", fields));
-            }
+        let labels: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        match name {
+            COUNTER_EVENT => self.counter(metric, &labels, t_ms, value),
+            OBSERVE_EVENT => self.observe(metric, &labels, t_ms, value, num("exemplar_req")),
+            _ => {}
         }
-        out.push(counter("obskit.tsdb.series", self.series.len() as u64));
-        if self.overflow > 0 {
-            out.push(counter("obskit.tsdb.overflow", self.overflow));
-        }
-        if self.dropped_late > 0 {
-            out.push(counter("obskit.tsdb.dropped_late", self.dropped_late));
-        }
-        out
-    }
-
-    /// Is `ev` one that [`Tsdb::from_events`] decodes: a `tsdb.*` meta
-    /// event or one of the store's `obskit.tsdb.*` accounting counters?
-    pub(crate) fn decodes(ev: &Event) -> bool {
-        match ev {
-            Event::Meta { name, .. } => name.starts_with("tsdb."),
-            Event::Counter { name, .. } => name.starts_with("obskit.tsdb."),
-            _ => false,
-        }
-    }
-
-    /// Rebuild a store from the `tsdb.config`/`tsdb.series` meta events
-    /// of a recorded trace (the inverse of [`Tsdb::to_events`]).
-    /// Malformed events are skipped; an absent config yields defaults.
-    pub fn from_events(events: &[Event]) -> Tsdb {
-        let mut cfg = TsdbConfig::default();
-        for ev in events {
-            if let Event::Meta { name, fields } = ev {
-                if name == "tsdb.config" {
-                    let get = |k: &str| field(fields, k).and_then(|v| v.parse::<u64>().ok());
-                    if let Some(v) = get("step_ms") {
-                        cfg.step_ms = v.max(1);
-                    }
-                    if let Some(v) = get("max_series") {
-                        cfg.max_series = v as usize;
-                    }
-                    if let Some(v) = get("window_slots") {
-                        cfg.window_slots = v as usize;
-                    }
-                }
-            }
-        }
-        let mut db = Tsdb::new(cfg);
-        for ev in events {
-            let Event::Meta { name, fields } = ev else {
-                continue;
-            };
-            if name != "tsdb.series" {
-                continue;
-            }
-            let (Some(metric), Some(kind), Some(win), Some(count)) = (
-                field(fields, "metric"),
-                field(fields, "kind"),
-                field(fields, "win").and_then(|v| v.parse::<u64>().ok()),
-                field(fields, "count").and_then(|v| v.parse::<u64>().ok()),
-            ) else {
-                continue;
-            };
-            let labels = match field(fields, "labels") {
-                Some(s) => match crate::expo::parse_label_set(s) {
-                    Ok(l) => l,
-                    Err(_) => continue,
-                },
-                None => Vec::new(),
-            };
-            let is_hist = kind == "hist";
-            let name = series_name(metric, &labels);
-            let series = db
-                .series
-                .entry(name.clone())
-                .or_insert_with(|| Series::new(name, metric.to_string(), labels, is_hist));
-            let cap = db.cfg.window_slots;
-            let Some(slot) = series.slot_mut(win, cap) else {
-                continue;
-            };
-            slot.count += count;
-            if is_hist {
-                let num = |k: &str| {
-                    field(fields, k)
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .unwrap_or(0)
-                };
-                let buckets: Vec<(u32, u64)> = field(fields, "buckets")
-                    .unwrap_or("")
-                    .split(',')
-                    .filter_map(|p| {
-                        let (i, n) = p.split_once(':')?;
-                        Some((i.parse().ok()?, n.parse().ok()?))
-                    })
-                    .collect();
-                let h = Histogram::from_parts(count, num("sum"), num("min"), num("max"), &buckets);
-                slot.hist.get_or_insert_with(Default::default).merge(&h);
-                if let (Some(req), Some(val)) = (
-                    field(fields, "exemplar_req").and_then(|v| v.parse().ok()),
-                    field(fields, "exemplar_val").and_then(|v| v.parse().ok()),
-                ) {
-                    let better = slot.exemplar.is_none_or(|e| val > e.value);
-                    if better {
-                        slot.exemplar = Some(Exemplar {
-                            request_id: req,
-                            value: val,
-                        });
-                    }
-                }
-            }
-        }
-        // Restore accounting from the drained counters so a rebuilt
-        // store reports the same overflow/late numbers.
-        for ev in events {
-            if let Event::Counter { name, value } = ev {
-                match name.as_str() {
-                    "obskit.tsdb.overflow" => db.overflow += value,
-                    "obskit.tsdb.dropped_late" => db.dropped_late += value,
-                    _ => {}
-                }
-            }
-        }
-        db
     }
 }
 
-/// Render a sorted label set as `k="v",k2="v2"` (escaped), the form
-/// stored in `tsdb.series` meta events and parsed back by
-/// [`crate::expo::parse_label_set`].
-pub fn render_label_set(labels: &[(String, String)]) -> String {
+/// One windowed write as the trace annotation that records it: `name`
+/// ([`COUNTER_EVENT`] or [`OBSERVE_EVENT`]) with the metric, the rendered
+/// label set, the virtual ms, the value (a counter's delta or the observed
+/// value) and, when there is one, the exemplar request id.
+pub(crate) fn write_event(
+    name: &str,
+    metric: &str,
+    labels: &[(&str, &str)],
+    t_ms: u64,
+    value: u64,
+    exemplar_request: Option<u64>,
+) -> Event {
+    let mut fields = vec![
+        ("metric".to_string(), metric.to_string()),
+        ("labels".to_string(), render_label_set(labels)),
+        ("t_ms".to_string(), t_ms.to_string()),
+        ("value".to_string(), value.to_string()),
+    ];
+    if let Some(request_id) = exemplar_request {
+        fields.push(("exemplar_req".to_string(), request_id.to_string()));
+    }
+    Event::Meta {
+        name: name.to_string(),
+        fields,
+    }
+}
+
+/// Render a label set as `k="v",k2="v2"` (escaped, in the given order),
+/// the form a windowed write's annotation stores and
+/// [`crate::expo::parse_label_set`] parses back.
+pub fn render_label_set<K: AsRef<str>, V: AsRef<str>>(labels: &[(K, V)]) -> String {
     labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", crate::expo::escape_label_value(v)))
+        .map(|(k, v)| {
+            format!(
+                "{}=\"{}\"",
+                k.as_ref(),
+                crate::expo::escape_label_value(v.as_ref())
+            )
+        })
         .collect::<Vec<_>>()
         .join(",")
-}
-
-fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
 }
 
 /// An exact event-time sliding window over good/bad observations.
@@ -799,32 +676,65 @@ mod tests {
     }
 
     #[test]
-    fn drain_and_from_events_round_trip() {
-        let mut db = small();
-        db.counter("req", &[("tenant", "t0")], 0, 3);
-        db.counter("req", &[("tenant", "t1")], 120, 1);
-        db.observe("lat", &[("db", "a\"b")], 40, 64, Some(9));
-        db.observe("lat", &[("db", "a\"b")], 41, 700, Some(11));
-        for i in 0..6 {
-            let t = format!("x{i}");
-            db.counter("ovf", &[("t", &t)], 0, 1); // trips max_series = 4
+    fn recorded_writes_fold_to_the_store_the_same_writes_build() {
+        let rec = crate::Recorder::enabled();
+        let mut direct = Tsdb::default();
+        // `exemplar: None` is a counter increment, `Some(e)` a histogram
+        // observation carrying exemplar `e`.
+        let mut write = |metric: &str,
+                         labels: &[(&str, &str)],
+                         t_ms: u64,
+                         value: u64,
+                         exemplar: Option<Option<u64>>| match exemplar {
+            None => {
+                rec.add_counter_at(metric, labels, t_ms, value);
+                direct.counter(metric, labels, t_ms, value);
+            }
+            Some(e) => {
+                rec.observe_at(metric, labels, t_ms, value, e);
+                direct.observe(metric, labels, t_ms, value, e);
+            }
+        };
+        write("req", &[("tenant", "t0"), ("db", "a")], 0, 3, None);
+        write("req", &[("tenant", "t1")], 120, 1, None);
+        write("lat", &[("db", "a\"b\\c\n")], 40, 64, Some(Some(9)));
+        write("lat", &[("db", "a\"b\\c\n")], 41, 700, Some(Some(11)));
+        write("lat", &[], 41, 5, Some(None));
+        // Four series exist, so 7 of these label sets pass the bound and
+        // reroute to overflow.
+        for i in 0..MAX_SERIES + 3 {
+            write("ovf", &[("t", &format!("x{i}"))], 10, 1, None);
         }
-        let events = db.to_events();
-        // Through JSONL and back, then rebuild.
-        let jsonl: String = events
-            .iter()
-            .map(|e| crate::jsonl::to_json_line(e) + "\n")
-            .collect();
-        let back = Tsdb::from_events(&crate::jsonl::parse_jsonl(&jsonl).unwrap());
-        assert_eq!(back, db);
-        assert_eq!(back.overflow(), db.overflow());
+        // Past the ring, then back into an evicted window: dropped late.
+        let past_ring = STEP_MS * WINDOW_SLOTS as u64 + 500;
+        write("req", &[("tenant", "t0"), ("db", "a")], past_ring, 1, None);
+        write("req", &[("tenant", "t0"), ("db", "a")], 5, 2, None);
+        rec.add_counter("plain", 1);
+
+        let back = crate::parse_jsonl(&rec.to_jsonl()).unwrap();
+        let folded = crate::Profile::from_events(&back);
+        assert_eq!(folded.tsdb, direct);
+        assert_eq!(direct.overflow(), 7);
+        assert_eq!(direct.dropped_late(), 2);
         assert_eq!(
-            back.get("lat{db=\"a\\\"b\"}").unwrap().best_exemplar(),
+            folded
+                .tsdb
+                .get("lat{db=\"a\\\"b\\\\c\\n\"}")
+                .unwrap()
+                .best_exemplar(),
             Some(Exemplar {
                 request_id: 11,
                 value: 700
             })
         );
+        // The writes fold into the store, not the annotations, and the
+        // store's accounting joins the counters.
+        assert!(folded.metas.is_empty(), "{:?}", folded.metas);
+        let counters = &folded.metrics.counters;
+        assert_eq!(counters["obskit.tsdb.series"], direct.series_count() as u64);
+        assert_eq!(counters["obskit.tsdb.overflow"], 7);
+        assert_eq!(counters["obskit.tsdb.dropped_late"], 2);
+        assert_eq!(counters["plain"], 1);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The current sink is per thread: entering a recorder scopes telemetry
-//! to the entering thread, guards nest, and a recorder's windowed store
-//! drains without being consumed.
+//! to the entering thread, guards nest, and a recorder's windowed writes
+//! drain without being consumed.
 
-use obskit::tsdb::TsdbConfig;
 use obskit::{Event, Recorder};
 
 /// What deep layers do: emit to whatever sink is current.
@@ -91,31 +90,23 @@ fn a_thread_that_enters_no_sink_records_nothing() {
 }
 
 #[test]
-fn drain_trace_with_a_tsdb_is_repeatable() {
-    let rec = Recorder::with_tsdb(TsdbConfig::default());
+fn drain_trace_with_windowed_writes_is_repeatable() {
+    let rec = Recorder::enabled();
     rec.add_counter("plain", 2);
-    rec.tsdb(|t| {
-        t.counter("req", &[("tenant", "t0")], 10, 3);
-        t.observe("lat", &[("tenant", "t0")], 20, 64, Some(7));
-    })
-    .expect("the recorder owns a store");
+    rec.add_counter_at("req", &[("tenant", "t0")], 10, 3);
+    rec.observe_at("lat", &[("tenant", "t0")], 20, 64, Some(7));
     let first = rec.drain_trace();
     let second = rec.drain_trace();
     assert_eq!(first, second);
     assert_eq!(rec.to_jsonl(), rec.to_jsonl());
-    // The store drains after the recorded events; its accounting counter
-    // joins the sorted counter summary.
+    // Windowed writes are recorded events, in order, before the sorted
+    // counter summary.
     let names: Vec<&str> = first.iter().map(Event::name).collect();
-    assert_eq!(
-        names,
-        vec![
-            "tsdb.config",
-            "tsdb.series",
-            "tsdb.series",
-            "obskit.tsdb.series",
-            "plain"
-        ]
-    );
-    assert!(Recorder::enabled().tsdb(|_| ()).is_none());
-    assert!(Recorder::disabled().tsdb(|_| ()).is_none());
+    assert_eq!(names, vec!["tsdb.counter", "tsdb.observe", "plain"]);
+    // Folding the drained trace twice builds the same store.
+    let folded = obskit::Profile::from_events(&first);
+    assert_eq!(folded.tsdb, obskit::Profile::from_events(&second).tsdb);
+    assert_eq!(folded.tsdb.series_count(), 2);
+    assert_eq!(folded.metrics.counters["obskit.tsdb.series"], 2);
+    assert!(Recorder::disabled().drain_trace().is_empty());
 }

@@ -1,55 +1,36 @@
 //! Markdown serve-bench report.
 //!
-//! Every value comes from the deterministic [`ServeStats`](crate::ServeStats)
-//! side of the serving layer, so the rendered report is byte-identical
-//! across runs with the same seed — including runs with different worker
-//! counts (worker count intentionally does not appear in the report).
+//! Every value comes from the deterministic [`ServeStats`] side of the
+//! serving layer, so the rendered report is byte-identical across runs
+//! with the same seed — including runs with different worker counts
+//! (worker count intentionally does not appear in the report).
 
-/// Inputs to the report renderer.
-#[derive(Debug, Clone)]
-pub struct ReportInput {
-    /// Load-generator / fault seed.
-    pub seed: u64,
+use crate::ServeStats;
+use simllm::FaultConfig;
+
+/// What a report shows: one run's fault knobs and serving stats as
+/// [`serve`](crate::serve) left them, plus the caller's EX verdicts.
+#[derive(Debug, Clone, Copy)]
+pub struct ReportInput<'a> {
     /// Predictor display name.
-    pub predictor: String,
-    /// Fault knobs, echoed for reproducibility.
-    pub error_rate: f64,
-    /// Spike probability.
-    pub spike_rate: f64,
-    /// Spike magnitude in ms.
-    pub spike_ms: u64,
-    /// Corruption probability.
-    pub corrupt_rate: f64,
-    /// Requests offered.
-    pub submitted: u64,
-    /// Requests admitted.
-    pub admitted: u64,
-    /// Requests shed.
-    pub shed: u64,
-    /// Requests served OK.
-    pub ok: u64,
-    /// Requests failed after retries.
-    pub failed: u64,
-    /// Requests past deadline.
-    pub deadline_exceeded: u64,
-    /// Retried attempts.
-    pub retries: u64,
-    /// Caught predictor panics.
-    pub panics: u64,
-    /// Cache lookups served from cache (hits + coalesced).
-    pub cache_served: u64,
-    /// Cache misses (unique computations).
-    pub cache_misses: u64,
-    /// Cache evictions.
-    pub cache_evictions: u64,
-    /// Simulated total latency per admitted request, in ms.
-    pub latencies_ms: Vec<u64>,
-    /// Virtual completion time of the batch, in ms.
-    pub makespan_ms: u64,
+    pub predictor: &'a str,
+    /// Fault knobs, seed included, echoed for reproducibility.
+    pub faults: &'a FaultConfig,
+    /// The run's serving stats.
+    pub stats: &'a ServeStats,
     /// Served-OK responses whose SQL is execution-accurate.
     pub ex_correct: u64,
     /// Served-OK responses scored for EX.
     pub ex_scored: u64,
+}
+
+/// The admitted requests' simulated total latencies, in ms.
+fn latency_hist(s: &ServeStats) -> obskit::Histogram {
+    let mut hist = obskit::Histogram::new();
+    for &ms in &s.total_ms {
+        hist.record(ms);
+    }
+    hist
 }
 
 fn pct(num: u64, den: u64) -> String {
@@ -67,18 +48,16 @@ fn pct(num: u64, den: u64) -> String {
 /// the exported metrics — the report and the `/metrics`-style exposition
 /// can never disagree about a quantile.
 pub fn render(r: &ReportInput) -> String {
-    let mut hist = obskit::Histogram::new();
-    for &ms in &r.latencies_ms {
-        hist.record(ms);
-    }
+    let (s, f) = (r.stats, r.faults);
+    let hist = latency_hist(s);
     let p50 = hist.p50();
     let p99 = hist.p99();
-    let throughput = if r.makespan_ms == 0 {
+    let throughput = if s.makespan_ms == 0 {
         "n/a".to_string()
     } else {
         format!(
             "{:.1} req/s (virtual)",
-            r.admitted as f64 * 1000.0 / r.makespan_ms as f64
+            s.admitted as f64 * 1000.0 / s.makespan_ms as f64
         )
     };
     let ex = if r.ex_scored == 0 {
@@ -96,31 +75,31 @@ pub fn render(r: &ReportInput) -> String {
     out.push_str("# serve-bench report\n\n");
     out.push_str(&format!(
         "predictor: {} | seed: {} | faults: error {:.2}, spike {:.2} (+{} ms), corrupt {:.2}\n\n",
-        r.predictor, r.seed, r.error_rate, r.spike_rate, r.spike_ms, r.corrupt_rate
+        r.predictor, f.seed, f.error_rate, f.spike_rate, f.spike_ms, f.corrupt_rate
     ));
     out.push_str("| metric | value |\n|---|---|\n");
     let rows: Vec<(&str, String)> = vec![
-        ("requests", r.submitted.to_string()),
-        ("admitted", r.admitted.to_string()),
-        ("shed", format!("{} ({})", r.shed, pct(r.shed, r.submitted))),
-        ("served ok", r.ok.to_string()),
+        ("requests", s.submitted.to_string()),
+        ("admitted", s.admitted.to_string()),
+        ("shed", format!("{} ({})", s.shed, pct(s.shed, s.submitted))),
+        ("served ok", s.ok.to_string()),
         // Unserved-cause breakdown: every non-Ok outcome lands in exactly
         // one of these three rows.
-        ("shed: queue full", r.shed.to_string()),
-        ("failed: retries exhausted", r.failed.to_string()),
-        ("failed: deadline exceeded", r.deadline_exceeded.to_string()),
-        ("retries", r.retries.to_string()),
-        ("panics", r.panics.to_string()),
+        ("shed: queue full", s.shed.to_string()),
+        ("failed: retries exhausted", s.failed.to_string()),
+        ("failed: deadline exceeded", s.deadline_exceeded.to_string()),
+        ("retries", s.retries.to_string()),
+        ("panics", s.panics.to_string()),
         (
             "cache served / miss / evicted",
             format!(
                 "{} / {} / {}",
-                r.cache_served, r.cache_misses, r.cache_evictions
+                s.cache.served, s.cache.misses, s.cache.evictions
             ),
         ),
         (
             "cache hit ratio",
-            pct(r.cache_served, r.cache_served + r.cache_misses),
+            pct(s.cache.served, s.cache.served + s.cache.misses),
         ),
         ("throughput", throughput),
         ("latency p50 / p99", format!("{p50} ms / {p99} ms")),
@@ -145,14 +124,12 @@ fn json_ratio(num: u64, den: u64) -> String {
 /// the markdown report, so the two can never disagree; ratios with a zero
 /// denominator render as `null` rather than a fake zero.
 pub fn render_json(r: &ReportInput) -> String {
-    let mut hist = obskit::Histogram::new();
-    for &ms in &r.latencies_ms {
-        hist.record(ms);
-    }
-    let throughput = if r.makespan_ms == 0 {
+    let s = r.stats;
+    let hist = latency_hist(s);
+    let throughput = if s.makespan_ms == 0 {
         "null".to_string()
     } else {
-        format!("{:.4}", r.admitted as f64 * 1000.0 / r.makespan_ms as f64)
+        format!("{:.4}", s.admitted as f64 * 1000.0 / s.makespan_ms as f64)
     };
     format!(
         concat!(
@@ -175,21 +152,21 @@ pub fn render_json(r: &ReportInput) -> String {
             "  \"ex\": {{\"correct\": {exc}, \"scored\": {exs}, \"rate\": {exr}}}\n",
             "}}\n"
         ),
-        seed = r.seed,
-        predictor = obskit::json_escape(&r.predictor),
-        submitted = r.submitted,
-        admitted = r.admitted,
-        shed = r.shed,
-        shed_rate = json_ratio(r.shed, r.submitted),
-        ok = r.ok,
-        failed = r.failed,
-        deadline = r.deadline_exceeded,
-        retries = r.retries,
-        panics = r.panics,
-        cs = r.cache_served,
-        cm = r.cache_misses,
-        ce = r.cache_evictions,
-        hit = json_ratio(r.cache_served, r.cache_served + r.cache_misses),
+        seed = r.faults.seed,
+        predictor = obskit::json_escape(r.predictor),
+        submitted = s.submitted,
+        admitted = s.admitted,
+        shed = s.shed,
+        shed_rate = json_ratio(s.shed, s.submitted),
+        ok = s.ok,
+        failed = s.failed,
+        deadline = s.deadline_exceeded,
+        retries = s.retries,
+        panics = s.panics,
+        cs = s.cache.served,
+        cm = s.cache.misses,
+        ce = s.cache.evictions,
+        hit = json_ratio(s.cache.served, s.cache.served + s.cache.misses),
         tp = throughput,
         p50 = hist.p50(),
         p99 = hist.p99(),
@@ -202,20 +179,62 @@ pub fn render_json(r: &ReportInput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheStats;
+
+    fn faults() -> FaultConfig {
+        FaultConfig {
+            seed: 7,
+            error_rate: 0.1,
+            spike_rate: 0.05,
+            spike_ms: 200,
+            corrupt_rate: 0.02,
+        }
+    }
+
+    fn stats() -> ServeStats {
+        ServeStats {
+            submitted: 100,
+            admitted: 90,
+            shed: 10,
+            ok: 85,
+            failed: 3,
+            deadline_exceeded: 2,
+            retries: 12,
+            panics: 0,
+            cache: CacheStats {
+                served: 30,
+                misses: 60,
+                evictions: 0,
+            },
+            total_ms: vec![10, 20, 30, 40],
+            makespan_ms: 3_000,
+            ..ServeStats::default()
+        }
+    }
+
+    fn report<'a>(faults: &'a FaultConfig, stats: &'a ServeStats) -> ReportInput<'a> {
+        ReportInput {
+            predictor: "DAIL-SQL(gpt-4)",
+            faults,
+            stats,
+            ex_correct: 70,
+            ex_scored: 85,
+        }
+    }
 
     #[test]
     fn latency_quantiles_match_the_histogram() {
         // The report's p50/p99 must agree with obskit's histogram
         // quantiles, bucket-upper-bound semantics included.
-        let r = ReportInput {
-            latencies_ms: vec![10, 20, 30, 1000],
-            ..report_fixture()
+        let s = ServeStats {
+            total_ms: vec![10, 20, 30, 1000],
+            ..stats()
         };
         let mut h = obskit::Histogram::new();
-        for &v in &r.latencies_ms {
+        for &v in &s.total_ms {
             h.record(v);
         }
-        let md = render(&r);
+        let md = render(&report(&faults(), &s));
         assert!(
             md.contains(&format!(
                 "| latency p50 / p99 | {} ms / {} ms |",
@@ -226,37 +245,13 @@ mod tests {
         );
     }
 
-    fn report_fixture() -> ReportInput {
-        ReportInput {
-            seed: 7,
-            predictor: "DAIL-SQL(gpt-4)".into(),
-            error_rate: 0.1,
-            spike_rate: 0.05,
-            spike_ms: 200,
-            corrupt_rate: 0.02,
-            submitted: 100,
-            admitted: 90,
-            shed: 10,
-            ok: 85,
-            failed: 3,
-            deadline_exceeded: 2,
-            retries: 12,
-            panics: 0,
-            cache_served: 30,
-            cache_misses: 60,
-            cache_evictions: 0,
-            latencies_ms: vec![10, 20, 30, 40],
-            makespan_ms: 3_000,
-            ex_correct: 70,
-            ex_scored: 85,
-        }
-    }
-
     #[test]
     fn json_report_is_valid_and_matches_markdown() {
-        let r = report_fixture();
+        let (f, s) = (faults(), stats());
+        let r = report(&f, &s);
         let js = render_json(&r);
         for needle in [
+            "\"seed\": 7",
             "\"requests\": 100",
             "\"shed_rate\": 0.1000",
             "\"hit_ratio\": 0.3333",
@@ -267,7 +262,7 @@ mod tests {
         }
         // Quantiles agree with the markdown report's histogram.
         let mut h = obskit::Histogram::new();
-        for &v in &r.latencies_ms {
+        for &v in &s.total_ms {
             h.record(v);
         }
         assert!(js.contains(&format!("\"p50\": {}, \"p99\": {}", h.p50(), h.p99())));
@@ -276,14 +271,17 @@ mod tests {
 
     #[test]
     fn json_report_nulls_zero_denominators_and_escapes() {
-        let r = ReportInput {
-            predictor: "weird \"name\"\n".into(),
+        let f = faults();
+        let s = ServeStats {
             submitted: 0,
-            ex_scored: 0,
             makespan_ms: 0,
-            cache_served: 0,
-            cache_misses: 0,
-            ..report_fixture()
+            cache: CacheStats::default(),
+            ..stats()
+        };
+        let r = ReportInput {
+            predictor: "weird \"name\"\n",
+            ex_scored: 0,
+            ..report(&f, &s)
         };
         let js = render_json(&r);
         assert!(js.contains("\"shed_rate\": null"));
@@ -295,10 +293,12 @@ mod tests {
 
     #[test]
     fn report_renders_every_metric_row() {
-        let r = report_fixture();
+        let (f, s) = (faults(), stats());
+        let r = report(&f, &s);
         let md = render(&r);
         for needle in [
             "# serve-bench report",
+            "predictor: DAIL-SQL(gpt-4) | seed: 7 | faults: error 0.10, spike 0.05 (+200 ms), corrupt 0.02",
             "| requests | 100 |",
             "| shed | 10 (10.0%) |",
             "| shed: queue full | 10 |",

@@ -327,7 +327,9 @@ enum Route {
 /// independent of worker count and thread scheduling.
 ///
 /// Telemetry goes to the caller's current obskit sink: every worker enters
-/// it, and its windowed store (if any) gets the per-tenant series.
+/// it, and this thread records the per-tenant windowed writes
+/// (`servekit.requests`, `servekit.latency_ms`, `servekit.retry`) in
+/// request order.
 pub fn serve(
     predictor: &(dyn Predictor + Sync),
     ctx: &PredictCtx<'_>,
@@ -430,8 +432,8 @@ pub fn serve(
                 );
                 offered
             };
-            sink.tsdb(|t| {
-                t.counter(
+            if sink.is_enabled() {
+                sink.add_counter_at(
                     "servekit.requests",
                     &[
                         ("db", items[req.item_idx].db_id.as_str()),
@@ -440,8 +442,8 @@ pub fn serve(
                     ],
                     req.arrival_ms,
                     1,
-                )
-            });
+                );
+            }
             let Some(wait_ms) = offered else {
                 stats.shed += 1;
                 routes.push(Route::Shed);
@@ -536,13 +538,13 @@ pub fn serve(
                         }
                     }
                 };
-                sink.tsdb(|t| {
+                if sink.is_enabled() {
                     let req = &reqs[i];
                     let tenant = format!("t{}", req.tenant);
                     // Completion time on the virtual clock: arrival plus
                     // the simulated end-to-end latency.
                     let done_ms = req.arrival_ms + latency_ms;
-                    t.observe(
+                    sink.observe_at(
                         "servekit.latency_ms",
                         &[
                             ("db", items[req.item_idx].db_id.as_str()),
@@ -558,15 +560,20 @@ pub fn serve(
                         | Outcome::DeadlineExceeded { attempts, .. } => *attempts,
                         Outcome::Overloaded => 1,
                     };
+                    // `servekit.retry{tenant}` counts per *served request*:
+                    // `attempts - 1` at its completion, where a coalesced
+                    // duplicate reports its owner's attempts. It is not
+                    // the `servekit.retries` counter, which counts retried
+                    // attempts once per unique computation.
                     if attempts > 1 {
-                        t.counter(
+                        sink.add_counter_at(
                             "servekit.retry",
                             &[("tenant", &tenant)],
                             done_ms,
                             u64::from(attempts - 1),
                         );
                     }
-                });
+                }
                 outcomes.push(outcome);
             }
         }
@@ -580,11 +587,13 @@ pub fn serve(
         sink.add_counter("servekit.submitted", stats.submitted);
         sink.add_counter("servekit.admitted", stats.admitted);
         sink.add_counter("servekit.shed", stats.shed);
-        sink.add_counter("servekit.shed.queue_full", stats.shed);
         sink.add_counter("servekit.failed.retries_exhausted", stats.failed);
         sink.add_counter("servekit.failed.deadline_exceeded", stats.deadline_exceeded);
         sink.add_counter("servekit.trace.sampled", sampled_count);
         sink.add_counter("servekit.trace.unsampled", stats.submitted - sampled_count);
+        // Retried attempts per unique computation (a coalesced duplicate
+        // adds nothing); see `servekit.retry` above for the per-request
+        // series.
         sink.add_counter("servekit.retries", stats.retries);
         sink.add_counter("servekit.panics", stats.panics);
         for &w in &stats.wait_ms {

@@ -412,15 +412,14 @@ impl<'a> Executor<'a> {
             self.prows(pids.project, n_kept, keyed.len());
             if first {
                 // No surviving groups: derive column names from a probe
-                // against an empty group so arity is still correct.
+                // against an empty group so arity is still correct, and a
+                // name that resolves nowhere still fails.
                 let empty: Vec<Row> = Vec::new();
                 let ctx = Ctx::Group {
                     cols: &rel_cols,
                     rows: &empty,
                 };
-                if let Ok((names, _)) = self.project(s, &ctx, outers) {
-                    columns = names;
-                }
+                columns = self.project(s, &ctx, outers)?.0;
             }
         } else {
             for row in &filtered {
@@ -444,15 +443,14 @@ impl<'a> Executor<'a> {
             }
             self.prows(pids.project, filtered.len(), keyed.len());
             if first {
-                // Zero rows: probe column names on a row of NULLs.
+                // Zero rows: probe column names on a row of NULLs; a name
+                // that resolves nowhere fails as it would on any row.
                 let null_row: Row = vec![Value::Null; rel_cols.len()];
                 let ctx = Ctx::Row {
                     cols: &rel_cols,
                     row: &null_row,
                 };
-                if let Ok((names, _)) = self.project(s, &ctx, outers) {
-                    columns = names;
-                }
+                columns = self.project(s, &ctx, outers)?.0;
             }
         }
 
@@ -1040,7 +1038,10 @@ impl<'a> Executor<'a> {
                     }
                 }
                 // Every scope was looked at, so the outcome depends on all
-                // of them (the zero-row column-name probe swallows it).
+                // of them. The error fails the whole statement (the
+                // zero-row column-name probe propagates it too), so no
+                // memo outlives it; the mark keeps the run from counting
+                // as uncorrelated all the same.
                 self.note_outer_read(0);
                 Err(unknown_column_error(c, ctx.cols(), outers))
             }
@@ -1247,13 +1248,21 @@ impl<'a> Executor<'a> {
                 return Ok(Rc::clone(rs));
             }
         }
+        // An empty group has no row to show its subqueries; they see a
+        // row of NULLs, as a bare column of that group reads NULL.
+        let nulls: Row;
+        let row = match ctx.repr_row() {
+            Some(row) => row,
+            None => {
+                nulls = vec![Value::Null; ctx.cols().len()];
+                &nulls
+            }
+        };
         let mut scopes: Vec<OuterScope<'_>> = outers.to_vec();
-        if let Some(row) = ctx.repr_row() {
-            scopes.push(OuterScope {
-                cols: ctx.cols(),
-                row,
-            });
-        }
+        scopes.push(OuterScope {
+            cols: ctx.cols(),
+            row,
+        });
         let pid = self.subq_pid(q);
         let _g = self.pg(pid);
         let enclosing = self.outer_read.replace(usize::MAX);
@@ -1883,6 +1892,15 @@ mod tests {
                           (SELECT 1 FROM song WHERE song.singer_id = singer.singer_id)";
         assert_eq!(scanned(correlated, Engine::Columnar), 5 + 5 * 5);
         assert_eq!(scanned(correlated, Engine::Oracle), 5 + 5 * 5);
+        // The middle subquery's group is always empty, so the innermost one
+        // reads the NULL row that stands in for it: a run that read it is
+        // correlated and runs again for every middle run.
+        let null_scope = "SELECT name FROM singer AS A WHERE EXISTS \
+                          (SELECT count(*) FROM song AS S WHERE S.singer_id = A.singer_id \
+                          AND S.sales < 0 HAVING count(*) < \
+                          (SELECT count(*) FROM song AS T WHERE S.song_id IS NULL))";
+        assert_eq!(scanned(null_scope, Engine::Columnar), 5 + 5 * 5 + 5 * 5);
+        assert_eq!(scanned(null_scope, Engine::Oracle), 5 + 5 * 5 + 5 * 5);
     }
 
     #[test]

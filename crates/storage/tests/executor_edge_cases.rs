@@ -183,3 +183,48 @@ fn exists_against_empty_group() {
     assert_eq!(rs.rows.len(), 1);
     assert_eq!(rs.rows[0][0].to_string(), "Empty");
 }
+
+/// Run `sql` through both engines.
+fn run_both(sql: &str) -> [storage::ExecResult<storage::ResultSet>; 2] {
+    let q = parse_query(sql).unwrap();
+    let db = db();
+    [
+        execute_query(&db, &q),
+        storage::execute_query_oracle(&db, &q),
+    ]
+}
+
+#[test]
+fn unknown_column_fails_even_when_the_filter_selects_nothing() {
+    for sql in [
+        "SELECT nope FROM emp WHERE salary > 1000",
+        "SELECT nope FROM emp WHERE salary > 10",
+        "SELECT dept_id, nope FROM emp WHERE salary > 1000 GROUP BY dept_id",
+    ] {
+        for out in run_both(sql) {
+            assert!(
+                matches!(out, Err(storage::ExecError::UnknownColumn(_))),
+                "{sql}: {out:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn subquery_over_the_empty_global_group_reads_the_outer_row_as_null() {
+    // No employee qualifies, so the global group is empty; its HAVING
+    // subquery sees the outer row as NULLs, the count is 0 and `0 < 0` is
+    // false, so no row comes back (SQLite agrees).
+    let sql = "SELECT count(*) FROM emp AS E WHERE salary > 1000 HAVING count(*) < (SELECT count(*) FROM dept AS D WHERE D.dept_id = E.dept_id)";
+    for out in run_both(sql) {
+        let rs = out.unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(rs.columns.len(), 1);
+        assert!(rs.rows.is_empty(), "{:?}", rs.rows);
+    }
+    // The outer column reads NULL: every department counts, 0 < 3 holds.
+    let sql = "SELECT count(*) FROM emp AS E WHERE salary > 1000 HAVING count(*) < (SELECT count(*) FROM dept AS D WHERE E.dept_id IS NULL)";
+    for out in run_both(sql) {
+        let rs = out.unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(rs.rows, vec![vec![Value::Int(0)]]);
+    }
+}

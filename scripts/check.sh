@@ -49,9 +49,11 @@ fi
 
 echo "==> process-global telemetry lint (one scoped sink per run)"
 # A run hands its telemetry to the layers underneath only by entering its
-# recorder (obskit::Recorder::enter), which owns the run's tsdb store too.
-# The process-global recorder and store must not come back.
-violations=$(grep -rnE 'set_global|obskit::global\(|tsdb::install|tsdb::with\(' \
+# recorder (obskit::Recorder::enter), which records windowed writes as
+# trace events; only a trace's fold builds a windowed store. The
+# process-global recorder and store, and a store a recorder owns, must not
+# come back.
+violations=$(grep -rnE 'set_global|obskit::global\(|tsdb::install|tsdb::with\(|\bwith_tsdb\b' \
     crates src examples || true)
 if [ -n "$violations" ]; then
     echo "found process-global telemetry in code:" >&2
@@ -77,9 +79,9 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
-echo "==> telemetry overhead ceiling (1% head sampling, tsdb on)"
+echo "==> telemetry overhead ceiling (1% head sampling, windowed writes on)"
 # Tracing at a production-like 1% sample rate — with per-operator ANALYZE
-# stats collection AND the windowed time-series store enabled on top —
+# stats collection AND the windowed time-series writes recorded on top —
 # must not meaningfully slow the serving layer. The bound is deliberately
 # loose (2x + 1s slack): it catches pathological per-request overhead,
 # not scheduler noise.
