@@ -327,10 +327,9 @@ fn finish_trace(trace: Trace) {
     let Trace { rec, path, .. } = trace;
     let Some(path) = path else { return };
     match rec.write_jsonl(&path) {
-        Ok(()) => eprintln!(
-            "trace written to {} ({} events); replay with `dail_sql_cli profile {}`",
+        Ok(events) => eprintln!(
+            "trace written to {} ({events} events); replay with `dail_sql_cli profile {}`",
             path.display(),
-            rec.drain_trace().len(),
             path.display()
         ),
         Err(e) => {
@@ -1097,11 +1096,10 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
         workers: num_flag(flags, "workers", 4usize),
         queue_capacity: num_flag(flags, "queue", 32usize),
         // The pipeline fixes its own representation and shot count, so its
-        // name stands in for both in the cache key (`shots` stays 0).
+        // name stands in for both in the cache key.
         repr: pipeline,
         faults,
         trace_sample: rate_flag(flags, "trace-sample", 1.0),
-        ..servekit::ServeConfig::default()
     };
     let load = servekit::LoadConfig {
         seed,

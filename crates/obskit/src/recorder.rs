@@ -429,23 +429,21 @@ impl Recorder {
 
     /// Serialize the full trace as JSONL.
     pub fn to_jsonl(&self) -> String {
-        let mut s = String::new();
-        for ev in self.drain_trace() {
-            s.push_str(&crate::jsonl::to_json_line(&ev));
-            s.push('\n');
-        }
-        s
+        jsonl_of(&self.drain_trace())
     }
 
-    /// Write the full trace to `path` as JSONL.
-    pub fn write_jsonl(&self, path: &Path) -> std::io::Result<()> {
+    /// Write the full trace to `path` as JSONL and return the number of
+    /// events written.
+    pub fn write_jsonl(&self, path: &Path) -> std::io::Result<usize> {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
             }
         }
+        let events = self.drain_trace();
         let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_jsonl().as_bytes())
+        f.write_all(jsonl_of(&events).as_bytes())?;
+        Ok(events.len())
     }
 
     fn end_span(&self, id: u64, name: &str, start: Instant) {
@@ -466,6 +464,16 @@ impl Recorder {
             dur_ns: start.elapsed().as_nanos() as u64,
         });
     }
+}
+
+/// `events` as JSONL, one event per line.
+fn jsonl_of(events: &[Event]) -> String {
+    let mut s = String::new();
+    for ev in events {
+        s.push_str(&crate::jsonl::to_json_line(ev));
+        s.push('\n');
+    }
+    s
 }
 
 struct SpanData {

@@ -1,10 +1,12 @@
 //! End-to-end serving tests: determinism across worker counts, fault
-//! tolerance without panics, typed load shedding, and EX correctness of
-//! served responses.
+//! tolerance without panics, typed load shedding, cache eviction, and EX
+//! correctness of served responses.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dail_core::{PredictCtx, Prediction, Predictor, ZeroShot};
 use promptkit::{ExampleSelector, QuestionRepr};
-use servekit::{generate, serve, LoadConfig, Outcome, ServeConfig};
+use servekit::{generate, serve, LoadConfig, Outcome, ServeConfig, ServeReq};
 use simllm::{FaultConfig, SimLlm};
 use spider_gen::{Benchmark, BenchmarkConfig};
 
@@ -194,4 +196,52 @@ fn served_oracle_responses_are_execution_accurate() {
             assert!(score.ex, "served oracle SQL must be execution-accurate");
         }
     }
+}
+
+/// Predicts the gold SQL and counts its calls.
+struct Counting(AtomicU64);
+impl Predictor for Counting {
+    fn name(&self) -> String {
+        "counting".into()
+    }
+    fn predict(&self, ctx: &PredictCtx<'_>, item: &spider_gen::ExampleItem) -> Prediction {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Oracle.predict(ctx, item)
+    }
+}
+
+#[test]
+fn an_evicted_key_runs_again_and_only_cache_hits_are_billed_the_hit_cost() {
+    let b = bench();
+    let selector = ExampleSelector::new(&b);
+    let tokenizer = textkit::Tokenizer::new();
+    let ctx = ctx(&b, &selector, &tokenizer);
+    // 4,100 distinct questions overflow the 4,096-entry cache, so item 0,
+    // the least recently used, is evicted before it is requested again.
+    let items: Vec<_> = (0..4_100)
+        .map(|i| {
+            let mut item = b.dev[i % b.dev.len()].clone();
+            item.question = format!("{} #{i}", item.question);
+            item
+        })
+        .collect();
+    let reqs: Vec<ServeReq> = (0..items.len())
+        .chain([0])
+        .enumerate()
+        .map(|(n, item_idx)| ServeReq {
+            item_idx,
+            arrival_ms: 1_000 * n as u64,
+            tenant: 0,
+        })
+        .collect();
+    let predictor = Counting(AtomicU64::new(0));
+    let out = serve(&predictor, &ctx, &items, &reqs, &ServeConfig::default());
+    let stats = &out.stats;
+    assert_eq!(stats.admitted, reqs.len() as u64);
+    assert!(stats.cache.evictions > 0);
+    assert_eq!(predictor.0.load(Ordering::Relaxed), stats.cache.misses);
+    assert_eq!(
+        stats.service_ms.iter().filter(|&&ms| ms == 1).count() as u64,
+        stats.cache.served
+    );
 }

@@ -10,7 +10,7 @@
 //!   constrains it (top-level ORDER BY). Otherwise rows compare as a
 //!   multiset — duplicates count, order does not.
 //! * **Float tolerance**: numeric cells compare with relative/absolute
-//!   tolerance [`EPS`] (`|x − y| ≤ EPS · max(|x|, |y|, 1)`); integers and
+//!   tolerance `EPS` (`|x − y| ≤ EPS · max(|x|, |y|, 1)`); integers and
 //!   floats compare numerically (`2 == 2.0`).
 //! * **Signed zero**: `-0.0` and `0.0` are equal (their difference is 0).
 //! * **NULL** equals only NULL; strings compare byte-exact and never equal

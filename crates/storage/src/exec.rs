@@ -1064,6 +1064,13 @@ impl<'a> Executor<'a> {
             }
             return Ok(Value::Int(rows.len() as i64));
         }
+        if rows.is_empty() {
+            // An empty group still resolves its argument: evaluated once
+            // on a row of NULLs and dropped, a name that resolves nowhere
+            // fails as it would on any row.
+            let nulls: Row = vec![Value::Null; cols.len()];
+            self.eval_expr(arg, &Ctx::Row { cols, row: &nulls }, outers)?;
+        }
         let mut vals: Vec<Value> = Vec::with_capacity(rows.len());
         for row in rows {
             let ctx = Ctx::Row { cols, row };

@@ -3,9 +3,9 @@
 //! The executor stays a direct AST interpreter; this module derives an
 //! *operator tree* from the same AST (one node per scan, join, filter,
 //! group, having, project, sort, distinct, limit, set-op and subquery, under
-//! a synthetic `exec` root) together with a [`PlanMap`] keyed by AST node
+//! a synthetic `exec` root) together with a `PlanMap` keyed by AST node
 //! addresses, so the executor can find "its" plan node in O(1) without a
-//! fragile parallel walk. During an analyzed run a [`Probe`] maintains a
+//! fragile parallel walk. During an analyzed run a `Probe` maintains a
 //! stack-based exact time partition: every enter/exit tick attributes the
 //! elapsed time to the operator on top of the stack, so operator self-times
 //! sum to the whole statement's wall-clock *by construction* — the

@@ -114,7 +114,7 @@ impl fmt::Display for Value {
 }
 
 /// The one total order over `f64` used by every comparison path in the
-/// engine: `Value::total_cmp`, the vectorized kernels in [`crate::kernels`],
+/// engine: `Value::total_cmp`, the vectorized kernels in `crate::kernels`,
 /// and the sorted secondary indexes.
 ///
 /// Semantics are inherited from `partial_cmp` with a deliberate NaN rule:

@@ -200,6 +200,9 @@ fn unknown_column_fails_even_when_the_filter_selects_nothing() {
         "SELECT nope FROM emp WHERE salary > 1000",
         "SELECT nope FROM emp WHERE salary > 10",
         "SELECT dept_id, nope FROM emp WHERE salary > 1000 GROUP BY dept_id",
+        "SELECT count(nope) FROM emp WHERE salary > 1000",
+        "SELECT count(nope) FROM emp WHERE salary > 10",
+        "SELECT name, max(nope) FROM emp WHERE salary > 1000 GROUP BY name",
     ] {
         for out in run_both(sql) {
             assert!(

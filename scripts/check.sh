@@ -5,7 +5,7 @@
 # sampling, the differential engine oracle, crash recovery, exit codes)
 # lives in the Rust suite, run once here by `cargo test --workspace`.
 # This script holds only what that debug-build run cannot:
-#   - fmt, clippy and the workspace test run itself;
+#   - fmt, clippy, rustdoc and the workspace test run itself;
 #   - three source lints (print statements in library code,
 #     process-global telemetry, DAIL_ environment readers);
 #   - six gates that need a release build or wall-clock timing: the
@@ -22,6 +22,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (no dangling or private doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> cargo test -q (with the retired DAIL_ variables exported)"
 # These variables once configured a run from the shell; flags replaced

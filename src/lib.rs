@@ -14,8 +14,8 @@
 //! * [`simllm`] — the calibrated stochastic semantic-parser LLM simulator;
 //! * [`dail_core`] — the DAIL-SQL pipeline and leaderboard baselines;
 //! * [`eval`] — metrics, cost accounting and the E1–E10 experiment suite;
-//! * [`servekit`] — fault-tolerant serving layer: bounded queue, worker
-//!   pool, retries with backoff, LRU prediction cache, load shedding;
+//! * [`servekit`] — fault-tolerant serving layer: load shedding, LRU
+//!   prediction cache, retries with backoff, a worker pool;
 //! * [`obskit`] — zero-dependency tracing/metrics wired through all of the
 //!   above (spans, counters, latency histograms, JSONL traces, profiles).
 //!
