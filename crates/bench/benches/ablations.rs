@@ -1,51 +1,14 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
-//! join strategy in the EX executor, selection strategy cost, token-budget
-//! truncation, and self-consistency sample count.
+//! selection strategy cost, token-budget truncation, and self-consistency
+//! sample count.
 
 use bench::small_benchmark;
 use criterion::{criterion_group, criterion_main, Criterion};
 use dail_core::{DailSql, PredictCtx, Predictor};
 use promptkit::{build_prompt, ExampleSelector, PromptConfig, SelectionStrategy};
 use simllm::SimLlm;
-use sqlkit::parse_query;
 use std::hint::black_box;
-use storage::{execute_query_with, ExecOptions, JoinStrategy};
 use textkit::{DomainMasker, Tokenizer};
-
-fn ablate_join(c: &mut Criterion) {
-    let bench = small_benchmark();
-    // A join-heavy query on the largest database.
-    let item = bench
-        .dev
-        .iter()
-        .chain(bench.train.iter())
-        .find(|e| e.gold_sql.contains("JOIN"))
-        .expect("benchmark contains joins");
-    let db = bench.db(item);
-    let q = parse_query(&item.gold_sql).unwrap();
-    let mut g = c.benchmark_group("ablate_join");
-    for (name, strat) in [
-        ("hash", JoinStrategy::Hash),
-        ("nested_loop", JoinStrategy::NestedLoop),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    execute_query_with(
-                        db,
-                        black_box(&q),
-                        ExecOptions {
-                            join: strat,
-                            ..ExecOptions::default()
-                        },
-                    )
-                    .unwrap(),
-                )
-            })
-        });
-    }
-    g.finish();
-}
 
 fn ablate_selection(c: &mut Criterion) {
     let bench = small_benchmark();
@@ -123,11 +86,5 @@ fn ablate_sc(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    ablate_join,
-    ablate_selection,
-    ablate_budget,
-    ablate_sc
-);
+criterion_group!(benches, ablate_selection, ablate_budget, ablate_sc);
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 //! retrieval/execution benchmarks; persistence and recovery; EXPLAIN and
 //! statistics; and the trace renderers `profile`, `flame`, `metrics` and
 //! `dashboard`. Each command reads a fixed set of `--flag`s, named in its
-//! arm of `main`; any other flag exits 2.
+//! [`COMMANDS`] entry next to its help text; any other flag exits 2.
 //!
 //! `eval` and `run-experiments` accept `--trace FILE.jsonl` to record a
 //! full pipeline trace, replayable with the `profile` and `flame`
@@ -43,78 +43,222 @@ fn main() {
         .collect();
     let positional: Vec<&String> = rest.iter().take_while(|a| !a.starts_with("--")).collect();
     let flags = parse_flags(rest.iter().cloned());
-    // Each arm names every flag its command reads, directly or through the
-    // shared helpers, and the command; any other `--flag` exits 2.
-    type Run = fn(&[&String], &HashMap<String, String>);
-    let (reads, run): (&[&[&str]], Run) = match cmd.as_str() {
-        "models" => (&[], |_, _| models()),
-        "generate" => (&[&["out"], BENCH_FLAGS], |_, f| generate(f)),
-        "ask" => (&[&["question", "model", "db"], BENCH_FLAGS], |_, f| ask(f)),
-        "eval" => (
-            &[
-                &["threads", "digests", "canonical"],
-                PREDICTOR_FLAGS,
-                TRACE_FLAGS,
-                BENCH_FLAGS,
-            ],
-            |_, f| run_eval(f),
-        ),
-        "explain" => (&[&["analyze", "canonical"], BENCH_FLAGS], explain_cmd),
-        "stats" => (&[&["roundtrip", "out"], BENCH_FLAGS], stats_cmd),
-        "persist" => (&[&["out", "crash-at", "resume"], BENCH_FLAGS], |_, f| {
-            persist_cmd(f)
-        }),
-        "recover" => (&[&["verify"]], recover_cmd),
-        "warm-start-bench" => (&[&["store", "seed", "train", "dev", "json"]], |_, f| {
-            warm_start_bench(f)
-        }),
-        "serve-bench" => (
-            &[
-                &["canonical", "json"],
-                SERVE_FLAGS,
-                PREDICTOR_FLAGS,
-                TRACE_FLAGS,
-                BENCH_FLAGS,
-            ],
-            |_, f| serve_bench(f),
-        ),
-        "slo-report" => (
-            &[
-                &["slo-latency-ms", "burn-alert", "json"],
-                SERVE_FLAGS,
-                PREDICTOR_FLAGS,
-                TRACE_FLAGS,
-                BENCH_FLAGS,
-            ],
-            |_, f| slo_report(f),
-        ),
-        "select-bench" => (
-            &[&["pool", "pool-rows", "queries", "seed", "no-timing", "json"]],
-            |_, f| select_bench(f),
-        ),
-        "run-experiments" => (
-            &[&["experiment", "dev-cap"], TRACE_FLAGS, BENCH_FLAGS],
-            |_, f| run_experiments(f),
-        ),
-        "exec-diff" => (&[BENCH_FLAGS], |_, f| exec_diff(f)),
-        "exec-bench" => (&[&["rows", "engine"], TRACE_FLAGS], |_, f| exec_bench(f)),
-        "profile" => (&[&["fail-on-regress"]], profile_trace),
-        "flame" => (&[&["out", "folded"]], flame_trace),
-        "metrics" => (&[], |p, _| metrics_trace(p)),
-        "dashboard" => (&[&["window", "tenant", "json"]], dashboard_cmd),
-        "--help" | "-h" | "help" => (&[], |_, _| usage()),
-        other => {
-            eprintln!("unknown command: {other}\n");
-            usage();
-            std::process::exit(2);
-        }
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        reject_unknown_flags(&cmd, &flags, &[]);
+        usage();
+        return;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
+        eprintln!("unknown command: {cmd}\n");
+        usage();
+        std::process::exit(2);
     };
-    reject_unknown_flags(&cmd, &flags, reads);
-    run(&positional, &flags);
+    reject_unknown_flags(&cmd, &flags, command.reads);
+    (command.run)(&positional, &flags);
 }
 
-/// Flags [`bench_from_flags`] reads.
+/// One subcommand: its help entry (`usage` after the name, then `about`),
+/// every flag it reads (its own set, then one set per shared helper it
+/// calls) and its body. Any other `--flag` exits 2, and the unit test
+/// `help_names_every_flag_a_command_reads` holds `usage` to `reads`.
+struct Command {
+    name: &'static str,
+    usage: &'static str,
+    about: &'static str,
+    reads: &'static [&'static [&'static str]],
+    run: fn(&[&String], &HashMap<String, String>),
+}
+
+/// Every subcommand, in help order.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "models",
+        usage: "",
+        about: "list simulated models",
+        reads: &[],
+        run: |_, _| models(),
+    },
+    Command {
+        name: "generate",
+        usage: "--out DIR [bench flags]",
+        about: "export a benchmark (SQL dumps + JSONL)",
+        reads: &[&["out"], BENCH_FLAGS],
+        run: |_, f| generate(f),
+    },
+    Command {
+        name: "ask",
+        usage: "--question \"...\" [--model M] [--db DB_ID] [bench flags]",
+        about: "one-off Text-to-SQL against a generated db",
+        reads: &[&["question", "model", "db"], BENCH_FLAGS],
+        run: |_, f| ask(f),
+    },
+    Command {
+        name: "eval",
+        usage: "[--pipeline dail|dail-sc|din|c3|zero] [--model M] [--threads N]\n\
+                [--trace FILE.jsonl] [--digests N] [--canonical] [bench flags]",
+        about: "evaluate a pipeline and print the summary;\n\
+                --digests appends a query-digest rollup",
+        reads: &[
+            &["threads", "digests", "canonical"],
+            PREDICTOR_FLAGS,
+            TRACE_FLAGS,
+            BENCH_FLAGS,
+        ],
+        run: |_, f| run_eval(f),
+    },
+    Command {
+        name: "explain",
+        usage: "DB_ID \"SQL\" [--analyze] [--canonical] [bench flags]",
+        about: "print the operator plan tree for a query\n\
+                (--analyze executes it and adds actual rows / invocations /\n\
+                self-times; --canonical zeroes times for diffing)",
+        reads: &[&["analyze", "canonical"], BENCH_FLAGS],
+        run: explain_cmd,
+    },
+    Command {
+        name: "stats",
+        usage: "DB_ID [--out FILE] [--roundtrip] [bench flags]",
+        about: "per-table / per-column statistics as JSONL; --roundtrip\n\
+                re-parses the output and exits 1 unless byte-identical",
+        reads: &[&["roundtrip", "out"], BENCH_FLAGS],
+        run: stats_cmd,
+    },
+    Command {
+        name: "persist",
+        usage: "--out DIR [--resume] [--crash-at SITE@N] [bench flags]",
+        about: "materialize every benchmark database to WAL-backed page stores\n\
+                plus the example pool snapshot; --resume skips stores already\n\
+                marked complete; --crash-at aborts at the N-th hit of SITE\n\
+                (mid-frame, before-commit, mid-commit, after-commit,\n\
+                mid-checkpoint) for the kill-and-recover gate",
+        reads: &[&["out", "crash-at", "resume"], BENCH_FLAGS],
+        run: |_, f| persist_cmd(f),
+    },
+    Command {
+        name: "recover",
+        usage: "DIR [--verify]",
+        about: "replay WALs and report per-store state; --verify fully loads\n\
+                complete stores and checksums the pool snapshot's data blocks",
+        reads: &[&["verify"]],
+        run: recover_cmd,
+    },
+    Command {
+        name: "warm-start-bench",
+        usage: "--store DIR [--json FILE] [--seed N] [--train N] [--dev N]",
+        about: "time cold selector build vs warm snapshot load (must be\n\
+                bit-identical); --json writes {cold_ms,warm_ms,speedup}",
+        reads: &[&["store", "seed", "train", "dev", "json"]],
+        run: |_, f| warm_start_bench(f),
+    },
+    Command {
+        name: "serve-bench",
+        usage: "[--pipeline P] [--model M] [--requests N] [--mean-gap-ms N]\n\
+                [--workers N] [--queue N] [--error-rate R] [--spike-rate R]\n\
+                [--spike-ms N] [--corrupt-rate R] [--trace FILE.jsonl]\n\
+                [--trace-sample R] [--json FILE] [--digests N] [--canonical]\n\
+                [bench flags]",
+        about: "drive the fault-injected serving layer with a seeded load, print\n\
+                a markdown report (deterministic given --seed); --trace-sample R\n\
+                head-samples request traces at rate R (default 1.0)",
+        reads: &[
+            &["canonical", "json"],
+            SERVE_FLAGS,
+            PREDICTOR_FLAGS,
+            TRACE_FLAGS,
+            BENCH_FLAGS,
+        ],
+        run: |_, f| serve_bench(f),
+    },
+    Command {
+        name: "slo-report",
+        usage: "[serve-bench flags] [--slo-latency-ms N] [--burn-alert B] [--json FILE]",
+        about: "serve the same seeded load and print a deterministic SLO /\n\
+                burn-rate report (every serve-bench flag but --canonical)",
+        reads: &[
+            &["slo-latency-ms", "burn-alert", "json"],
+            SERVE_FLAGS,
+            PREDICTOR_FLAGS,
+            TRACE_FLAGS,
+            BENCH_FLAGS,
+        ],
+        run: |_, f| slo_report(f),
+    },
+    Command {
+        name: "metrics",
+        usage: "TRACE.jsonl",
+        about: "render a recorded trace's metrics as Prometheus text exposition",
+        reads: &[],
+        run: |p, _| metrics_trace(p),
+    },
+    Command {
+        name: "dashboard",
+        usage: "TRACE.jsonl [--window N] [--tenant T] [--json FILE]",
+        about: "render the trace's windowed time-series (rates, p50/p99,\n\
+                sparklines, exemplars) as a deterministic markdown dashboard;\n\
+                --window sets the trailing stats window (default 8), --tenant\n\
+                filters series",
+        reads: &[&["window", "tenant", "json"]],
+        run: dashboard_cmd,
+    },
+    Command {
+        name: "select-bench",
+        usage: "[--pool N | --pool-rows N[,N...]] [--queries M] [--seed S]\n\
+                [--json FILE] [--no-timing]",
+        about: "--pool: score a synthetic pool with the retrievekit fast path vs\n\
+                the naive reference and print a markdown report (byte-identical\n\
+                across DAIL_THREADS with --no-timing); --pool-rows: ANN sweep\n\
+                instead, per pool size exact scan vs ivf retrieval with\n\
+                recall@k, training cost and throughput per point",
+        reads: &[&["pool", "pool-rows", "queries", "seed", "no-timing", "json"]],
+        run: |_, f| select_bench(f),
+    },
+    Command {
+        name: "exec-diff",
+        usage: "[bench flags]",
+        about: "run every gold query through the columnar engine AND the\n\
+                reference interpreter; exit 1 unless results are bit-identical",
+        reads: &[BENCH_FLAGS],
+        run: |_, f| exec_diff(f),
+    },
+    Command {
+        name: "exec-bench",
+        usage: "[--rows N] [--engine columnar|oracle] [--trace FILE.jsonl]",
+        about: "run a fixed scan/filter/join/aggregate workload on a synthetic\n\
+                table through one engine (default columnar), recording\n\
+                storage.exec spans for `profile`",
+        reads: &[&["rows", "engine"], TRACE_FLAGS],
+        run: |_, f| exec_bench(f),
+    },
+    Command {
+        name: "run-experiments",
+        usage: "--experiment e1..e10|a1..a6 [--dev-cap N] [--trace FILE.jsonl]\n\
+                [bench flags]",
+        about: "run one paper experiment, print its tables",
+        reads: &[&["experiment", "dev-cap"], TRACE_FLAGS, BENCH_FLAGS],
+        run: |_, f| run_experiments(f),
+    },
+    Command {
+        name: "profile",
+        usage: "TRACE.jsonl | BASE.jsonl NEW.jsonl [--fail-on-regress PCT]",
+        about: "render a recorded trace as a per-stage time/metric breakdown, or\n\
+                diff two traces (self-times, counters, histograms) and exit 1 if\n\
+                any stage's self-time regressed beyond PCT percent",
+        reads: &[&["fail-on-regress"]],
+        run: profile_trace,
+    },
+    Command {
+        name: "flame",
+        usage: "TRACE.jsonl [-o|--out OUT.svg] [--folded]",
+        about: "render a trace as flamegraph SVG (or folded stacks with --folded)",
+        reads: &[&["out", "folded"]],
+        run: flame_trace,
+    },
+];
+
+/// Flags [`bench_from_flags`] reads, `[bench flags]` in help.
 const BENCH_FLAGS: &[&str] = &["seed", "train", "dev", "store"];
+/// How help spells out `[bench flags]`.
+const BENCH_USAGE: &str = "[--seed N] [--train N] [--dev N] [--store DIR]";
 /// Flags [`setup_trace`] reads.
 const TRACE_FLAGS: &[&str] = &["trace"];
 /// Flags [`build_predictor`] reads.
@@ -149,97 +293,25 @@ fn reject_unknown_flags(cmd: &str, flags: &HashMap<String, String>, sets: &[&[&s
     }
 }
 
+/// Print every command's help entry from [`COMMANDS`], then the shared
+/// `[bench flags]` group.
 fn usage() {
-    eprintln!(
-        "dail_sql_cli — DAIL-SQL reproduction CLI\n\n\
-         commands:\n\
-         \u{20}\u{20}models                                   list simulated models\n\
-         \u{20}\u{20}generate --out DIR [--seed N] [--train N] [--dev N]\n\
-         \u{20}\u{20}                                         export a benchmark (SQL dumps + JSONL)\n\
-         \u{20}\u{20}ask --question \"...\" [--model M] [--db DB_ID] [--seed N]\n\
-         \u{20}\u{20}                                         one-off Text-to-SQL against a generated db\n\
-         \u{20}\u{20}eval [--pipeline dail|dail-sc|din|c3|zero] [--model M] [--dev N] [--threads N]\n\
-         \u{20}\u{20}     [--trace FILE.jsonl] [--digests N] [--canonical] [--store DIR]\n\
-         \u{20}\u{20}                                         evaluate a pipeline and print the summary;\n\
-         \u{20}\u{20}                                         --digests appends a query-digest rollup\n\
-         \u{20}\u{20}explain DB_ID \"SQL\" [--analyze] [--canonical] [--seed N]\n\
-         \u{20}\u{20}                                         print the operator plan tree for a query\n\
-         \u{20}\u{20}                                         (--analyze executes it and adds actual\n\
-         \u{20}\u{20}                                         rows / invocations / self-times;\n\
-         \u{20}\u{20}                                         --canonical zeroes times for diffing)\n\
-         \u{20}\u{20}stats DB_ID [--out FILE] [--roundtrip] [--seed N]\n\
-         \u{20}\u{20}                                         per-table / per-column statistics as\n\
-         \u{20}\u{20}                                         JSONL; --roundtrip re-parses the output\n\
-         \u{20}\u{20}                                         and exits 1 unless byte-identical\n\
-         \u{20}\u{20}persist --out DIR [--resume] [--crash-at SITE@N] [--seed N] [--train N] [--dev N]\n\
-         \u{20}\u{20}                                         materialize every benchmark database to\n\
-         \u{20}\u{20}                                         WAL-backed page stores plus the example\n\
-         \u{20}\u{20}                                         pool snapshot; --resume skips stores\n\
-         \u{20}\u{20}                                         already marked complete; --crash-at\n\
-         \u{20}\u{20}                                         aborts at the N-th hit of SITE (mid-frame,\n\
-         \u{20}\u{20}                                         before-commit, mid-commit, after-commit,\n\
-         \u{20}\u{20}                                         mid-checkpoint) for the kill-and-recover gate\n\
-         \u{20}\u{20}recover DIR [--verify]                   replay WALs and report per-store state;\n\
-         \u{20}\u{20}                                         --verify fully loads complete stores and\n\
-         \u{20}\u{20}                                         checksums the pool snapshot's data blocks\n\
-         \u{20}\u{20}warm-start-bench --store DIR [--json FILE] [--seed N] [--train N]\n\
-         \u{20}\u{20}                                         time cold selector build vs warm snapshot\n\
-         \u{20}\u{20}                                         load (must be bit-identical); --json\n\
-         \u{20}\u{20}                                         writes {{cold_ms,warm_ms,speedup}}\n\
-         \u{20}\u{20}serve-bench [--pipeline P] [--model M] [--seed N] [--requests N] [--workers N]\n\
-         \u{20}\u{20}     [--error-rate R] [--spike-rate R] [--spike-ms N] [--corrupt-rate R]\n\
-         \u{20}\u{20}     [--queue N] [--trace FILE.jsonl] [--json FILE] [--digests N] [--canonical]\n\
-         \u{20}\u{20}     [--store DIR] [--trace-sample R]\n\
-         \u{20}\u{20}                                         drive the fault-injected serving layer\n\
-         \u{20}\u{20}                                         with a seeded load, print a markdown\n\
-         \u{20}\u{20}                                         report (deterministic given --seed);\n\
-         \u{20}\u{20}                                         --trace-sample R head-samples request\n\
-         \u{20}\u{20}                                         traces at rate R (default 1.0)\n\
-         \u{20}\u{20}slo-report [serve-bench flags] [--slo-latency-ms N] [--burn-alert B] [--json FILE]\n\
-         \u{20}\u{20}                                         serve the same seeded load and print a\n\
-         \u{20}\u{20}                                         deterministic SLO / burn-rate report\n\
-         \u{20}\u{20}                                         (every serve-bench flag but --canonical)\n\
-         \u{20}\u{20}metrics TRACE.jsonl                      render a recorded trace's metrics as\n\
-         \u{20}\u{20}                                         Prometheus text exposition\n\
-         \u{20}\u{20}dashboard TRACE.jsonl [--window N] [--tenant T] [--json FILE]\n\
-         \u{20}\u{20}                                         render the trace's windowed time-series\n\
-         \u{20}\u{20}                                         (rates, p50/p99, sparklines, exemplars)\n\
-         \u{20}\u{20}                                         as a deterministic markdown dashboard;\n\
-         \u{20}\u{20}                                         --window sets the trailing stats window\n\
-         \u{20}\u{20}                                         (default 8), --tenant filters series\n\
-         \u{20}\u{20}select-bench [--pool N] [--queries M] [--seed S] [--json FILE] [--no-timing]\n\
-         \u{20}\u{20}                                         score a synthetic pool with the\n\
-         \u{20}\u{20}                                         retrievekit fast path vs the naive\n\
-         \u{20}\u{20}                                         reference; print a markdown report\n\
-         \u{20}\u{20}                                         (byte-identical across DAIL_THREADS\n\
-         \u{20}\u{20}                                         with --no-timing)\n\
-         \u{20}\u{20}select-bench --pool-rows N[,N...] [--queries M] [--seed S] [--json FILE]\n\
-         \u{20}\u{20}     [--no-timing]                       ANN sweep instead: per pool size,\n\
-         \u{20}\u{20}                                         exact scan vs ivf retrieval with\n\
-         \u{20}\u{20}                                         recall@k, training cost and\n\
-         \u{20}\u{20}                                         throughput per point\n\
-         \u{20}\u{20}exec-diff [--train N] [--dev N] [--seed N]\n\
-         \u{20}\u{20}                                         run every gold query through the\n\
-         \u{20}\u{20}                                         columnar engine AND the reference\n\
-         \u{20}\u{20}                                         interpreter (both join strategies);\n\
-         \u{20}\u{20}                                         exit 1 unless results are bit-identical\n\
-         \u{20}\u{20}exec-bench [--rows N] [--engine columnar|oracle] [--trace FILE.jsonl]\n\
-         \u{20}\u{20}                                         run a fixed scan/filter/join/aggregate\n\
-         \u{20}\u{20}                                         workload on a synthetic table through\n\
-         \u{20}\u{20}                                         one engine (default columnar), recording\n\
-         \u{20}\u{20}                                         storage.exec spans for `profile`\n\
-         \u{20}\u{20}run-experiments --experiment e1..e10|a1..a6 [--dev-cap N] [--seed N]\n\
-         \u{20}\u{20}     [--trace FILE.jsonl]                run one paper experiment, print its tables\n\
-         \u{20}\u{20}profile TRACE.jsonl                      render a recorded trace as a\n\
-         \u{20}\u{20}                                         per-stage time/metric breakdown\n\
-         \u{20}\u{20}profile BASE.jsonl NEW.jsonl [--fail-on-regress PCT]\n\
-         \u{20}\u{20}                                         diff two traces (self-times, counters,\n\
-         \u{20}\u{20}                                         histograms); exit 1 if any stage's\n\
-         \u{20}\u{20}                                         self-time regressed beyond PCT percent\n\
-         \u{20}\u{20}flame TRACE.jsonl [-o OUT.svg] [--folded]\n\
-         \u{20}\u{20}                                         render a trace as flamegraph SVG\n\
-         \u{20}\u{20}                                         (or folded stacks with --folded)"
-    );
+    let indent =
+        |text: &str, pad: &str| -> String { text.lines().map(|l| format!("{pad}{l}\n")).collect() };
+    let mut out = String::from("dail_sql_cli — DAIL-SQL reproduction CLI\n\ncommands:\n");
+    for c in COMMANDS {
+        let (first, more) = c.usage.split_once('\n').unwrap_or((c.usage, ""));
+        out.push_str(format!("  {} {first}", c.name).trim_end());
+        out.push('\n');
+        out.push_str(&indent(more, "      "));
+        out.push_str(&indent(c.about, "          "));
+    }
+    out.push_str(&format!(
+        "\n[bench flags] = {BENCH_USAGE}\n          \
+         the generated benchmark's seed and train/dev sizes; --store DIR\n          \
+         runs on the databases `persist` wrote there"
+    ));
+    eprintln!("{out}");
 }
 
 fn parse_flags(args: impl Iterator<Item = String>) -> HashMap<String, String> {
@@ -418,7 +490,7 @@ fn explain_cmd(positional: &[&String], flags: &HashMap<String, String>) {
         match storage::execute_query_analyzed(
             db,
             &q,
-            storage::ExecOptions::default(),
+            storage::Engine::default(),
             Some(&stats),
             obskit::TraceContext::disabled(),
         ) {
@@ -429,7 +501,7 @@ fn explain_cmd(positional: &[&String], flags: &HashMap<String, String>) {
             }
         }
     } else {
-        let plan = storage::explain_query(db, &q, storage::ExecOptions::default(), Some(&stats));
+        let plan = storage::explain_query(db, &q, storage::Engine::default(), Some(&stats));
         print!("{}", plan.render(false, canonical));
     }
 }
@@ -479,8 +551,7 @@ fn stats_cmd(positional: &[&String], flags: &HashMap<String, String>) {
 
 /// `exec-diff`: the differential oracle gate over the benchmark's gold
 /// queries. Every gold query must satisfy [`storage::check_agreement`]
-/// (columnar engine vs reference interpreter, both join strategies); any
-/// divergence exits 1.
+/// (columnar engine vs reference interpreter); any divergence exits 1.
 fn exec_diff(flags: &HashMap<String, String>) {
     let bench = bench_from_flags(flags);
     let mut n = 0usize;
@@ -499,8 +570,8 @@ fn exec_diff(flags: &HashMap<String, String>) {
         n += 1;
     }
     println!(
-        "exec-diff: {n} gold queries x 2 join strategies — columnar engine and \
-         reference interpreter agree bit-for-bit"
+        "exec-diff: {n} gold queries — columnar engine and reference \
+         interpreter agree bit-for-bit"
     );
 }
 
@@ -512,7 +583,7 @@ fn exec_diff(flags: &HashMap<String, String>) {
 /// engines must agree on them); timing goes to stderr and the trace only.
 fn exec_bench(flags: &HashMap<String, String>) {
     use storage::schema::{ColType, ColumnDef, DbSchema, TableSchema};
-    use storage::{Engine, ExecOptions, Value};
+    use storage::{Engine, Value};
     let rows: usize = num_flag(flags, "rows", 50_000usize);
     let engine_name = flag(flags, "engine", "columnar");
     let engine = match engine_name {
@@ -587,16 +658,12 @@ fn exec_bench(flags: &HashMap<String, String>) {
         ),
     ];
     println!("# exec-bench: {rows} fact rows, engine {engine_name}");
-    let opts = ExecOptions {
-        engine,
-        ..ExecOptions::default()
-    };
     let t0 = std::time::Instant::now();
     for (i, (name, sql)) in queries.into_iter().enumerate() {
         let q = sqlkit::parse_query(sql).expect("workload SQL parses");
         // Each workload query is its own traced request.
         let request = obskit::TraceContext::root(i as u64, true, None);
-        match storage::execute_query_analyzed(&db, &q, opts, None, request) {
+        match storage::execute_query_analyzed(&db, &q, engine, None, request) {
             Ok(an) => println!("{name}: {} rows", an.result.rows.len()),
             Err(e) => {
                 eprintln!("exec-bench query {name} failed: {e}");
@@ -2061,5 +2128,49 @@ fn flame_trace(positional: &[&String], flags: &HashMap<String, String>) {
             );
         }
         None => print!("{svg}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A command's help entry with the shared groups spelled out:
+    /// `[bench flags]`, and `[serve-bench flags]` (slo-report's).
+    fn expanded_usage(c: &Command) -> String {
+        let serve = COMMANDS.iter().find(|c| c.name == "serve-bench").unwrap();
+        c.usage
+            .replace("[serve-bench flags]", serve.usage)
+            .replace("[bench flags]", BENCH_USAGE)
+    }
+
+    /// Does `text` name `--flag` whole (`--dev` is not `--dev-cap`)?
+    fn names_flag(text: &str, flag: &str) -> bool {
+        let needle = format!("--{flag}");
+        text.match_indices(&needle).any(|(i, _)| {
+            !text[i + needle.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+    }
+
+    #[test]
+    fn help_names_every_flag_a_command_reads() {
+        for c in COMMANDS {
+            let usage = expanded_usage(c);
+            for flag in c.reads.iter().flat_map(|set| set.iter()) {
+                assert!(
+                    names_flag(&usage, flag),
+                    "help for `{}` omits --{flag}: {usage}",
+                    c.name
+                );
+            }
+        }
+        assert!(!names_flag("[--dev-cap N]", "dev"));
+    }
+
+    #[test]
+    fn command_names_are_unique() {
+        for (i, c) in COMMANDS.iter().enumerate() {
+            assert!(COMMANDS[..i].iter().all(|d| d.name != c.name), "{}", c.name);
+        }
     }
 }

@@ -1827,7 +1827,7 @@ fn store_flag_with_missing_dir_exits_2() {
 #[test]
 fn exec_diff_gold_queries_agree_bit_for_bit() {
     // Every gold query of the serving golden's benchmark size, through both
-    // engines under both join strategies (exit 1 on any divergence).
+    // engines (exit 1 on any divergence).
     let out = cli()
         .args(["exec-diff", "--train", "60", "--dev", "24"])
         .output()

@@ -3,7 +3,7 @@
 use crate::digest::{DigestAccumulator, QueryObs};
 use spider_gen::ExampleItem;
 use sqlkit::{exact_set_match, parse_query, Query};
-use storage::{execute_query, execute_query_analyzed, results_match, Database, ExecOptions};
+use storage::{execute_query, execute_query_analyzed, results_match, Database, Engine};
 
 /// Scores for one (gold, prediction) pair.
 #[derive(Debug, Clone, Copy, Default)]
@@ -45,7 +45,7 @@ pub fn score_item_traced(
     let executed = {
         let (_span, xctx) = trace.span("eval.execution");
         let pred_rs = if digests.is_some() {
-            execute_query_analyzed(db, &pred, ExecOptions::default(), None, xctx).map(|an| {
+            execute_query_analyzed(db, &pred, Engine::default(), None, xctx).map(|an| {
                 let obs = QueryObs {
                     exec_ns: an.plan.total_self_ns(),
                     rows_scanned: an.plan.rows_scanned(),

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use spider_gen::{Benchmark, BenchmarkConfig};
 use std::sync::OnceLock;
-use storage::{execute_query, execute_query_analyzed, ExecOptions, Plan};
+use storage::{execute_query, execute_query_analyzed, Engine, Plan};
 
 fn bench() -> &'static Benchmark {
     static BENCH: OnceLock<Benchmark> = OnceLock::new();
@@ -60,7 +60,7 @@ proptest! {
         let an = execute_query_analyzed(
             db,
             &item.gold,
-            ExecOptions::default(),
+            Engine::default(),
             None,
             obskit::TraceContext::disabled(),
         )
@@ -106,7 +106,7 @@ fn exec_span_duration_equals_self_time_total() {
         let an = execute_query_analyzed(
             b.db(item),
             &item.gold,
-            ExecOptions::default(),
+            Engine::default(),
             None,
             obskit::TraceContext::root(item.id as u64, true, None),
         )

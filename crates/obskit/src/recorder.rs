@@ -308,14 +308,6 @@ impl Recorder {
         });
     }
 
-    /// Nanoseconds since this recorder's epoch.
-    pub fn now_ns(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.epoch.elapsed().as_nanos() as u64,
-            None => 0,
-        }
-    }
-
     /// Copy of the span/meta event stream recorded so far.
     pub fn events(&self) -> Vec<Event> {
         match &self.inner {

@@ -61,11 +61,6 @@ impl TraceContext {
         self.request_id
     }
 
-    /// The span id new children will be parented under.
-    pub fn parent_span(&self) -> Option<u64> {
-        self.parent
-    }
-
     /// Will [`TraceContext::span`] actually record? True only when this
     /// request was sampled *and* an enabled sink is current on this thread.
     #[inline]

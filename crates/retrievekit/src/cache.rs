@@ -25,7 +25,7 @@ pub struct FeatureCache<V> {
 }
 
 impl<V> FeatureCache<V> {
-    /// A cache bounded at `capacity` entries (0 disables caching).
+    /// A cache bounded at `capacity` entries.
     pub fn new(capacity: usize) -> FeatureCache<V> {
         FeatureCache {
             map: RwLock::new(HashMap::new()),
@@ -55,9 +55,6 @@ impl<V> FeatureCache<V> {
     /// observe one shared value (`build` must be pure, which embedding
     /// is).
     pub fn get_or_insert_with(&self, key: &str, build: impl FnOnce() -> V) -> Arc<V> {
-        if self.capacity == 0 {
-            return Arc::new(build());
-        }
         if let Some(hit) = self.map.read().unwrap().get(key) {
             if obskit::enabled() {
                 obskit::current().add_counter("retrievekit.feature_cache_hits", 1);
@@ -109,13 +106,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
         cache.get_or_insert_with("c", || 3);
         assert_eq!(cache.len(), 1, "overflow clears then inserts the newcomer");
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let cache: FeatureCache<u32> = FeatureCache::new(0);
-        cache.get_or_insert_with("a", || 1);
-        assert!(cache.is_empty());
     }
 
     #[test]

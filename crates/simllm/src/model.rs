@@ -138,11 +138,6 @@ impl SimLlm {
         })
     }
 
-    /// Instantiate from an explicit profile.
-    pub fn from_profile(profile: ModelProfile) -> SimLlm {
-        SimLlm { profile, sft: None }
-    }
-
     /// Generate a completion for a prompt: [`SimLlm::sample`] on a fresh
     /// [`SimLlm::comprehend`].
     ///

@@ -74,14 +74,6 @@ impl ColumnRef {
             column: column.into(),
         }
     }
-
-    /// Case-folded (lowercase) copy, used by canonicalization.
-    pub fn lowered(&self) -> ColumnRef {
-        ColumnRef {
-            table: self.table.as_ref().map(|t| t.to_lowercase()),
-            column: self.column.to_lowercase(),
-        }
-    }
 }
 
 /// Aggregate functions in the Spider subset.

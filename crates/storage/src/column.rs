@@ -42,7 +42,7 @@ pub(crate) struct Column {
     pub n_nulls: usize,
     /// Whether any float cell is NaN. NaN compares `Equal` to everything
     /// under [`crate::value::float_total_cmp`], which is not a total order,
-    /// so NaN columns refuse index builds and exact-key hash joins.
+    /// so NaN columns refuse index builds and hash joins.
     pub has_nan: bool,
     /// A mixed column holds both `Int` and `Float` cells *and* an integer
     /// beyond f64's exact range: `Value::total_cmp` then compares Int/Int
@@ -164,24 +164,6 @@ impl Column {
         }
     }
 
-    /// [`class_key`] of the cell at row `i` without materializing a `Value`
-    /// (`None` for NULL cells).
-    pub fn cell_class_key(&self, i: usize) -> Option<ValueKey<'_>> {
-        if !self.is_valid(i) {
-            return None;
-        }
-        Some(match &self.data {
-            ColumnData::Int(xs) => ValueKey::Num((xs[i] as f64).to_bits()),
-            ColumnData::Float(xs) => ValueKey::Num(if xs[i].is_nan() {
-                CANONICAL_NAN
-            } else {
-                xs[i].to_bits()
-            }),
-            ColumnData::Str(xs) => ValueKey::Str(&xs[i]),
-            ColumnData::Mixed(xs) => return class_key(&xs[i]),
-        })
-    }
-
     /// [`exact_key`] of the cell at row `i` (`None` for NULL cells). The
     /// caller guarantees no NaN reaches this path (`use_loop` fallback).
     pub fn cell_exact_key(&self, i: usize) -> Option<ValueKey<'_>> {
@@ -240,40 +222,19 @@ impl ColumnarTable {
     }
 }
 
-/// Hash-join key with the same equality classes as `Value::group_key`
-/// (`1 == 1.0` via the f64 view, `-0.0 != 0.0`, all NaNs equal, strings
-/// byte-exact), but without the string allocation. `None` means NULL —
-/// never joinable.
-///
-/// [`class_key`] mirrors the reference hash join exactly. [`exact_key`] is
-/// the *prefilter* for equi-predicates the reference evaluates with
-/// `sql_cmp` (row-at-a-time exact comparison): it canonicalizes `-0.0` to
-/// `0.0` so that no `sql_cmp`-equal pair can land in different buckets, and
-/// callers must re-verify candidates with `sql_cmp` (f64-class collisions,
-/// e.g. distinct ints beyond 2^53, produce false positives only).
-/// `exact_key` has no NaN variant on purpose: planners must fall back to a
-/// pairwise loop when a NaN is present, because NaN compares equal to every
-/// number under `sql_cmp` and cannot be bucketed.
+/// Hash-join key of one non-NULL cell: the *prefilter* for equi-joins,
+/// which compare with `sql_cmp` equality in both engines. Numbers key on
+/// their f64 image with `-0.0` canonicalized to `0.0`, so no `sql_cmp`-equal
+/// pair can land in different buckets, and strings key byte-exact. Callers
+/// must re-verify candidates with `sql_cmp`: distinct ints beyond 2^53
+/// share an f64 image and produce false positives only. There is no NaN
+/// key on purpose: a join must fall back to a pairwise loop when a NaN is
+/// present, because NaN compares equal to every number under `sql_cmp` and
+/// cannot be bucketed. `None` means NULL — never joinable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum ValueKey<'a> {
     Num(u64),
     Str(&'a str),
-}
-
-const CANONICAL_NAN: u64 = 0x7ff8_0000_0000_0000;
-
-/// Join key under the reference hash join's `group_key` equality classes.
-pub(crate) fn class_key(v: &Value) -> Option<ValueKey<'_>> {
-    match v {
-        Value::Null => None,
-        Value::Int(i) => Some(ValueKey::Num((*i as f64).to_bits())),
-        Value::Float(f) => Some(ValueKey::Num(if f.is_nan() {
-            CANONICAL_NAN
-        } else {
-            f.to_bits()
-        })),
-        Value::Str(s) => Some(ValueKey::Str(s)),
-    }
 }
 
 /// A typed, allocation-free view of one non-null cell.
@@ -395,28 +356,6 @@ mod tests {
                 assert_eq!(c.cmp_cell_lit(i, l), v.total_cmp(l), "{v:?} vs {l:?}");
             }
         }
-    }
-
-    #[test]
-    fn class_keys_match_group_key_equality() {
-        let vals = [
-            Value::Int(1),
-            Value::Float(1.0),
-            Value::Float(0.0),
-            Value::Float(-0.0),
-            Value::Float(f64::NAN),
-            Value::Str("x".into()),
-        ];
-        for a in &vals {
-            for b in &vals {
-                assert_eq!(
-                    class_key(a) == class_key(b),
-                    a.group_key() == b.group_key(),
-                    "{a:?} vs {b:?}"
-                );
-            }
-        }
-        assert_eq!(class_key(&Value::Null), None);
     }
 
     #[test]

@@ -65,14 +65,6 @@ impl Database {
         Ok(())
     }
 
-    /// Bulk insert.
-    pub fn insert_all(&mut self, table: &str, rows: Vec<Row>) -> Result<(), ExecError> {
-        for row in rows {
-            self.insert(table, row)?;
-        }
-        Ok(())
-    }
-
     /// The rows of a table (empty slice if unknown — callers validate first).
     pub fn rows(&self, table: &str) -> Option<&[Row]> {
         self.tables

@@ -2,8 +2,11 @@
 //!
 //! The executor materializes intermediate relations (the Spider databases are
 //! small) and supports correlated subqueries via a stack of outer row scopes.
-//! Join strategy is configurable (nested-loop vs hash) so the `ablate_join`
-//! bench can compare them; results are identical by construction.
+//! `ON a = b` means what `WHERE a = b` means: `sql_cmp` equality, each
+//! column resolved to its first occurrence in the combined scope. When the
+//! two columns land on opposite sides the join hashes on `exact_key` and
+//! re-verifies each candidate with `sql_cmp`, which yields the nested loop's
+//! rows in the nested loop's order.
 //!
 //! The columnar engine runs each uncorrelated subquery once per statement:
 //! a subquery whose first run read no outer row is memoized for the rest of
@@ -30,16 +33,6 @@ pub struct ResultSet {
     pub rows: Vec<Row>,
 }
 
-/// Join algorithm choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinStrategy {
-    /// Build a hash table on equi-join keys (default).
-    #[default]
-    Hash,
-    /// Quadratic nested-loop join.
-    NestedLoop,
-}
-
 /// Execution engine choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
@@ -56,23 +49,14 @@ pub enum Engine {
     Oracle,
 }
 
-/// Executor configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecOptions {
-    /// Join strategy.
-    pub join: JoinStrategy,
-    /// Execution engine.
-    pub engine: Engine,
-}
-
-/// Execute a query against a database with default options.
+/// Execute a query against a database on the default engine.
 pub fn execute_query(db: &Database, q: &Query) -> ExecResult<ResultSet> {
-    execute_query_with(db, q, ExecOptions::default())
+    execute_query_with(db, q, Engine::default())
 }
 
-/// Execute with explicit options.
-pub fn execute_query_with(db: &Database, q: &Query, opts: ExecOptions) -> ExecResult<ResultSet> {
-    let ex = Executor::new(db, opts, None, None);
+/// Execute on an explicit engine.
+pub fn execute_query_with(db: &Database, q: &Query, engine: Engine) -> ExecResult<ResultSet> {
+    let ex = Executor::new(db, engine, None, None);
     let out = ex.run(q);
     if obskit::enabled() {
         let g = obskit::current();
@@ -109,17 +93,17 @@ pub struct Analyzed {
 pub fn execute_query_analyzed(
     db: &Database,
     q: &Query,
-    opts: ExecOptions,
+    engine: Engine,
     stats: Option<&crate::stats::DbStats>,
     trace: obskit::TraceContext,
 ) -> ExecResult<Analyzed> {
     // Resolve statistics once and hand the same reference to both the plan
     // builder and the executor, so the plan shown is the plan run.
     let stats = stats.unwrap_or_else(|| db.cached_stats());
-    let (mut nodes, root, map) = crate::explain::build_plan(db, q, opts, Some(stats));
+    let (mut nodes, root, map) = crate::explain::build_plan(db, q, engine, Some(stats));
     let probe = Probe::new(map, nodes.len());
     let (out, rows_scanned) = {
-        let ex = Executor::new(db, opts, Some(stats), Some(&probe));
+        let ex = Executor::new(db, engine, Some(stats), Some(&probe));
         probe.enter(root);
         let out = ex.run(q);
         probe.exit();
@@ -195,7 +179,7 @@ impl<'a> Ctx<'a> {
 
 struct Executor<'a> {
     db: &'a Database,
-    opts: ExecOptions,
+    engine: Engine,
     /// Pre-resolved statistics for analyzed runs (must match what the plan
     /// builder saw); the columnar front-end falls back to
     /// [`Database::cached_stats`] when absent.
@@ -229,13 +213,13 @@ impl Drop for ProbeGuard<'_> {
 impl<'a> Executor<'a> {
     fn new(
         db: &'a Database,
-        opts: ExecOptions,
+        engine: Engine,
         stats: Option<&'a crate::stats::DbStats>,
         probe: Option<&'a Probe>,
     ) -> Self {
         Executor {
             db,
-            opts,
+            engine,
             stats,
             rows_scanned: Cell::new(0),
             probe,
@@ -316,10 +300,10 @@ impl<'a> Executor<'a> {
         // once when the cost-based planner recognizes the shape as
         // statically safe; otherwise the reference scan → join → filter
         // path runs. Both produce identical rows in identical order.
-        let front = match (&s.from, self.opts.engine) {
+        let front = match (&s.from, self.engine) {
             (Some(_), Engine::Columnar) => {
                 let stats = self.stats.unwrap_or_else(|| self.db.cached_stats());
-                crate::planner::plan_front(self.db, s, self.opts, stats)
+                crate::planner::plan_front(self.db, s, stats)
             }
             _ => None,
         };
@@ -606,8 +590,8 @@ impl<'a> Executor<'a> {
                     }
                 }
             } else if step.use_loop {
-                // Pairwise fallback: a NaN sits in an exact key column, and
-                // NaN `sql_cmp`-equals every number, so it cannot be hashed.
+                // Pairwise fallback: a NaN sits in a key column, and NaN
+                // `sql_cmp`-equals every number, so it cannot be hashed.
                 for tup in acc.chunks_exact(n_pos) {
                     for &r in sel_q {
                         if front_keys_match(&cts, step, tup, r) {
@@ -619,15 +603,15 @@ impl<'a> Executor<'a> {
                 }
             } else {
                 // Hash join: bucket the introduced side, probe the
-                // accumulator. Exact keys are a prefilter (f64-bit classes
-                // collide for distinct ints beyond 2^53), so candidates are
-                // re-verified pairwise; class keys are exact by themselves.
+                // accumulator. Exact keys are a prefilter (distinct ints
+                // beyond 2^53 share an f64 image), so candidates are
+                // re-verified pairwise.
                 let mut buckets: HashMap<Vec<crate::column::ValueKey<'_>>, Vec<u32>> =
                     HashMap::new();
                 'row: for &r in sel_q {
                     let mut key = Vec::with_capacity(step.keys.len());
                     for k in &step.keys {
-                        match cell_key(&cts[q].columns[k.right_col], r as usize, k.exact) {
+                        match cts[q].columns[k.right_col].cell_exact_key(r as usize) {
                             Some(v) => key.push(v),
                             None => continue 'row, // NULL never joins
                         }
@@ -639,7 +623,7 @@ impl<'a> Executor<'a> {
                     probe_key.clear();
                     for k in &step.keys {
                         let i = tup[k.left_pos] as usize;
-                        match cell_key(&cts[k.left_pos].columns[k.left_col], i, k.exact) {
+                        match cts[k.left_pos].columns[k.left_col].cell_exact_key(i) {
                             Some(v) => probe_key.push(v),
                             None => continue 'tup,
                         }
@@ -648,16 +632,7 @@ impl<'a> Executor<'a> {
                         continue;
                     };
                     for &r in cands {
-                        let verified = step.keys.iter().all(|k| {
-                            !k.exact
-                                || crate::column::cells_sql_eq(
-                                    &cts[k.left_pos].columns[k.left_col],
-                                    tup[k.left_pos] as usize,
-                                    &cts[q].columns[k.right_col],
-                                    r as usize,
-                                )
-                        });
-                        if verified {
+                        if front_keys_match(&cts, step, tup, r) {
                             let base = next.len();
                             next.extend_from_slice(tup);
                             next[base + q] = r;
@@ -800,46 +775,39 @@ impl<'a> Executor<'a> {
         let mut cols = left.cols.clone();
         cols.extend(right.cols.iter().cloned());
 
-        // Hash join fast path: single `a = b` equi-predicate resolvable to
-        // one side each.
-        if self.opts.join == JoinStrategy::Hash {
-            if let Some(Cond::Cmp {
-                left: Expr::Col(ca),
-                op: CmpOp::Eq,
-                right: Operand::Expr(Expr::Col(cb)),
-            }) = on
-            {
-                let la = resolve(&left.cols, ca);
-                let ra = resolve(&right.cols, cb);
-                let lb = resolve(&left.cols, cb);
-                let rb = resolve(&right.cols, ca);
-                let pair = match (la, ra, lb, rb) {
-                    (Ok(l), Ok(r), _, _) => Some((l, r)),
-                    (_, _, Ok(l), Ok(r)) => Some((l, r)),
-                    _ => None,
-                };
-                if let Some((li, ri)) = pair {
-                    let mut index: HashMap<String, Vec<&Row>> = HashMap::new();
-                    for rrow in &right.rows {
-                        if !rrow[ri].is_null() {
-                            index.entry(rrow[ri].group_key()).or_default().push(rrow);
-                        }
+        // Hash fast path: a single `a = b` whose columns resolve, as
+        // `eval_col` resolves them, to opposite sides. `exact_key` buckets
+        // every `sql_cmp`-equal pair together and each candidate is
+        // re-verified, so the rows and their order are the nested loop's.
+        // NaN `sql_cmp`-equals every number and cannot be bucketed.
+        if let Some((li, ri)) = on.and_then(|c| split_equi_keys(c, &cols, left.cols.len())) {
+            let has_nan = |rows: &[Row], i: usize| {
+                rows.iter()
+                    .any(|r| matches!(r[i], Value::Float(f) if f.is_nan()))
+            };
+            if !has_nan(&left.rows, li) && !has_nan(&right.rows, ri) {
+                let mut index: HashMap<crate::column::ValueKey<'_>, Vec<&Row>> = HashMap::new();
+                for rrow in &right.rows {
+                    if let Some(k) = crate::column::exact_key(&rrow[ri]) {
+                        index.entry(k).or_default().push(rrow);
                     }
-                    let mut rows = Vec::new();
-                    for lrow in &left.rows {
-                        if lrow[li].is_null() {
-                            continue;
-                        }
-                        if let Some(matches) = index.get(&lrow[li].group_key()) {
-                            for rrow in matches {
-                                let mut combined = lrow.clone();
-                                combined.extend(rrow.iter().cloned());
-                                rows.push(combined);
-                            }
-                        }
-                    }
-                    return Ok(Relation { cols, rows });
                 }
+                let mut rows = Vec::new();
+                for lrow in &left.rows {
+                    let Some(matches) =
+                        crate::column::exact_key(&lrow[li]).and_then(|k| index.get(&k))
+                    else {
+                        continue;
+                    };
+                    for rrow in matches {
+                        if lrow[li].sql_cmp(&rrow[ri]) == Some(Ordering::Equal) {
+                            let mut combined = lrow.clone();
+                            combined.extend(rrow.iter().cloned());
+                            rows.push(combined);
+                        }
+                    }
+                }
+                return Ok(Relation { cols, rows });
             }
         }
 
@@ -1249,7 +1217,7 @@ impl<'a> Executor<'a> {
         outers: &[OuterScope<'_>],
     ) -> ExecResult<Rc<ResultSet>> {
         let key = q as *const Query as usize;
-        let memoize = self.opts.engine == Engine::Columnar;
+        let memoize = self.engine == Engine::Columnar;
         if memoize {
             if let Some(rs) = self.memo.borrow().get(&key) {
                 return Ok(Rc::clone(rs));
@@ -1348,23 +1316,8 @@ fn unknown_column_error(
     }
 }
 
-/// Resolve a column reference against relation labels.
-/// The hash-join key of one cell under the edge's equality semantics
-/// (`None` = NULL, never joinable).
-fn cell_key(
-    col: &crate::column::Column,
-    i: usize,
-    exact: bool,
-) -> Option<crate::column::ValueKey<'_>> {
-    if exact {
-        col.cell_exact_key(i)
-    } else {
-        col.cell_class_key(i)
-    }
-}
-
-/// Pairwise key check for the loop-join fallback (NaN-safe: exact keys use
-/// `sql_cmp` equality directly, class keys compare canonicalized classes).
+/// `sql_cmp` equality of every key of `step` between the placed tuple `tup`
+/// and row `r` of the introduced table; NULL never joins.
 fn front_keys_match(
     cts: &[&crate::column::ColumnarTable],
     step: &crate::planner::JoinStep<'_>,
@@ -1375,17 +1328,31 @@ fn front_keys_match(
         let lc = &cts[k.left_pos].columns[k.left_col];
         let rc = &cts[step.introduces].columns[k.right_col];
         let (i, j) = (tup[k.left_pos] as usize, r as usize);
-        if !lc.is_valid(i) || !rc.is_valid(j) {
-            return false;
-        }
-        if k.exact {
-            crate::column::cells_sql_eq(lc, i, rc, j)
-        } else {
-            lc.cell_class_key(i) == rc.cell_class_key(j)
-        }
+        lc.is_valid(i) && rc.is_valid(j) && crate::column::cells_sql_eq(lc, i, rc, j)
     })
 }
 
+/// The (left, right) column indexes of an `ON a = b` whose two columns
+/// resolve in the combined scope `cols` to opposite sides of a join whose
+/// left side has `n_left` columns; `None` for any other condition.
+fn split_equi_keys(on: &Cond, cols: &[(String, String)], n_left: usize) -> Option<(usize, usize)> {
+    let Cond::Cmp {
+        left: Expr::Col(ca),
+        op: CmpOp::Eq,
+        right: Operand::Expr(Expr::Col(cb)),
+    } = on
+    else {
+        return None;
+    };
+    let (a, b) = (resolve(cols, ca).ok()?, resolve(cols, cb).ok()?);
+    match (a < n_left, b < n_left) {
+        (true, false) => Some((a, b - n_left)),
+        (false, true) => Some((b, a - n_left)),
+        _ => None,
+    }
+}
+
+/// Resolve a column reference against relation labels.
 fn resolve(cols: &[(String, String)], c: &ColumnRef) -> ExecResult<usize> {
     let name = c.column.to_lowercase();
     match &c.table {
@@ -1797,32 +1764,23 @@ mod tests {
         assert_eq!(strs(&rs), vec!["Moon", "Sun"]);
     }
 
+    /// The interpreter hashes `ON a = b` only when the two columns, each
+    /// resolved to its first occurrence, land on opposite sides; EXPLAIN
+    /// tags the join it runs.
     #[test]
-    fn hash_and_nested_loop_join_agree() {
-        let q = parse_query(
-            "SELECT T1.name, count(*) FROM singer AS T1 JOIN song AS T2 ON T1.singer_id = T2.singer_id GROUP BY T1.singer_id ORDER BY T1.name ASC",
-        )
-        .unwrap();
-        let d = db();
-        let a = execute_query_with(
-            &d,
-            &q,
-            ExecOptions {
-                join: JoinStrategy::Hash,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        let b = execute_query_with(
-            &d,
-            &q,
-            ExecOptions {
-                join: JoinStrategy::NestedLoop,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(a, b);
+    fn on_resolves_like_where_and_explain_tags_the_join_run() {
+        let tag = |sql: &str| {
+            let q = parse_query(sql).unwrap();
+            let plan = crate::explain_query(&db(), &q, Engine::Oracle, None);
+            let join = plan.nodes.iter().find(|n| n.kind == crate::OpKind::Join);
+            join.unwrap().label.clone()
+        };
+        let split = "SELECT * FROM singer AS T1 JOIN song AS T2 ON T1.singer_id = T2.singer_id";
+        assert!(tag(split).ends_with("[hash]"), "{}", tag(split));
+        // Unqualified `singer_id` is T1's, so the ON compares T1 with itself.
+        let same = "SELECT * FROM singer AS T1 JOIN song AS T2 ON T1.singer_id = singer_id";
+        assert!(tag(same).ends_with("[loop]"), "{}", tag(same));
+        assert_eq!(run(same).rows.len(), 25);
     }
 
     #[test]
@@ -1883,11 +1841,7 @@ mod tests {
             let rec = obskit::Recorder::enabled();
             let _sink = rec.enter();
             let q = parse_query(sql).unwrap();
-            let opts = ExecOptions {
-                engine,
-                ..ExecOptions::default()
-            };
-            execute_query_with(&d, &q, opts).unwrap();
+            execute_query_with(&d, &q, engine).unwrap();
             rec.metrics().counters["storage.rows_scanned"]
         };
         // Five singers, five songs.
@@ -2127,14 +2081,8 @@ mod tests {
 
     fn analyze(sql: &str) -> Analyzed {
         let q = parse_query(sql).unwrap();
-        execute_query_analyzed(
-            &db(),
-            &q,
-            ExecOptions::default(),
-            None,
-            TraceContext::disabled(),
-        )
-        .unwrap_or_else(|e| panic!("analyze failed for {sql}: {e}"))
+        execute_query_analyzed(&db(), &q, Engine::default(), None, TraceContext::disabled())
+            .unwrap_or_else(|e| panic!("analyze failed for {sql}: {e}"))
     }
 
     /// Assert the rows-flow invariant on every node: a parent's `rows_in`
@@ -2233,17 +2181,8 @@ mod tests {
 
         // Oracle engine: the reference accounting is unchanged.
         let q = parse_query("SELECT name FROM singer WHERE age > 40").unwrap();
-        let an = execute_query_analyzed(
-            &db(),
-            &q,
-            ExecOptions {
-                engine: Engine::Oracle,
-                ..ExecOptions::default()
-            },
-            None,
-            TraceContext::disabled(),
-        )
-        .unwrap();
+        let an = execute_query_analyzed(&db(), &q, Engine::Oracle, None, TraceContext::disabled())
+            .unwrap();
         let filter = an
             .plan
             .nodes

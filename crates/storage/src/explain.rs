@@ -17,7 +17,7 @@
 //! ROADMAP's cost-based planner will be tuned against.
 
 use crate::db::Database;
-use crate::exec::{Engine, ExecOptions, JoinStrategy};
+use crate::exec::Engine;
 use crate::stats::DbStats;
 use sqlkit::ast::*;
 use std::cell::RefCell;
@@ -340,7 +340,7 @@ struct ScopeCol {
 
 /// Plan-time column scope. `None` when the shape is statically unknown
 /// (e.g. a derived table projecting `*`): estimates then fall back to
-/// constants and the join-strategy tag is omitted.
+/// constants and the join's `[hash]`/`[loop]` tag is omitted.
 type Scope = Option<Vec<ScopeCol>>;
 
 fn scope_resolve<'s>(scope: &'s [ScopeCol], c: &ColumnRef) -> Option<&'s ScopeCol> {
@@ -357,7 +357,7 @@ fn scope_resolve<'s>(scope: &'s [ScopeCol], c: &ColumnRef) -> Option<&'s ScopeCo
 struct Planner<'a> {
     db: &'a Database,
     stats: Option<&'a DbStats>,
-    opts: ExecOptions,
+    engine: Engine,
     nodes: Vec<PlanNode>,
     map: PlanMap,
 }
@@ -423,10 +423,10 @@ impl<'a> Planner<'a> {
         let mut cur: Option<usize> = None;
         let mut in_est = 1u64;
         let mut front_done = false;
-        if s.from.is_some() && self.opts.engine == Engine::Columnar {
+        if s.from.is_some() && self.engine == Engine::Columnar {
             let db = self.db;
             let stats = self.stats.unwrap_or_else(|| db.cached_stats());
-            if let Some(fp) = crate::planner::plan_front(db, s, self.opts, stats) {
+            if let Some(fp) = crate::planner::plan_front(db, s, stats) {
                 let (id, sc, est) = self.plan_columnar_front(fp, &mut ids);
                 cur = Some(id);
                 scope = sc;
@@ -751,9 +751,11 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Label (with a `[hash]`/`[loop]` tag when the strategy is statically
-    /// certain, mirroring the executor's fast-path test) and output estimate
-    /// for a join.
+    /// Label (with a `[hash]`/`[loop]` tag when the scopes are statically
+    /// known, mirroring the executor's fast-path test) and output estimate
+    /// for a join. The hash path needs the two ON columns, each resolved to
+    /// its first occurrence in the combined scope, on opposite sides; a NaN
+    /// key cell still sends it to the loop at run time.
     fn join_label_and_est(
         &self,
         on: Option<&Cond>,
@@ -774,23 +776,22 @@ impl<'a> Planner<'a> {
         } = on
         {
             if let (Some(l), Some(r)) = (left, right) {
-                let pair = match (
-                    scope_resolve(l, ca),
-                    scope_resolve(r, cb),
-                    scope_resolve(l, cb),
-                    scope_resolve(r, ca),
-                ) {
-                    (Some(a), Some(b), _, _) => Some((a, b)),
-                    (_, _, Some(a), Some(b)) => Some((a, b)),
+                // First occurrence in the combined scope `l ++ r`, tagged
+                // with its side.
+                let side = |c: &ColumnRef| {
+                    scope_resolve(l, c)
+                        .map(|sc| (true, sc))
+                        .or_else(|| scope_resolve(r, c).map(|sc| (false, sc)))
+                };
+                let pair = match (side(ca), side(cb)) {
+                    (Some((true, a)), Some((false, b))) | (Some((false, b)), Some((true, a))) => {
+                        Some((a, b))
+                    }
                     _ => None,
                 };
                 match pair {
                     Some((a, b)) => {
-                        if self.opts.join == JoinStrategy::Hash {
-                            tag = " [hash]";
-                        } else {
-                            tag = " [loop]";
-                        }
+                        tag = " [hash]";
                         // Equi-join estimate: cross product over the larger
                         // key NDV, when stats know both sides.
                         if let (Some(na), Some(nb)) = (self.ndv_of(a), self.ndv_of(b)) {
@@ -964,13 +965,13 @@ fn derived_cols(q: &Query, binding: &str) -> Scope {
 pub(crate) fn build_plan(
     db: &Database,
     q: &Query,
-    opts: ExecOptions,
+    engine: Engine,
     stats: Option<&DbStats>,
 ) -> (Vec<PlanNode>, usize, PlanMap) {
     let mut p = Planner {
         db,
         stats,
-        opts,
+        engine,
         nodes: Vec::with_capacity(16),
         map: PlanMap::default(),
     };
@@ -985,7 +986,7 @@ pub(crate) fn build_plan(
 /// Build a plan for `q` without executing it (estimates only; all runtime
 /// counters zero). Pass [`DbStats`] to sharpen cardinality estimates with
 /// exact NDVs and null fractions.
-pub fn explain_query(db: &Database, q: &Query, opts: ExecOptions, stats: Option<&DbStats>) -> Plan {
-    let (nodes, root, _map) = build_plan(db, q, opts, stats);
+pub fn explain_query(db: &Database, q: &Query, engine: Engine, stats: Option<&DbStats>) -> Plan {
+    let (nodes, root, _map) = build_plan(db, q, engine, stats);
     Plan { nodes, root }
 }

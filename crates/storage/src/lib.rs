@@ -8,6 +8,12 @@
 //! LIKE / IN / BETWEEN / IS NULL, three-valued logic) covers every query the
 //! benchmark generator and the simulated models emit.
 //!
+//! One equality serves every predicate: `ON a = b` means what `WHERE a = b`
+//! means, [`Value::sql_cmp`] equality with each column resolved to its first
+//! occurrence in scope. So `-0.0` joins `0.0`, NaN joins every number, and
+//! distinct integers beyond 2^53 never join each other, whichever engine
+//! runs.
+//!
 //! EX comparison semantics (see [`compare`] for the full statement): column
 //! count and row count must agree; rows compare as an order-insensitive
 //! multiset unless the gold query has a top-level ORDER BY; numeric cells
@@ -57,10 +63,10 @@ pub use db::Database;
 pub use error::{ExecError, ExecResult};
 pub use exec::{
     execute_query, execute_query_analyzed, execute_query_with, like_match, Analyzed, Engine,
-    ExecOptions, JoinStrategy, ResultSet,
+    ResultSet,
 };
 pub use explain::{explain_query, OpKind, OpStats, Plan, PlanNode};
-pub use oracle::{check_agreement, execute_query_oracle, execute_query_oracle_with};
+pub use oracle::{check_agreement, execute_query_oracle};
 pub use pagestore::{
     load_database, persist_database, recover_store, CrashPoint, StoreError, StoreInfo, StoreResult,
 };

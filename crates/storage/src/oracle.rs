@@ -9,8 +9,10 @@
 //! explicit entry point. The interpreter re-runs every subquery for every
 //! outer row, while the columnar engine runs a subquery whose run read no
 //! outer row once per statement; agreement therefore holds that memo to
-//! the naive semantics. [`check_agreement`] is the one statement of what
-//! "the engines agree" means, and every differential gate calls it:
+//! the naive semantics. Both engines read `ON a = b` as `WHERE a = b`
+//! (`sql_cmp` equality), so one run per engine covers every join.
+//! [`check_agreement`] is the one statement of what "the engines agree"
+//! means, and every differential gate calls it:
 //!
 //! * `crates/storage/tests/exec_differential.rs` runs it on random
 //!   databases and queries, and replays the committed regression corpus
@@ -25,39 +27,20 @@
 
 use crate::db::Database;
 use crate::error::ExecResult;
-use crate::exec::{execute_query_with, Engine, ExecOptions, JoinStrategy, ResultSet};
+use crate::exec::{execute_query_with, Engine, ResultSet};
 use crate::value::Value;
 use sqlkit::ast::Query;
 
-/// Execute a query through the reference interpreter, default options.
+/// Execute a query through the reference interpreter.
 pub fn execute_query_oracle(db: &Database, q: &Query) -> ExecResult<ResultSet> {
-    execute_query_oracle_with(db, q, ExecOptions::default())
+    execute_query_with(db, q, Engine::Oracle)
 }
 
-/// Execute through the reference interpreter with explicit options (the
-/// engine field is overridden to [`Engine::Oracle`]; join strategy and any
-/// future options are honored).
-pub fn execute_query_oracle_with(
-    db: &Database,
-    q: &Query,
-    opts: ExecOptions,
-) -> ExecResult<ResultSet> {
-    execute_query_with(
-        db,
-        q,
-        ExecOptions {
-            engine: Engine::Oracle,
-            ..opts
-        },
-    )
-}
-
-/// The engine-agreement rule: under both join strategies, the columnar
-/// engine and the reference interpreter return bit-identical results or
-/// equal errors. Bit-identical is stricter than `PartialEq`: same columns,
-/// same row order, and every float cell equal by `to_bits`, so `-0.0` vs
-/// `0.0` and NaN payloads cannot silently diverge. `Err` describes the
-/// first divergence.
+/// The engine-agreement rule: the columnar engine and the reference
+/// interpreter return bit-identical results or equal errors. Bit-identical
+/// is stricter than `PartialEq`: same columns, same row order, and every
+/// float cell equal by `to_bits`, so `-0.0` vs `0.0` and NaN payloads
+/// cannot silently diverge. `Err` describes the divergence.
 pub fn check_agreement(db: &Database, q: &Query) -> Result<(), String> {
     fn bits_eq(a: &Value, b: &Value) -> bool {
         match (a, b) {
@@ -65,31 +48,27 @@ pub fn check_agreement(db: &Database, q: &Query) -> Result<(), String> {
             _ => a == b,
         }
     }
-    for join in [JoinStrategy::Hash, JoinStrategy::NestedLoop] {
-        let opts = ExecOptions {
-            join,
-            engine: Engine::Columnar,
-        };
-        let oracle = execute_query_oracle_with(db, q, opts);
-        let columnar = execute_query_with(db, q, opts);
-        let agree = match (&oracle, &columnar) {
-            (Ok(a), Ok(b)) => {
-                a.columns == b.columns
-                    && a.rows.len() == b.rows.len()
-                    && a.rows.iter().zip(&b.rows).all(|(r, s)| {
-                        r.len() == s.len() && r.iter().zip(s).all(|(x, y)| bits_eq(x, y))
-                    })
-            }
-            (Err(a), Err(b)) => a == b,
-            _ => false,
-        };
-        if !agree {
-            return Err(format!(
-                "engines diverge ({join:?})\n  oracle:   {oracle:?}\n  columnar: {columnar:?}"
-            ));
+    let oracle = execute_query_oracle(db, q);
+    let columnar = execute_query_with(db, q, Engine::Columnar);
+    let agree = match (&oracle, &columnar) {
+        (Ok(a), Ok(b)) => {
+            a.columns == b.columns
+                && a.rows.len() == b.rows.len()
+                && a.rows
+                    .iter()
+                    .zip(&b.rows)
+                    .all(|(r, s)| r.len() == s.len() && r.iter().zip(s).all(|(x, y)| bits_eq(x, y)))
         }
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    };
+    if agree {
+        Ok(())
+    } else {
+        Err(format!(
+            "engines diverge\n  oracle:   {oracle:?}\n  columnar: {columnar:?}"
+        ))
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -119,15 +98,7 @@ mod tests {
         }
         let q = sqlkit::parse_query("SELECT v, count(*) FROM t WHERE id < 30 GROUP BY v").unwrap();
         let a = execute_query_oracle(&db, &q).unwrap();
-        let b = execute_query_with(
-            &db,
-            &q,
-            ExecOptions {
-                engine: Engine::Columnar,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let b = execute_query_with(&db, &q, Engine::Columnar).unwrap();
         assert_eq!(a, b);
     }
 }

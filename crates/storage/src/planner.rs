@@ -19,9 +19,10 @@
 //! the reference's lazy-error behavior:
 //!
 //! * every FROM table is a named, existing base table (no derived tables);
-//! * every JOIN ... ON is a single `a = b` equi-predicate that splits
-//!   cleanly across the joined sides, exactly as the reference hash join's
-//!   fast-path resolution does (anything else falls back entirely);
+//! * every JOIN ... ON is a single `a = b` equi-predicate whose columns,
+//!   each resolved to its first occurrence in the combined scope (as the
+//!   reference evaluates ON), land on opposite sides of the join (anything
+//!   else falls back entirely);
 //! * WHERE conjuncts are pushed or turned into join edges only when every
 //!   column resolves locally and no subquery/aggregate/`*` appears. A WHERE
 //!   containing any unsafe conjunct is executed *whole*, row-at-a-time, over
@@ -30,16 +31,14 @@
 //!
 //! ## Key semantics
 //!
-//! Join edges carry the equality semantics of the reference path they
-//! replace: ON predicates under the hash strategy use `group_key` classes
-//! (`exact == false` — `-0.0` and `0.0` differ, all NaNs equal), while
-//! WHERE-derived equi-predicates and nested-loop ON predicates use `sql_cmp`
-//! equality (`exact == true` — hash prefilter plus pairwise re-verification;
-//! a NaN in an exact key column forces the pairwise loop fallback because
-//! NaN equals everything under `sql_cmp` and cannot be bucketed).
+//! Every join edge, from ON or from a WHERE equi-predicate, compares with
+//! `sql_cmp` equality, as the reference does: `-0.0` equals `0.0`, distinct
+//! ints beyond 2^53 differ, and NaN equals every number. Edges hash on
+//! `exact_key` as a prefilter and re-verify each candidate pairwise; a NaN
+//! in a key column forces the pairwise loop fallback because it cannot be
+//! bucketed.
 
 use crate::db::Database;
-use crate::exec::{ExecOptions, JoinStrategy};
 use crate::kernels::KernelPred;
 use crate::stats::{ColumnStats, DbStats};
 use crate::value::Value;
@@ -107,7 +106,7 @@ pub(crate) struct JoinStep<'q> {
     pub ast_join: &'q Join,
     /// Equality edges applied at this step.
     pub keys: Vec<JoinKey>,
-    /// Pairwise fallback: set when an exact key column contains NaN.
+    /// Pairwise fallback: set when a key column contains NaN.
     pub use_loop: bool,
     /// Estimated output tuples.
     pub est_out: u64,
@@ -124,9 +123,6 @@ pub(crate) struct JoinKey {
     pub left_col: usize,
     /// Column index on the introduced table.
     pub right_col: usize,
-    /// `sql_cmp` equality (WHERE / nested-loop ON) vs. `group_key` classes
-    /// (hash-strategy ON).
-    pub exact: bool,
 }
 
 /// What remains of WHERE after the planner consumed what it could.
@@ -148,16 +144,14 @@ const INDEX_MAX_SEL: f64 = 0.25;
 struct Edge {
     a: (usize, usize),
     b: (usize, usize),
-    exact: bool,
     display: String,
 }
 
 /// Plan the FROM + WHERE front-end of `s`, or `None` to use the reference
-/// interpreter. Deterministic in `(db, s, opts, stats)`.
+/// interpreter. Deterministic in `(db, s, stats)`.
 pub(crate) fn plan_front<'q>(
     db: &Database,
     s: &'q Select,
-    opts: ExecOptions,
     stats: &DbStats,
 ) -> Option<FrontPlan<'q>> {
     let from = s.from.as_ref()?;
@@ -212,9 +206,10 @@ pub(crate) fn plan_front<'q>(
         None
     };
 
-    // ON analysis: every ON must be absent (cross) or a single cleanly
-    // splitting equi-predicate, classified with the reference strategy's own
-    // resolution precedence.
+    // ON analysis: every ON must be absent (cross) or a single equi-predicate
+    // whose columns, resolved over the combined scope with first-occurrence
+    // resolution as the reference evaluates ON, land on opposite sides of
+    // this step.
     let mut edges: Vec<Edge> = Vec::new();
     for (i, j) in from.joins.iter().enumerate() {
         let p = i + 1;
@@ -227,43 +222,16 @@ pub(crate) fn plan_front<'q>(
         else {
             return None;
         };
-        let display = on.to_string();
-        match opts.join {
-            JoinStrategy::Hash => {
-                // Mirror the reference fast path: (ca in left, cb in right)
-                // first, then the swapped assignment.
-                let pair = match (resolve_range(ca, 0, p), resolve_range(cb, p, p + 1)) {
-                    (Some(a), Some(b)) => Some((a, b)),
-                    _ => match (resolve_range(cb, 0, p), resolve_range(ca, p, p + 1)) {
-                        (Some(a), Some(b)) => Some((a, b)),
-                        _ => None,
-                    },
-                };
-                let (a, b) = pair?;
-                edges.push(Edge {
-                    a,
-                    b,
-                    exact: false,
-                    display,
-                });
-            }
-            JoinStrategy::NestedLoop => {
-                // The reference evaluates ON over the combined scope with
-                // first-occurrence resolution; require the two columns to
-                // land on opposite sides of this step.
-                let a = resolve_range(ca, 0, p + 1)?;
-                let b = resolve_range(cb, 0, p + 1)?;
-                if (a.0 == p) == (b.0 == p) {
-                    return None;
-                }
-                edges.push(Edge {
-                    a,
-                    b,
-                    exact: true,
-                    display,
-                });
-            }
+        let a = resolve_range(ca, 0, p + 1)?;
+        let b = resolve_range(cb, 0, p + 1)?;
+        if (a.0 == p) == (b.0 == p) {
+            return None;
         }
+        edges.push(Edge {
+            a,
+            b,
+            display: on.to_string(),
+        });
     }
 
     // WHERE classification.
@@ -394,14 +362,12 @@ pub(crate) fn plan_front<'q>(
                 left_pos: left.0,
                 left_col: left.1,
                 right_col,
-                exact: e.exact,
             });
             cond_displays.push(e.display.clone());
         }
         let use_loop = keys.iter().any(|k| {
-            k.exact
-                && (columnar_has_nan(db, &tables[k.left_pos].name, k.left_col)
-                    || columnar_has_nan(db, &tables[q].name, k.right_col))
+            columnar_has_nan(db, &tables[k.left_pos].name, k.left_col)
+                || columnar_has_nan(db, &tables[q].name, k.right_col)
         });
         let ast_join = if q > 0 {
             &from.joins[q - 1]
@@ -563,7 +529,6 @@ fn classify_edge(
     Some(Edge {
         a,
         b,
-        exact: true,
         display: c.to_string(),
     })
 }
@@ -784,7 +749,7 @@ mod tests {
         let Query::Select(s) = q else {
             panic!("select")
         };
-        plan_front(db, s, ExecOptions::default(), db.cached_stats())
+        plan_front(db, s, db.cached_stats())
     }
 
     fn parse(sql: &str) -> Query {
@@ -880,22 +845,28 @@ mod tests {
         // AST join (the bijection keeps probe accounting exact).
         assert_eq!(fp.steps[0].introduces, 0);
         assert!(!fp.steps[0].keys.is_empty());
-        assert!(
-            !fp.steps[0].keys[0].exact,
-            "hash-strategy ON uses class keys"
-        );
     }
 
     #[test]
-    fn where_equi_pred_becomes_an_exact_edge() {
+    fn where_equi_pred_becomes_a_join_key() {
         let d = db();
         let q = parse("SELECT * FROM big AS b JOIN small AS s ON b.val = s.id WHERE b.id = s.id");
         let fp = plan(&d, &q).unwrap();
         assert!(matches!(fp.where_mode, WhereMode::None));
         let step = &fp.steps[0];
         assert_eq!(step.keys.len(), 2);
-        assert!(step.keys.iter().any(|k| k.exact));
-        assert!(step.keys.iter().any(|k| !k.exact));
+        assert_eq!(step.cond_displays, ["b.val = s.id", "b.id = s.id"]);
+    }
+
+    #[test]
+    fn on_columns_resolve_to_their_first_occurrence() {
+        let d = db();
+        // Unqualified `id` is big's, the first in FROM order, so both
+        // columns land on big's side and the ON is not a join edge.
+        let q = parse("SELECT * FROM big AS b JOIN small AS s ON b.val = id");
+        assert!(plan(&d, &q).is_none());
+        let q = parse("SELECT * FROM big AS b JOIN small AS s ON s.id = val");
+        assert!(plan(&d, &q).is_some());
     }
 
     // ---- safety fallbacks ----

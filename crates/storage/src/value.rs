@@ -7,7 +7,7 @@ use std::fmt;
 /// A runtime cell value.
 ///
 /// Note: the derived `PartialEq` is *structural* (`Int(2) != Float(2.0)`);
-/// SQL comparisons go through [`Value::sql_cmp`] / [`Value::group_eq`].
+/// SQL comparisons go through [`Value::sql_cmp`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL NULL.
@@ -78,25 +78,18 @@ impl Value {
         }
     }
 
-    /// Equality for grouping / DISTINCT / set ops: NULLs group together,
-    /// `1` equals `1.0`.
-    pub fn group_eq(&self, other: &Value) -> bool {
-        self.total_cmp(other) == Ordering::Equal
-    }
-
-    /// A normalized key string for hashing in GROUP BY / DISTINCT, chosen so
-    /// that `group_eq` values produce identical keys.
+    /// A normalized key string for hashing in GROUP BY, DISTINCT, set ops
+    /// and `count(DISTINCT ..)`. Its classes are: NULL alone; each number by
+    /// its f64 image, so `1` and `1.0` share a key, and so do ints beyond
+    /// 2^53 that round to one float; `-0.0` apart from `0.0`; every NaN
+    /// together; each string byte-exact. These are not `sql_cmp` equality,
+    /// which equates `-0.0` with `0.0` and NaN with every number and keeps
+    /// distinct ints apart.
     pub fn group_key(&self) -> String {
         match self {
             Value::Null => "n".to_string(),
             Value::Int(v) => format!("f{:?}", *v as f64),
-            Value::Float(v) => {
-                if v.fract() == 0.0 && v.abs() < 1e15 {
-                    format!("f{:?}", *v)
-                } else {
-                    format!("f{v:?}")
-                }
-            }
+            Value::Float(v) => format!("f{v:?}"),
             Value::Str(s) => format!("s{s}"),
         }
     }

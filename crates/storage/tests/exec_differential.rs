@@ -2,8 +2,10 @@
 //!
 //! Every generated (database, query) pair must satisfy
 //! [`storage::check_agreement`]: **bit-identical** results through both
-//! engines under both join strategies — same column labels, same row
-//! order, same cell bits — or the exact same error. The
+//! engines — same column labels, same row order, same cell bits — or the
+//! exact same error. Both engines read `ON a = b` as `WHERE a = b`, so
+//! one run per engine covers the hash join, its NaN fallback and the
+//! nested loop alike. The
 //! generator leans into the adversarial corners the planner special-cases:
 //! NULL-heavy columns, NaN and negative zero, integers beyond 2^53 (where
 //! the f64 prefilter buckets collide), duplicate join keys, and empty
@@ -17,7 +19,7 @@
 use proptest::prelude::*;
 use sqlkit::parse_query;
 use storage::schema::{ColType, ColumnDef, DbSchema, ForeignKey, TableSchema};
-use storage::{check_agreement, Database, Value};
+use storage::{check_agreement, execute_query_with, Database, Engine, Value};
 
 /// Three-table schema exercising joins, FKs, and all three column types.
 fn schema() -> DbSchema {
@@ -469,14 +471,45 @@ fn regression_db() -> Database {
     db
 }
 
+const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/exec_diff");
+
+/// The SQL statements of a corpus file: one per line, `#` comments allowed.
+fn statements(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+}
+
+/// Each `JOIN ... ON` statement of `on_equals_where.sql` returns the rows of
+/// the comma-join `WHERE` twin that follows it, in the same order, on both
+/// engines.
+#[test]
+fn on_where_twins_agree() {
+    let db = regression_db();
+    let text = std::fs::read_to_string(format!("{CORPUS}/on_equals_where.sql")).unwrap();
+    let sqls: Vec<&str> = statements(&text).collect();
+    assert!(
+        sqls.len() >= 6 && sqls.len().is_multiple_of(2),
+        "{} statements",
+        sqls.len()
+    );
+    for pair in sqls.chunks(2) {
+        let (on, wh) = (parse_query(pair[0]).unwrap(), parse_query(pair[1]).unwrap());
+        for engine in [Engine::Columnar, Engine::Oracle] {
+            let a = execute_query_with(&db, &on, engine).unwrap();
+            let b = execute_query_with(&db, &wh, engine).unwrap();
+            assert_eq!(a.rows, b.rows, "{engine:?}: {}", pair[0]);
+        }
+    }
+}
+
 /// Replay the committed shrunk-regression corpus (one SQL statement per
 /// line, `#` comments allowed) against the fixed regression database.
 #[test]
 fn committed_corpus_replays_clean() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/exec_diff");
     let db = regression_db();
     let mut n = 0usize;
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
+    let mut entries: Vec<_> = std::fs::read_dir(CORPUS)
         .expect("corpus dir exists")
         .map(|e| e.unwrap().path())
         .collect();
@@ -486,11 +519,7 @@ fn committed_corpus_replays_clean() {
             continue;
         }
         let text = std::fs::read_to_string(&path).unwrap();
-        for line in text.lines() {
-            let sql = line.trim();
-            if sql.is_empty() || sql.starts_with('#') {
-                continue;
-            }
+        for sql in statements(&text) {
             if let Err(msg) = check_sql(&db, sql) {
                 panic!("{}: {msg}", path.display());
             }

@@ -11,9 +11,7 @@
 use proptest::prelude::*;
 use sqlkit::parse_query;
 use storage::schema::{ColType, ColumnDef, DbSchema, TableSchema};
-use storage::{
-    execute_query_oracle_with, execute_query_with, Database, Engine, ExecOptions, Value,
-};
+use storage::{execute_query_oracle, execute_query_with, Database, Engine, Value};
 
 fn schema() -> DbSchema {
     DbSchema {
@@ -103,12 +101,8 @@ fn rows_bits(rs: &storage::ResultSet) -> Vec<Vec<u64>> {
 
 fn check(db: &Database, sql: &str) {
     let q = parse_query(sql).unwrap();
-    let opts = ExecOptions {
-        engine: Engine::Columnar,
-        ..ExecOptions::default()
-    };
-    let oracle = execute_query_oracle_with(db, &q, opts).unwrap();
-    let columnar = execute_query_with(db, &q, opts).unwrap();
+    let oracle = execute_query_oracle(db, &q).unwrap();
+    let columnar = execute_query_with(db, &q, Engine::Columnar).unwrap();
     assert_eq!(
         rows_bits(&oracle),
         rows_bits(&columnar),

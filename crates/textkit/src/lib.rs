@@ -3,7 +3,7 @@
 //! Deterministic GPT-approximating tokenizer (for the paper's token-efficiency
 //! metric), hashed sentence embeddings with cosine similarity (for example
 //! selection), domain-word masking (for masked-question similarity), and
-//! generic word-level similarity measures.
+//! character edit distance (for near-miss column suggestions).
 //!
 //! ```
 //! use textkit::{Tokenizer, text_cosine, DomainMasker};
@@ -24,5 +24,5 @@ pub mod tokenizer;
 
 pub use embed::{embed, embed_into, text_cosine, Embedding, DIM};
 pub use mask::{DomainMasker, MASK};
-pub use similar::{edit_distance, word_edit_similarity, word_jaccard};
+pub use similar::edit_distance;
 pub use tokenizer::Tokenizer;

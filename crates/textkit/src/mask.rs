@@ -68,11 +68,6 @@ impl DomainMasker {
         }
         out.join(" ")
     }
-
-    /// Number of distinct domain terms known to the masker.
-    pub fn term_count(&self) -> usize {
-        self.terms.len()
-    }
 }
 
 /// Words never treated as domain terms even if a schema coincidentally uses

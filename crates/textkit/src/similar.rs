@@ -1,47 +1,5 @@
-//! Generic text-similarity utilities: word Jaccard and normalized edit
-//! distance, used as alternatives/components of selection strategies.
-//!
-//! Both metrics tokenize by borrowing `&str` slices out of one lowercased
-//! buffer instead of allocating a `String` per word, and the Levenshtein
-//! core keeps a single row plus a diagonal temporary rather than two full
-//! rows — these run inside the selection loop, once per candidate.
-
-/// Lowercased word list of a text, borrowing slices of `lower`.
-///
-/// `lower` must already be lowercased; the split keeps `<` and `>` so
-/// mask tokens like `<mask>` survive as words.
-fn words(lower: &str) -> Vec<&str> {
-    lower
-        .split(|c: char| !c.is_alphanumeric() && c != '_' && c != '<' && c != '>')
-        .filter(|w| !w.is_empty())
-        .collect()
-}
-
-/// Jaccard similarity over word sets, in `[0, 1]`.
-pub fn word_jaccard(a: &str, b: &str) -> f64 {
-    use std::collections::HashSet;
-    let (la, lb) = (a.to_lowercase(), b.to_lowercase());
-    let sa: HashSet<&str> = words(&la).into_iter().collect();
-    let sb: HashSet<&str> = words(&lb).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    let union = sa.len() + sb.len() - inter;
-    inter as f64 / union as f64
-}
-
-/// 1 − normalized word-level Levenshtein distance, in `[0, 1]`.
-pub fn word_edit_similarity(a: &str, b: &str) -> f64 {
-    let (la, lb) = (a.to_lowercase(), b.to_lowercase());
-    let wa = words(&la);
-    let wb = words(&lb);
-    if wa.is_empty() && wb.is_empty() {
-        return 1.0;
-    }
-    let d = levenshtein(&wa, &wb);
-    1.0 - d as f64 / wa.len().max(wb.len()) as f64
-}
+//! Character edit distance. The Levenshtein core keeps a single row plus a
+//! diagonal temporary rather than two full rows.
 
 /// Character-level Levenshtein distance, case-insensitive (both inputs are
 /// lowercased first). Used by the storage executor to suggest near-miss
@@ -75,39 +33,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn jaccard_identical_is_one() {
-        assert!((word_jaccard("a b c", "c b a") - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jaccard_disjoint_is_zero() {
-        assert_eq!(word_jaccard("x y", "p q"), 0.0);
-    }
-
-    #[test]
-    fn edit_similarity_orders_sensibly() {
-        let base = "how many singers are there";
-        let close = "how many stadiums are there";
-        let far = "return the average capacity grouped by city";
-        assert!(word_edit_similarity(base, close) > word_edit_similarity(base, far));
-    }
-
-    #[test]
-    fn both_metrics_bounded() {
-        for (a, b) in [("", ""), ("a", ""), ("one two", "two one three")] {
-            for s in [word_jaccard(a, b), word_edit_similarity(a, b)] {
-                assert!((0.0..=1.0).contains(&s), "{a:?} {b:?} -> {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn mask_tokens_participate() {
-        // `<mask>` should count as a word so masked questions compare.
-        assert!(word_jaccard("<mask> are there", "<mask> are there") > 0.99);
-    }
-
-    #[test]
     fn single_row_levenshtein_matches_textbook_cases() {
         fn d(a: &str, b: &str) -> usize {
             let wa: Vec<char> = a.chars().collect();
@@ -128,10 +53,5 @@ mod tests {
         assert_eq!(edit_distance("Name", "name"), 0);
         assert_eq!(edit_distance("", "ab"), 2);
         assert_eq!(edit_distance("singer_id", "singerid"), 1);
-    }
-
-    #[test]
-    fn edit_similarity_is_case_insensitive() {
-        assert!((word_edit_similarity("How Many", "how many") - 1.0).abs() < 1e-12);
     }
 }

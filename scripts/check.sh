@@ -5,7 +5,8 @@
 # sampling, the differential engine oracle, crash recovery, exit codes)
 # lives in the Rust suite, run once here by `cargo test --workspace`.
 # This script holds only what that debug-build run cannot:
-#   - fmt, clippy, rustdoc and the workspace test run itself;
+#   - fmt, clippy, a type check of e2e-bench (outside the workspace),
+#     rustdoc and the workspace test run itself;
 #   - three source lints (print statements in library code,
 #     process-global telemetry, DAIL_ environment readers);
 #   - six gates that need a release build or wall-clock timing: the
@@ -22,6 +23,12 @@ cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo check e2e-bench (a workspace of its own that calls the library)"
+# The workspace build does not see e2e-bench, so a change to an API it
+# calls (storage's execute_query, execute_query_oracle, results_match)
+# must fail this gate rather than the benchmark run.
+cargo check --offline --manifest-path e2e-bench/Cargo.toml --all-targets
 
 echo "==> cargo doc -D warnings (no dangling or private doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
