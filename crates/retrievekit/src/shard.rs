@@ -39,14 +39,21 @@ pub fn resolve_threads() -> usize {
 /// so the answer equals [`crate::full_sort`] over the dense oracle.
 ///
 /// Uses sharded scoring across [`resolve_threads`] workers when the pool
-/// is large enough; the result is identical either way.
+/// is large enough; the result is identical either way. Below
+/// [`PARALLEL_THRESHOLD`] the scan stays on this thread, so the worker
+/// count is not resolved at all.
 pub fn top_k_cosine(
     matrix: &SparseMatrix,
     query: &[f32],
     rows: usize,
     k: usize,
 ) -> Vec<(f32, u32)> {
-    top_k_cosine_with_threads(matrix, query, rows, k, resolve_threads())
+    let threads = if rows.min(matrix.len()) < PARALLEL_THRESHOLD {
+        1
+    } else {
+        resolve_threads()
+    };
+    top_k_cosine_with_threads(matrix, query, rows, k, threads)
 }
 
 /// [`top_k_cosine`] across an explicit worker count, so tests can pin it

@@ -132,7 +132,7 @@ impl Decoder<'_, '_> {
 
     /// Comparison operator implied by the question's wording.
     fn cmp_op(&self) -> CmpOp {
-        let q = format!(" {} ", self.linker.parsed.question.to_lowercase());
+        let q = format!(" {} ", self.linker.question());
         if q.contains("at least") {
             CmpOp::Ge
         } else if q.contains("at most") {
@@ -162,7 +162,7 @@ impl Decoder<'_, '_> {
     /// falls back to a name/title column, never an id.
     fn projection(&self, ti: usize, exclude: Option<usize>) -> usize {
         let ranked = self.linker.ranked_columns(ti);
-        for &(ci, score) in &ranked {
+        for &(ci, score) in ranked {
             if Some(ci) == exclude || self.linker.is_idlike(ti, ci) {
                 continue;
             }
@@ -172,11 +172,10 @@ impl Decoder<'_, '_> {
         }
         // Name/title columns read best.
         let t = self.linker.table(ti);
-        for (ci, cname) in t.columns.iter().enumerate() {
-            let lc = cname.to_lowercase();
-            if Some(ci) != exclude && (lc == "name" || lc == "title" || lc.ends_with("_name")) {
-                return ci;
-            }
+        if let Some(ci) = (0..t.columns.len())
+            .find(|&ci| Some(ci) != exclude && self.linker.is_name_column(ti, ci))
+        {
+            return ci;
         }
         // First non-id, non-excluded column in schema order.
         (0..t.columns.len())
@@ -196,7 +195,7 @@ impl Decoder<'_, '_> {
         // No capitalized/quoted value in the question: sampled table content
         // in the prompt can still identify it ("equal to pop" → 'Pop'). This
         // is the mechanism behind the paper's table-content toggle.
-        let q = format!(" {} ", self.linker.parsed.question.to_lowercase());
+        let q = format!(" {} ", self.linker.question());
         self.linker
             .parsed
             .content_values
@@ -220,12 +219,6 @@ impl Decoder<'_, '_> {
             return None;
         }
         let (a, b) = (ranked[0].0, ranked[1].0);
-        if let Some((ca, cb)) = self.linker.fk_between(b, a) {
-            // fk_between(child?, parent?) returned (col_in_b, col_in_a):
-            // orient so that `from` is the parent (the table whose column is
-            // referenced). We check both directions explicitly instead.
-            let _ = (ca, cb);
-        }
         // Explicit orientation from FK edges. Even with FK info, weaker
         // models occasionally confuse which side of the relationship the
         // question asks about.
@@ -351,7 +344,7 @@ impl Decoder<'_, '_> {
     }
 
     fn agg_func_from_question(&self) -> AggFunc {
-        let q = self.linker.parsed.question.to_lowercase();
+        let q = self.linker.question();
         if q.contains("average") || q.contains("typical") {
             AggFunc::Avg
         } else if q.contains("total") || q.contains("sum") {
@@ -379,7 +372,7 @@ impl Decoder<'_, '_> {
     }
 
     fn sort_dir(&self) -> SortDir {
-        let q = self.linker.parsed.question.to_lowercase();
+        let q = self.linker.question();
         if q.contains("lowest")
             || q.contains("smallest")
             || q.contains("ranks last")
@@ -682,7 +675,7 @@ impl Decoder<'_, '_> {
             op: CmpOp::Eq,
             right: Operand::Expr(Expr::Lit(v)),
         };
-        let q = self.linker.parsed.question.to_lowercase();
+        let q = self.linker.question();
         let cond = if q.contains(" or ") {
             Cond::Or(Box::new(left), Box::new(right))
         } else {

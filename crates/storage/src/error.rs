@@ -13,8 +13,6 @@ pub enum ExecError {
     UnknownTable(String),
     /// Referenced column cannot be resolved in scope.
     UnknownColumn(String),
-    /// Unqualified column name matches more than one table in scope.
-    AmbiguousColumn(String),
     /// Row arity does not match the table schema.
     Arity {
         /// Table name.
@@ -41,7 +39,6 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::UnknownTable(t) => write!(f, "unknown table: {t}"),
             ExecError::UnknownColumn(c) => write!(f, "unknown column: {c}"),
-            ExecError::AmbiguousColumn(c) => write!(f, "ambiguous column: {c}"),
             ExecError::Arity {
                 table,
                 expected,

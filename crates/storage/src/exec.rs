@@ -995,7 +995,6 @@ impl<'a> Executor<'a> {
                 .repr_row()
                 .map(|r| r[idx].clone())
                 .unwrap_or(Value::Null)),
-            Err(e @ ExecError::AmbiguousColumn(_)) => Err(e),
             Err(_) => {
                 // Correlated reference: walk outer scopes, innermost first,
                 // and note which one was read for the subquery memo.
@@ -1352,7 +1351,11 @@ fn split_equi_keys(on: &Cond, cols: &[(String, String)], n_left: usize) -> Optio
     }
 }
 
-/// Resolve a column reference against relation labels.
+/// Resolve a column reference against relation labels. A qualified name
+/// must match its binding; an unqualified name that several bindings carry
+/// resolves to the first occurrence, as SQLite resolves Spider's
+/// join-duplicated key columns, so `ON a = b` and `WHERE a = b` read the
+/// same columns.
 fn resolve(cols: &[(String, String)], c: &ColumnRef) -> ExecResult<usize> {
     let name = c.column.to_lowercase();
     match &c.table {
@@ -1362,25 +1365,10 @@ fn resolve(cols: &[(String, String)], c: &ColumnRef) -> ExecResult<usize> {
                 .position(|(b, n)| *b == t && *n == name)
                 .ok_or_else(|| ExecError::UnknownColumn(format!("{t}.{name}")))
         }
-        None => {
-            let mut it = cols.iter().enumerate().filter(|(_, (_, n))| *n == name);
-            match (it.next(), it.next()) {
-                (Some((i, _)), None) => Ok(i),
-                (Some((i, (b1, _))), Some((_, (b2, _)))) => {
-                    if b1 == b2 {
-                        // Same binding twice cannot happen; different bindings
-                        // with the same column name is genuinely ambiguous,
-                        // but SQLite resolves join-duplicated key columns to
-                        // the first occurrence in practice for Spider gold
-                        // queries. Prefer the first occurrence.
-                        Ok(i)
-                    } else {
-                        Ok(i)
-                    }
-                }
-                _ => Err(ExecError::UnknownColumn(name)),
-            }
-        }
+        None => cols
+            .iter()
+            .position(|(_, n)| *n == name)
+            .ok_or(ExecError::UnknownColumn(name)),
     }
 }
 
