@@ -117,10 +117,9 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "stats",
-        usage: "DB_ID [--out FILE] [--roundtrip] [bench flags]",
-        about: "per-table / per-column statistics as JSONL; --roundtrip\n\
-                re-parses the output and exits 1 unless byte-identical",
-        reads: &[&["roundtrip", "out"], BENCH_FLAGS],
+        usage: "DB_ID [--out FILE] [bench flags]",
+        about: "per-table / per-column statistics as JSONL",
+        reads: &[&["out"], BENCH_FLAGS],
         run: stats_cmd,
     },
     Command {
@@ -484,14 +483,12 @@ fn explain_cmd(positional: &[&String], flags: &HashMap<String, String>) {
             std::process::exit(2);
         }
     };
-    let stats = storage::collect(db);
     let canonical = flags.contains_key("canonical");
     if flags.contains_key("analyze") {
         match storage::execute_query_analyzed(
             db,
             &q,
             storage::Engine::default(),
-            Some(&stats),
             obskit::TraceContext::disabled(),
         ) {
             Ok(an) => print!("{}", an.plan.render(true, canonical)),
@@ -501,42 +498,22 @@ fn explain_cmd(positional: &[&String], flags: &HashMap<String, String>) {
             }
         }
     } else {
-        let plan = storage::explain_query(db, &q, storage::Engine::default(), Some(&stats));
+        let plan = storage::explain_query(db, &q, storage::Engine::default());
         print!("{}", plan.render(false, canonical));
     }
 }
 
 /// `stats`: collect per-table / per-column statistics for one database and
-/// emit them as JSONL. `--roundtrip` re-parses the emitted text and exits 1
-/// unless re-serialization is byte-identical (the format's invariant).
+/// emit them as JSONL.
 fn stats_cmd(positional: &[&String], flags: &HashMap<String, String>) {
     let [db_id] = positional else {
-        eprintln!("stats requires: dail_sql_cli stats DB_ID [--out FILE] [--roundtrip]");
+        eprintln!("stats requires: dail_sql_cli stats DB_ID [--out FILE]");
         std::process::exit(2);
     };
     let bench = bench_from_flags(flags);
     let db = db_by_id(&bench, db_id);
     let stats = storage::collect(db);
     let jsonl = stats.to_jsonl();
-    if flags.contains_key("roundtrip") {
-        match storage::DbStats::from_jsonl(&jsonl) {
-            Ok(back) if back.to_jsonl() == jsonl => {
-                eprintln!(
-                    "round-trip OK: {} tables, {} bytes",
-                    stats.tables.len(),
-                    jsonl.len()
-                );
-            }
-            Ok(_) => {
-                eprintln!("FATAL: stats JSONL round-trip is not byte-identical");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("FATAL: emitted stats JSONL does not parse back: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     match flags.get("out") {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &jsonl) {
@@ -663,7 +640,7 @@ fn exec_bench(flags: &HashMap<String, String>) {
         let q = sqlkit::parse_query(sql).expect("workload SQL parses");
         // Each workload query is its own traced request.
         let request = obskit::TraceContext::root(i as u64, true, None);
-        match storage::execute_query_analyzed(&db, &q, engine, None, request) {
+        match storage::execute_query_analyzed(&db, &q, engine, request) {
             Ok(an) => println!("{name}: {} rows", an.result.rows.len()),
             Err(e) => {
                 eprintln!("exec-bench query {name} failed: {e}");

@@ -1330,17 +1330,9 @@ fn explain_analyze_surfaces_near_miss_column_suggestions() {
 }
 
 #[test]
-fn stats_round_trip_is_byte_identical() {
+fn stats_prints_database_jsonl() {
     let out = cli()
-        .args([
-            "stats",
-            "concert_singer",
-            "--roundtrip",
-            "--train",
-            "40",
-            "--dev",
-            "10",
-        ])
+        .args(["stats", "concert_singer", "--train", "40", "--dev", "10"])
         .output()
         .expect("binary runs");
     assert!(
@@ -1348,7 +1340,6 @@ fn stats_round_trip_is_byte_identical() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("round-trip OK"));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("\"db\":\"concert_singer\""), "{text}");
     assert!(text.contains("\"ndv\""), "{text}");
@@ -1931,6 +1922,8 @@ fn unknown_flag_exits_2_and_names_it() {
         vec!["exec-bench", "--tsdb-max-series", "2"],
         vec!["serve-bench", "--tsdb-max-series", "2"],
         vec!["slo-report", "--tsdb-max-series", "2"],
+        // Nothing reads stats JSONL back, so there is no round trip to check.
+        vec!["stats", "--roundtrip"],
     ] {
         let out = cli().args(&args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -45,7 +45,7 @@ pub fn score_item_traced(
     let executed = {
         let (_span, xctx) = trace.span("eval.execution");
         let pred_rs = if digests.is_some() {
-            execute_query_analyzed(db, &pred, Engine::default(), None, xctx).map(|an| {
+            execute_query_analyzed(db, &pred, Engine::default(), xctx).map(|an| {
                 let obs = QueryObs {
                     exec_ns: an.plan.total_self_ns(),
                     rows_scanned: an.plan.rows_scanned(),

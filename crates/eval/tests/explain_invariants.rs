@@ -61,7 +61,6 @@ proptest! {
             db,
             &item.gold,
             Engine::default(),
-            None,
             obskit::TraceContext::disabled(),
         )
         .expect("gold queries always execute");
@@ -107,7 +106,6 @@ fn exec_span_duration_equals_self_time_total() {
             b.db(item),
             &item.gold,
             Engine::default(),
-            None,
             obskit::TraceContext::root(item.id as u64, true, None),
         )
         .expect("gold queries always execute");

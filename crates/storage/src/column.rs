@@ -1,17 +1,15 @@
 //! Columnar table representation: per-column typed vectors with validity
 //! bitmaps, built lazily (and cached) from a table's row store.
 //!
-//! The columnar form exists purely for *predicate evaluation*: the
-//! vectorized kernels ([`crate::kernels`]) and the sorted secondary indexes
-//! ([`crate::index`]) read typed vectors, while result rows are always
-//! materialized from the original `Vec<Row>` by rowid (late
-//! materialization). Output values are therefore bit-identical to the
-//! row-at-a-time reference interpreter by construction — the columnar path
-//! only ever decides *which* rows survive, never *what* their cells contain.
+//! The columnar form exists purely for *predicate evaluation* and join
+//! keys: the vectorized kernels ([`crate::kernels`]) sweep typed vectors,
+//! while result rows are always materialized from the original `Vec<Row>`
+//! by rowid (late materialization). Output values are therefore
+//! bit-identical to the row-at-a-time reference interpreter by
+//! construction — the columnar path only ever decides *which* rows
+//! survive, never *what* their cells contain.
 
-use crate::index::SortedIndex;
 use crate::value::{Row, Value};
-use std::sync::OnceLock;
 
 /// Typed storage for one column.
 ///
@@ -41,18 +39,9 @@ pub(crate) struct Column {
     /// Number of NULL cells.
     pub n_nulls: usize,
     /// Whether any float cell is NaN. NaN compares `Equal` to everything
-    /// under [`crate::value::float_total_cmp`], which is not a total order,
-    /// so NaN columns refuse index builds and hash joins.
+    /// under [`crate::value::float_total_cmp`], so it cannot be bucketed
+    /// and a join on a NaN column takes the pairwise loop.
     pub has_nan: bool,
-    /// A mixed column holds both `Int` and `Float` cells *and* an integer
-    /// beyond f64's exact range: `Value::total_cmp` then compares Int/Int
-    /// exactly but Int/Float through a lossy cast, which is not transitive
-    /// (`2^53 == 2^53.0 == 2^53+1` yet `2^53 < 2^53+1`), so a sort over it
-    /// is unreliable and the column refuses an index.
-    pub int_float_ambiguous: bool,
-    /// Lazily built sorted secondary index (`None` once built when the
-    /// column cannot support one, i.e. it contains NaN).
-    index: OnceLock<Option<SortedIndex>>,
 }
 
 impl Column {
@@ -61,7 +50,6 @@ impl Column {
         let mut validity = vec![0u64; n.div_ceil(64)];
         let mut n_nulls = 0usize;
         let mut has_nan = false;
-        let mut int_float_ambiguous = false;
         let (mut all_int, mut all_float, mut all_str) = (true, true, true);
         for (i, row) in rows.iter().enumerate() {
             match &row[ci] {
@@ -104,11 +92,6 @@ impl Column {
             has_nan |= cells
                 .iter()
                 .any(|v| matches!(v, Value::Float(f) if f.is_nan()));
-            let has_float = cells.iter().any(|v| matches!(v, Value::Float(_)));
-            int_float_ambiguous = has_float
-                && cells
-                    .iter()
-                    .any(|v| matches!(v, Value::Int(i) if i.unsigned_abs() > (1u64 << 53)));
             ColumnData::Mixed(cells)
         };
         Column {
@@ -116,8 +99,6 @@ impl Column {
             validity,
             n_nulls,
             has_nan,
-            int_float_ambiguous,
-            index: OnceLock::new(),
         }
     }
 
@@ -180,28 +161,6 @@ impl Column {
             ColumnData::Str(xs) => ValueKey::Str(&xs[i]),
             ColumnData::Mixed(xs) => return exact_key(&xs[i]),
         })
-    }
-
-    /// Whether a sorted index over this column is sound: the comparator
-    /// must be a total order over its cells, which rules out NaN and
-    /// ambiguous int/float mixes beyond 2^53. The planner consults the
-    /// same gate, so access-path choice and index construction agree.
-    pub fn indexable(&self) -> bool {
-        !self.has_nan && !self.int_float_ambiguous
-    }
-
-    /// The sorted secondary index for this column, built on first use.
-    /// `None` when the column cannot support one (see [`Self::indexable`]).
-    pub fn sorted_index(&self) -> Option<&SortedIndex> {
-        self.index
-            .get_or_init(|| {
-                if self.indexable() {
-                    Some(SortedIndex::build(self))
-                } else {
-                    None
-                }
-            })
-            .as_ref()
     }
 }
 

@@ -56,7 +56,7 @@ pub fn execute_query(db: &Database, q: &Query) -> ExecResult<ResultSet> {
 
 /// Execute on an explicit engine.
 pub fn execute_query_with(db: &Database, q: &Query, engine: Engine) -> ExecResult<ResultSet> {
-    let ex = Executor::new(db, engine, None, None);
+    let ex = Executor::new(db, engine, None);
     let out = ex.run(q);
     if obskit::enabled() {
         let g = obskit::current();
@@ -88,22 +88,19 @@ pub struct Analyzed {
 /// ([`Plan::record_observations`]) are recorded, and when `trace` is
 /// recording a `storage.exec` span with exactly that duration is emitted
 /// under the innermost open span. A request that was sampled out emits
-/// no span. Pass [`crate::stats::DbStats`] to sharpen the plan's
-/// cardinality estimates.
+/// no span. The plan's cardinality estimates read
+/// [`Database::cached_stats`], as the planner does, so the plan shown is
+/// the plan run.
 pub fn execute_query_analyzed(
     db: &Database,
     q: &Query,
     engine: Engine,
-    stats: Option<&crate::stats::DbStats>,
     trace: obskit::TraceContext,
 ) -> ExecResult<Analyzed> {
-    // Resolve statistics once and hand the same reference to both the plan
-    // builder and the executor, so the plan shown is the plan run.
-    let stats = stats.unwrap_or_else(|| db.cached_stats());
-    let (mut nodes, root, map) = crate::explain::build_plan(db, q, engine, Some(stats));
+    let (mut nodes, root, map) = crate::explain::build_plan(db, q, engine);
     let probe = Probe::new(map, nodes.len());
     let (out, rows_scanned) = {
-        let ex = Executor::new(db, engine, Some(stats), Some(&probe));
+        let ex = Executor::new(db, engine, Some(&probe));
         probe.enter(root);
         let out = ex.run(q);
         probe.exit();
@@ -180,10 +177,6 @@ impl<'a> Ctx<'a> {
 struct Executor<'a> {
     db: &'a Database,
     engine: Engine,
-    /// Pre-resolved statistics for analyzed runs (must match what the plan
-    /// builder saw); the columnar front-end falls back to
-    /// [`Database::cached_stats`] when absent.
-    stats: Option<&'a crate::stats::DbStats>,
     /// Base-table rows materialized by scans (telemetry only).
     rows_scanned: Cell<u64>,
     /// Per-operator probe for analyzed runs; `None` on the normal path, in
@@ -211,16 +204,10 @@ impl Drop for ProbeGuard<'_> {
 }
 
 impl<'a> Executor<'a> {
-    fn new(
-        db: &'a Database,
-        engine: Engine,
-        stats: Option<&'a crate::stats::DbStats>,
-        probe: Option<&'a Probe>,
-    ) -> Self {
+    fn new(db: &'a Database, engine: Engine, probe: Option<&'a Probe>) -> Self {
         Executor {
             db,
             engine,
-            stats,
             rows_scanned: Cell::new(0),
             probe,
             memo: RefCell::new(HashMap::new()),
@@ -301,10 +288,7 @@ impl<'a> Executor<'a> {
         // statically safe; otherwise the reference scan → join → filter
         // path runs. Both produce identical rows in identical order.
         let front = match (&s.from, self.engine) {
-            (Some(_), Engine::Columnar) => {
-                let stats = self.stats.unwrap_or_else(|| self.db.cached_stats());
-                crate::planner::plan_front(self.db, s, stats)
-            }
+            (Some(_), Engine::Columnar) => crate::planner::plan_front(self.db, s),
             _ => None,
         };
         let Relation {
@@ -501,19 +485,19 @@ impl<'a> Executor<'a> {
         Ok(rel)
     }
 
-    /// Columnar FROM + WHERE: per-table rowid selections via the planned
-    /// access path (index range or full scan) refined by pushed kernels,
-    /// flat rowid-tuple joins in planner order, restoration of reference row
-    /// order, then the residual WHERE over late-materialized rows. Output
-    /// rows are cloned from the row store, so they are bit-identical to the
-    /// reference `exec_from` + WHERE loop.
+    /// Columnar FROM + WHERE: per-table rowid selections, each the full
+    /// table refined by its pushed kernels, flat rowid-tuple joins in
+    /// planner order, restoration of reference row order, then the residual
+    /// WHERE over late-materialized rows. Output rows are cloned from the
+    /// row store, so they are bit-identical to the reference `exec_from` +
+    /// WHERE loop.
     fn exec_front_columnar(
         &self,
         fp: crate::planner::FrontPlan<'_>,
         outers: &[OuterScope<'_>],
         pids: &SelectIds,
     ) -> ExecResult<Relation> {
-        use crate::planner::{AccessPath, WhereMode};
+        use crate::planner::WhereMode;
         let n_pos = fp.tables.len();
 
         // Combined output labels, in FROM order (as the reference builds).
@@ -535,18 +519,7 @@ impl<'a> Executor<'a> {
             let ct = self.db.columnar(&t.name).expect("planned table");
             let pid = self.scan_pid(t.tref);
             let g = self.pg(pid);
-            let mut sel: Vec<u32> = match &t.access {
-                AccessPath::Scan => (0..ct.n_rows as u32).collect(),
-                AccessPath::IndexRange { col, lo, hi, .. } => {
-                    let c = &ct.columns[*col];
-                    let idx = c.sorted_index().expect("planner excludes NaN columns");
-                    idx.range(
-                        c,
-                        lo.as_ref().map(|(v, inc)| (v, *inc)),
-                        hi.as_ref().map(|(v, inc)| (v, *inc)),
-                    )
-                }
-            };
+            let mut sel: Vec<u32> = (0..ct.n_rows as u32).collect();
             for kp in &t.pushed {
                 sel = crate::kernels::filter(kp, ct, sel);
             }
@@ -1759,7 +1732,7 @@ mod tests {
     fn on_resolves_like_where_and_explain_tags_the_join_run() {
         let tag = |sql: &str| {
             let q = parse_query(sql).unwrap();
-            let plan = crate::explain_query(&db(), &q, Engine::Oracle, None);
+            let plan = crate::explain_query(&db(), &q, Engine::Oracle);
             let join = plan.nodes.iter().find(|n| n.kind == crate::OpKind::Join);
             join.unwrap().label.clone()
         };
@@ -2069,7 +2042,7 @@ mod tests {
 
     fn analyze(sql: &str) -> Analyzed {
         let q = parse_query(sql).unwrap();
-        execute_query_analyzed(&db(), &q, Engine::default(), None, TraceContext::disabled())
+        execute_query_analyzed(&db(), &q, Engine::default(), TraceContext::disabled())
             .unwrap_or_else(|e| panic!("analyze failed for {sql}: {e}"))
     }
 
@@ -2169,8 +2142,8 @@ mod tests {
 
         // Oracle engine: the reference accounting is unchanged.
         let q = parse_query("SELECT name FROM singer WHERE age > 40").unwrap();
-        let an = execute_query_analyzed(&db(), &q, Engine::Oracle, None, TraceContext::disabled())
-            .unwrap();
+        let an =
+            execute_query_analyzed(&db(), &q, Engine::Oracle, TraceContext::disabled()).unwrap();
         let filter = an
             .plan
             .nodes

@@ -12,9 +12,11 @@
 //! `storage.exec` span is emitted with exactly that sum.
 //!
 //! Cardinality estimates are deliberately crude (textbook selectivity
-//! constants, exact NDV from [`crate::stats`] when supplied): they exist so
-//! `EXPLAIN` output shows estimated vs. actual rows, which is the oracle the
-//! ROADMAP's cost-based planner will be tuned against.
+//! constants, sharpened by the exact NDV and null fractions of
+//! [`Database::cached_stats`]): they exist so `EXPLAIN` output shows
+//! estimated vs. actual rows on every operator. On a columnar front the
+//! scan and join nodes carry the planner's own estimates, the ones that
+//! chose its join order.
 
 use crate::db::Database;
 use crate::exec::Engine;
@@ -356,7 +358,7 @@ fn scope_resolve<'s>(scope: &'s [ScopeCol], c: &ColumnRef) -> Option<&'s ScopeCo
 
 struct Planner<'a> {
     db: &'a Database,
-    stats: Option<&'a DbStats>,
+    stats: &'a DbStats,
     engine: Engine,
     nodes: Vec<PlanNode>,
     map: PlanMap,
@@ -416,17 +418,15 @@ impl<'a> Planner<'a> {
 
         // FROM + WHERE. When the columnar engine will run this select, ask
         // the cost-based planner — the same `plan_front` call the executor
-        // makes with the same inputs — and mirror its decisions (access
-        // paths, pushdown, join order) in the tree. Otherwise plan the
-        // reference left-to-right chain.
+        // makes with the same inputs — and mirror its decisions (pushdown,
+        // join order) in the tree. Otherwise plan the reference
+        // left-to-right chain.
         let mut scope: Scope = Some(Vec::new());
         let mut cur: Option<usize> = None;
         let mut in_est = 1u64;
         let mut front_done = false;
         if s.from.is_some() && self.engine == Engine::Columnar {
-            let db = self.db;
-            let stats = self.stats.unwrap_or_else(|| db.cached_stats());
-            if let Some(fp) = crate::planner::plan_front(db, s, stats) {
+            if let Some(fp) = crate::planner::plan_front(self.db, s) {
                 let (id, sc, est) = self.plan_columnar_front(fp, &mut ids);
                 cur = Some(id);
                 scope = sc;
@@ -601,10 +601,9 @@ impl<'a> Planner<'a> {
     }
 
     /// Plan-tree construction for a columnar front-end: scan nodes carry
-    /// the chosen access path (`via index(col)`) and pushed predicates,
-    /// join nodes appear in *execution* order with the cost model's own
-    /// estimates, and only residual (or row-wise) WHERE work gets a filter
-    /// node. Node shapes mirror `exec_front_columnar` exactly, so the
+    /// their pushed predicates, join nodes appear in *execution* order with
+    /// the cost model's own estimates, and only residual (or row-wise)
+    /// WHERE work gets a filter node. Node shapes mirror `exec_front_columnar` exactly, so the
     /// est-vs-act lines compare the decision the planner made against what
     /// that decision actually produced.
     fn plan_columnar_front(
@@ -612,7 +611,7 @@ impl<'a> Planner<'a> {
         fp: crate::planner::FrontPlan<'_>,
         ids: &mut SelectIds,
     ) -> (usize, Scope, u64) {
-        use crate::planner::{AccessPath, WhereMode};
+        use crate::planner::WhereMode;
 
         // Scope in FROM order (downstream GROUP BY estimates read it).
         let mut sc: Vec<ScopeCol> = Vec::new();
@@ -628,7 +627,7 @@ impl<'a> Planner<'a> {
         }
         let scope: Scope = Some(sc);
 
-        // One scan node per FROM table, labelled with its access path.
+        // One scan node per FROM table, labelled with its pushed predicates.
         let mut scan_ids = Vec::with_capacity(fp.tables.len());
         for t in &fp.tables {
             let mut label = if t.binding == t.name {
@@ -636,9 +635,6 @@ impl<'a> Planner<'a> {
             } else {
                 format!("scan {} as {}", t.name, t.binding)
             };
-            if let AccessPath::IndexRange { col_name, .. } = &t.access {
-                let _ = write!(label, " via index({col_name})");
-            }
             if !t.pushed_displays.is_empty() {
                 let _ = write!(label, " [{}]", t.pushed_displays.join(" AND "));
             }
@@ -706,7 +702,7 @@ impl<'a> Planner<'a> {
             TableRef::Named { name, alias } => {
                 let lower = name.to_lowercase();
                 let binding = alias.as_deref().unwrap_or(name).to_lowercase();
-                let est = match self.stats.and_then(|st| st.table(&lower)) {
+                let est = match self.stats.table(&lower) {
                     Some(ts) => ts.rows,
                     None => self.db.rows(name).map(|r| r.len() as u64).unwrap_or(0),
                 };
@@ -810,7 +806,7 @@ impl<'a> Planner<'a> {
 
     fn ndv_of(&self, sc: &ScopeCol) -> Option<u64> {
         let (t, c) = sc.src.as_ref()?;
-        Some(self.stats?.table(t)?.column(c)?.ndv)
+        Some(self.stats.table(t)?.column(c)?.ndv)
     }
 
     fn col_ndv(&self, scope: Option<&[ScopeCol]>, c: &ColumnRef) -> Option<u64> {
@@ -820,7 +816,7 @@ impl<'a> Planner<'a> {
     fn col_null_frac(&self, scope: Option<&[ScopeCol]>, c: &ColumnRef) -> Option<f64> {
         let sc = scope_resolve(scope?, c)?;
         let (t, cn) = sc.src.as_ref()?;
-        let ts = self.stats?.table(t)?;
+        let ts = self.stats.table(t)?;
         Some(ts.column(cn)?.null_fraction(ts.rows))
     }
 
@@ -966,11 +962,10 @@ pub(crate) fn build_plan(
     db: &Database,
     q: &Query,
     engine: Engine,
-    stats: Option<&DbStats>,
 ) -> (Vec<PlanNode>, usize, PlanMap) {
     let mut p = Planner {
         db,
-        stats,
+        stats: db.cached_stats(),
         engine,
         nodes: Vec::with_capacity(16),
         map: PlanMap::default(),
@@ -984,9 +979,9 @@ pub(crate) fn build_plan(
 }
 
 /// Build a plan for `q` without executing it (estimates only; all runtime
-/// counters zero). Pass [`DbStats`] to sharpen cardinality estimates with
-/// exact NDVs and null fractions.
-pub fn explain_query(db: &Database, q: &Query, engine: Engine, stats: Option<&DbStats>) -> Plan {
-    let (nodes, root, _map) = build_plan(db, q, engine, stats);
+/// counters zero). Cardinality estimates use the exact NDVs and null
+/// fractions of [`Database::cached_stats`].
+pub fn explain_query(db: &Database, q: &Query, engine: Engine) -> Plan {
+    let (nodes, root, _map) = build_plan(db, q, engine);
     Plan { nodes, root }
 }

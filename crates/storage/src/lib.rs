@@ -12,7 +12,16 @@
 //! means, [`Value::sql_cmp`] equality with each column resolved to its first
 //! occurrence in scope. So `-0.0` joins `0.0`, NaN joins every number, and
 //! distinct integers beyond 2^53 never join each other, whichever engine
-//! runs.
+//! runs. GROUP BY, DISTINCT, set ops and `count(DISTINCT ..)` group values
+//! the same way, through [`Value::group_key`], with the two exceptions no
+//! grouping can follow: NaN groups only with NaN, and an integer beyond
+//! 2^53 keeps apart from a float it merely rounds to.
+//!
+//! The default engine is columnar: a cost-based planner pushes each
+//! single-table WHERE conjunct into its table's scan, where it runs as a
+//! vectorized kernel over the full table, and orders the joins by
+//! estimated cardinality. [`Engine::Oracle`] is the row-at-a-time reference
+//! interpreter it is checked against ([`check_agreement`]).
 //!
 //! EX comparison semantics (see [`compare`] for the full statement): column
 //! count and row count must agree; rows compare as an order-insensitive
@@ -49,7 +58,6 @@ pub mod db;
 pub mod error;
 pub mod exec;
 pub mod explain;
-mod index;
 mod kernels;
 pub mod oracle;
 pub mod pagestore;

@@ -1,13 +1,15 @@
 //! Cost-based front-end planner for the columnar executor.
 //!
 //! [`plan_front`] analyzes one `SELECT`'s FROM + WHERE and, when the shape
-//! is *statically safe* (see below), produces a [`FrontPlan`]: per-table
-//! access paths (full scan vs. sorted-index range, driven by the exact
-//! NDV/min-max/null-fraction statistics in [`crate::stats`]), single-table
-//! predicates pushed below the joins as vectorized kernels, a greedy
-//! cost-ordered join sequence over equality edges, and a classification of
-//! the remaining WHERE work. Both the executor and `EXPLAIN` call this same
-//! function with the same inputs, so the plan shown is the plan run.
+//! is *statically safe* (see below), produces a [`FrontPlan`]: single-table
+//! predicates pushed below the joins as vectorized kernels, post-pushdown
+//! cardinality estimates from the exact NDV/min-max/null-fraction
+//! statistics in [`crate::stats`], a greedy cost-ordered join sequence over
+//! equality edges, and a classification of the remaining WHERE work. There
+//! is one access path: every FROM table starts from its full selection and
+//! runs each pushed predicate as a kernel. Both the executor and `EXPLAIN`
+//! call this same function with the same inputs, so the plan shown is the
+//! plan run.
 //!
 //! Returning `None` means "use the reference interpreter for this select" —
 //! correctness never depends on the planner recognizing a shape.
@@ -40,7 +42,7 @@
 
 use crate::db::Database;
 use crate::kernels::KernelPred;
-use crate::stats::{ColumnStats, DbStats};
+use crate::stats::ColumnStats;
 use crate::value::Value;
 use sqlkit::ast::*;
 
@@ -66,33 +68,13 @@ pub(crate) struct TableAccess<'q> {
     pub binding: String,
     /// Physical row count.
     pub n_rows: u64,
-    /// Chosen access path.
-    pub access: AccessPath,
-    /// Pushed predicates applied as vectorized kernels (the index-consumed
-    /// predicate, if any, is *not* repeated here).
+    /// Pushed predicates applied as vectorized kernels, in WHERE order.
     pub pushed: Vec<KernelPred>,
-    /// Display strings of every pushed conjunct (index-consumed included),
-    /// in WHERE order — for EXPLAIN labels.
+    /// Display strings of the pushed conjuncts, in WHERE order — for
+    /// EXPLAIN labels.
     pub pushed_displays: Vec<String>,
     /// Estimated rows after pushdown.
     pub est_rows: u64,
-}
-
-/// How a table's rows are located.
-pub(crate) enum AccessPath {
-    /// Full column scan.
-    Scan,
-    /// Sorted-index range probe on one column, consuming one predicate.
-    IndexRange {
-        /// Column index within the table.
-        col: usize,
-        /// Lowercased column name (for labels).
-        col_name: String,
-        /// Lower bound (value, inclusive).
-        lo: Option<(Value, bool)>,
-        /// Upper bound (value, inclusive).
-        hi: Option<(Value, bool)>,
-    },
 }
 
 /// One executed join step.
@@ -136,11 +118,6 @@ pub(crate) enum WhereMode<'q> {
     RowWise(&'q Cond),
 }
 
-/// Rows-out threshold below which an index probe is never worth it.
-const INDEX_MIN_ROWS: u64 = 64;
-/// Selectivity threshold above which a full scan wins.
-const INDEX_MAX_SEL: f64 = 0.25;
-
 struct Edge {
     a: (usize, usize),
     b: (usize, usize),
@@ -148,12 +125,10 @@ struct Edge {
 }
 
 /// Plan the FROM + WHERE front-end of `s`, or `None` to use the reference
-/// interpreter. Deterministic in `(db, s, stats)`.
-pub(crate) fn plan_front<'q>(
-    db: &Database,
-    s: &'q Select,
-    stats: &DbStats,
-) -> Option<FrontPlan<'q>> {
+/// interpreter. Deterministic in `(db, s)`; estimates read
+/// [`Database::cached_stats`].
+pub(crate) fn plan_front<'q>(db: &Database, s: &'q Select) -> Option<FrontPlan<'q>> {
+    let stats = db.cached_stats();
     let from = s.from.as_ref()?;
     let mut trefs: Vec<&'q TableRef> = vec![&from.base];
     trefs.extend(from.joins.iter().map(|j| &j.table));
@@ -180,7 +155,6 @@ pub(crate) fn plan_front<'q>(
             name: name.to_lowercase(),
             binding,
             n_rows,
-            access: AccessPath::Scan,
             pushed: Vec::new(),
             pushed_displays: Vec::new(),
             est_rows: n_rows,
@@ -267,56 +241,21 @@ pub(crate) fn plan_front<'q>(
         }
     }
 
-    // Access-path selection + post-pushdown estimates per table.
-    // (Capture table names separately so the closure doesn't pin `tables`,
-    // which the loop below mutates.)
+    // Post-pushdown estimates per table: the product of every pushed
+    // predicate's selectivity. (Capture table names separately so the
+    // closure doesn't pin `tables`, which the loop below mutates.)
     let table_names: Vec<String> = tables.iter().map(|t| t.name.clone()).collect();
     let col_stats = |pos: usize, ci: usize| -> Option<&ColumnStats> {
         stats.table(&table_names[pos])?.column(&col_names[pos][ci])
     };
     for (pos, preds) in pushed.into_iter().enumerate() {
         let t_rows = tables[pos].n_rows;
-        // Estimate first (the product covers every pushed pred).
-        let mut sel_prod = 1.0f64;
-        for (kp, _) in &preds {
-            sel_prod *= pred_selectivity(kp, col_stats(pos, kp.col()), t_rows);
-        }
+        let sel_prod: f64 = preds
+            .iter()
+            .map(|(kp, _)| pred_selectivity(kp, col_stats(pos, kp.col()), t_rows))
+            .product();
         tables[pos].est_rows = est_mul(t_rows, sel_prod);
-        tables[pos].pushed_displays = preds.iter().map(|(_, d)| d.clone()).collect();
-        // Index choice: best eligible range/eq predicate on an indexable
-        // column (no NaN, no lossy int/float mix — see `Column::indexable`),
-        // below the selectivity threshold.
-        let ct = db.columnar(&tables[pos].name).expect("planned table");
-        let mut best: Option<(f64, usize)> = None;
-        if t_rows >= INDEX_MIN_ROWS {
-            for (i, (kp, _)) in preds.iter().enumerate() {
-                if index_bounds(kp).is_none() || !ct.columns[kp.col()].indexable() {
-                    continue;
-                }
-                let sel = pred_selectivity(kp, col_stats(pos, kp.col()), t_rows);
-                if sel <= INDEX_MAX_SEL && best.map(|(b, _)| sel < b).unwrap_or(true) {
-                    best = Some((sel, i));
-                }
-            }
-        }
-        match best {
-            Some((_, chosen)) => {
-                for (i, (kp, _)) in preds.into_iter().enumerate() {
-                    if i == chosen {
-                        let (lo, hi) = index_bounds(&kp).expect("eligibility checked");
-                        tables[pos].access = AccessPath::IndexRange {
-                            col: kp.col(),
-                            col_name: col_names[pos][kp.col()].clone(),
-                            lo,
-                            hi,
-                        };
-                    } else {
-                        tables[pos].pushed.push(kp);
-                    }
-                }
-            }
-            None => tables[pos].pushed = preds.into_iter().map(|(kp, _)| kp).collect(),
-        }
+        (tables[pos].pushed, tables[pos].pushed_displays) = preds.into_iter().unzip();
     }
 
     // Greedy cost-ordered join sequence: start at the cheapest table, then
@@ -671,39 +610,6 @@ fn pred_selectivity(kp: &KernelPred, cs: Option<&ColumnStats>, _rows: u64) -> f6
     })
 }
 
-/// One end of a sorted-index probe range: the bound value plus whether it
-/// is inclusive; `None` leaves that end open.
-type RangeBound = Option<(Value, bool)>;
-
-/// Index eligibility: the (lo, hi) range bounds a sorted-index probe would
-/// use for this predicate, or `None` when it cannot be answered by a range.
-fn index_bounds(kp: &KernelPred) -> Option<(RangeBound, RangeBound)> {
-    match kp {
-        KernelPred::Cmp { op, lit, .. } => {
-            if lit.is_null() {
-                return None; // the kernel clears the selection anyway
-            }
-            Some(match op {
-                CmpOp::Eq => (Some((lit.clone(), true)), Some((lit.clone(), true))),
-                CmpOp::Lt => (None, Some((lit.clone(), false))),
-                CmpOp::Le => (None, Some((lit.clone(), true))),
-                CmpOp::Gt => (Some((lit.clone(), false)), None),
-                CmpOp::Ge => (Some((lit.clone(), true)), None),
-                CmpOp::Neq => return None,
-            })
-        }
-        KernelPred::Between {
-            lo,
-            hi,
-            negated: false,
-            ..
-        } if !lo.is_null() && !hi.is_null() => {
-            Some((Some((lo.clone(), true)), Some((hi.clone(), true))))
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,74 +655,52 @@ mod tests {
         let Query::Select(s) = q else {
             panic!("select")
         };
-        plan_front(db, s, db.cached_stats())
+        plan_front(db, s)
     }
 
     fn parse(sql: &str) -> Query {
         sqlkit::parse_query(sql).unwrap()
     }
 
-    // ---- index-selection decision table ----
+    // ---- pushdown and estimates ----
 
     #[test]
-    fn equality_on_large_table_picks_index() {
+    fn equality_estimate_uses_exact_ndv() {
         let d = db();
         let q = parse("SELECT * FROM big WHERE id = 7");
         let fp = plan(&d, &q).unwrap();
-        assert!(matches!(
-            fp.tables[0].access,
-            AccessPath::IndexRange { col: 0, .. }
-        ));
         // 1/ndv = 1/200 → est 1 row.
         assert_eq!(fp.tables[0].est_rows, 1);
+        assert_eq!(fp.tables[0].pushed.len(), 1);
     }
 
     #[test]
     fn wide_range_stays_a_scan() {
         let d = db();
-        // id > 10 covers ~95% of [0,199]: above the 25% threshold.
+        // id > 10 covers ~95% of [0,199].
         let q = parse("SELECT * FROM big WHERE id > 10");
         let fp = plan(&d, &q).unwrap();
-        assert!(matches!(fp.tables[0].access, AccessPath::Scan));
-        assert_eq!(fp.tables[0].pushed.len(), 1);
+        let kernel = KernelPred::Cmp {
+            col: 0,
+            op: CmpOp::Gt,
+            lit: Value::Int(10),
+        };
+        assert_eq!(fp.tables[0].pushed, [kernel]);
+        // 1 - 10/199 of 200 rows, rounded up.
+        assert_eq!(fp.tables[0].est_rows, 190);
     }
 
     #[test]
-    fn narrow_range_picks_index() {
+    fn every_pushed_conjunct_runs_as_a_kernel() {
         let d = db();
-        // id < 20 is ~10% of the span: below the threshold.
-        let q = parse("SELECT * FROM big WHERE id < 20");
-        let fp = plan(&d, &q).unwrap();
-        assert!(matches!(
-            fp.tables[0].access,
-            AccessPath::IndexRange { col: 0, .. }
-        ));
-    }
-
-    #[test]
-    fn small_table_never_indexes() {
-        let d = db();
-        let q = parse("SELECT * FROM small WHERE id = 3");
-        let fp = plan(&d, &q).unwrap();
-        assert!(matches!(fp.tables[0].access, AccessPath::Scan));
-    }
-
-    #[test]
-    fn most_selective_predicate_wins_the_index() {
-        let d = db();
-        // val = 3 has sel 1/10; id < 20 has sel ~0.1; id = 7 has sel 1/200.
+        // val = 3 has sel 1/10 and id = 7 has sel 1/200: both run as
+        // kernels, in WHERE order, and the estimate multiplies them.
         let q = parse("SELECT * FROM big WHERE val = 3 AND id = 7");
         let fp = plan(&d, &q).unwrap();
-        match &fp.tables[0].access {
-            AccessPath::IndexRange { col, col_name, .. } => {
-                assert_eq!(*col, 0);
-                assert_eq!(col_name, "id");
-            }
-            AccessPath::Scan => panic!("expected an index"),
-        }
-        // The other predicate still runs as a kernel.
-        assert_eq!(fp.tables[0].pushed.len(), 1);
-        assert_eq!(fp.tables[0].pushed_displays.len(), 2);
+        let cols: Vec<usize> = fp.tables[0].pushed.iter().map(KernelPred::col).collect();
+        assert_eq!(cols, [1, 0]);
+        assert_eq!(fp.tables[0].pushed_displays, ["val = 3", "id = 7"]);
+        assert_eq!(fp.tables[0].est_rows, 1);
     }
 
     // ---- join ordering ----
@@ -879,7 +763,6 @@ mod tests {
         // Unsafe conjunct: the whole WHERE is row-wise, nothing pushed.
         assert!(matches!(fp.where_mode, WhereMode::RowWise(_)));
         assert!(fp.tables[0].pushed.is_empty());
-        assert!(matches!(fp.tables[0].access, AccessPath::Scan));
     }
 
     #[test]
@@ -905,7 +788,12 @@ mod tests {
             WhereMode::Residual(conds) => assert_eq!(conds.len(), 1),
             _ => panic!("expected a residual"),
         }
-        assert!(matches!(fp.tables[0].access, AccessPath::IndexRange { .. }));
+        let kernel = KernelPred::Cmp {
+            col: 0,
+            op: CmpOp::Eq,
+            lit: Value::Int(7),
+        };
+        assert_eq!(fp.tables[0].pushed, [kernel]);
     }
 
     // ---- degenerate-stats guards ----
@@ -999,7 +887,6 @@ mod tests {
         // NaN·rows → 0 rows via the saturating cast.
         let q = parse("SELECT * FROM haze WHERE x < 1.0");
         let fp = plan(&d, &q).unwrap();
-        assert!(matches!(fp.tables[0].access, AccessPath::Scan));
         // Textbook 1/3 fallback: ceil(50/3) = 17, not 0 and not 50.
         assert_eq!(fp.tables[0].est_rows, 17);
     }

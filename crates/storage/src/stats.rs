@@ -1,24 +1,22 @@
-//! Table and column statistics for the (future) cost-based planner.
+//! Table and column statistics for the columnar planner and `EXPLAIN`.
 //!
 //! At current Spider-subset scale every database fits in memory, so the
 //! collector computes *exact* statistics in one pass: row counts, exact NDV,
 //! min/max, null fractions, and a log2 histogram of value byte-widths per
 //! column (reusing [`obskit::Histogram`] so the width distribution shares the
-//! fleet's histogram bucketing). The `explain` module consumes these for
-//! cardinality estimates; execution-time observations (predicate
-//! selectivities, per-operator row counts) are accumulated separately into
-//! the current obskit sink by [`crate::explain::Plan::record_observations`].
+//! fleet's histogram bucketing). The columnar planner reads them for
+//! pushdown estimates and join order, and the `explain` module for its
+//! cardinality estimates, both through [`Database::cached_stats`];
+//! execution-time observations (predicate selectivities, per-operator row
+//! counts) are accumulated separately into the current obskit sink by
+//! [`crate::explain::Plan::record_observations`].
 //!
-//! The JSONL serialization is the committed stats interchange format: one
-//! header line identifying the database, then one line per table, read back
-//! through obskit's [`Json`] parser. The format round-trips byte-exactly
-//! (`from_jsonl(to_jsonl(s)) == s` and re-serializing yields identical
-//! bytes), which the unit tests below and the CLI test
-//! `stats_round_trip_is_byte_identical` (`stats --roundtrip`) pin.
+//! [`DbStats::to_jsonl`] prints them for the `stats` subcommand: one header
+//! line identifying the database, then one JSON object per table.
 
 use crate::db::Database;
 use crate::value::Value;
-use obskit::{json_escape_into, Histogram, Json};
+use obskit::{json_escape_into, Histogram};
 use std::fmt::Write as _;
 
 /// Exact statistics for one column.
@@ -162,25 +160,6 @@ fn encode_value(v: &Option<Value>) -> String {
     }
 }
 
-fn decode_value(s: &str) -> Result<Option<Value>, String> {
-    if s.is_empty() {
-        return Ok(None);
-    }
-    let (tag, rest) = s.split_at(2.min(s.len()));
-    match tag {
-        "i:" => rest
-            .parse::<i64>()
-            .map(|i| Some(Value::Int(i)))
-            .map_err(|e| format!("bad int value {rest:?}: {e}")),
-        "f:" => rest
-            .parse::<f64>()
-            .map(|f| Some(Value::Float(f)))
-            .map_err(|e| format!("bad float value {rest:?}: {e}")),
-        "s:" => Ok(Some(Value::Str(rest.to_string()))),
-        _ => Err(format!("bad value tag in {s:?}")),
-    }
-}
-
 fn hist_json(h: &Histogram, out: &mut String) {
     let _ = write!(
         out,
@@ -229,108 +208,13 @@ impl DbStats {
         }
         out
     }
-
-    /// Parse the JSONL form back. Strict: unknown structure is an error, and
-    /// a successful parse re-serializes to identical bytes.
-    pub fn from_jsonl(text: &str) -> Result<DbStats, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = Json::parse(lines.next().ok_or("empty stats input")?)?;
-        let db_id = header
-            .get("db")
-            .and_then(Json::as_str)
-            .ok_or("header line missing \"db\"")?
-            .to_string();
-        let mut tables = Vec::new();
-        for line in lines {
-            let obj = Json::parse(line)?;
-            let name = obj
-                .get("table")
-                .and_then(Json::as_str)
-                .ok_or("table line missing \"table\"")?
-                .to_string();
-            let rows = obj
-                .get("rows")
-                .and_then(uint)
-                .ok_or("table line missing \"rows\"")?;
-            let mut columns = Vec::new();
-            for c in obj
-                .get("columns")
-                .and_then(array)
-                .ok_or("table line missing \"columns\"")?
-            {
-                let get_str = |k: &str| {
-                    c.get(k)
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("column missing {k:?}"))
-                };
-                let get_u64 = |k: &str| {
-                    c.get(k)
-                        .and_then(uint)
-                        .ok_or_else(|| format!("column missing {k:?}"))
-                };
-                let w = c.get("width").ok_or("column missing \"width\"")?;
-                let wu = |k: &str| {
-                    w.get(k)
-                        .and_then(uint)
-                        .ok_or_else(|| format!("width missing {k:?}"))
-                };
-                let mut buckets = Vec::new();
-                for pair in w
-                    .get("buckets")
-                    .and_then(array)
-                    .ok_or("width missing \"buckets\"")?
-                {
-                    let pair = array(pair).ok_or("bucket entry must be an array")?;
-                    match (pair.first().and_then(uint), pair.get(1).and_then(uint)) {
-                        (Some(b), Some(n)) if pair.len() == 2 => buckets.push((b as u32, n)),
-                        _ => return Err("bad bucket entry".to_string()),
-                    }
-                }
-                columns.push(ColumnStats {
-                    name: get_str("name")?.to_string(),
-                    ndv: get_u64("ndv")?,
-                    nulls: get_u64("nulls")?,
-                    min: decode_value(get_str("min")?)?,
-                    max: decode_value(get_str("max")?)?,
-                    width: Histogram::from_parts(
-                        wu("count")?,
-                        wu("sum")?,
-                        wu("min")?,
-                        wu("max")?,
-                        &buckets,
-                    ),
-                });
-            }
-            tables.push(TableStats {
-                name,
-                rows,
-                columns,
-            });
-        }
-        Ok(DbStats { db_id, tables })
-    }
-}
-
-/// A JSON integer that fits `u64`. Stricter than a lenient numeric read:
-/// `null`, floats and negatives are errors, not 0 or a truncation.
-fn uint(v: &Json) -> Option<u64> {
-    match v {
-        Json::Int(i) => u64::try_from(*i).ok(),
-        _ => None,
-    }
-}
-
-fn array(v: &Json) -> Option<&[Json]> {
-    match v {
-        Json::Arr(items) => Some(items),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{ColType, ColumnDef, DbSchema, TableSchema};
+    use obskit::Json;
 
     fn db() -> Database {
         let schema = DbSchema {
@@ -389,15 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_byte_exactly() {
-        let s = collect(&db());
-        let text = s.to_jsonl();
-        let back = DbStats::from_jsonl(&text).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.to_jsonl(), text, "re-serialization must be identical");
-    }
-
-    #[test]
     fn jsonl_survives_awkward_identifiers() {
         let schema = DbSchema {
             db_id: "we\"ird\\db".into(),
@@ -411,28 +286,18 @@ mod tests {
         let mut d = Database::new(schema);
         d.insert("t", vec![Value::Str("a\"b\\c\nd\te".into())])
             .unwrap();
-        let s = collect(&d);
-        let text = s.to_jsonl();
-        let back = DbStats::from_jsonl(&text).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.to_jsonl(), text);
-    }
-
-    #[test]
-    fn from_jsonl_rejects_garbage() {
-        assert!(DbStats::from_jsonl("").is_err());
-        assert!(DbStats::from_jsonl("not json\n").is_err());
-        assert!(DbStats::from_jsonl("{\"db\":\"x\"}\n{\"rows\":1}\n").is_err());
-        assert!(DbStats::from_jsonl("{\"db\":\"x\"} {}\n").is_err());
-        // A table line is accepted only when every count is a JSON integer
-        // that fits u64: null, floats and negatives do not read as numbers.
-        let table = |rows: &str| {
-            format!("{{\"db\":\"x\"}}\n{{\"table\":\"t\",\"rows\":{rows},\"columns\":[]}}\n")
+        let text = collect(&d).to_jsonl();
+        let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert_eq!(
+            lines[0].get("db").and_then(Json::as_str),
+            Some("we\"ird\\db")
+        );
+        let Some(Json::Arr(cols)) = lines[1].get("columns") else {
+            panic!("{text}")
         };
-        assert!(DbStats::from_jsonl(&table("1")).is_ok());
-        for rows in ["null", "1.5", "-1"] {
-            assert!(DbStats::from_jsonl(&table(rows)).is_err(), "rows {rows}");
-        }
+        let min = cols[0].get("min").and_then(Json::as_str);
+        assert_eq!(min, Some("s:a\"b\\c\nd\te"));
     }
 
     #[test]
@@ -452,7 +317,5 @@ mod tests {
         assert_eq!((c.ndv, c.nulls), (0, 0));
         assert_eq!(c.min, None);
         assert_eq!(c.null_fraction(0), 0.0);
-        let text = s.to_jsonl();
-        assert_eq!(DbStats::from_jsonl(&text).unwrap().to_jsonl(), text);
     }
 }

@@ -79,17 +79,35 @@ impl Value {
     }
 
     /// A normalized key string for hashing in GROUP BY, DISTINCT, set ops
-    /// and `count(DISTINCT ..)`. Its classes are: NULL alone; each number by
-    /// its f64 image, so `1` and `1.0` share a key, and so do ints beyond
-    /// 2^53 that round to one float; `-0.0` apart from `0.0`; every NaN
-    /// together; each string byte-exact. These are not `sql_cmp` equality,
-    /// which equates `-0.0` with `0.0` and NaN with every number and keeps
-    /// distinct ints apart.
+    /// and `count(DISTINCT ..)`, which group values the way `=`
+    /// ([`Value::sql_cmp`]) compares them. Its classes are:
+    ///
+    /// * NULL alone;
+    /// * an `Int` by its exact value, so distinct ints beyond 2^53 differ;
+    /// * a `Float` that holds an integer in `i64`'s range shares that
+    ///   integer's key, so `1` and `1.0` group together and `-0.0` keys as
+    ///   `0`;
+    /// * every NaN together (`=` equates NaN with every number, which no
+    ///   grouping can honour);
+    /// * any other float by its bits;
+    /// * each string byte-exact.
+    ///
+    /// One disagreement with `=` remains: an `Int` beyond 2^53 and the
+    /// `Float` it rounds to. `sql_cmp` equates them through a lossy cast,
+    /// and that equality is not transitive (`2^53 + 1 = 2^53.0 = 2^53` while
+    /// `2^53 + 1 <> 2^53`), so no key can follow it; such an `Int` keys
+    /// apart from the float unless the two hold the same integer.
     pub fn group_key(&self) -> String {
+        /// 2^63: floats in `[-2^63, 2^63)` convert to `i64` exactly.
+        const I64_END: f64 = 9_223_372_036_854_775_808.0;
         match self {
             Value::Null => "n".to_string(),
-            Value::Int(v) => format!("f{:?}", *v as f64),
-            Value::Float(v) => format!("f{v:?}"),
+            Value::Int(v) => format!("i{v}"),
+            Value::Float(v) if v.fract() == 0.0 && (-I64_END..I64_END).contains(v) => {
+                format!("i{}", *v as i64)
+            }
+            Value::Float(v) if v.is_nan() => "nan".to_string(),
+            Value::Float(v) => format!("f{:x}", v.to_bits()),
             Value::Str(s) => format!("s{s}"),
         }
     }
@@ -107,8 +125,8 @@ impl fmt::Display for Value {
 }
 
 /// The one total order over `f64` used by every comparison path in the
-/// engine: `Value::total_cmp`, the vectorized kernels in `crate::kernels`,
-/// and the sorted secondary indexes.
+/// engine: `Value::total_cmp` and the vectorized kernels in
+/// `crate::kernels`.
 ///
 /// Semantics are inherited from `partial_cmp` with a deliberate NaN rule:
 /// `-0.0 == 0.0` (IEEE equality) and any comparison involving NaN collapses
@@ -166,6 +184,75 @@ mod tests {
             Value::Str("3".into()).group_key()
         );
         assert_ne!(Value::Null.group_key(), Value::Int(0).group_key());
+    }
+
+    /// Every pair the key classes join is `sql_cmp`-equal, and every
+    /// `sql_cmp`-equal pair shares a key, except NaN against a number and
+    /// an int beyond 2^53 against the float it rounds to.
+    #[test]
+    fn group_keys_follow_sql_equality() {
+        const BIG: i64 = 1 << 53;
+        let vals = [
+            Value::Null,
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(-7),
+            Value::Float(-7.0),
+            Value::Float(0.5),
+            Value::Float(f64::EPSILON),
+            Value::Int(BIG),
+            Value::Int(BIG + 1),
+            Value::Float(BIG as f64),
+            Value::Int(i64::MIN),
+            Value::Float(i64::MIN as f64),
+            Value::Int(i64::MAX),
+            Value::Float(9_223_372_036_854_775_808.0), // 2^63
+            Value::Float(1e300),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Str("0".into()),
+            Value::Str(String::new()),
+        ];
+        let lossy = |a: &Value, b: &Value| match (a, b) {
+            (Value::Int(i), Value::Float(_)) | (Value::Float(_), Value::Int(i)) => {
+                i.unsigned_abs() > 1 << 53
+            }
+            _ => false,
+        };
+        for a in &vals {
+            for b in &vals {
+                let same_key = a.group_key() == b.group_key();
+                let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+                if nan(a) || nan(b) {
+                    assert_eq!(same_key, nan(a) && nan(b), "{a:?} vs {b:?}");
+                    continue;
+                }
+                let equal = match a.sql_cmp(b) {
+                    None => a.is_null() && b.is_null(),
+                    Some(o) => o == Ordering::Equal,
+                };
+                if !lossy(a, b) {
+                    assert_eq!(same_key, equal, "{a:?} vs {b:?}");
+                }
+            }
+        }
+        // The documented disagreement: 2^53 + 1 equals 2^53.0 under `=`,
+        // yet keeps its own key; 2^53 shares the float's.
+        assert_eq!(
+            Value::Int(BIG + 1).sql_cmp(&Value::Float(BIG as f64)),
+            Some(Ordering::Equal)
+        );
+        assert_ne!(
+            Value::Int(BIG + 1).group_key(),
+            Value::Float(BIG as f64).group_key()
+        );
+        assert_eq!(
+            Value::Int(BIG).group_key(),
+            Value::Float(BIG as f64).group_key()
+        );
     }
 
     #[test]

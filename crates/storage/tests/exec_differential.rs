@@ -503,6 +503,52 @@ fn on_where_twins_agree() {
     }
 }
 
+/// GROUP BY, DISTINCT, set ops and `count(DISTINCT ..)` group values the
+/// way `=` compares them: the two zeros (`person.score` of ids 0 and 1) are
+/// one value, and 2^53 and 2^53 + 1 (`person.grp` of ids 4 and 5) are two.
+/// Both engines share one grouping routine, so `check_agreement` cannot
+/// see a wrong key; the rows are asserted directly.
+#[test]
+fn grouping_follows_sql_equality() {
+    let db = regression_db();
+    let zeros = "FROM person WHERE score < 0.5";
+    let bigs = "FROM person WHERE grp > 3";
+    for engine in [Engine::Columnar, Engine::Oracle] {
+        let run = |sql: &str| {
+            let q = parse_query(sql).unwrap();
+            execute_query_with(&db, &q, engine).unwrap().rows
+        };
+        let distinct = run(&format!("SELECT DISTINCT score {zeros}"));
+        assert_eq!(distinct.len(), 1, "{engine:?}: {distinct:?}");
+        assert!(
+            matches!(distinct[0][0], Value::Float(z) if z.to_bits() == 0),
+            "{engine:?}: the first zero, +0.0, represents the group"
+        );
+        assert_eq!(
+            run(&format!("SELECT grp, count(*) {bigs} GROUP BY grp")),
+            [
+                [Value::Int(BIG), Value::Int(1)],
+                [Value::Int(BIG + 1), Value::Int(1)]
+            ],
+            "{engine:?}"
+        );
+        assert_eq!(
+            run(&format!("SELECT count(DISTINCT score) {zeros}")),
+            [[Value::Int(1)]],
+            "{engine:?}"
+        );
+        assert_eq!(
+            run(&format!("SELECT count(DISTINCT grp) {bigs}")),
+            [[Value::Int(2)]],
+            "{engine:?}"
+        );
+        let union = run(
+            "SELECT score FROM person WHERE id = 0 UNION SELECT score FROM person WHERE id = 1",
+        );
+        assert_eq!(union.len(), 1, "{engine:?}: {union:?}");
+    }
+}
+
 /// Replay the committed shrunk-regression corpus (one SQL statement per
 /// line, `#` comments allowed) against the fixed regression database.
 #[test]

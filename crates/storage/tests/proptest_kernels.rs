@@ -4,9 +4,9 @@
 //! Both paths funnel comparisons through `value::float_total_cmp`, but that
 //! is an implementation detail — what these tests pin is the observable
 //! contract: for any column of hostile floats and any comparison literal,
-//! the columnar engine (vectorized kernels, and the sorted-index path once
-//! the table crosses the planner's index threshold) selects byte-for-byte
-//! the same rows as the row-at-a-time reference interpreter.
+//! the columnar engine's vectorized kernels select byte-for-byte the same
+//! rows as the row-at-a-time reference interpreter, on small tables and on
+//! tables past a kernel's first 64-row validity word.
 
 use proptest::prelude::*;
 use sqlkit::parse_query;
@@ -72,9 +72,7 @@ fn op() -> BoxedStrategy<&'static str> {
     .boxed()
 }
 
-/// `size` rows of hostile floats. Above the planner's 64-row threshold the
-/// eq/range shapes may also take the sorted-index path, which must agree
-/// with both the kernel and the interpreter.
+/// One row per hostile float cell, with `id` its row number.
 fn build_db(cells: Vec<Value>) -> Database {
     let mut db = Database::new(schema());
     for (i, x) in cells.into_iter().enumerate() {
@@ -113,7 +111,7 @@ fn check(db: &Database, sql: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Small tables: pure kernel path (below the index threshold).
+    /// Small tables: every selection fits one validity word.
     #[test]
     fn kernel_matches_scalar_on_comparisons(
         cells in proptest::collection::vec(cell(), 0..24),
@@ -124,9 +122,10 @@ proptest! {
         check(&db, &format!("SELECT id, x FROM t WHERE x {o} {l}"));
     }
 
-    /// Large tables: index-eligible eq/range shapes must agree too.
+    /// Tables of 64–120 rows: comparison and BETWEEN kernels read NULLs
+    /// from a second validity word too.
     #[test]
-    fn index_path_matches_scalar(
+    fn kernels_match_scalar_on_multiword_tables(
         cells in proptest::collection::vec(cell(), 64..120),
         l in lit(),
         o in op(),

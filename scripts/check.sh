@@ -182,7 +182,8 @@ echo "==> columnar executor: step-change perf gate"
 # INVERTED profile gate to flag the oracle run as a regression against the
 # columnar baseline: if `profile --fail-on-regress 25` passes here, the
 # rebuilt executor is no longer meaningfully faster than the interpreter
-# it replaced. Engines must also agree on every workload row count.
+# it replaced. Engines must also agree on every workload row count. On a
+# pass the gate prints both engines' storage.exec self-times.
 $CLI_REL exec-bench --rows 50000 --trace target/exec-columnar.jsonl \
     > target/exec-bench-columnar.txt 2>/dev/null
 $CLI_REL exec-bench --rows 50000 --engine oracle --trace target/exec-oracle.jsonl \
@@ -193,12 +194,14 @@ if ! cmp -s <(tail -n +2 target/exec-bench-columnar.txt) \
     diff target/exec-bench-columnar.txt target/exec-bench-oracle.txt >&2 || true
     exit 1
 fi
-if $CLI_REL profile target/exec-columnar.jsonl target/exec-oracle.jsonl \
-    --fail-on-regress 25 >/dev/null 2>&1; then
+if exec_diff=$($CLI_REL profile target/exec-columnar.jsonl target/exec-oracle.jsonl \
+    --fail-on-regress 25 2>/dev/null); then
     echo "columnar executor is not a step-change over the oracle interpreter" >&2
     echo "(storage.exec self-time vs --engine oracle is within 25%)" >&2
     exit 1
 fi
+printf '%s\n' "$exec_diff" | awk -F' *[|] *' '$2 == "storage.exec" {
+    printf "    storage.exec self-time: columnar %s, oracle %s (%s%%)\n", $4, $5, $7 }'
 
 echo "==> warm-start perf floor (snapshot load >= 10x cold pool build)"
 # Loading the example pool from a binary snapshot must be at least 10x

@@ -1,5 +1,5 @@
 # Shrunk differential regressions: planner decisions that must never change
-# results — pushdown, join reorder, index selection, exact-key hashing.
+# results — pushdown, join reorder, exact-key hashing.
 
 # 2^53 neighbors collide as f64 hash-prefilter keys; candidates must be
 # re-verified with exact comparison.
@@ -24,7 +24,7 @@ SELECT id FROM person WHERE grp IN (SELECT person_id FROM visit) AND grp = 1
 # Join reorder must not change output order (reference order is restored).
 SELECT T1.id, T2.vid FROM person AS T1 JOIN visit AS T2 ON T1.id = T2.person_id WHERE T2.amount > 0.0 ORDER BY T1.id ASC, T2.vid ASC
 
-# Range and BETWEEN shapes that are index-eligible on larger tables.
+# Range and BETWEEN shapes pushed as kernels.
 SELECT id FROM person WHERE grp BETWEEN 1 AND 3 ORDER BY id ASC
 SELECT id FROM person WHERE grp >= 2 AND grp < 9007199254740993 ORDER BY id ASC
 
