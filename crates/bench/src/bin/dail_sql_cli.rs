@@ -2,16 +2,17 @@
 //!
 //! `dail_sql_cli help` prints every command with its flags (see
 //! [`usage`]): the model zoo, benchmark export, one-off questions and
-//! pipeline evaluation; the paper's experiments; serving, SLO and
-//! retrieval/execution benchmarks; persistence and recovery; EXPLAIN and
-//! statistics; and the trace renderers `profile`, `flame`, `metrics` and
-//! `dashboard`. Each command reads a fixed set of `--flag`s, named in its
-//! [`COMMANDS`] entry next to its help text; any other flag exits 2.
+//! pipeline evaluation; the paper's experiments; retrieval and execution
+//! benchmarks; persistence and recovery; EXPLAIN and statistics; and the
+//! trace renderers `profile`, `flame` and `metrics`. Each command reads a
+//! fixed set of `--flag`s, named in its [`COMMANDS`] entry next to its
+//! help text; any other flag exits 2.
 //!
-//! `eval` and `run-experiments` accept `--trace FILE.jsonl` to record a
-//! full pipeline trace, replayable with the `profile` and `flame`
-//! subcommands. Each of `profile`, `flame`, `metrics` and `dashboard`
-//! folds a trace once into an `obskit::Profile` and renders part of it.
+//! `eval`, `run-experiments` and `exec-bench` accept `--trace FILE.jsonl`
+//! to record a full pipeline trace; under `eval` each item is one request
+//! tree (`item` → `predict` / `score`). Each of `profile`, `flame` and
+//! `metrics` folds a trace once into an `obskit::Profile` and renders part
+//! of it.
 //!
 //! A run is configured by its command line alone. The one environment
 //! variable read is `DAIL_THREADS`, the worker count the library falls
@@ -150,54 +151,11 @@ const COMMANDS: &[Command] = &[
         run: |_, f| warm_start_bench(f),
     },
     Command {
-        name: "serve-bench",
-        usage: "[--pipeline P] [--model M] [--requests N] [--mean-gap-ms N]\n\
-                [--workers N] [--queue N] [--error-rate R] [--spike-rate R]\n\
-                [--spike-ms N] [--corrupt-rate R] [--trace FILE.jsonl]\n\
-                [--trace-sample R] [--json FILE] [--digests N] [--canonical]\n\
-                [bench flags]",
-        about: "drive the fault-injected serving layer with a seeded load, print\n\
-                a markdown report (deterministic given --seed); --trace-sample R\n\
-                head-samples request traces at rate R (default 1.0)",
-        reads: &[
-            &["canonical", "json"],
-            SERVE_FLAGS,
-            PREDICTOR_FLAGS,
-            TRACE_FLAGS,
-            BENCH_FLAGS,
-        ],
-        run: |_, f| serve_bench(f),
-    },
-    Command {
-        name: "slo-report",
-        usage: "[serve-bench flags] [--slo-latency-ms N] [--burn-alert B] [--json FILE]",
-        about: "serve the same seeded load and print a deterministic SLO /\n\
-                burn-rate report (every serve-bench flag but --canonical)",
-        reads: &[
-            &["slo-latency-ms", "burn-alert", "json"],
-            SERVE_FLAGS,
-            PREDICTOR_FLAGS,
-            TRACE_FLAGS,
-            BENCH_FLAGS,
-        ],
-        run: |_, f| slo_report(f),
-    },
-    Command {
         name: "metrics",
         usage: "TRACE.jsonl",
         about: "render a recorded trace's metrics as Prometheus text exposition",
         reads: &[],
         run: |p, _| metrics_trace(p),
-    },
-    Command {
-        name: "dashboard",
-        usage: "TRACE.jsonl [--window N] [--tenant T] [--json FILE]",
-        about: "render the trace's windowed time-series (rates, p50/p99,\n\
-                sparklines, exemplars) as a deterministic markdown dashboard;\n\
-                --window sets the trailing stats window (default 8), --tenant\n\
-                filters series",
-        reads: &[&["window", "tenant", "json"]],
-        run: dashboard_cmd,
     },
     Command {
         name: "select-bench",
@@ -262,21 +220,6 @@ const BENCH_USAGE: &str = "[--seed N] [--train N] [--dev N] [--store DIR]";
 const TRACE_FLAGS: &[&str] = &["trace"];
 /// Flags [`build_predictor`] reads.
 const PREDICTOR_FLAGS: &[&str] = &["model", "pipeline"];
-/// Flags [`run_serve`] reads itself; it also calls the three helpers above.
-const SERVE_FLAGS: &[&str] = &[
-    "pipeline",
-    "seed",
-    "error-rate",
-    "spike-rate",
-    "spike-ms",
-    "corrupt-rate",
-    "workers",
-    "queue",
-    "trace-sample",
-    "requests",
-    "mean-gap-ms",
-    "digests",
-];
 
 /// Exit 2 naming the first flag (alphabetically) in none of `sets`, the
 /// flags `cmd` reads: a misspelt flag must not silently run its default.
@@ -340,21 +283,6 @@ fn num_flag<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, de
             eprintln!("--{key} must be a number, got {raw:?}");
             std::process::exit(2);
         }),
-    }
-}
-
-/// Parse a probability flag (a float in `[0, 1]`), exiting with status 2
-/// on bad input.
-fn rate_flag(flags: &HashMap<String, String>, key: &str, default: f64) -> f64 {
-    match flags.get(key) {
-        None => default,
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(v) if (0.0..=1.0).contains(&v) => v,
-            _ => {
-                eprintln!("--{key} must be a number in [0, 1], got {raw:?}");
-                std::process::exit(2);
-            }
-        },
     }
 }
 
@@ -636,10 +564,10 @@ fn exec_bench(flags: &HashMap<String, String>) {
     ];
     println!("# exec-bench: {rows} fact rows, engine {engine_name}");
     let t0 = std::time::Instant::now();
-    for (i, (name, sql)) in queries.into_iter().enumerate() {
+    for (name, sql) in queries {
         let q = sqlkit::parse_query(sql).expect("workload SQL parses");
         // Each workload query is its own traced request.
-        let request = obskit::TraceContext::root(i as u64, true, None);
+        let request = obskit::TraceContext::root(None);
         match storage::execute_query_analyzed(&db, &q, engine, request) {
             Ok(an) => println!("{name}: {} rows", an.result.rows.len()),
             Err(e) => {
@@ -1024,7 +952,7 @@ fn ask(flags: &HashMap<String, String>) {
 }
 
 /// Build the predictor named by `--pipeline` / `--model`, exiting with
-/// status 2 on unknown names. Shared by `eval` and `serve-bench`.
+/// status 2 on unknown names.
 fn build_predictor(flags: &HashMap<String, String>) -> Box<dyn Predictor + Sync> {
     let model_name = flag(flags, "model", "gpt-4");
     let Some(model) = SimLlm::new(model_name) else {
@@ -1091,197 +1019,6 @@ fn run_eval(flags: &HashMap<String, String>) {
     finish_trace(trace);
 }
 
-/// One finished serve-bench run, owned (no borrows into the benchmark),
-/// shared by `serve-bench` and `slo-report`.
-struct ServeRun {
-    predictor_name: String,
-    faults: simllm::FaultConfig,
-    reqs: Vec<servekit::ServeReq>,
-    outcomes: Vec<servekit::Outcome>,
-    stats: servekit::ServeStats,
-    /// Per-request EX verdict: `Some` for scored OK responses.
-    ex: Vec<Option<bool>>,
-    /// Query-digest rollup over scored responses; `Some` only when the
-    /// analyzed scoring path was active (`--digests`).
-    digests: Option<eval::DigestAccumulator>,
-    trace: Trace,
-}
-
-/// Drive the servekit serving layer with a seeded load against injected
-/// faults. Every number in the result is deterministic given `--seed` —
-/// including across `--workers` settings — which is what makes the
-/// reports golden-testable. EX scoring runs under each request's trace
-/// context, so traced runs show execution/comparison spans inside the
-/// request tree.
-fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
-    let predictor = build_predictor(flags);
-    let pipeline = flag(flags, "pipeline", "dail").to_string();
-    let seed: u64 = num_flag(flags, "seed", 7u64);
-    let trace = setup_trace(flags);
-    let bench = bench_from_flags(flags);
-    let selector = ExampleSelector::new(&bench);
-    let tokenizer = textkit::Tokenizer::new();
-    let ctx = dail_core::PredictCtx {
-        bench: &bench,
-        selector: &selector,
-        tokenizer: &tokenizer,
-        seed,
-        realistic: false,
-        trace: obskit::TraceContext::disabled(),
-    };
-    let faults = simllm::FaultConfig {
-        seed,
-        error_rate: rate_flag(flags, "error-rate", 0.1),
-        spike_rate: rate_flag(flags, "spike-rate", 0.05),
-        spike_ms: num_flag(flags, "spike-ms", 250u64),
-        corrupt_rate: rate_flag(flags, "corrupt-rate", 0.05),
-    };
-    let cfg = servekit::ServeConfig {
-        workers: num_flag(flags, "workers", 4usize),
-        queue_capacity: num_flag(flags, "queue", 32usize),
-        // The pipeline fixes its own representation and shot count, so its
-        // name stands in for both in the cache key.
-        repr: pipeline,
-        faults,
-        trace_sample: rate_flag(flags, "trace-sample", 1.0),
-    };
-    let load = servekit::LoadConfig {
-        seed,
-        requests: num_flag(flags, "requests", 120usize),
-        mean_gap_ms: num_flag(flags, "mean-gap-ms", 30u64),
-        dup_rate: 0.35,
-    };
-    let reqs = servekit::generate(&load, bench.dev.len());
-    let out = servekit::serve(predictor.as_ref(), &ctx, &bench.dev, &reqs, &cfg);
-
-    // Scoring path: the analyzed executor (per-operator accounting and
-    // digest rollup) is opt-in via `--digests`; scores are identical either
-    // way, so every number in the report is unchanged.
-    let mut digests = digests_top_n(flags)
-        .is_some()
-        .then(eval::DigestAccumulator::new);
-    let mut ex: Vec<Option<bool>> = Vec::with_capacity(reqs.len());
-    for (i, (req, outcome)) in reqs.iter().zip(&out.outcomes).enumerate() {
-        if let servekit::Outcome::Ok {
-            sql, latency_ms, ..
-        } = outcome
-        {
-            let item = &bench.dev[req.item_idx];
-            let score =
-                eval::score_item_traced(bench.db(item), item, sql, out.traces[i], digests.as_mut());
-            if trace.rec.is_enabled() {
-                trace.rec.add_counter_at(
-                    "eval.ex_verdicts",
-                    &[
-                        ("db", item.db_id.as_str()),
-                        ("tenant", &format!("t{}", req.tenant)),
-                        ("verdict", if score.ex { "correct" } else { "wrong" }),
-                    ],
-                    req.arrival_ms + latency_ms,
-                    1,
-                );
-            }
-            ex.push(Some(score.ex));
-        } else {
-            ex.push(None);
-        }
-    }
-    ServeRun {
-        predictor_name: predictor.name(),
-        faults,
-        reqs,
-        outcomes: out.outcomes,
-        stats: out.stats,
-        ex,
-        digests,
-        trace,
-    }
-}
-
-/// The [`servekit::ReportInput`] of a finished run (shared by the
-/// markdown report, the `--json` emitter and `slo-report --json`).
-fn serve_report_input(run: &ServeRun) -> servekit::ReportInput<'_> {
-    servekit::ReportInput {
-        predictor: &run.predictor_name,
-        faults: &run.faults,
-        stats: &run.stats,
-        ex_correct: run.ex.iter().flatten().filter(|&&v| v).count() as u64,
-        ex_scored: run.ex.iter().flatten().count() as u64,
-    }
-}
-
-/// Write the JSON report when `--json FILE` was given.
-fn write_json_report(flags: &HashMap<String, String>, report: &servekit::ReportInput) {
-    let Some(path) = flags.get("json") else {
-        return;
-    };
-    if let Err(e) = std::fs::write(path, servekit::render_json(report)) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
-    }
-    eprintln!("json report written to {path}");
-}
-
-/// `serve-bench`: run the seeded load and print the markdown report.
-/// `--digests N` appends a query-digest rollup section; `--json FILE`
-/// additionally writes a machine-readable report.
-fn serve_bench(flags: &HashMap<String, String>) {
-    let run = run_serve(flags);
-    let report = serve_report_input(&run);
-    print!("{}", servekit::render(&report));
-    if let (Some(n), Some(acc)) = (digests_top_n(flags), &run.digests) {
-        println!();
-        print!("{}", acc.render_top(n, flags.contains_key("canonical")));
-    }
-    write_json_report(flags, &report);
-    finish_trace(run.trace);
-}
-
-/// `slo-report`: run the same seeded load as `serve-bench` and print the
-/// SLO / burn-rate report. Deterministic: every number runs on the
-/// serving layer's virtual clock.
-fn slo_report(flags: &HashMap<String, String>) {
-    let cfg = servekit::SloConfig {
-        latency_threshold_ms: num_flag(flags, "slo-latency-ms", 300u64),
-        latency_objective: 0.95,
-        ex_objective: 0.50,
-        short_window_ms: 2_000,
-        long_window_ms: 10_000,
-        burn_alert: num_flag(flags, "burn-alert", 2.0f64),
-    };
-    let run = run_serve(flags);
-    let outcomes: Vec<servekit::RequestOutcome> = run
-        .reqs
-        .iter()
-        .zip(&run.outcomes)
-        .zip(&run.ex)
-        .map(|((req, outcome), ex)| match outcome {
-            servekit::Outcome::Ok { latency_ms, .. } => servekit::RequestOutcome {
-                t_ms: req.arrival_ms + latency_ms,
-                served_ok: true,
-                latency_ms: *latency_ms,
-                ex: *ex,
-            },
-            servekit::Outcome::Overloaded => servekit::RequestOutcome {
-                t_ms: req.arrival_ms,
-                served_ok: false,
-                latency_ms: 0,
-                ex: None,
-            },
-            servekit::Outcome::DeadlineExceeded { latency_ms, .. }
-            | servekit::Outcome::Failed { latency_ms, .. } => servekit::RequestOutcome {
-                t_ms: req.arrival_ms + latency_ms,
-                served_ok: false,
-                latency_ms: *latency_ms,
-                ex: None,
-            },
-        })
-        .collect();
-    print!("{}", servekit::render_slo_report(&cfg, &outcomes));
-    write_json_report(flags, &serve_report_input(&run));
-    finish_trace(run.trace);
-}
-
 /// `metrics`: render a recorded trace's counters, gauges and histograms
 /// as Prometheus text exposition on stdout.
 fn metrics_trace(positional: &[&String]) {
@@ -1290,188 +1027,7 @@ fn metrics_trace(positional: &[&String]) {
         std::process::exit(2);
     };
     let profile = obskit::Profile::from_events(&load_trace(path));
-    print!("{}", obskit::expo::render_profile(&profile));
-}
-
-/// `dashboard`: render as markdown the windowed time-series store that
-/// the trace's profile folds from the run's windowed writes. Every number
-/// derives from those `tsdb.*` events on the virtual clock, so the output
-/// is byte-identical across runs and thread counts.
-fn dashboard_cmd(positional: &[&String], flags: &HashMap<String, String>) {
-    let [path] = positional else {
-        eprintln!("dashboard requires a trace file: dail_sql_cli dashboard TRACE.jsonl");
-        std::process::exit(2);
-    };
-    let profile = obskit::Profile::from_events(&load_trace(path));
-    let tsdb = &profile.tsdb;
-    if tsdb.series_count() == 0 {
-        eprintln!("no tsdb series in {path} (not a traced serve-bench or slo-report run?)");
-        std::process::exit(2);
-    }
-    let window: u64 = num_flag(flags, "window", 8u64).max(1);
-    let tenant = flags.get("tenant").map(String::as_str);
-    print!("{}", render_dashboard(tsdb, window, tenant));
-    if let Some(json_path) = flags.get("json") {
-        if let Err(e) = std::fs::write(json_path, dashboard_json(tsdb, window, tenant)) {
-            eprintln!("cannot write {json_path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("json dashboard written to {json_path}");
-    }
-}
-
-/// How many trailing windows a sparkline covers.
-const SPARK_WINDOWS: u64 = 24;
-
-/// Sparkline over the last [`SPARK_WINDOWS`] windows ending at `latest`:
-/// `·` for an empty window, otherwise one of eight block heights scaled
-/// against the series' own maximum in the shown range.
-fn sparkline(series: &obskit::tsdb::Series, latest: u64) -> String {
-    const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let lo = (latest + 1).saturating_sub(SPARK_WINDOWS);
-    let mut counts = vec![0u64; (latest - lo + 1) as usize];
-    for w in series.windows() {
-        if w.win >= lo && w.win <= latest {
-            counts[(w.win - lo) as usize] = w.count;
-        }
-    }
-    let max = counts.iter().copied().max().unwrap_or(0);
-    counts
-        .iter()
-        .map(|&c| {
-            if c == 0 {
-                '·'
-            } else {
-                // 1..=max scales to block 0..=7, top value always full.
-                BLOCKS[((c * 8).div_ceil(max.max(1)).max(1) - 1).min(7) as usize]
-            }
-        })
-        .collect()
-}
-
-/// Rows the dashboard shows: top-k series ranked by a deliberately
-/// time-free key (total observations over all retained windows, then
-/// name) so the ranking never flaps with the clock.
-fn dashboard_rows<'a>(
-    tsdb: &'a obskit::tsdb::Tsdb,
-    tenant: Option<&str>,
-) -> Vec<&'a obskit::tsdb::Series> {
-    let mut rows: Vec<&obskit::tsdb::Series> = tsdb
-        .series()
-        .filter(|s| tenant.is_none_or(|t| s.label("tenant") == Some(t)))
-        .collect();
-    rows.sort_by(|a, b| b.total().cmp(&a.total()).then(a.name().cmp(b.name())));
-    rows.truncate(20);
-    rows
-}
-
-fn render_dashboard(tsdb: &obskit::tsdb::Tsdb, window: u64, tenant: Option<&str>) -> String {
-    use std::fmt::Write as _;
-    let step_ms = obskit::tsdb::STEP_MS;
-    let latest = tsdb.latest_window().unwrap_or(0);
-    let earliest = tsdb.earliest_window().unwrap_or(latest);
-    let mut out = String::new();
-    out.push_str("# tsdb dashboard\n\n");
-    out.push_str("| param | value |\n|---|---|\n");
-    let _ = writeln!(out, "| step | {step_ms} ms |");
-    let _ = writeln!(out, "| series | {} |", tsdb.series_count());
-    let _ = writeln!(
-        out,
-        "| windows | {}..{} (span {} ms) |",
-        earliest,
-        latest,
-        (latest - earliest + 1) * step_ms
-    );
-    let _ = writeln!(
-        out,
-        "| stats window | last {} windows ({} ms) |",
-        window,
-        window * step_ms
-    );
-    if let Some(t) = tenant {
-        let _ = writeln!(out, "| tenant filter | {t} |");
-    }
-    let _ = writeln!(out, "| overflow | {} |", tsdb.overflow());
-    let _ = writeln!(out, "| dropped late | {} |", tsdb.dropped_late());
-    out.push('\n');
-    out.push_str("## top series (by total over all retained windows)\n\n");
-    let _ = writeln!(
-        out,
-        "| series | total | rate/s | p50 | p99 | last {SPARK_WINDOWS} windows | exemplar |"
-    );
-    out.push_str("|---|---|---|---|---|---|---|\n");
-    for s in dashboard_rows(tsdb, tenant) {
-        let rate =
-            s.windowed_count(window, latest) as f64 / (window as f64 * step_ms as f64 / 1000.0);
-        let (p50, p99) = if s.is_hist() {
-            let h = s.merged(window, latest);
-            if h.count() > 0 {
-                (h.p50().to_string(), h.p99().to_string())
-            } else {
-                ("-".to_string(), "-".to_string())
-            }
-        } else {
-            ("-".to_string(), "-".to_string())
-        };
-        let ex = s
-            .exemplar(window, latest)
-            .or_else(|| s.best_exemplar())
-            .map(|e| format!("req={} ({})", e.request_id, e.value))
-            .unwrap_or_else(|| "-".to_string());
-        let _ = writeln!(
-            out,
-            "| `{}` | {} | {rate:.2} | {p50} | {p99} | {} | {ex} |",
-            s.name(),
-            s.total(),
-            sparkline(s, latest)
-        );
-    }
-    out
-}
-
-fn dashboard_json(tsdb: &obskit::tsdb::Tsdb, window: u64, tenant: Option<&str>) -> String {
-    use std::fmt::Write as _;
-    let step_ms = obskit::tsdb::STEP_MS;
-    let latest = tsdb.latest_window().unwrap_or(0);
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"step_ms\":{},\"series\":{},\"window\":{},\"overflow\":{},\"dropped_late\":{},\"rows\":[",
-        step_ms,
-        tsdb.series_count(),
-        window,
-        tsdb.overflow(),
-        tsdb.dropped_late()
-    );
-    for (i, s) in dashboard_rows(tsdb, tenant).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let rate =
-            s.windowed_count(window, latest) as f64 / (window as f64 * step_ms as f64 / 1000.0);
-        let _ = write!(
-            out,
-            "{{\"series\":\"{}\",\"total\":{},\"rate_per_s\":{rate:.4}",
-            obskit::json_escape(s.name()),
-            s.total()
-        );
-        if s.is_hist() {
-            let h = s.merged(window, latest);
-            if h.count() > 0 {
-                let _ = write!(out, ",\"p50\":{},\"p99\":{}", h.p50(), h.p99());
-            }
-        }
-        if let Some(e) = s.exemplar(window, latest).or_else(|| s.best_exemplar()) {
-            let _ = write!(
-                out,
-                ",\"exemplar\":{{\"request_id\":{},\"value\":{}}}",
-                e.request_id, e.value
-            );
-        }
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
+    print!("{}", obskit::expo::render(&profile.metrics));
 }
 
 // ---- select-bench: retrieval fast path vs naive reference ----
@@ -2112,13 +1668,9 @@ fn flame_trace(positional: &[&String], flags: &HashMap<String, String>) {
 mod tests {
     use super::*;
 
-    /// A command's help entry with the shared groups spelled out:
-    /// `[bench flags]`, and `[serve-bench flags]` (slo-report's).
+    /// A command's help entry with `[bench flags]` spelled out.
     fn expanded_usage(c: &Command) -> String {
-        let serve = COMMANDS.iter().find(|c| c.name == "serve-bench").unwrap();
-        c.usage
-            .replace("[serve-bench flags]", serve.usage)
-            .replace("[bench flags]", BENCH_USAGE)
+        c.usage.replace("[bench flags]", BENCH_USAGE)
     }
 
     /// Does `text` name `--flag` whole (`--dev` is not `--dev-cap`)?

@@ -106,11 +106,15 @@ fn generate_exports_files() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let out = cli().arg("bogus").output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown command"));
-    assert!(err.contains("commands:"), "usage should follow: {err}");
+    // The retired serving commands are unknown too.
+    for cmd in ["bogus", "serve-bench", "slo-report", "dashboard"] {
+        let out = cli().arg(cmd).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown command: {cmd}")), "{err}");
+        assert!(err.contains("commands:"), "usage should follow: {err}");
+    }
 }
 
 #[test]
@@ -534,96 +538,7 @@ fn eval_is_deterministic_across_dail_threads() {
     assert!(!hists1.is_empty());
 }
 
-// ---- serving layer: serve-bench ----
-
-/// The committed golden serve-bench invocation. Small benchmark, moderate
-/// overload so shedding, retries and cache hits all appear in the report.
-fn serve_bench_cmd(extra: &[&str]) -> Command {
-    let mut c = cli();
-    c.args([
-        "serve-bench",
-        "--seed",
-        "7",
-        "--train",
-        "60",
-        "--dev",
-        "24",
-        "--requests",
-        "120",
-        "--mean-gap-ms",
-        "15",
-        "--queue",
-        "16",
-    ]);
-    c.args(extra);
-    c
-}
-
-#[test]
-fn serve_bench_report_is_deterministic_across_workers() {
-    let run = |workers: &str| {
-        let out = serve_bench_cmd(&["--workers", workers])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
-    let w1 = run("1");
-    let w6 = run("6");
-    assert_eq!(
-        String::from_utf8_lossy(&w1),
-        String::from_utf8_lossy(&w6),
-        "report must be byte-identical across worker counts"
-    );
-
-    let text = String::from_utf8_lossy(&w1);
-    // Under injected faults the pool absorbs everything without a panic…
-    assert!(text.contains("| panics | 0 |"), "{text}");
-    // …the cache serves repeated questions…
-    let cache_line = text
-        .lines()
-        .find(|l| l.contains("cache served"))
-        .expect("cache row present");
-    let served: u64 = cache_line
-        .split('|')
-        .nth(2)
-        .and_then(|v| v.trim().split(" / ").next())
-        .and_then(|n| n.trim().parse().ok())
-        .expect("cache row parses");
-    assert!(served > 0, "cache must serve duplicates: {cache_line}");
-    // …and overload resolves to typed sheds, reported with a rate.
-    assert!(text.contains("| shed | "), "{text}");
-    assert!(text.contains("| EX (served ok) | "), "{text}");
-}
-
-#[test]
-fn serve_bench_matches_committed_golden() {
-    // The golden is recorded untraced, with no windowed store. A traced
-    // run always owns one, and at 1% or 100% head sampling it may not
-    // change a reported byte.
-    for rate in ["off", "0.01", "1.0"] {
-        let trace = std::env::temp_dir().join(format!("dail_cli_serve_golden_{rate}.jsonl"));
-        let trace = trace.to_str().unwrap();
-        let traced = ["--trace-sample", rate, "--trace", trace];
-        let out = serve_bench_cmd(if rate == "off" { &[] } else { &traced })
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let what = format!("serve-bench report (--trace-sample {rate})");
-        assert_golden("serve_bench_report.md", &what, &out.stdout);
-        let _ = std::fs::remove_file(trace);
-    }
-}
-
-// ---- request telemetry: trace trees, sampling, exposition, SLOs ----
+// ---- trace trees and exposition ----
 
 /// `id -> (name, parent)` for every span in a trace.
 fn span_index(events: &[obskit::Event]) -> std::collections::HashMap<u64, (String, Option<u64>)> {
@@ -659,172 +574,6 @@ fn ancestor_named(
     panic!("cycle while walking ancestors of span {id}");
 }
 
-fn counter_value(events: &[obskit::Event], counter: &str) -> Option<u64> {
-    events.iter().find_map(|e| match e {
-        obskit::Event::Counter { name, value } if name == counter => Some(*value),
-        _ => None,
-    })
-}
-
-#[test]
-fn serve_bench_trace_forms_one_connected_tree_per_request() {
-    let trace = std::env::temp_dir().join("dail_cli_serve_tree.jsonl");
-    let _ = std::fs::remove_file(&trace);
-    let out = serve_bench_cmd(&["--trace", trace.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let events = obskit::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-    let _ = std::fs::remove_file(&trace);
-    let idx = span_index(&events);
-
-    // Exactly one batch root, itself unparented.
-    let serve_ids: Vec<u64> = idx
-        .iter()
-        .filter(|(_, (n, _))| n == "servekit.serve")
-        .map(|(&id, _)| id)
-        .collect();
-    assert_eq!(serve_ids.len(), 1, "one serve batch span");
-    assert_eq!(idx[&serve_ids[0]].1, None);
-
-    // One request span per submitted request (default sample rate is 1.0),
-    // each a direct child of the batch span.
-    let request_ids: Vec<u64> = idx
-        .iter()
-        .filter(|(_, (n, _))| n == "servekit.request")
-        .map(|(&id, _)| id)
-        .collect();
-    assert_eq!(
-        request_ids.len() as u64,
-        counter_value(&events, "servekit.submitted").expect("submitted counter"),
-        "one request span per submitted request"
-    );
-    for &id in &request_ids {
-        assert_eq!(idx[&id].1, Some(serve_ids[0]), "request under batch span");
-    }
-
-    // Every other span walks its parent links into exactly one request
-    // tree: nothing float-free, nothing orphaned.
-    let mut names_by_request: std::collections::HashMap<u64, std::collections::HashSet<String>> =
-        std::collections::HashMap::new();
-    for (&id, (name, _)) in &idx {
-        if name == "servekit.serve" || name == "servekit.request" {
-            continue;
-        }
-        let req = ancestor_named(&idx, id, "servekit.request").unwrap_or_else(|| {
-            panic!("span {id} ({name}) is not connected to any servekit.request")
-        });
-        names_by_request
-            .entry(req)
-            .or_default()
-            .insert(name.clone());
-    }
-
-    // At least one request tree contains the full pipeline: admission,
-    // queue wait, cache lookup, the retry attempts, both DAIL stages with
-    // prompt build + selection + scoring + model call, and post-serve
-    // execution + comparison.
-    let full: Vec<&str> = vec![
-        "servekit.admission",
-        "servekit.queue_wait",
-        "servekit.cache_lookup",
-        "servekit.attempt",
-        "dail.preliminary",
-        "dail.main",
-        "promptkit.build_prompt",
-        "promptkit.select",
-        "retrievekit.score",
-        "simllm.complete",
-        "eval.execution",
-        "eval.comparison",
-    ];
-    assert!(
-        names_by_request
-            .values()
-            .any(|names| full.iter().all(|n| names.contains(*n))),
-        "no request tree contains the full pipeline; trees seen: {names_by_request:?}"
-    );
-}
-
-#[test]
-fn sampled_out_requests_emit_no_spans_but_still_count() {
-    // Plain scoring, then scoring through the analyzed executor, whose
-    // storage.exec span must follow the request's sampling decision too
-    // (`--canonical` zeroes the digest table's wall-clock column).
-    sampled_out_run("plain", &[]);
-    sampled_out_run("digests", &["--digests", "5", "--canonical"]);
-}
-
-fn sampled_out_run(tag: &str, extra: &[&str]) {
-    let trace = std::env::temp_dir().join(format!("dail_cli_sampled_out_{tag}.jsonl"));
-    let _ = std::fs::remove_file(&trace);
-    let mut args = vec!["--trace", trace.to_str().unwrap(), "--trace-sample", "0"];
-    args.extend_from_slice(extra);
-    let out = serve_bench_cmd(&args).output().expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let events = obskit::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-
-    // Zero request-scoped spans: only the batch span remains.
-    let span_names: Vec<&str> = events
-        .iter()
-        .filter_map(|e| match e {
-            obskit::Event::SpanStart { name, .. } => Some(name.as_str()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(span_names, vec!["servekit.serve"], "{span_names:?}");
-
-    // …but the metrics keep counting every request.
-    let submitted = counter_value(&events, "servekit.submitted").expect("submitted");
-    assert_eq!(counter_value(&events, "servekit.trace.sampled"), Some(0));
-    assert_eq!(
-        counter_value(&events, "servekit.trace.unsampled"),
-        Some(submitted)
-    );
-    assert!(counter_value(&events, "promptkit.prompts_built").unwrap_or(0) > 0);
-
-    // The rendered report is byte-identical to a fully-untraced run:
-    // telemetry never changes a reported number.
-    let untraced = serve_bench_cmd(extra).output().expect("binary runs");
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&untraced.stdout)
-    );
-
-    // The exposition of that trace passes the in-repo mini-parser.
-    let metrics = cli()
-        .args(["metrics", trace.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(metrics.status.success());
-    let families =
-        obskit::expo::parse(&String::from_utf8_lossy(&metrics.stdout)).expect("exposition parses");
-    assert!(!families.is_empty());
-    let _ = std::fs::remove_file(&trace);
-}
-
-#[test]
-fn unparsable_trace_sample_exits_2_and_names_the_flag() {
-    let out = serve_bench_cmd(&["--trace-sample", "lots"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("--trace-sample") && err.contains("lots"),
-        "stderr must name the flag and the rejected value: {err}"
-    );
-}
-
 #[test]
 fn metrics_exposition_matches_golden_and_parses() {
     let run = |threads: &str| {
@@ -851,82 +600,6 @@ fn metrics_exposition_matches_golden_and_parses() {
     assert_golden("metrics_expo.txt", "metrics exposition", &a);
 }
 
-/// The committed golden slo-report invocation: the serve-bench golden
-/// load with a burn-rate threshold tuned so exactly one alert fires.
-fn slo_report_cmd(extra: &[&str]) -> Command {
-    let mut c = cli();
-    c.args([
-        "slo-report",
-        "--seed",
-        "7",
-        "--train",
-        "60",
-        "--dev",
-        "24",
-        "--requests",
-        "120",
-        "--mean-gap-ms",
-        "15",
-        "--queue",
-        "16",
-        "--burn-alert",
-        "4",
-    ]);
-    c.args(extra);
-    c
-}
-
-#[test]
-fn slo_report_is_deterministic_and_matches_golden() {
-    let run = |threads: &str, workers: &str| {
-        let out = slo_report_cmd(&["--workers", workers])
-            .env("DAIL_THREADS", threads)
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
-    let a = run("1", "1");
-    let b = run("4", "6");
-    assert_eq!(
-        String::from_utf8_lossy(&a),
-        String::from_utf8_lossy(&b),
-        "slo-report must be byte-identical across workers and DAIL_THREADS"
-    );
-    assert_eq!(a, run("1", "1"), "slo-report must be stable across runs");
-
-    let text = String::from_utf8_lossy(&a).to_string();
-    assert_eq!(
-        text.lines().filter(|l| l.starts_with("- ALERT")).count(),
-        1,
-        "golden config fires exactly one burn-rate alert:\n{text}"
-    );
-    assert!(text.contains("| error budget remaining |"), "{text}");
-    assert_golden("slo_report.md", "slo-report", &a);
-
-    // Traced at 1% and 100% head sampling (with the windowed store every
-    // traced run owns), the report keeps every byte of the untraced golden.
-    for rate in ["0.01", "1.0"] {
-        let trace = std::env::temp_dir().join(format!("dail_cli_slo_golden_{rate}.jsonl"));
-        let trace = trace.to_str().unwrap();
-        let out = slo_report_cmd(&["--trace-sample", rate, "--trace", trace])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let what = format!("slo-report (--trace-sample {rate})");
-        assert_golden("slo_report.md", &what, &out.stdout);
-        let _ = std::fs::remove_file(trace);
-    }
-}
-
 #[test]
 fn metrics_requires_a_trace_file() {
     let out = cli().arg("metrics").output().expect("binary runs");
@@ -936,220 +609,6 @@ fn metrics_requires_a_trace_file() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
-}
-
-// ---- dashboard: windowed time-series over a recorded trace ----
-
-/// Run the golden traced serve-bench (at the default full sampling, so
-/// every request can carry exemplars) and leave the trace at `trace`.
-fn traced_serve_for_dashboard(trace: &std::path::Path, threads: &str, workers: &str) {
-    let _ = std::fs::remove_file(trace);
-    let out = serve_bench_cmd(&["--workers", workers, "--trace", trace.to_str().unwrap()])
-        .env("DAIL_THREADS", threads)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-fn dashboard_output(trace: &std::path::Path, extra: &[&str]) -> String {
-    let out = cli()
-        .arg("dashboard")
-        .arg(trace)
-        .args(extra)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout).to_string()
-}
-
-#[test]
-fn dashboard_is_deterministic_and_matches_golden() {
-    let t1 = std::env::temp_dir().join("dail_cli_dash_t1.jsonl");
-    let t4 = std::env::temp_dir().join("dail_cli_dash_t4.jsonl");
-    traced_serve_for_dashboard(&t1, "1", "1");
-    traced_serve_for_dashboard(&t4, "4", "6");
-    let a = dashboard_output(&t1, &[]);
-    let b = dashboard_output(&t4, &[]);
-    assert_eq!(
-        a, b,
-        "dashboard must be byte-identical across DAIL_THREADS and workers"
-    );
-    let _ = std::fs::remove_file(&t4);
-
-    for needle in [
-        "# tsdb dashboard",
-        "| step | 250 ms |",
-        "| overflow | 0 |",
-        "| dropped late | 0 |",
-        "## top series (by total over all retained windows)",
-        "servekit.latency_ms{db=",
-        "eval.ex_verdicts{db=",
-        "req=",
-    ] {
-        assert!(a.contains(needle), "missing {needle:?} in:\n{a}");
-    }
-
-    // Tenant filtering keeps only that tenant's series.
-    let filtered = dashboard_output(&t1, &["--tenant", "t0"]);
-    assert!(filtered.contains("| tenant filter | t0 |"), "{filtered}");
-    for line in filtered.lines().filter(|l| l.starts_with("| `")) {
-        assert!(line.contains("tenant=\"t0\""), "foreign series: {line}");
-    }
-
-    // JSON twin parses the same rows.
-    let json_path = std::env::temp_dir().join("dail_cli_dash.json");
-    let _ = dashboard_output(&t1, &["--json", json_path.to_str().unwrap()]);
-    let json = std::fs::read_to_string(&json_path).unwrap();
-    let _ = std::fs::remove_file(&json_path);
-    assert!(json.starts_with("{\"step_ms\":250,"), "{json}");
-    assert!(json.contains("\"exemplar\":{\"request_id\":"), "{json}");
-
-    // The windowed series belong to the dashboard and the exposition: the
-    // profile of the same trace lists no `tsdb.*` annotation.
-    let profile = cli().arg("profile").arg(&t1).output().expect("binary runs");
-    assert!(profile.status.success());
-    let profile = String::from_utf8_lossy(&profile.stdout);
-    assert!(profile.contains("- **servekit."), "{profile}");
-    assert!(!profile.contains("- **tsdb."), "{profile}");
-    let _ = std::fs::remove_file(&t1);
-    assert_golden("dashboard.md", "dashboard", a.as_bytes());
-}
-
-#[test]
-fn tsdb_series_bound_reroutes_to_overflow() {
-    // A trace with more distinct label sets than the series bound: the
-    // excess reroutes to the `__overflow__` series, and the overflow count
-    // shows in both the dashboard and the exposition.
-    let trace = std::env::temp_dir().join("dail_cli_dash_overflow.jsonl");
-    let rec = obskit::Recorder::enabled();
-    for i in 0..obskit::tsdb::MAX_SERIES + 5 {
-        let tenant = format!("t{i}");
-        rec.add_counter_at(
-            "servekit.requests",
-            &[("tenant", &tenant)],
-            10 * i as u64,
-            1,
-        );
-    }
-    rec.write_jsonl(&trace).expect("trace written");
-    let dash = dashboard_output(&trace, &[]);
-    assert!(dash.contains("__overflow__"), "{dash}");
-    assert!(dash.contains("| overflow | 5 |"), "{dash}");
-    let out = cli()
-        .arg("metrics")
-        .arg(&trace)
-        .output()
-        .expect("binary runs");
-    let _ = std::fs::remove_file(&trace);
-    assert!(out.status.success());
-    let expo = String::from_utf8_lossy(&out.stdout);
-    let overflow: u64 = expo
-        .lines()
-        .find_map(|l| l.strip_prefix("obskit_tsdb_overflow "))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("no obskit_tsdb_overflow sample in:\n{expo}"));
-    assert!(overflow > 0, "overflow counter did not fire");
-}
-
-#[test]
-fn dashboard_exemplar_resolves_to_a_real_request_in_the_trace() {
-    let trace = std::env::temp_dir().join("dail_cli_dash_exemplar.jsonl");
-    traced_serve_for_dashboard(&trace, "2", "4");
-    let text = dashboard_output(&trace, &[]);
-
-    // Pull the first latency exemplar's request id off the dashboard.
-    let req_id: u64 = text
-        .lines()
-        .find(|l| l.contains("servekit.latency_ms{") && l.contains("req="))
-        .and_then(|l| {
-            let rest = &l[l.find("req=").unwrap() + 4..];
-            rest[..rest.find(' ').unwrap()].parse().ok()
-        })
-        .expect("dashboard shows a latency exemplar");
-
-    // The id must belong to an admitted request in the same trace: find
-    // its admission decision and walk the span tree around it.
-    let events =
-        obskit::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).expect("trace parses");
-    let _ = std::fs::remove_file(&trace);
-    let idx = span_index(&events);
-    let mut last_admission_span = None;
-    let mut admission_span_of_req = None;
-    for e in &events {
-        match e {
-            obskit::Event::SpanStart { id, name, .. } if name == "servekit.admission" => {
-                last_admission_span = Some(*id);
-            }
-            obskit::Event::Meta { name, fields } if name == "servekit.admission.decision" => {
-                let field = |k: &str| {
-                    fields
-                        .iter()
-                        .find(|(fk, _)| fk == k)
-                        .map(|(_, v)| v.as_str())
-                };
-                if field("request") == Some(req_id.to_string().as_str()) {
-                    assert_eq!(
-                        field("decision"),
-                        Some("admit"),
-                        "exemplar request {req_id} must have been admitted"
-                    );
-                    admission_span_of_req = last_admission_span;
-                }
-            }
-            _ => {}
-        }
-    }
-    let admission = admission_span_of_req
-        .unwrap_or_else(|| panic!("no admission decision for exemplar request {req_id}"));
-    // The admission span sits inside that request's tree, under the batch.
-    assert!(
-        ancestor_named(&idx, admission, "servekit.request").is_some(),
-        "admission span {admission} not under a servekit.request span"
-    );
-    assert!(
-        ancestor_named(&idx, admission, "servekit.serve").is_some(),
-        "admission span {admission} not under the servekit.serve batch span"
-    );
-}
-
-#[test]
-fn dashboard_requires_a_trace_with_tsdb_events() {
-    let out = cli().arg("dashboard").output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    let out = cli()
-        .args(["dashboard", "/nonexistent/trace.jsonl"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    // A valid trace without tsdb events (pre-tsdb fixture) is also exit 2.
-    let out = cli()
-        .args(["dashboard", &fixture("baseline_trace.jsonl")])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("no tsdb series"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-#[test]
-fn serve_bench_rejects_out_of_range_rate() {
-    let out = cli()
-        .args(["serve-bench", "--error-rate", "2"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("error-rate"));
 }
 
 // ---- eval harness: DAIL_THREADS handling ----
@@ -1345,198 +804,94 @@ fn stats_prints_database_jsonl() {
     assert!(text.contains("\"ndv\""), "{text}");
 }
 
-#[test]
-fn serve_bench_report_is_unchanged_under_analyzed_scoring() {
-    let run = |extra: &[&str]| {
-        let out = serve_bench_cmd(extra).output().expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
-    let plain = run(&[]);
-    let analyzed = run(&["--digests"]);
-    assert!(
-        analyzed.len() > plain.len() && analyzed.starts_with(&plain),
-        "--digests must only append its rollup, never change a report byte \
-         (passive observability)"
-    );
-}
-
-#[test]
-fn serve_bench_digests_section_is_deterministic() {
-    let run = || {
-        let out = serve_bench_cmd(&["--digests", "5", "--canonical"])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let a = run();
-    assert!(
-        a.contains("## Query digests (top 5 by rows scanned)"),
-        "{a}"
-    );
-    assert!(a.contains("distinct shapes."), "{a}");
-    assert!(!a.contains("FROM singer"), "skeletons are masked: {a}");
-    assert_eq!(a, run(), "canonical digest section is byte-stable");
-}
-
-#[test]
-fn digests_keep_scoring_spans_inside_their_request() {
-    // `--digests` scores through the analyzed executor. It must open the
-    // same parented eval.execution and eval.comparison spans as plain
-    // scoring, with the executor's storage.exec span inside
-    // eval.execution.
-    let spans = |tag: &str, extra: &[&str]| {
-        let trace = std::env::temp_dir().join(format!("dail_cli_scoring_spans_{tag}.jsonl"));
-        let _ = std::fs::remove_file(&trace);
-        let mut args = vec!["--trace", trace.to_str().unwrap()];
-        args.extend_from_slice(extra);
-        let out = serve_bench_cmd(&args).output().expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let events = obskit::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-        let _ = std::fs::remove_file(&trace);
-        span_index(&events)
-    };
-    let parents = |idx: &std::collections::HashMap<u64, (String, Option<u64>)>, name: &str| {
-        idx.values()
-            .filter(|(n, _)| n == name)
-            .map(|(_, parent)| parent.unwrap_or_else(|| panic!("{name} span has no parent")))
-            .collect::<Vec<u64>>()
-    };
-    let plain = spans("plain", &[]);
-    let digests = spans("digests", &["--digests", "5"]);
-    for name in ["eval.execution", "eval.comparison"] {
-        let n = parents(&plain, name).len();
-        assert!(n > 0, "plain scoring opens {name} spans");
-        assert_eq!(
-            parents(&digests, name).len(),
-            n,
-            "{name} spans under --digests"
-        );
-    }
-    let execs = parents(&digests, "storage.exec");
-    assert_eq!(execs.len(), parents(&digests, "eval.execution").len());
-    for p in execs {
-        assert_eq!(digests[&p].0, "eval.execution", "storage.exec parent");
-    }
-}
-
-#[test]
-fn serve_bench_json_report_has_headline_numbers() {
-    let dir = std::env::temp_dir().join("dail_cli_serve_json_test");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("BENCH_serve.json");
-    let out = serve_bench_cmd(&["--json", path.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let js = std::fs::read_to_string(&path).expect("json report written");
-    for key in [
-        "\"requests\"",
-        "\"shed_rate\"",
-        "\"throughput_rps\"",
-        "\"hit_ratio\"",
-        "\"p50\"",
-        "\"p99\"",
-        "\"ex\"",
-    ] {
-        assert!(js.contains(key), "missing {key} in:\n{js}");
-    }
-    // The markdown report and the JSON must tell the same story.
-    let md = String::from_utf8_lossy(&out.stdout);
-    let requests_row = md
-        .lines()
-        .find(|l| l.starts_with("| requests |"))
-        .expect("requests row");
-    let n: String = requests_row
-        .chars()
-        .filter(|c| c.is_ascii_digit())
-        .collect();
-    assert!(js.contains(&format!("\"requests\": {n}")), "{js}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn slo_report_json_flag_writes_the_same_schema() {
-    let dir = std::env::temp_dir().join("dail_cli_slo_json_test");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("BENCH_serve.json");
+/// `eval` of DAIL-SQL on gpt-4 over the seed-7 benchmark with 60 training
+/// and 24 dev items, plus `extra` flags.
+fn eval_dail_cmd(extra: &[&str]) -> Command {
     let mut c = cli();
     c.args([
-        "slo-report",
+        "eval",
+        "--pipeline",
+        "dail",
+        "--model",
+        "gpt-4",
         "--seed",
         "7",
         "--train",
-        "30",
+        "60",
         "--dev",
-        "12",
-        "--requests",
-        "40",
-        "--mean-gap-ms",
-        "15",
-        "--queue",
-        "16",
-        "--json",
-        path.to_str().unwrap(),
+        "24",
     ]);
+    c.args(extra);
+    c
+}
+
+/// Stdout of a successful run.
+fn stdout_of(mut c: Command) -> Vec<u8> {
     let out = c.output().expect("binary runs");
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let js = std::fs::read_to_string(&path).expect("json report written");
-    assert!(js.contains("\"throughput_rps\""), "{js}");
-    assert!(js.contains("\"latency_ms\""), "{js}");
-    let _ = std::fs::remove_dir_all(&dir);
+    out.stdout
 }
 
 #[test]
 fn eval_digests_flag_appends_the_rollup() {
-    let out = cli()
-        .args([
-            "eval",
-            "--pipeline",
-            "zero",
-            "--model",
-            "gpt-4",
-            "--train",
-            "40",
-            "--dev",
-            "10",
-            "--digests",
-            "3",
-            "--canonical",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
+    let mut zero = cli();
+    zero.args([
+        "eval",
+        "--pipeline",
+        "zero",
+        "--model",
+        "gpt-4",
+        "--train",
+        "40",
+        "--dev",
+        "10",
+        "--digests",
+        "3",
+        "--canonical",
+    ]);
+    let text = String::from_utf8(stdout_of(zero)).unwrap();
     assert!(text.contains("EX:"), "summary still prints: {text}");
     assert!(
         text.contains("## Query digests (top 3 by rows scanned)"),
         "{text}"
     );
+
+    // Scoring through the analyzed executor is passive: `--digests` only
+    // appends its rollup and never changes a summary byte.
+    let plain = stdout_of(eval_dail_cmd(&[]));
+    let analyzed = stdout_of(eval_dail_cmd(&["--digests"]));
+    assert!(
+        analyzed.len() > plain.len() && analyzed.starts_with(&plain),
+        "--digests must only append its rollup, never change a report byte"
+    );
+
+    // The canonical rollup is byte-stable, and its skeletons mask every
+    // table and column name (all lowercase in the generated schemas).
+    let canonical =
+        || String::from_utf8(stdout_of(eval_dail_cmd(&["--digests", "5", "--canonical"]))).unwrap();
+    let a = canonical();
+    assert!(
+        a.contains("## Query digests (top 5 by rows scanned)"),
+        "{a}"
+    );
+    assert!(a.contains("distinct shapes."), "{a}");
+    let skeletons: Vec<&str> = a
+        .lines()
+        .filter(|l| l.starts_with("| ") && l.ends_with("` |"))
+        .filter_map(|l| l.split('`').nth(1))
+        .collect();
+    assert_eq!(skeletons.len(), 5, "{a}");
+    for skel in skeletons {
+        assert!(
+            !skel.contains(|c: char| c.is_ascii_lowercase()),
+            "skeletons are masked: {skel}"
+        );
+    }
+    assert_eq!(a, canonical(), "canonical digest section is byte-stable");
 }
 
 #[test]
@@ -1546,59 +901,91 @@ fn eval_digests_trace_nests_exec_spans_under_their_item() {
     // Each eval worker must enter its own buffer, so the span nests under
     // the item's eval.execution span, inside its score span, and lands at
     // the same place in every run.
-    let run = |tag: &str| {
+    let run = |tag: &str, extra: &[&str]| {
         let trace = std::env::temp_dir().join(format!("dail_cli_eval_exec_{tag}.jsonl"));
         let _ = std::fs::remove_file(&trace);
-        let out = cli()
-            .args([
-                "eval",
-                "--pipeline",
-                "dail",
-                "--model",
-                "gpt-4",
-                "--train",
-                "40",
-                "--dev",
-                "12",
-                "--threads",
-                "2",
-                "--digests",
-                "3",
-                "--trace",
-                trace.to_str().unwrap(),
-            ])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
+        let mut args = vec![
+            "eval",
+            "--pipeline",
+            "dail",
+            "--model",
+            "gpt-4",
+            "--train",
+            "40",
+            "--dev",
+            "12",
+            "--threads",
+            "2",
+            // Zeroes the digest table's wall-clock column.
+            "--canonical",
+        ];
+        args.extend_from_slice(extra);
+        let traced = {
+            let mut c = cli();
+            c.args(&args).args(["--trace", trace.to_str().unwrap()]);
+            stdout_of(c)
+        };
+        // Telemetry never changes a reported byte.
+        let mut untraced = cli();
+        untraced.args(&args);
+        assert_eq!(
+            String::from_utf8_lossy(&traced),
+            String::from_utf8_lossy(&stdout_of(untraced)),
+            "traced and untraced reports differ ({tag})"
         );
         let events = obskit::parse_jsonl(&std::fs::read_to_string(&trace).unwrap()).unwrap();
         let _ = std::fs::remove_file(&trace);
         // Latency histograms hold wall-clock samples; everything else,
         // event order included, must repeat byte for byte.
-        let events: Vec<obskit::Event> = events
+        events
             .into_iter()
             .filter(|e| !matches!(e, obskit::Event::Histogram { .. }))
-            .collect();
-        let idx = span_index(&events);
-        let execs: Vec<Option<u64>> = idx
-            .values()
-            .filter(|(name, _)| name == "storage.exec")
-            .map(|(_, parent)| *parent)
-            .collect();
-        assert_eq!(execs.len(), 12, "one analyzed execution per dev item");
-        for parent in execs {
-            let parent = parent.expect("storage.exec span has a parent");
-            let (name, grandparent) = &idx[&parent];
-            assert_eq!(name, "eval.execution", "storage.exec parent");
-            let grandparent = grandparent.expect("eval.execution span has a parent");
-            assert_eq!(idx[&grandparent].0, "score", "eval.execution parent");
-        }
-        obskit::canonical_jsonl(&events)
+            .collect::<Vec<obskit::Event>>()
     };
-    assert_eq!(run("a"), run("b"), "canonical traces differ between runs");
+    let count = |idx: &std::collections::HashMap<u64, (String, Option<u64>)>, name: &str| {
+        idx.values().filter(|(n, _)| n == name).count()
+    };
+    let digests = run("digests", &["--digests", "3"]);
+    let idx = span_index(&digests);
+    let execs: Vec<Option<u64>> = idx
+        .values()
+        .filter(|(name, _)| name == "storage.exec")
+        .map(|(_, parent)| *parent)
+        .collect();
+    assert_eq!(execs.len(), 12, "one analyzed execution per dev item");
+    for parent in execs {
+        let parent = parent.expect("storage.exec span has a parent");
+        let (name, grandparent) = &idx[&parent];
+        assert_eq!(name, "eval.execution", "storage.exec parent");
+        let grandparent = grandparent.expect("eval.execution span has a parent");
+        assert_eq!(idx[&grandparent].0, "score", "eval.execution parent");
+    }
+    // Each item is one request tree: every span but the run's own
+    // `evaluate` root walks its parent links up to an `item` span.
+    assert_eq!(count(&idx, "item"), 12);
+    for (&id, (name, _)) in &idx {
+        if name != "evaluate" {
+            assert!(
+                ancestor_named(&idx, id, "item").is_some(),
+                "span {id} ({name}) is not inside any item"
+            );
+        }
+    }
+    // The analyzed path opens the same scoring spans as plain scoring.
+    let plain = span_index(&run("plain", &[]));
+    for name in ["eval.execution", "eval.comparison"] {
+        assert!(count(&plain, name) > 0, "plain scoring opens {name} spans");
+        assert_eq!(
+            count(&idx, name),
+            count(&plain, name),
+            "{name} spans under --digests"
+        );
+    }
+    assert_eq!(
+        obskit::canonical_jsonl(&digests),
+        obskit::canonical_jsonl(&run("again", &["--digests", "3"])),
+        "canonical traces differ between runs"
+    );
 }
 
 // --- persistence: persist / recover / warm-start-bench / --store ---------
@@ -1817,7 +1204,7 @@ fn store_flag_with_missing_dir_exits_2() {
 
 #[test]
 fn exec_diff_gold_queries_agree_bit_for_bit() {
-    // Every gold query of the serving golden's benchmark size, through both
+    // Every gold query of a 60-train / 24-dev benchmark, through both
     // engines (exit 1 on any divergence).
     let out = cli()
         .args(["exec-diff", "--train", "60", "--dev", "24"])
@@ -1912,16 +1299,12 @@ fn select_sweep_matches_golden_at_every_thread_count() {
 fn unknown_flag_exits_2_and_names_it() {
     let corpus = fixture("exec_diff/nulls_nan_zeros.sql");
     for args in [
-        vec!["serve-bench", "--reqests", "5"],
         vec!["exec-diff", "--corpus", &corpus],
-        vec!["slo-report", "--canonical"],
         vec!["models", "--verbose"],
-        // The windowed store's series bound is a constant, not a flag.
+        // The retired windowed store's series bound is no flag.
         vec!["eval", "--tsdb-max-series", "2"],
         vec!["run-experiments", "--tsdb-max-series", "2"],
         vec!["exec-bench", "--tsdb-max-series", "2"],
-        vec!["serve-bench", "--tsdb-max-series", "2"],
-        vec!["slo-report", "--tsdb-max-series", "2"],
         // Nothing reads stats JSONL back, so there is no round trip to check.
         vec!["stats", "--roundtrip"],
     ] {
@@ -1938,10 +1321,10 @@ fn unknown_flag_exits_2_and_names_it() {
 
 #[test]
 fn crash_injected_persist_recovers_to_identical_store() {
-    // The serving golden's benchmark, persisted with a crash injected
-    // mid-commit, recovered and resumed: the page files equal an
-    // uninterrupted persist's, and serving from the recovered store
-    // reproduces the serve-bench golden byte for byte.
+    // The seed-7 benchmark, persisted with a crash injected mid-commit,
+    // recovered and resumed: the page files equal an uninterrupted
+    // persist's, and evaluating on the recovered store prints the same
+    // bytes as evaluating on the generated databases.
     let dir = std::env::temp_dir().join("dail_cli_crash_test");
     let clean = std::env::temp_dir().join("dail_cli_crash_clean");
     for d in [&dir, &clean] {
@@ -2015,18 +1398,13 @@ fn crash_injected_persist_recovers_to_identical_store() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("0 incomplete, 0 corrupt"), "{text}");
-    let out = serve_bench_cmd(&["--store", dir.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_golden(
-        "serve_bench_report.md",
-        "serve-bench from the crash-recovered store",
-        &out.stdout,
+    assert_eq!(
+        String::from_utf8_lossy(&stdout_of(eval_dail_cmd(&[
+            "--store",
+            dir.to_str().unwrap()
+        ]))),
+        String::from_utf8_lossy(&stdout_of(eval_dail_cmd(&[]))),
+        "eval on the crash-recovered store differs from eval on the generated databases"
     );
     for d in [&dir, &clean] {
         let _ = std::fs::remove_dir_all(d);

@@ -5,8 +5,8 @@
 //! grouped under the skeleton's 64-bit [`fingerprint`]; each group
 //! accumulates execution counts, total executor self-time, rows scanned and
 //! EX outcomes. The rollup answers "which query *shapes* dominate executor
-//! time / scan volume / failures" across a whole benchmark or serving run,
-//! the way a database's statement-digest view does.
+//! time / scan volume / failures" across a whole benchmark run, the way a
+//! database's statement-digest view does.
 //!
 //! Rows scanned count what the executor actually ran: the columnar engine
 //! runs an uncorrelated subquery once per statement, so its scans count

@@ -175,9 +175,8 @@ pub fn evaluate_opts(
                             // Each item is traced as one request: the
                             // pipeline's own spans nest under `predict`
                             // and `score`.
-                            let request = |parent: &obskit::Span| {
-                                obskit::TraceContext::root(item.id as u64, true, parent.id())
-                            };
+                            let request =
+                                |parent: &obskit::Span| obskit::TraceContext::root(parent.id());
                             let item_span = wrec.span("item");
                             let pred = {
                                 let s = item_span.child("predict");

@@ -106,7 +106,7 @@ fn exec_span_duration_equals_self_time_total() {
             b.db(item),
             &item.gold,
             Engine::default(),
-            obskit::TraceContext::root(item.id as u64, true, None),
+            obskit::TraceContext::root(None),
         )
         .expect("gold queries always execute");
         let after = rec.events();

@@ -1,7 +1,8 @@
 //! Prometheus text exposition for obskit metrics.
 //!
-//! Renders a [`MetricsSnapshot`] (or the metrics of a folded trace, see
-//! [`render_profile`]) in the Prometheus text exposition format: one
+//! Renders a [`MetricsSnapshot`] (a recorder's, or the
+//! [`crate::Profile::metrics`] of a folded trace) in the Prometheus text
+//! exposition format: one
 //! `# TYPE` line per family, counter/gauge samples, and
 //! `_bucket`/`_sum`/`_count` series derived from the log₂
 //! [`Histogram`]s. Bucket upper bounds are the histogram's power-of-two
@@ -13,25 +14,13 @@
 //! order, so expositions of the same metrics are byte-identical — which
 //! is what lets the CLI tests golden-gate them.
 //!
-//! Traces that carry windowed [`crate::tsdb`] series additionally render
-//! OpenMetrics-style *labelled* families — one sample per label set for
-//! counters, per-label-set `_bucket`/`_sum`/`_count` series for
-//! histograms — plus `# exemplar` comment lines tying a histogram label
-//! set to the request id of its largest sampled observation.
-//!
-//! Label values are escaped per the Prometheus text format (`\\`, `\"`,
-//! `\n`); see [`escape_label_value`].
-//!
 //! [`parse`] is a small validating parser for the same format, used by
 //! tests to prove CLI output is well-formed (names, label syntax and
 //! escapes, family/sample agreement, per-label-set cumulative
-//! non-decreasing buckets ending in `+Inf`, `_count` == `+Inf` bucket,
-//! well-formed exemplar lines).
+//! non-decreasing buckets ending in `+Inf`, `_count` == `+Inf` bucket).
 
 use crate::hist::{bucket_high, Histogram};
-use crate::profile::Profile;
 use crate::recorder::MetricsSnapshot;
-use crate::tsdb::Tsdb;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -60,7 +49,7 @@ pub fn sanitize_name(name: &str) -> String {
 /// Escape a label value per the Prometheus text format: backslash,
 /// double-quote and newline become `\\`, `\"` and `\n`. Everything else
 /// passes through unchanged.
-pub fn escape_label_value(v: &str) -> String {
+fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
@@ -123,103 +112,6 @@ pub fn render(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// `{k="v",...}` suffix for a rendered label set (empty when unlabelled).
-fn labels_suffix(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", crate::tsdb::render_label_set(labels))
-    }
-}
-
-/// Render the windowed series of a [`Tsdb`] as labelled OpenMetrics-style
-/// families: one sample per label set for counter metrics, per-label-set
-/// `_bucket`/`_sum`/`_count` series (merged across retained windows) for
-/// histogram metrics, plus a `# exemplar` line per histogram label set
-/// carrying the request id of its largest sampled observation. `used`
-/// holds already-declared family names; colliding metric names get `_`
-/// appended until unique, so the exposition never redeclares a family.
-fn render_tsdb(out: &mut String, db: &Tsdb, used: &mut BTreeMap<String, ()>) {
-    let mut by_metric: BTreeMap<&str, Vec<&crate::tsdb::Series>> = BTreeMap::new();
-    for s in db.series() {
-        by_metric.entry(s.metric()).or_default().push(s);
-    }
-    for (metric, group) in by_metric {
-        let mut fam = sanitize_name(metric);
-        while used.insert(fam.clone(), ()).is_some() {
-            fam.push('_');
-        }
-        let is_hist = group[0].is_hist();
-        if is_hist {
-            let _ = writeln!(out, "# TYPE {fam} histogram");
-        } else {
-            let _ = writeln!(out, "# TYPE {fam} counter");
-        }
-        for s in group {
-            if s.is_hist() != is_hist {
-                continue; // a metric never mixes kinds via the tsdb API
-            }
-            if !is_hist {
-                let _ = writeln!(out, "{fam}{} {}", labels_suffix(s.labels()), s.total());
-                continue;
-            }
-            let mut h = Histogram::new();
-            for w in s.windows() {
-                if let Some(wh) = w.hist {
-                    h.merge(wh);
-                }
-            }
-            let ls = crate::tsdb::render_label_set(s.labels());
-            let sep = if ls.is_empty() { "" } else { "," };
-            let mut cumulative = 0u64;
-            for (i, n) in h.occupied() {
-                cumulative += n;
-                let _ = writeln!(
-                    out,
-                    "{fam}_bucket{{{ls}{sep}le=\"{}\"}} {cumulative}",
-                    bucket_high(i as usize)
-                );
-            }
-            let _ = writeln!(out, "{fam}_bucket{{{ls}{sep}le=\"+Inf\"}} {}", h.count());
-            if let Some(e) = s.best_exemplar() {
-                let _ = writeln!(
-                    out,
-                    "# exemplar {fam}{{{ls}{sep}request_id=\"{}\"}} {}",
-                    e.request_id, e.value
-                );
-            }
-            let _ = writeln!(out, "{fam}_sum{} {}", labels_suffix(s.labels()), h.sum());
-            let _ = writeln!(
-                out,
-                "{fam}_count{} {}",
-                labels_suffix(s.labels()),
-                h.count()
-            );
-        }
-    }
-}
-
-/// Render a folded trace's metrics: its counters, gauges and histograms,
-/// then its windowed series as labelled families (with `# exemplar`
-/// lines) after the plain ones.
-pub fn render_profile(p: &Profile) -> String {
-    let snap = &p.metrics;
-    let mut out = render(snap);
-    if p.tsdb.series_count() > 0 {
-        let mut used: BTreeMap<String, ()> = BTreeMap::new();
-        for name in snap
-            .counters
-            .keys()
-            .chain(snap.gauges.keys())
-            .chain(snap.histograms.keys())
-        {
-            used.insert(sanitize_name(name), ());
-        }
-        render_tsdb(&mut out, &p.tsdb, &mut used);
-    }
-    out
-}
-
 /// Kind of a metric family, from its `# TYPE` line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FamilyKind {
@@ -251,9 +143,6 @@ pub struct Family {
     pub kind: FamilyKind,
     /// Samples belonging to this family.
     pub samples: Vec<Sample>,
-    /// Parsed `# exemplar` lines of this (histogram) family; each
-    /// carries a `request_id` label alongside the series labels.
-    pub exemplars: Vec<Sample>,
 }
 
 fn valid_name(s: &str) -> bool {
@@ -324,26 +213,21 @@ fn parse_labels(s: &str) -> Result<Vec<(String, String)>, String> {
     Ok(labels)
 }
 
-/// Parse a `k="v",...` label set (escape-aware) into pairs. Public for
-/// the label sets of [`crate::tsdb`]'s windowed-write annotations and for
-/// tests.
-pub fn parse_label_set(s: &str) -> Result<Vec<(String, String)>, String> {
-    parse_labels(s)
-}
-
-/// Canonical grouping key of a label set: sorted, rendered, optionally
-/// dropping one label name (`le` for buckets, `request_id` for
-/// exemplars).
+/// Canonical grouping key of a label set: rendered as `k="v"` pairs,
+/// sorted, and optionally dropping one label name (`le` for buckets).
 fn label_group_key(labels: &[(String, String)], drop: &str) -> String {
-    let mut ls: Vec<(String, String)> = labels.iter().filter(|(k, _)| k != drop).cloned().collect();
+    let mut ls: Vec<String> = labels
+        .iter()
+        .filter(|(k, _)| k != drop)
+        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
+        .collect();
     ls.sort();
-    crate::tsdb::render_label_set(&ls)
+    ls.join(",")
 }
 
 /// Validate one histogram family, grouping its samples by label set
 /// (minus `le`): each label set must carry a complete cumulative bucket
-/// series ending in `+Inf` plus matching `_sum`/`_count`, and each
-/// exemplar must name an existing label set.
+/// series ending in `+Inf` plus matching `_sum`/`_count`.
 fn check_histogram(fam: &Family) -> Result<(), String> {
     let name = &fam.name;
     #[derive(Default)]
@@ -406,19 +290,10 @@ fn check_histogram(fam: &Family) -> Result<(), String> {
             return Err(format!("{ctx}: _count != +Inf bucket"));
         }
     }
-    for e in &fam.exemplars {
-        let key = label_group_key(&e.labels, "request_id");
-        if !groups.contains_key(&key) {
-            return Err(format!(
-                "{name}: exemplar names unknown label set {{{key}}}"
-            ));
-        }
-    }
     Ok(())
 }
 
-/// Parse one `name{labels} value` line (shared by samples and
-/// `# exemplar` payloads).
+/// Parse one `name{labels} value` sample line.
 fn parse_sample_line(line: &str, n: usize) -> Result<Sample, String> {
     let (name_labels, value) = line
         .rsplit_once(' ')
@@ -455,9 +330,7 @@ fn parse_sample_line(line: &str, n: usize) -> Result<Sample, String> {
 /// at least one sample with no duplicated label set, and that histogram
 /// series are complete *per label set* (cumulative non-decreasing
 /// `_bucket`s ending in `+Inf`, with `_sum` and a `_count` equal to the
-/// `+Inf` bucket). `# exemplar` lines are parsed, must follow a
-/// histogram family, carry a `request_id` label, and name one of the
-/// family's label sets.
+/// `+Inf` bucket).
 pub fn parse(text: &str) -> Result<Vec<Family>, String> {
     let mut families: Vec<Family> = Vec::new();
     let mut seen: BTreeMap<String, ()> = BTreeMap::new();
@@ -488,28 +361,7 @@ pub fn parse(text: &str) -> Result<Vec<Family>, String> {
                 name: name.to_string(),
                 kind,
                 samples: Vec::new(),
-                exemplars: Vec::new(),
             });
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# exemplar ") {
-            let ex = parse_sample_line(rest, n)?;
-            let fam = families
-                .last_mut()
-                .ok_or_else(|| format!("line {n}: exemplar before any TYPE line"))?;
-            if fam.kind != FamilyKind::Histogram {
-                return Err(format!("line {n}: exemplar on non-histogram family"));
-            }
-            if ex.name != fam.name {
-                return Err(format!(
-                    "line {n}: exemplar {:?} does not belong to family {:?}",
-                    ex.name, fam.name
-                ));
-            }
-            if !ex.labels.iter().any(|(k, _)| k == "request_id") {
-                return Err(format!("line {n}: exemplar without request_id label"));
-            }
-            fam.exemplars.push(ex);
             continue;
         }
         if line.starts_with('#') {
@@ -563,21 +415,22 @@ pub fn parse(text: &str) -> Result<Vec<Family>, String> {
 mod tests {
     use super::*;
     use crate::event::Event;
+    use crate::profile::Profile;
 
     fn render_trace(events: &[Event]) -> String {
-        render_profile(&Profile::from_events(events))
+        render(&Profile::from_events(events).metrics)
     }
 
     fn snap_with_all() -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("eval.items".into(), 24);
-        snap.counters.insert("servekit.shed".into(), 3);
+        snap.counters.insert("sqlkit.parse_errors".into(), 3);
         snap.gauges.insert("eval.ex_pct".into(), 61.5);
         let mut h = Histogram::new();
         for v in [0u64, 1, 3, 900, 901] {
             h.record(v);
         }
-        snap.histograms.insert("servekit.latency_ms".into(), h);
+        snap.histograms.insert("storage.exec_us".into(), h);
         snap
     }
 
@@ -592,8 +445,8 @@ mod tests {
         assert!(a.contains("# TYPE eval_items counter"));
         assert!(a.contains("eval_items 24"));
         assert!(a.contains("eval_ex_pct 61.5"));
-        assert!(a.contains("servekit_latency_ms_bucket{le=\"+Inf\"} 5"));
-        assert!(a.contains("servekit_latency_ms_count 5"));
+        assert!(a.contains("storage_exec_us_bucket{le=\"+Inf\"} 5"));
+        assert!(a.contains("storage_exec_us_count 5"));
     }
 
     #[test]
@@ -602,10 +455,10 @@ mod tests {
         let text = render(&snap);
         // 0 → bucket 0 (le=0), 1 → bucket 1 (le=1), 3 → bucket 2 (le=3),
         // 900/901 → bucket 10 (le=1023).
-        assert!(text.contains("servekit_latency_ms_bucket{le=\"0\"} 1"));
-        assert!(text.contains("servekit_latency_ms_bucket{le=\"1\"} 2"));
-        assert!(text.contains("servekit_latency_ms_bucket{le=\"3\"} 3"));
-        assert!(text.contains("servekit_latency_ms_bucket{le=\"1023\"} 5"));
+        assert!(text.contains("storage_exec_us_bucket{le=\"0\"} 1"));
+        assert!(text.contains("storage_exec_us_bucket{le=\"1\"} 2"));
+        assert!(text.contains("storage_exec_us_bucket{le=\"3\"} 3"));
+        assert!(text.contains("storage_exec_us_bucket{le=\"1023\"} 5"));
     }
 
     #[test]
@@ -691,9 +544,9 @@ mod tests {
         let raw = "a\"b\\c\nd";
         let escaped = escape_label_value(raw);
         assert_eq!(escaped, "a\\\"b\\\\c\\nd");
-        let labels = parse_label_set(&format!("k=\"{escaped}\",plain=\"x\"")).unwrap();
+        let text = format!("# TYPE c counter\nc{{k=\"{escaped}\",plain=\"x\"}} 1\n");
         assert_eq!(
-            labels,
+            parse(&text).unwrap()[0].samples[0].labels,
             vec![
                 ("k".to_string(), raw.to_string()),
                 ("plain".to_string(), "x".to_string())
@@ -736,64 +589,5 @@ mod tests {
         // One label set's _count disagrees with its +Inf bucket.
         let bad = ok.replace("h_count{t=\"b\"} 1", "h_count{t=\"b\"} 5");
         assert!(parse(&bad).is_err());
-    }
-
-    #[test]
-    fn exemplar_lines_round_trip_and_validate() {
-        let ok = "# TYPE h histogram\n\
-                  h_bucket{t=\"a\",le=\"+Inf\"} 2\n\
-                  # exemplar h{t=\"a\",request_id=\"17\"} 42\n\
-                  h_sum{t=\"a\"} 3\nh_count{t=\"a\"} 2\n";
-        let fams = parse(ok).unwrap();
-        assert_eq!(fams[0].exemplars.len(), 1);
-        assert_eq!(fams[0].exemplars[0].value, 42.0);
-        assert_eq!(
-            fams[0].exemplars[0].labels,
-            vec![
-                ("t".to_string(), "a".to_string()),
-                ("request_id".to_string(), "17".to_string())
-            ]
-        );
-        // Missing request_id label.
-        assert!(parse(&ok.replace("request_id=\"17\"", "req=\"17\"")).is_err());
-        // Exemplar naming a label set the family does not have.
-        assert!(parse(&ok.replace("# exemplar h{t=\"a\"", "# exemplar h{t=\"z\"")).is_err());
-        // Exemplar on a counter family.
-        assert!(parse("# TYPE c counter\nc 1\n# exemplar c{request_id=\"1\"} 2\n").is_err());
-    }
-
-    #[test]
-    fn render_profile_includes_tsdb_series_with_exemplars() {
-        let rec = crate::Recorder::enabled();
-        rec.add_counter_at("req.count", &[("tenant", "t0")], 10, 3);
-        rec.add_counter_at("req.count", &[("tenant", "t1")], 300, 1);
-        rec.observe_at("lat.ms", &[("tenant", "t0")], 10, 64, Some(7));
-        rec.add_counter("plain.counter", 5);
-        let text = render_trace(&rec.drain_trace());
-        assert!(text.contains("# TYPE req_count counter"), "{text}");
-        assert!(text.contains("req_count{tenant=\"t0\"} 3"), "{text}");
-        assert!(text.contains("req_count{tenant=\"t1\"} 1"), "{text}");
-        assert!(text.contains("# TYPE lat_ms histogram"), "{text}");
-        assert!(
-            text.contains("# exemplar lat_ms{tenant=\"t0\",request_id=\"7\"} 64"),
-            "{text}"
-        );
-        assert!(text.contains("lat_ms_count{tenant=\"t0\"} 1"), "{text}");
-        // The whole exposition round-trips through the mini-parser.
-        let fams = parse(&text).unwrap();
-        let lat = fams.iter().find(|f| f.name == "lat_ms").unwrap();
-        assert_eq!(lat.exemplars.len(), 1);
-    }
-
-    #[test]
-    fn tsdb_family_name_collisions_get_suffixed() {
-        let rec = crate::Recorder::enabled();
-        rec.add_counter_at("plain.counter", &[("t", "a")], 0, 1);
-        rec.add_counter("plain.counter", 5);
-        let text = render_trace(&rec.drain_trace());
-        assert!(text.contains("# TYPE plain_counter counter\nplain_counter 5"));
-        assert!(text.contains("# TYPE plain_counter_ counter"), "{text}");
-        assert!(text.contains("plain_counter_{t=\"a\"} 1"), "{text}");
-        parse(&text).unwrap();
     }
 }

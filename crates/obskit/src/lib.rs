@@ -16,25 +16,18 @@
 //! * [`Profile`] — the one replay of a recorded trace. One pass builds
 //!   the span forest under one rule (self-times sum to the wall-clock on
 //!   every trace, truncated or concatenated) and derives the per-stage
-//!   stats, the [`Flame`] tree, the metric summaries, the annotations and
-//!   the windowed [`tsdb::Tsdb`]; it renders a per-stage markdown
-//!   breakdown table (same visual style as `eval::report::Table`).
+//!   stats, the [`Flame`] tree, the metric summaries and the annotations;
+//!   it renders a per-stage markdown breakdown table (same visual style as
+//!   `eval::report::Table`).
 //! * [`ProfileDiff`] — cross-run comparison of two profiles (per-stage
 //!   self-times, counters, histograms) with a CI regression gate.
 //! * [`Flame`] — a profile's spans merged by stack, rendered as
 //!   folded-stack text or a self-contained `flamegraph.svg`.
-//! * [`TraceContext`] — request-scoped context (request id, parent span
-//!   and a deterministic head-sampling decision) for explicit
-//!   cross-thread span parenting; one connected tree per served request.
+//! * [`TraceContext`] — a request's parent span, carried explicitly so
+//!   that every span of one request (an evaluated item, say) nests in one
+//!   tree whatever the thread-local span stack holds.
 //! * [`expo`] — Prometheus text exposition of the counters/gauges/log₂
-//!   histograms (and a profile's labelled [`tsdb`] series with
-//!   `# exemplar` lines), plus a validating mini-parser for tests.
-//! * [`tsdb`] — windowed time series, folded from the windowed writes a
-//!   run records ([`Recorder::add_counter_at`], [`Recorder::observe_at`]):
-//!   labelled series with a hard cardinality bound, fixed-step
-//!   ring-buffer windows (rates, windowed quantiles), and per-window
-//!   exemplars linking back to sampled request traces. All on the
-//!   virtual clock.
+//!   histograms, plus a validating mini-parser for tests.
 //! * One scoped sink per run: [`Recorder::enter`] makes a recorder current
 //!   on the calling thread (an RAII [`SinkGuard`] restores the previous
 //!   one), so deep layers (`simllm`, `storage`, `promptkit`, …) emit to
@@ -58,7 +51,6 @@ mod jsonl;
 mod profile;
 mod recorder;
 pub mod trace;
-pub mod tsdb;
 
 pub use event::Event;
 pub use flame::{Flame, FlameNode};

@@ -1,13 +1,11 @@
 //! The one replay of a recorded trace: spans into a forest with
-//! self-times and a flame tree, metric summaries into a snapshot,
-//! windowed writes into a time-series store, and a per-stage breakdown
-//! report over the result.
+//! self-times and a flame tree, metric summaries into a snapshot, and a
+//! per-stage breakdown report over the result.
 
 use crate::event::Event;
 use crate::flame::{Flame, FlameNode};
 use crate::hist::Histogram;
 use crate::recorder::MetricsSnapshot;
-use crate::tsdb::Tsdb;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -33,8 +31,7 @@ pub struct StageStats {
 /// [`crate::parse_jsonl`] on a `--trace` file). [`Profile::to_markdown`]
 /// renders the per-stage breakdown in the style of the experiment report
 /// tables (`eval::report::Table`); [`Flame`] renders
-/// [`Profile::flame`], [`crate::expo::render_profile`] the metrics and
-/// windowed series.
+/// [`Profile::flame`], [`crate::expo::render`] the metrics.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
     /// Stage name → aggregated span stats, ordered by name.
@@ -43,10 +40,8 @@ pub struct Profile {
     pub flame: Flame,
     /// Counter totals, last gauge values and merged histograms.
     pub metrics: MetricsSnapshot,
-    /// Meta annotations other than `tsdb.*`, in order.
+    /// Meta annotations, in order.
     pub metas: Vec<(String, Vec<(String, String)>)>,
-    /// Windowed series folded from the `tsdb.*` annotations.
-    pub tsdb: Tsdb,
 }
 
 /// One span of a trace: the index of the span it nests in, and its
@@ -72,13 +67,7 @@ impl Profile {
     ///   every trace, truncated or overlong children included.
     ///
     /// Counters with the same name are summed, gauges keep the last value
-    /// and histograms merge. Windowed writes (the `tsdb.*` annotations of
-    /// [`crate::Recorder::add_counter_at`] and
-    /// [`crate::Recorder::observe_at`]) replay into [`Profile::tsdb`] in
-    /// trace order, and the store's accounting joins the counters as
-    /// `obskit.tsdb.series`, plus `obskit.tsdb.overflow` and
-    /// `obskit.tsdb.dropped_late` when non-zero; the other annotations are
-    /// kept in order.
+    /// and histograms merge; annotations are kept in order.
     pub fn from_events(events: &[Event]) -> Profile {
         let mut p = Profile::default();
         let mut spans: Vec<TraceSpan> = Vec::new();
@@ -130,24 +119,8 @@ impl Profile {
                         .or_default()
                         .merge(&h);
                 }
-                Event::Meta { name, fields } if name.starts_with("tsdb.") => {
-                    p.tsdb.replay(name, fields);
-                }
                 Event::Meta { name, fields } => {
                     p.metas.push((name.clone(), fields.clone()));
-                }
-            }
-        }
-        if p.tsdb.series_count() > 0 {
-            let counters = &mut p.metrics.counters;
-            *counters.entry("obskit.tsdb.series".into()).or_insert(0) +=
-                p.tsdb.series_count() as u64;
-            for (name, value) in [
-                ("obskit.tsdb.overflow", p.tsdb.overflow()),
-                ("obskit.tsdb.dropped_late", p.tsdb.dropped_late()),
-            ] {
-                if value > 0 {
-                    *counters.entry(name.into()).or_insert(0) += value;
                 }
             }
         }

@@ -1,9 +1,8 @@
-//! The event sink: spans, counters, gauges, histograms, windowed writes,
-//! and the per-thread *current sink* that deep layers emit to.
+//! The event sink: spans, counters, gauges, histograms, annotations, and
+//! the per-thread *current sink* that deep layers emit to.
 
 use crate::event::Event;
 use crate::hist::Histogram;
-use crate::tsdb;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -82,9 +81,7 @@ struct Inner {
 /// A run hands its telemetry to the layers underneath by entering its
 /// recorder ([`Recorder::enter`]): deep layers emit to [`current`], and
 /// code that fans work out to threads enters the caller's sink on each
-/// worker. Windowed writes ([`Recorder::add_counter_at`],
-/// [`Recorder::observe_at`]) are recorded as trace events like any other;
-/// [`crate::Profile::from_events`] folds them into a [`crate::tsdb::Tsdb`].
+/// worker.
 #[derive(Clone)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -262,38 +259,6 @@ impl Recorder {
             dur_ns,
         });
         Some(id)
-    }
-
-    /// Add `delta` to the windowed counter series `metric{labels}` at
-    /// virtual time `t_ms`, recorded as one `tsdb.counter` annotation.
-    pub fn add_counter_at(&self, metric: &str, labels: &[(&str, &str)], t_ms: u64, delta: u64) {
-        let Some(inner) = &self.inner else { return };
-        let ev = tsdb::write_event(tsdb::COUNTER_EVENT, metric, labels, t_ms, delta, None);
-        inner.events.lock().unwrap().push(ev);
-    }
-
-    /// Record one observation into the windowed histogram series
-    /// `metric{labels}` at virtual time `t_ms`, optionally carrying the
-    /// request id of a *sampled* request as an exemplar; recorded as one
-    /// `tsdb.observe` annotation.
-    pub fn observe_at(
-        &self,
-        metric: &str,
-        labels: &[(&str, &str)],
-        t_ms: u64,
-        value: u64,
-        exemplar_request: Option<u64>,
-    ) {
-        let Some(inner) = &self.inner else { return };
-        let ev = tsdb::write_event(
-            tsdb::OBSERVE_EVENT,
-            metric,
-            labels,
-            t_ms,
-            value,
-            exemplar_request,
-        );
-        inner.events.lock().unwrap().push(ev);
     }
 
     /// Attach a free-form key/value annotation event.
@@ -483,7 +448,7 @@ pub struct Span {
 
 impl Span {
     /// A dead (no-op) span: records nothing on drop. Used by
-    /// [`crate::TraceContext`] on the unsampled path.
+    /// [`crate::TraceContext`] on the untraced path.
     pub fn dead() -> Span {
         Span { data: None }
     }
@@ -527,8 +492,6 @@ mod tests {
         r.add_counter("c", 5);
         r.set_gauge("g", 1.0);
         r.observe("h", 9);
-        r.add_counter_at("w", &[("t", "a")], 0, 1);
-        r.observe_at("w.h", &[], 0, 9, Some(1));
         r.meta("m", &[("k", "v".into())]);
         assert!(r.events().is_empty());
         assert!(r.drain_trace().is_empty());
@@ -650,15 +613,15 @@ mod tests {
         }
         worker.add_counter("items", 1);
         worker.observe("lat", 42);
-        worker.add_counter_at("req", &[("tenant", "t0")], 10, 1);
+        worker.meta("note", &[("k", "v".into())]);
 
         main.absorb(&worker, Some(root_id));
         drop(root);
 
         let ev = main.events();
-        // root start, absorbed item start/end and windowed write, root end.
+        // root start, absorbed item start/end and annotation, root end.
         assert_eq!(ev.len(), 5);
-        assert_eq!(ev[3].name(), "tsdb.counter");
+        assert_eq!(ev[3].name(), "note");
         match &ev[1] {
             Event::SpanStart {
                 id, parent, name, ..

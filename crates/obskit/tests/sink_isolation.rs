@@ -1,6 +1,6 @@
 //! The current sink is per thread: entering a recorder scopes telemetry
-//! to the entering thread, guards nest, and a recorder's windowed writes
-//! drain without being consumed.
+//! to the entering thread, guards nest, and a recorder's trace drains
+//! without being consumed.
 
 use obskit::{Event, Recorder};
 
@@ -77,7 +77,7 @@ fn a_thread_that_enters_no_sink_records_nothing() {
         scope
             .spawn(|| {
                 emit("worker");
-                let ctx = obskit::TraceContext::root(1, true, None);
+                let ctx = obskit::TraceContext::root(None);
                 let (span, _) = ctx.span("worker.request");
                 assert!(span.id().is_none(), "no sink, no span");
                 obskit::enabled() || obskit::current().is_enabled()
@@ -90,23 +90,25 @@ fn a_thread_that_enters_no_sink_records_nothing() {
 }
 
 #[test]
-fn drain_trace_with_windowed_writes_is_repeatable() {
+fn drain_trace_is_repeatable() {
     let rec = Recorder::enabled();
     rec.add_counter("plain", 2);
-    rec.add_counter_at("req", &[("tenant", "t0")], 10, 3);
-    rec.observe_at("lat", &[("tenant", "t0")], 20, 64, Some(7));
+    rec.meta("note", &[("k", "a".into())]);
+    {
+        let _span = rec.span("work");
+    }
     let first = rec.drain_trace();
     let second = rec.drain_trace();
     assert_eq!(first, second);
     assert_eq!(rec.to_jsonl(), rec.to_jsonl());
-    // Windowed writes are recorded events, in order, before the sorted
-    // counter summary.
+    // Recorded events come in order, before the sorted counter summary.
     let names: Vec<&str> = first.iter().map(Event::name).collect();
-    assert_eq!(names, vec!["tsdb.counter", "tsdb.observe", "plain"]);
-    // Folding the drained trace twice builds the same store.
+    assert_eq!(names, vec!["note", "work", "work", "plain"]);
+    // Folding the drained trace twice gives the same annotations and sums.
     let folded = obskit::Profile::from_events(&first);
-    assert_eq!(folded.tsdb, obskit::Profile::from_events(&second).tsdb);
-    assert_eq!(folded.tsdb.series_count(), 2);
-    assert_eq!(folded.metrics.counters["obskit.tsdb.series"], 2);
+    let again = obskit::Profile::from_events(&second);
+    assert_eq!(folded.metas, again.metas);
+    assert_eq!(folded.metrics.counters, again.metrics.counters);
+    assert_eq!(folded.metrics.counters["plain"], 2);
     assert!(Recorder::disabled().drain_trace().is_empty());
 }

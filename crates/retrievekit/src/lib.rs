@@ -1,7 +1,7 @@
 //! # retrievekit — zero-alloc, cache-friendly top-k retrieval
 //!
 //! The engine behind example selection, DAIL-SQL's headline contribution
-//! and the hot path of every served request: each query scores the entire
+//! and the hot path of every evaluated item: each query scores the entire
 //! training pool and keeps the `k ≤ 16` best. This crate replaces the
 //! naive shape of that work —
 //!

@@ -30,7 +30,6 @@
 
 pub mod comprehend;
 pub mod decode;
-pub mod faults;
 pub mod intent;
 pub mod linking;
 pub mod model;
@@ -39,7 +38,6 @@ pub mod sft;
 pub mod values;
 
 pub use comprehend::{parse_prompt, ParsedExample, ParsedFk, ParsedPrompt, ParsedTable};
-pub use faults::{FaultConfig, FaultInjector, FaultPlan};
 pub use intent::{intent_of_query, Intent};
 pub use linking::Linker;
 pub use model::{extract_sql, CompletionTrace, Comprehension, GenOptions, SimLlm};

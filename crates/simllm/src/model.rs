@@ -33,7 +33,7 @@ pub struct GenOptions {
     pub temperature: f64,
     /// Sample index for self-consistency sampling.
     pub sample_index: u32,
-    /// Request trace context; when sampled, each sample opens a
+    /// Request trace context; when recording, each sample opens a
     /// `simllm.complete` span under it (and [`SimLlm::complete`] a
     /// `simllm.comprehend` span before it). Never affects the output text.
     pub trace: obskit::TraceContext,

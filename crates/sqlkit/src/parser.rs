@@ -9,6 +9,19 @@ use crate::ast::*;
 use crate::error::{ParseError, ParseResult};
 use crate::token::{lex, Keyword as Kw, Sym, Token, TokenKind as Tk};
 
+/// Deepest nesting [`parse_query`] accepts; anything deeper is a
+/// [`ParseError`]. Each recursive construct (a subquery or parenthesized
+/// compound operand, a condition, an expression, `NOT`, unary minus)
+/// nests one level, and so does every operand a chain of `AND`, `OR`,
+/// arithmetic or set operators adds, because the chain's tree is
+/// left-deep: its first operand sinks one level per link. Gold and
+/// predicted queries reach 6. At 20, every walk over the tree (printer,
+/// canonicalizer, skeleton, both executors) and this parser fit the
+/// 2 MiB stack of a spawned thread in a debug build, and subqueries nest
+/// at most 8 deep, where the canonical form, which grows about fourfold
+/// per subquery level, is still under a megabyte.
+pub const MAX_DEPTH: usize = 20;
+
 /// Parse a SQL string into a [`Query`].
 ///
 /// Trailing semicolons are accepted; any other trailing garbage is an error.
@@ -26,7 +39,12 @@ pub fn parse_query(sql: &str) -> ParseResult<Query> {
 
 fn parse_query_inner(sql: &str) -> ParseResult<Query> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        peak: 0,
+    };
     let q = p.query()?;
     p.eat_sym(Sym::Semicolon);
     p.expect_eof()?;
@@ -36,9 +54,51 @@ fn parse_query_inner(sql: &str) -> ParseResult<Query> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels (see [`MAX_DEPTH`]) of the constructs open at `pos`, and
+    /// the deepest level the tree parsed so far reaches.
+    depth: usize,
+    peak: usize,
 }
 
 impl Parser {
+    /// Parse one recursive construct a level deeper.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> ParseResult<T>) -> ParseResult<T> {
+        self.depth += 1;
+        let out = self.reach(self.depth).and_then(|()| parse(self));
+        self.depth -= 1;
+        out
+    }
+
+    /// Record that the tree reaches `level`, refusing past [`MAX_DEPTH`].
+    fn reach(&mut self, level: usize) -> ParseResult<()> {
+        self.peak = self.peak.max(level);
+        if level > MAX_DEPTH {
+            return Err(self.err(format!("query nests deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// Parse one operand of an operator chain, with the levels its tree
+    /// reaches below the chain.
+    fn operand<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> ParseResult<T>,
+    ) -> ParseResult<(T, usize)> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let out = parse(self);
+        let height = self.peak - self.depth;
+        self.peak = self.peak.max(outer);
+        Ok((out?, height))
+    }
+
+    /// Add an operand `next` levels high to a chain `height` levels high:
+    /// the chain's tree, its earlier operands included, nests one deeper.
+    fn link(&mut self, height: usize, next: usize) -> ParseResult<usize> {
+        let height = height.max(next) + 1;
+        self.reach(self.depth + height)?;
+        Ok(height)
+    }
+
     fn peek(&self) -> &Tk {
         &self.tokens[self.pos].kind
     }
@@ -128,7 +188,11 @@ impl Parser {
     // ---- query level ----
 
     fn query(&mut self) -> ParseResult<Query> {
-        let mut left = self.query_operand()?;
+        self.nested(Self::compound)
+    }
+
+    fn compound(&mut self) -> ParseResult<Query> {
+        let (mut left, mut height) = self.operand(Self::query_operand)?;
         loop {
             let op = match self.peek() {
                 Tk::Keyword(Kw::Union) => SetOp::Union,
@@ -145,7 +209,8 @@ impl Parser {
                     self.bump();
                 }
             }
-            let right = self.query_operand()?;
+            let (right, next) = self.operand(Self::query_operand)?;
+            height = self.link(height, next)?;
             left = Query::Compound {
                 op,
                 left: Box::new(left),
@@ -335,9 +400,14 @@ impl Parser {
     // ---- conditions ----
 
     fn cond(&mut self) -> ParseResult<Cond> {
-        let mut left = self.and_cond()?;
+        self.nested(Self::or_cond)
+    }
+
+    fn or_cond(&mut self) -> ParseResult<Cond> {
+        let (mut left, mut height) = self.operand(Self::and_cond)?;
         while self.eat_kw(Kw::Or) {
-            let right = self.and_cond()?;
+            let (right, next) = self.operand(Self::and_cond)?;
+            height = self.link(height, next)?;
             left = Cond::Or(Box::new(left), Box::new(right));
         }
         Ok(left)
@@ -351,9 +421,10 @@ impl Parser {
     }
 
     fn and_cond(&mut self) -> ParseResult<Cond> {
-        let mut left = self.not_cond()?;
+        let (mut left, mut height) = self.operand(Self::not_cond)?;
         while self.eat_kw(Kw::And) {
-            let right = self.not_cond()?;
+            let (right, next) = self.operand(Self::not_cond)?;
+            height = self.link(height, next)?;
             left = Cond::And(Box::new(left), Box::new(right));
         }
         Ok(left)
@@ -366,7 +437,7 @@ impl Parser {
             // a parenthesized condition or another NOT.
             if matches!(self.peek2(), Tk::Sym(Sym::LParen) | Tk::Keyword(Kw::Not)) {
                 self.bump();
-                let inner = self.not_cond()?;
+                let inner = self.nested(Self::not_cond)?;
                 return Ok(Cond::Not(Box::new(inner)));
             }
         }
@@ -401,9 +472,14 @@ impl Parser {
         // SELECT is a subquery (invalid standalone) and anything else is
         // treated as a grouped condition if it parses as one.
         if self.peek() == &Tk::Sym(Sym::LParen) && self.peek2() != &Tk::Keyword(Kw::Select) {
-            let save = self.pos;
+            let save = (self.pos, self.peak);
             self.bump();
-            if let Ok(c) = self.cond() {
+            let group = self.cond();
+            if group.is_err() && self.peak > MAX_DEPTH {
+                // Too deep as a condition is too deep as an expression too.
+                return group;
+            }
+            if let Ok(c) = group {
                 if self.eat_sym(Sym::RParen) {
                     // Make sure this really was a grouped condition and not a
                     // parenthesized scalar that continues with an operator.
@@ -426,7 +502,7 @@ impl Parser {
                     }
                 }
             }
-            self.pos = save;
+            (self.pos, self.peak) = save;
         }
         let left = self.expr()?;
         let negated = self.eat_kw(Kw::Not);
@@ -532,7 +608,11 @@ impl Parser {
     // ---- expressions ----
 
     fn expr(&mut self) -> ParseResult<Expr> {
-        let mut left = self.term()?;
+        self.nested(Self::sum)
+    }
+
+    fn sum(&mut self) -> ParseResult<Expr> {
+        let (mut left, mut height) = self.operand(Self::term)?;
         loop {
             let op = match self.peek() {
                 Tk::Sym(Sym::Plus) => ArithOp::Add,
@@ -540,7 +620,8 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            let right = self.term()?;
+            let (right, next) = self.operand(Self::term)?;
+            height = self.link(height, next)?;
             left = Expr::Arith {
                 op,
                 left: Box::new(left),
@@ -551,7 +632,7 @@ impl Parser {
     }
 
     fn term(&mut self) -> ParseResult<Expr> {
-        let mut left = self.factor()?;
+        let (mut left, mut height) = self.operand(Self::factor)?;
         loop {
             let op = match self.peek() {
                 Tk::Sym(Sym::Star) => ArithOp::Mul,
@@ -559,7 +640,8 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            let right = self.factor()?;
+            let (right, next) = self.operand(Self::factor)?;
+            height = self.link(height, next)?;
             left = Expr::Arith {
                 op,
                 left: Box::new(left),
@@ -571,7 +653,7 @@ impl Parser {
 
     fn factor(&mut self) -> ParseResult<Expr> {
         if self.eat_sym(Sym::Minus) {
-            let inner = self.factor()?;
+            let inner = self.nested(Self::factor)?;
             // Fold negated numeric literals so `-5` parses to `Lit(-5)`,
             // keeping print∘parse a fixed point.
             return Ok(match inner {

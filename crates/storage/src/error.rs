@@ -30,6 +30,13 @@ pub enum ExecError {
     InvalidAggregate(String),
     /// `*` used somewhere it is not allowed.
     InvalidStar,
+    /// A positional ORDER BY term names no output column.
+    OrderTermOutOfRange {
+        /// 1-based position of the term in the ORDER BY list.
+        term: usize,
+        /// Number of output columns.
+        columns: usize,
+    },
     /// Anything else the engine does not support.
     Unsupported(String),
 }
@@ -54,6 +61,10 @@ impl fmt::Display for ExecError {
             }
             ExecError::InvalidAggregate(s) => write!(f, "invalid aggregate use: {s}"),
             ExecError::InvalidStar => write!(f, "'*' is not valid here"),
+            ExecError::OrderTermOutOfRange { term, columns } => write!(
+                f,
+                "ORDER BY term {term} out of range - should be between 1 and {columns}"
+            ),
             ExecError::Unsupported(s) => write!(f, "unsupported: {s}"),
         }
     }

@@ -87,10 +87,9 @@ pub struct Analyzed {
 /// counters and per-operator observation metrics
 /// ([`Plan::record_observations`]) are recorded, and when `trace` is
 /// recording a `storage.exec` span with exactly that duration is emitted
-/// under the innermost open span. A request that was sampled out emits
-/// no span. The plan's cardinality estimates read
-/// [`Database::cached_stats`], as the planner does, so the plan shown is
-/// the plan run.
+/// under the innermost open span; a disabled context emits no span. The
+/// plan's cardinality estimates read [`Database::cached_stats`], as the
+/// planner does, so the plan shown is the plan run.
 pub fn execute_query_analyzed(
     db: &Database,
     q: &Query,
@@ -335,6 +334,7 @@ impl<'a> Executor<'a> {
             || s.having.is_some();
 
         // 3. Project (+ group / having) producing rows with sort keys.
+        let order_cols = order_columns(s, &rel_cols)?;
         let mut columns: Vec<String> = Vec::with_capacity(s.items.len());
         let mut first = true;
         let mut keyed: Vec<(Vec<Value>, Row)> = Vec::new();
@@ -372,7 +372,7 @@ impl<'a> Executor<'a> {
                 }
                 let keys = {
                     let _g = self.pg(pids.sort);
-                    self.sort_keys(s, &ctx, outers, &columns, &row)?
+                    self.sort_keys(s, &ctx, outers, &order_cols, &row)?
                 };
                 keyed.push((keys, row));
             }
@@ -405,7 +405,7 @@ impl<'a> Executor<'a> {
                 }
                 let keys = {
                     let _g = self.pg(pids.sort);
-                    self.sort_keys(s, &ctx, outers, &columns, &prow)?
+                    self.sort_keys(s, &ctx, outers, &order_cols, &prow)?
                 };
                 keyed.push((keys, prow));
             }
@@ -892,34 +892,22 @@ impl<'a> Executor<'a> {
         Ok((names, row))
     }
 
+    /// One row's ORDER BY keys: the projected value of a term that names
+    /// an output column (see [`order_columns`]), else the term evaluated.
     fn sort_keys(
         &self,
         s: &Select,
         ctx: &Ctx<'_>,
         outers: &[OuterScope<'_>],
-        columns: &[String],
+        order_cols: &[Option<usize>],
         projected: &Row,
     ) -> ExecResult<Vec<Value>> {
         let mut keys = Vec::with_capacity(s.order_by.len());
-        for k in &s.order_by {
-            // An unqualified ORDER BY column may name a select alias.
-            if let Expr::Col(c) = &k.expr {
-                if c.table.is_none() {
-                    if let Some(idx) = columns
-                        .iter()
-                        .position(|n| n.eq_ignore_ascii_case(&c.column))
-                    {
-                        // Only use the projected value when the name does not
-                        // resolve in the relation (alias takes lower priority
-                        // than a real column, matching SQLite).
-                        if resolve(ctx.cols(), c).is_err() {
-                            keys.push(projected[idx].clone());
-                            continue;
-                        }
-                    }
-                }
-            }
-            keys.push(self.eval_expr(&k.expr, ctx, outers)?);
+        for (k, col) in s.order_by.iter().zip(order_cols) {
+            keys.push(match col {
+                Some(idx) => projected[*idx].clone(),
+                None => self.eval_expr(&k.expr, ctx, outers)?,
+            });
         }
         Ok(keys)
     }
@@ -1322,6 +1310,66 @@ fn split_equi_keys(on: &Cond, cols: &[(String, String)], n_left: usize) -> Optio
         (false, true) => Some((b, a - n_left)),
         _ => None,
     }
+}
+
+/// The output column each ORDER BY term of `s` names, resolved once per
+/// statement as SQLite resolves it; `None` terms are evaluated per row.
+///
+/// * An integer literal `K` with `|K| <= i32::MAX` is the K-th output
+///   column, and an error unless `1 <= K <= column count`. A wider
+///   integer, a float and a computed constant (`2 + 0`) stay constants.
+/// * An unqualified name is the first output column it names
+///   (case-insensitively) through an explicit `AS` alias or a `*`
+///   expansion, ahead of a table column of the same name. A qualified
+///   name, or one no output column is named by, is evaluated.
+///
+/// `cols` are the FROM relation's columns, which `*` expands to.
+fn order_columns(s: &Select, cols: &[(String, String)]) -> ExecResult<Vec<Option<usize>>> {
+    if s.order_by.is_empty() {
+        return Ok(Vec::new());
+    }
+    // Output columns an identifier can name, with their positions.
+    let mut named: Vec<(&str, usize)> = Vec::new();
+    let mut width = 0usize;
+    for item in &s.items {
+        let binding = match &item.expr {
+            Expr::Star => None,
+            Expr::Col(c) if c.column == "*" => c.table.as_deref().map(str::to_lowercase),
+            _ => {
+                if let Some(alias) = &item.alias {
+                    named.push((alias, width));
+                }
+                width += 1;
+                continue;
+            }
+        };
+        for (b, name) in cols {
+            if binding.as_ref().is_none_or(|t| t == b) {
+                named.push((name, width));
+                width += 1;
+            }
+        }
+    }
+    s.order_by
+        .iter()
+        .enumerate()
+        .map(|(i, k)| match &k.expr {
+            Expr::Lit(Literal::Int(v)) if v.unsigned_abs() <= i32::MAX as u64 => {
+                match usize::try_from(*v) {
+                    Ok(pos) if (1..=width).contains(&pos) => Ok(Some(pos - 1)),
+                    _ => Err(ExecError::OrderTermOutOfRange {
+                        term: i + 1,
+                        columns: width,
+                    }),
+                }
+            }
+            Expr::Col(c) if c.table.is_none() => Ok(named
+                .iter()
+                .find(|(name, _)| name.eq_ignore_ascii_case(&c.column))
+                .map(|&(_, at)| at)),
+            _ => Ok(None),
+        })
+        .collect()
 }
 
 /// Resolve a column reference against relation labels. A qualified name

@@ -6,8 +6,8 @@
 //! `complete` flag. [`load_database`] is the inverse and is **bit-exact**:
 //! float cells are serialized as their raw IEEE-754 bits, so `-0.0`, NaN
 //! payloads, and 2^53-adjacent integers survive a round trip unchanged and
-//! every EX / serve-bench report computed from a loaded database is
-//! byte-identical to one computed from the in-memory original.
+//! every EX report computed from a loaded database is byte-identical to
+//! one computed from the in-memory original.
 //!
 //! Row encoding: `[n: u16]` then per cell a tag byte — `0` NULL, `1` Int +
 //! i64 LE, `2` Float + u64 bit pattern LE, `3` Str + u32 length + UTF-8.

@@ -231,3 +231,110 @@ fn subquery_over_the_empty_global_group_reads_the_outer_row_as_null() {
         assert_eq!(rs.rows, vec![vec![Value::Int(0)]]);
     }
 }
+
+/// `sql`'s rows through both engines, rendered as strings. The engines
+/// share their ORDER BY resolution, so each is held to the expected rows
+/// (SQLite 3.40.1's answers on this database), not just to the other.
+fn rows_both(sql: &str) -> [Vec<String>; 2] {
+    run_both(sql).map(|out| {
+        let rs = out.unwrap_or_else(|e| panic!("{sql}: {e}"));
+        rs.rows
+            .iter()
+            .map(|r| r.iter().map(Value::to_string).collect::<Vec<_>>().join("|"))
+            .collect()
+    })
+}
+
+#[test]
+fn order_by_positions_and_aliases_name_output_columns() {
+    for (sql, want) in [
+        (
+            "SELECT name, salary FROM emp ORDER BY 2 DESC, 1",
+            &["Cat|120", "Ann|100", "Eve|90", "Bob|80", "Dan|60", "Fay|60"][..],
+        ),
+        (
+            "SELECT dept_id, sum(salary) FROM emp GROUP BY dept_id ORDER BY 2",
+            &["2|210", "1|300"],
+        ),
+        // A float, a computed constant and an integer wider than i32 are
+        // constants, so the later keys decide.
+        (
+            "SELECT name FROM emp ORDER BY 1.0, salary, name",
+            &["Dan", "Fay", "Bob", "Eve", "Ann", "Cat"],
+        ),
+        (
+            "SELECT name FROM emp ORDER BY 2 + 0, salary, name",
+            &["Dan", "Fay", "Bob", "Eve", "Ann", "Cat"],
+        ),
+        (
+            "SELECT name FROM emp ORDER BY 2147483648, salary, name",
+            &["Dan", "Fay", "Bob", "Eve", "Ann", "Cat"],
+        ),
+        // An alias names the output column, ahead of the table column.
+        (
+            "SELECT salary AS name FROM emp ORDER BY name",
+            &["60", "60", "80", "90", "100", "120"],
+        ),
+        (
+            "SELECT salary AS Name FROM emp ORDER BY NAME DESC",
+            &["120", "100", "90", "80", "60", "60"],
+        ),
+        // A qualified name is always the table column.
+        (
+            "SELECT salary AS name FROM emp ORDER BY emp.name",
+            &["100", "80", "120", "60", "90", "60"],
+        ),
+        // The alias, not the bare `name` item before it.
+        (
+            "SELECT name, salary AS name FROM emp ORDER BY name, 1",
+            &["Dan|60", "Fay|60", "Bob|80", "Eve|90", "Ann|100", "Cat|120"],
+        ),
+        // A `*`-expanded column is named like an alias: D.name here, not
+        // the E.name that leads the FROM relation.
+        (
+            "SELECT D.*, E.salary FROM emp AS E JOIN dept AS D ON E.dept_id = D.dept_id \
+             ORDER BY name, salary",
+            &[
+                "1|Eng|80",
+                "1|Eng|100",
+                "1|Eng|120",
+                "2|Sales|60",
+                "2|Sales|60",
+                "2|Sales|90",
+            ],
+        ),
+    ] {
+        for rows in rows_both(sql) {
+            assert_eq!(rows, want, "{sql}");
+        }
+    }
+}
+
+#[test]
+fn order_by_position_out_of_range_is_an_error() {
+    for (sql, term) in [
+        ("SELECT name, salary FROM emp ORDER BY 0", 1),
+        ("SELECT name, salary FROM emp ORDER BY 3", 1),
+        ("SELECT name, salary FROM emp ORDER BY -1", 1),
+        ("SELECT name, salary FROM emp ORDER BY 2147483647", 1),
+        ("SELECT name, salary FROM emp ORDER BY 1, 3", 2),
+        // No row reaches the sort: the term is still out of range.
+        (
+            "SELECT name, salary FROM emp WHERE salary > 1000 ORDER BY 3",
+            1,
+        ),
+    ] {
+        for out in run_both(sql) {
+            let err = out.expect_err(sql);
+            assert_eq!(
+                err,
+                storage::ExecError::OrderTermOutOfRange { term, columns: 2 },
+                "{sql}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("ORDER BY term {term} out of range - should be between 1 and 2")
+            );
+        }
+    }
+}

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide CI gate. Run from anywhere; operates on the repo root.
 #
-# Every behaviour gate (goldens, byte-identity across threads and trace
-# sampling, the differential engine oracle, crash recovery, exit codes)
+# Every behaviour gate (goldens, byte-identity across threads and with
+# tracing on, the differential engine oracle, crash recovery, exit codes)
 # lives in the Rust suite, run once here by `cargo test --workspace`.
 # This script holds only what that debug-build run cannot:
 #   - fmt, clippy, a type check of e2e-bench (outside the workspace),
@@ -10,10 +10,10 @@
 #   - three source lints (print statements in library code,
 #     process-global telemetry, DAIL_ environment readers);
 #   - six gates that need a release build or wall-clock timing: the
-#     telemetry overhead ceiling (wall-clock), the results/ regeneration
-#     gate (a full-scale release run), the select-bench 3x floor, the
-#     1M-row ANN gate, the columnar step-change gate and the warm-start 10x
-#     floor (release-build timings).
+#     telemetry overhead ceiling (wall-clock, traced vs untraced `eval`),
+#     the results/ regeneration gate (a full-scale release run), the
+#     select-bench 3x floor, the 1M-row ANN gate, the columnar step-change
+#     gate and the warm-start 10x floor (release-build timings).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,10 +59,8 @@ fi
 
 echo "==> process-global telemetry lint (one scoped sink per run)"
 # A run hands its telemetry to the layers underneath only by entering its
-# recorder (obskit::Recorder::enter), which records windowed writes as
-# trace events; only a trace's fold builds a windowed store. The
-# process-global recorder and store, and a store a recorder owns, must not
-# come back.
+# recorder (obskit::Recorder::enter). The process-global recorder, and the
+# installers of the retired windowed store, must not come back.
 violations=$(grep -rnE 'set_global|obskit::global\(|tsdb::install|tsdb::with\(|\bwith_tsdb\b' \
     crates src examples || true)
 if [ -n "$violations" ]; then
@@ -89,28 +87,25 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
-echo "==> telemetry overhead ceiling (1% head sampling, windowed writes on)"
-# Tracing at a production-like 1% sample rate — with per-operator ANALYZE
-# stats collection AND the windowed time-series writes recorded on top —
-# must not meaningfully slow the serving layer. The bound is deliberately
-# loose (2x + 1s slack): it catches pathological per-request overhead,
-# not scheduler noise.
+echo "==> telemetry overhead ceiling (every item traced, analyzed executor on)"
+# Tracing every item of an eval run, with the analyzed executor's
+# per-operator stats and query digests on top, must not meaningfully slow
+# the pipeline. The bound is deliberately loose (2x + 1s slack): it catches
+# pathological per-item overhead, not scheduler noise.
 CLI="cargo run -q --offline -p bench --bin dail_sql_cli --"
 t0=$(date +%s%N)
-$CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
-    --mean-gap-ms 15 --queue 16 >/dev/null
+$CLI eval --pipeline dail --model gpt-4 >/dev/null
 t_off=$(( ($(date +%s%N) - t0) / 1000000 ))
 t0=$(date +%s%N)
-$CLI serve-bench --seed 7 --train 60 --dev 24 --requests 120 \
-    --mean-gap-ms 15 --queue 16 --digests --trace-sample 0.01 \
-    --trace target/serve-sampled.jsonl >/dev/null 2>&1
+$CLI eval --pipeline dail --model gpt-4 --digests \
+    --trace target/eval-traced.jsonl >/dev/null 2>&1
 t_on=$(( ($(date +%s%N) - t0) / 1000000 ))
 ceiling=$(( t_off * 2 + 1000 ))
 if [ "$t_on" -gt "$ceiling" ]; then
-    echo "serve-bench with 1% trace sampling took ${t_on}ms vs ${t_off}ms untraced (ceiling ${ceiling}ms)" >&2
+    echo "traced eval took ${t_on}ms vs ${t_off}ms untraced (ceiling ${ceiling}ms)" >&2
     exit 1
 fi
-echo "    untraced ${t_off}ms, 1%-sampled ${t_on}ms (ceiling ${ceiling}ms)"
+echo "    untraced ${t_off}ms, traced with digests ${t_on}ms (ceiling ${ceiling}ms)"
 
 echo "==> results/ gate (run_experiments regenerates every committed table)"
 # The tables under results/ are exactly what run_experiments writes: a

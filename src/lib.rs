@@ -14,8 +14,6 @@
 //! * [`simllm`] — the calibrated stochastic semantic-parser LLM simulator;
 //! * [`dail_core`] — the DAIL-SQL pipeline and leaderboard baselines;
 //! * [`eval`] — metrics, cost accounting and the E1–E10 experiment suite;
-//! * [`servekit`] — fault-tolerant serving layer: load shedding, LRU
-//!   prediction cache, retries with backoff, a worker pool;
 //! * [`obskit`] — zero-dependency tracing/metrics wired through all of the
 //!   above (spans, counters, latency histograms, JSONL traces, profiles).
 //!
@@ -43,7 +41,6 @@ pub use eval;
 pub use obskit;
 pub use promptkit;
 pub use retrievekit;
-pub use servekit;
 pub use simllm;
 pub use spider_gen;
 pub use sqlkit;
@@ -63,8 +60,7 @@ pub mod prelude {
         build_prompt, ExampleSelector, OrganizationStrategy, PromptConfig, QuestionRepr,
         ReprOptions, SelectionStrategy,
     };
-    pub use servekit::{serve, LoadConfig, Outcome, ServeConfig};
-    pub use simllm::{FaultConfig, GenOptions, PromptStyle, SimLlm};
+    pub use simllm::{GenOptions, PromptStyle, SimLlm};
     pub use spider_gen::{Benchmark, BenchmarkConfig, ExampleItem};
     pub use sqlkit::{parse_query, Hardness, Query, Skeleton};
     pub use storage::{execute_query, Database, ResultSet, Value};
